@@ -37,7 +37,6 @@ from .forms import (
     assemble_convection,
     assemble_divergence,
     assemble_load,
-    assemble_pressure_mean,
     assemble_skeleton,
     assemble_strain,
     assemble_velocity_mass,
@@ -98,7 +97,6 @@ __all__ = [
     "assemble_convection",
     "assemble_divergence",
     "assemble_load",
-    "assemble_pressure_mean",
     "assemble_skeleton",
     "assemble_strain",
     "assemble_velocity_mass",

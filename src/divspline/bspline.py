@@ -23,6 +23,7 @@ __all__ = [
     "basis_all_derivatives",
     "eval_nonzero_basis",
     "derivative_coefficients",
+    "derivative_matrix",
     "collocation_matrix",
     "basis_integrals",
 ]
@@ -269,6 +270,19 @@ def derivative_coefficients(kv: KnotVector, coeffs: np.ndarray) -> tuple[KnotVec
     denom = kv.knots[k + 1 : k + len(c)] - kv.knots[1:len(c)]
     dc = k * (c[1:] - c[:-1]) / denom
     return KnotVector(degree=k - 1, knots=kv.knots[1:-1]), dc
+
+
+def derivative_matrix(kv: KnotVector):
+    """Sparse (n-1, n) matrix D mapping coefficients to derivative coefficients.
+
+    D @ c equals derivative_coefficients(kv, c)[1]; each row holds the two
+    entries -/+ k / (xi_{i+k+1} - xi_{i+1}).
+    """
+    from scipy.sparse import diags
+
+    k, n = kv.degree, kv.n_basis
+    scale = k / (kv.knots[k + 1 : k + n] - kv.knots[1:n])
+    return diags([-scale, scale], [0, 1], shape=(n - 1, n), format="csr")
 
 
 def collocation_matrix(kv: KnotVector, pts: np.ndarray, deriv: int = 0):

@@ -97,8 +97,8 @@ def _manufactured_callables():
         sy.diff(u2, x, 2) + sy.diff(u2, y, 2),
     ]
     dp = [sy.diff(p, x), sy.diff(p, y)]
-    f_ns = [sy.simplify(conv[i] + dp[i] - nu * visc[i]) for i in (0, 1)]
-    f_st = [sy.simplify(dp[i] - nu * visc[i]) for i in (0, 1)]
+    f_ns = [conv[i] + dp[i] - nu * visc[i] for i in (0, 1)]
+    f_st = [dp[i] - nu * visc[i] for i in (0, 1)]
 
     def lam(expr, with_nu=False):
         args = (x, y, nu) if with_nu else (x, y)

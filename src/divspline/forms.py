@@ -21,7 +21,7 @@ every bilinear-form integrand exactly. The trilinear convection integrand has
 directional degree 3k - 1, so convection uses ceil(3(k' + 1) / 2) points to
 stay exact as well; facet rules use k' + 2 points (the rational eta factor is
 only approximately integrated). Matrices act on the full velocity DOF vector
-[Vx block; Vy block]; Dirichlet elimination happens in the solver.
+[Vx block; Vy block]; the solver imposes the strong normal trace.
 """
 from __future__ import annotations
 
@@ -39,12 +39,10 @@ from .space import (
     StateVector,
     element_tables,
     mass_matrix_1d,
-    pressure_mean_vector,
 )
 
 __all__ = [
     "StabParams",
-    "AssembledSystem",
     "compute_eta",
     "assemble_viscous_nitsche",
     "assemble_divergence",
@@ -105,17 +103,6 @@ def compute_eta(u_dot_n, u_mag, h: float, params: StabParams):
         * h ** (2 * params.alpha_prime + 2)
         * np.abs(u_dot_n)
     )
-
-
-@dataclass
-class AssembledSystem:
-    """Linear saddle system on the free velocity DOFs and all pressure DOFs."""
-
-    k_uu: sp.spmatrix
-    b: sp.spmatrix
-    rhs_u: np.ndarray
-    rhs_p: np.ndarray
-    mean_constraint: np.ndarray
 
 
 def bilinear_quad_points(pair: DivConformingPair) -> int:
@@ -641,6 +628,3 @@ def assemble_velocity_mass(pair: DivConformingPair) -> sp.csr_matrix:
     _MASS_CACHE[pair] = mat
     return mat
 
-
-def assemble_pressure_mean(pair: DivConformingPair) -> np.ndarray:
-    return pressure_mean_vector(pair)

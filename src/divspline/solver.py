@@ -1,15 +1,40 @@
 """Nonlinear and time-dependent solvers for the stabilized discretization.
 
-The linear core solves the bordered saddle system
+The pair is an exact sequence, so a velocity with u . n = 0 on the boundary
+is discretely divergence-free exactly when u = C psi, where C is the curl map
+from the interior coefficients of a degree-(k, k) streamfunction spline (see
+space.curl_matrix). Every linear solve therefore works on psi: a Newton
+correction solves
 
-    [ K  -B^T  0 ] [du]   [r_u]
-    [ B   0    m ] [dp] = [r_p]
-    [ 0  m^T   0 ] [dl]   [r_m]
+    C^T J C dpsi = -C^T r,   du = C dpsi,
 
-by sparse LU, where m is the pressure-integral vector enforcing a zero
-pressure mean. Strong normal-trace Dirichlet conditions (u . n = 0 on the
-box boundary) are imposed by eliminating the boundary-normal velocity DOFs;
-tangential conditions enter weakly through the operator.
+with J the momentum Jacobian and r the momentum residual over all velocity
+DOFs. The square matrix C^T J C has no pressure block, no mean-constraint
+border and no normal-DOF elimination; the pressure gradient drops out since
+B C = 0. Strong normal-trace Dirichlet conditions (u . n = 0 on the box
+boundary) hold by construction; tangential conditions enter weakly through
+the operator.
+
+The pressure is recovered on the pressure space. With B_f the divergence
+matrix restricted to the velocity DOFs free of the normal-trace condition,
+p solves the normal equations of B_f^T p = (r + J du)_f,
+
+    B_f B_f^T p = B_f (r + J du)_f,   m . p = 0,
+
+where m is the pressure-integral vector. B_f^T annihilates only the
+constants, so the factorization pins one pressure DOF and the solution is
+shifted to zero mean. The pair (du, p) equals the solution of the bordered
+saddle Newton system
+
+    [ J_ff  -B_f^T  0 ] [du]     [(r - B^T p_old)_f]
+    [ B_f    0      m ] [dp] = - [       B u       ]
+    [ 0      m^T    0 ] [dl]     [    m . p_old    ]
+
+with p = p_old + dp, and the stopping test and line search use its full
+residual [(r - B^T p)_f, B u, m . p]. Corrections C dpsi keep B u fixed, so
+Newton first removes the divergent part of its starting velocity with the
+same pressure factorization. Every factorization goes through this module's
+spla.splu; the pressure one is built once per pair.
 
 The steady problem is solved by damped Newton with optional Reynolds
 warm-start continuation. The unsteady problem uses the generalized-alpha
@@ -28,13 +53,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Callable
+from weakref import WeakKeyDictionary
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .forms import (
-    AssembledSystem,
     StabParams,
     assemble_convection,
     assemble_divergence,
@@ -52,8 +77,6 @@ __all__ = [
     "NewtonResult",
     "SingularSystemError",
     "ConvergenceError",
-    "free_velocity_dofs",
-    "solve_saddle",
     "newton_steady",
     "solve_steady",
     "TimeStepper",
@@ -137,48 +160,78 @@ class FlowProblem:
 
 @dataclass
 class NewtonResult:
-    """Converged state plus iteration diagnostics."""
+    """Converged state plus iteration diagnostics.
+
+    stalled_steps counts line searches that reached the smallest step
+    length without decreasing the residual and accepted that step anyway.
+    """
 
     state: StateVector
     iterations: int
     residual_norm: float
     initial_residual: float
+    stalled_steps: int
 
 
-def free_velocity_dofs(pair: DivConformingPair) -> np.ndarray:
-    """Velocity DOFs not carrying the strong normal-trace condition."""
-    return np.setdiff1d(np.arange(pair.n_u), pair.normal_boundary_dofs.all)
-
-
-def _bordered_lu(k_uu: sp.spmatrix, b: sp.spmatrix, m: np.ndarray):
-    mc = sp.csc_matrix(m.reshape(-1, 1))
-    a = sp.bmat([[k_uu, -b.T, None], [b, None, mc], [None, mc.T, None]], format="csc")
+def _factor(a: sp.spmatrix, what: str):
     try:
-        return spla.splu(a)
+        return spla.splu(sp.csc_matrix(a))
     except RuntimeError as exc:
         raise SingularSystemError(
-            f"saddle factorization failed (n_u={k_uu.shape[0]}, n_p={b.shape[0]}, "
-            f"nnz={a.nnz}): {exc}"
+            f"{what} factorization failed (n={a.shape[0]}, nnz={a.nnz}): {exc}"
         ) from exc
 
 
-def _bordered_solve(lu, rhs_u: np.ndarray, rhs_p: np.ndarray, rhs_m: float = 0.0):
-    x = lu.solve(np.concatenate([rhs_u, rhs_p, [rhs_m]]))
+def _solve(lu, rhs: np.ndarray, what: str) -> np.ndarray:
+    x = lu.solve(rhs)
     if not np.all(np.isfinite(x)):
-        raise SingularSystemError("saddle solve produced non-finite values")
-    n_u, n_p = len(rhs_u), len(rhs_p)
-    return x[:n_u], x[n_u : n_u + n_p], float(x[-1])
+        raise SingularSystemError(f"{what} solve produced non-finite values")
+    return x
 
 
-def solve_saddle(system: AssembledSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Solve one constrained saddle system; returns (du, dp).
+class _PressureSpace:
+    """Per-pair divergence data and the factorized pressure normal equations."""
 
-    The pressure-mean constraint is built into the factorized bordered
-    matrix, so the returned dp has zero weighted mean up to solver roundoff.
-    """
-    lu = _bordered_lu(system.k_uu.tocsc(), sp.csc_matrix(system.b), system.mean_constraint)
-    du, dp, _ = _bordered_solve(lu, system.rhs_u, system.rhs_p)
-    return du, dp
+    def __init__(self, pair: DivConformingPair):
+        self.b = assemble_divergence(pair)
+        self.bt = self.b.T.tocsr()
+        self.m = pressure_mean_vector(pair)
+        self.normal = pair.normal_boundary_dofs.all
+        keep = np.ones(pair.n_u)
+        keep[self.normal] = 0.0
+        self.b_f = (self.b @ sp.diags(keep)).tocsr()
+        self.b_f.eliminate_zeros()
+        # B_f^T annihilates exactly the constants (u . n = 0 on the boundary),
+        # so pinning p_0 = 0 makes B_f B_f^T nonsingular without a dense border
+        self._lu = _factor((self.b_f @ self.b_f.T).tocsc()[1:, 1:], "pressure")
+
+    def _solve(self, rhs_p: np.ndarray) -> np.ndarray:
+        """Zero-mean p with B_f B_f^T p = rhs_p, for rhs_p orthogonal to constants."""
+        p = np.concatenate([[0.0], _solve(self._lu, rhs_p[1:], "pressure")])
+        return p - (self.m @ p) / self.m.sum()
+
+    def pressure(self, r_u: np.ndarray) -> np.ndarray:
+        """Zero-mean p closest to B_f^T p = r_f in the least-squares sense."""
+        return self._solve(self.b_f @ r_u)
+
+    def solenoidal(self, u: np.ndarray) -> np.ndarray:
+        """u minus its smallest free-DOF correction making B u vanish."""
+        return u - self.b_f.T @ self._solve(self.b @ u)
+
+    def residual_norm(self, r_u: np.ndarray, u: np.ndarray, p: np.ndarray) -> float:
+        """Norm of the saddle residual [(r - B^T p)_f, B u, m . p]."""
+        res_u = r_u - self.bt @ p
+        res_u[self.normal] = 0.0
+        return float(np.linalg.norm(np.concatenate([res_u, self.b @ u, [self.m @ p]])))
+
+
+_PRESSURE_CACHE: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _pressure_space(pair: DivConformingPair) -> _PressureSpace:
+    if pair not in _PRESSURE_CACHE:
+        _PRESSURE_CACHE[pair] = _PressureSpace(pair)
+    return _PRESSURE_CACHE[pair]
 
 
 class _SpatialOperator:
@@ -193,11 +246,6 @@ class _SpatialOperator:
         self.load = assemble_load(
             pair, params, f=problem.f, u_d=problem.u_d, nitsche=problem.nitsche
         )
-        self.b = assemble_divergence(pair)
-        self.bt = self.b.T.tocsr()
-        self.m = pressure_mean_vector(pair)
-        self.free = free_velocity_dofs(pair)
-        self.b_free = self.b[:, self.free].tocsc()
 
     def linearize(self, u: np.ndarray):
         """Momentum residual (without -B^T p) and its Jacobian at u."""
@@ -218,6 +266,7 @@ class _StageOperator:
     """Generalized-alpha stage residual/Jacobian as a function of u_{n+1}."""
 
     def __init__(self, spatial, mass, u_n, udot_n, cfg: TimeConfig):
+        self.pair = spatial.pair
         self.spatial = spatial
         self.mass = mass
         self.u_n = u_n
@@ -225,8 +274,6 @@ class _StageOperator:
         self.c_mass = cfg.alpha_m / (cfg.gamma_t * cfg.dt)
         # M udot_am = c_mass M u_new + M [ (1 - alpha_m/gamma_t) udot_n - c_mass u_n ]
         self.hist = mass @ ((1.0 - cfg.alpha_m / cfg.gamma_t) * udot_n - self.c_mass * u_n)
-        self.b, self.bt = spatial.b, spatial.bt
-        self.m, self.free, self.b_free = spatial.m, spatial.free, spatial.b_free
 
     def linearize(self, u_new: np.ndarray):
         u_af = self.u_n + self.alpha_f * (u_new - self.u_n)
@@ -237,18 +284,13 @@ class _StageOperator:
 
 
 def _newton(op, u0, p0, config: NewtonConfig, context: str) -> NewtonResult:
-    free = op.free
-    u, p = u0.copy(), p0.copy()
-
-    def full_norm(r_u, u_c, p_c):
-        res = np.concatenate(
-            [(r_u - op.bt @ p_c)[free], op.b @ u_c, [op.m @ p_c]]
-        )
-        return res, float(np.linalg.norm(res))
-
+    curl = op.pair.curl
+    ps = _pressure_space(op.pair)
+    u, p = ps.solenoidal(u0), p0.copy()
     r_u, jac = op.linearize(u)
-    res, norm = full_norm(r_u, u, p)
+    norm = ps.residual_norm(r_u, u, p)
     norm0 = norm
+    stalled = 0
     for it in range(config.max_iter + 1):
         if norm <= config.abs_tol or norm <= config.rel_tol * norm0:
             return NewtonResult(
@@ -256,27 +298,29 @@ def _newton(op, u0, p0, config: NewtonConfig, context: str) -> NewtonResult:
                 iterations=it,
                 residual_norm=norm,
                 initial_residual=norm0,
+                stalled_steps=stalled,
             )
         if it == config.max_iter:
             break
-        jac_ff = jac[free, :][:, free].tocsc()
-        lu = _bordered_lu(jac_ff, op.b_free, op.m)
-        nf = len(free)
-        du_f, dp, _ = _bordered_solve(lu, -res[:nf], -res[nf:-1], -res[-1])
+        lu = _factor(curl.T @ jac @ curl, "streamfunction")
+        du = curl @ _solve(lu, -(curl.T @ r_u), "streamfunction")
+        dp = ps.pressure(r_u + jac @ du) - p
         s = 1.0
         while True:
-            u_t = u.copy()
-            u_t[free] += s * du_f
+            u_t = u + s * du
             p_t = p + s * dp
             r_t, jac_t = op.linearize(u_t)
-            res_t, norm_t = full_norm(r_t, u_t, p_t)
-            if norm_t < norm or s <= config.damping**8:
-                u, p, r_u, jac, res, norm = u_t, p_t, r_t, jac_t, res_t, norm_t
+            norm_t = ps.residual_norm(r_t, u_t, p_t)
+            decreased = norm_t < norm
+            if decreased or s <= config.damping**8:
+                stalled += not decreased
+                u, p, r_u, jac, norm = u_t, p_t, r_t, jac_t, norm_t
                 break
             s *= config.damping
     raise ConvergenceError(
         f"{context}: residual {norm:.3e} (target {config.abs_tol:.1e}) "
-        f"after {config.max_iter} iterations"
+        f"after {config.max_iter} iterations, {stalled} of them line-search "
+        f"stalls accepting a step that did not decrease the residual"
     )
 
 
@@ -304,6 +348,9 @@ def solve_steady(
     problem directly.
     """
     config = config or NewtonConfig()
+    # per-pair set-up (the pressure factorization), shared by every ladder
+    # step, before the first Newton iteration
+    _pressure_space(problem.pair)
     if re is None:
         return newton_steady(problem, config)
     ladder = [r for r in config.continuation_re if r < re] + [re]
@@ -326,9 +373,12 @@ class TimeStepper:
     """Generalized-alpha integrator with steady forcing data.
 
     initialize() accepts either a callable initial field, which is projected
-    onto the discretely divergence-free subspace through a constrained L2
-    projection, or an existing StateVector used as given. The consistent
-    initial acceleration and pressure solve the momentum equation at t0.
+    onto the discretely divergence-free subspace by the L2 projection onto
+    the streamfunction (one LU of C^T M C), or an existing StateVector used
+    as given. The consistent initial acceleration C a solves
+    C^T M C a = -C^T r at t0, and the initial pressure is recovered from
+    M udot + r. Each step runs the streamfunction Newton on the stage
+    residual.
     """
 
     def __init__(self, problem: FlowProblem, cfg: TimeConfig):
@@ -336,28 +386,22 @@ class TimeStepper:
         self.cfg = cfg
         self.spatial = _SpatialOperator(problem)
         self.mass = assemble_velocity_mass(problem.pair)
-        free = self.spatial.free
-        self._mass_lu = _bordered_lu(
-            self.mass[free, :][:, free].tocsc(), self.spatial.b_free, self.spatial.m
-        )
         self.state: StateVector | None = None
         self.udot: np.ndarray | None = None
 
     def initialize(self, u0, t0: float = 0.0) -> StateVector:
         pair = self.problem.pair
-        free = self.spatial.free
+        curl = pair.curl
+        lu = _factor(curl.T @ self.mass @ curl, "streamfunction mass")
         if callable(u0):
             rhs = assemble_load(pair, self.problem.params, f=u0, nitsche=False)
-            u_f, _, _ = _bordered_solve(self._mass_lu, rhs[free], np.zeros(pair.n_p))
-            u = np.zeros(pair.n_u)
-            u[free] = u_f
+            u = curl @ _solve(lu, curl.T @ rhs, "streamfunction mass")
         else:
             u = u0.u.copy()
             u[pair.normal_boundary_dofs.all] = 0.0
         r_u, _ = self.spatial.linearize(u)
-        a_f, p0, _ = _bordered_solve(self._mass_lu, -r_u[free], np.zeros(pair.n_p))
-        self.udot = np.zeros(pair.n_u)
-        self.udot[free] = a_f
+        self.udot = curl @ _solve(lu, -(curl.T @ r_u), "streamfunction mass")
+        p0 = _pressure_space(pair).pressure(self.mass @ self.udot + r_u)
         self.state = StateVector(u=u, p=p0, time=t0)
         return self.state
 

@@ -27,6 +27,7 @@ from .bspline import (
     basis_integrals,
     collocation_matrix,
     derivative_coefficients,
+    derivative_matrix,
     eval_nonzero_basis,
     open_knots,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "eval_velocity",
     "facet_normal_derivative_jump",
     "classify_boundary_dofs",
+    "curl_matrix",
     "interpolate_field",
     "divergence_coefficients",
     "ElementTables",
@@ -126,6 +128,10 @@ class DivConformingPair:
     @cached_property
     def normal_boundary_dofs(self) -> NormalBoundaryDofs:
         return classify_boundary_dofs(self)
+
+    @cached_property
+    def curl(self) -> sp.csr_matrix:
+        return curl_matrix(self)
 
 
 @dataclass
@@ -279,6 +285,27 @@ def classify_boundary_dofs(pair: DivConformingPair) -> NormalBoundaryDofs:
     )
 
 
+def curl_matrix(pair: DivConformingPair) -> sp.csr_matrix:
+    """Curl map C from interior streamfunction coefficients to velocity coefficients.
+
+    psi lies in the degree-(k, k) spline space over the pair's breakpoints
+    and u = C psi_interior = (d psi/dy, -d psi/dx) with the outermost ring of
+    psi coefficients held at zero, so psi vanishes on the boundary. The pair
+    is an exact sequence, hence the columns of C span exactly the discretely
+    divergence-free velocities with u . n = 0 on the boundary; the rows of
+    the normal-trace DOFs are empty. Columns follow the lexicographic order
+    (iy - 1) * (n_x - 2) + (ix - 1) over interior psi indices.
+    """
+    k = pair.k_prime + 1
+    kv_x = open_knots(k, pair.mesh.unique_knots_x)
+    kv_y = open_knots(k, pair.mesh.unique_knots_y)
+    inner_x = sp.eye(kv_x.n_basis, format="csr")[:, 1:-1]
+    inner_y = sp.eye(kv_y.n_basis, format="csr")[:, 1:-1]
+    c1 = sp.kron(derivative_matrix(kv_y) @ inner_y, inner_x)
+    c2 = -sp.kron(inner_y, derivative_matrix(kv_x) @ inner_x)
+    return sp.vstack([c1, c2], format="csr")
+
+
 def quad_points_1d(kv: KnotVector, npts: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss points/weights on every element of a knot vector, concatenated."""
     rule = gauss_rule(npts)
@@ -318,7 +345,7 @@ def interpolate_field(pair: DivConformingPair, u) -> StateVector:
 
     u maps broadcastable arrays (x, y) to the pair (u1, u2). The result is
     generally not discretely divergence-free; solvers that need solenoidal
-    initial data use the constrained projection instead.
+    initial data project onto the streamfunction (curl_matrix) instead.
     """
     npts = pair.k_prime + 3
     c1 = component_l2_projection(pair.vx, lambda x, y: u(x, y)[0], npts)

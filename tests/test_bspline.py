@@ -9,6 +9,7 @@ from divspline.bspline import (
     basis_integrals,
     collocation_matrix,
     derivative_coefficients,
+    derivative_matrix,
     eval_nonzero_basis,
     make_open_uniform,
     open_knots,
@@ -141,6 +142,7 @@ def test_derivative_coefficients_match_pointwise_derivative():
     kv = make_open_uniform(3, 5)
     coeffs = rng.standard_normal(kv.n_basis)
     dkv, dcoeffs = derivative_coefficients(kv, coeffs)
+    assert derivative_matrix(kv) @ coeffs == pytest.approx(dcoeffs, rel=1e-14, abs=1e-14)
     for x in rng.uniform(0.0, 1.0, size=25):
         be = eval_nonzero_basis(kv, float(x), max_deriv=1)
         dbe = eval_nonzero_basis(dkv, float(x))

@@ -1,13 +1,13 @@
-"""Tests for the saddle solve, Newton iteration, and time stepping."""
+"""Tests for the streamfunction Newton solve, pressure recovery, and time stepping."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from divspline.bspline import make_open_uniform
 from divspline.forms import (
-    AssembledSystem,
     StabParams,
     assemble_convection,
+    assemble_divergence,
     assemble_load,
     assemble_skeleton,
     assemble_viscous_nitsche,
@@ -19,13 +19,13 @@ from divspline.solver import (
     NewtonConfig,
     TimeConfig,
     TimeStepper,
-    free_velocity_dofs,
+    _newton,
     newton_steady,
-    solve_saddle,
     solve_steady,
 )
-from divspline.space import build_pair
+from divspline.space import StateVector, pressure_mean_vector
 from divspline.cases import ManufacturedCase, CavityCase, error_norms, max_divergence, unit_square_pair
+from util_fields import curl_state
 
 
 @pytest.fixture(scope="module")
@@ -42,50 +42,51 @@ def manufactured_problem(pair, re, convection=True, delta=1.0):
 # -------------------------------------------------------------- linear solve
 
 
-def test_saddle_round_trip():
-    rng = np.random.default_rng(0)
-    n_u, n_p = 40, 10
-    w = rng.standard_normal((n_u, n_u))
-    k = sp.csr_matrix(w @ w.T + n_u * np.eye(n_u))
-    b = sp.csr_matrix(rng.standard_normal((n_p, n_u)))
-    m = rng.random(n_p) + 0.5
-    u_ref = rng.standard_normal(n_u)
-    p_ref = rng.standard_normal(n_p)
-    p_ref -= m * (m @ p_ref) / (m @ m)
-    system = AssembledSystem(
-        k_uu=k,
-        b=b,
-        rhs_u=k @ u_ref - b.T @ p_ref,
-        rhs_p=b @ u_ref,
-        mean_constraint=m,
+def _saddle_newton_step(pair, problem, u, p):
+    """Dense oracle: one Newton step of the bordered saddle system.
+
+    [J_ff  -B_f^T  0] [du]     [(r - B^T p)_f]
+    [B_f    0      m] [dp] = - [     B u     ]
+    [0      m^T    0] [dl]     [    m . p    ]
+    """
+    params = problem.params
+    k, _ = assemble_viscous_nitsche(pair, params)
+    n1, n2 = assemble_convection(pair, u)
+    j = assemble_skeleton(pair, u, params)
+    r = (k + n1 + j) @ u - assemble_load(pair, params, f=problem.f)
+    jac = (k + n1 + n2 + j).toarray()
+    b = assemble_divergence(pair).toarray()
+    m = pressure_mean_vector(pair)
+    free = np.setdiff1d(np.arange(pair.n_u), pair.normal_boundary_dofs.all)
+    nf, n_p = len(free), pair.n_p
+    a = np.zeros((nf + n_p + 1, nf + n_p + 1))
+    a[:nf, :nf] = jac[np.ix_(free, free)]
+    a[:nf, nf:-1] = -b[:, free].T
+    a[nf:-1, :nf] = b[:, free]
+    a[nf:-1, -1] = m
+    a[-1, nf:-1] = m
+    rhs = -np.concatenate([(r - b.T @ p)[free], b @ u, [m @ p]])
+    x = np.linalg.solve(a, rhs)
+    du = np.zeros(pair.n_u)
+    du[free] = x[:nf]
+    return du, x[nf:-1]
+
+
+@pytest.mark.parametrize("k_prime", [1, 2, 3])
+def test_streamfunction_newton_step_matches_dense_saddle(k_prime):
+    pair = unit_square_pair(8, k_prime)
+    problem, _ = manufactured_problem(pair, re=100.0)
+    u = 0.01 * curl_state(pair, seed=k_prime, zero_boundary_ring=True).u
+    p = np.random.default_rng(k_prime).standard_normal(pair.n_p)
+    du_ref, dp_ref = _saddle_newton_step(pair, problem, u, p)
+    # the first full step more than halves the residual, so Newton stops there
+    result = newton_steady(
+        problem, NewtonConfig(max_iter=1, rel_tol=0.5), initial=StateVector(u=u, p=p)
     )
-    du, dp = solve_saddle(system)
-    assert du == pytest.approx(u_ref, abs=1e-11 * np.abs(u_ref).max())
-    assert dp == pytest.approx(p_ref, abs=1e-11 * np.abs(p_ref).max())
-    # applying the operator to the solution reproduces the rhs
-    assert k @ du - b.T @ dp == pytest.approx(system.rhs_u, abs=1e-11)
-    assert b @ du == pytest.approx(system.rhs_p, abs=1e-11)
-    assert abs(m @ dp) < 1e-12 * np.abs(dp).max()
-
-
-def test_saddle_zero_data(pair8):
-    params = StabParams.create(1, nu=1.0)
-    k, _ = assemble_viscous_nitsche(pair8, params)
-    free = free_velocity_dofs(pair8)
-    from divspline.forms import assemble_divergence
-    from divspline.space import pressure_mean_vector
-
-    b = assemble_divergence(pair8)
-    system = AssembledSystem(
-        k_uu=k[free, :][:, free],
-        b=b[:, free],
-        rhs_u=np.zeros(len(free)),
-        rhs_p=np.zeros(pair8.n_p),
-        mean_constraint=pressure_mean_vector(pair8),
-    )
-    du, dp = solve_saddle(system)
-    assert np.abs(du).max() == 0.0
-    assert np.abs(dp).max() == 0.0
+    assert result.iterations == 1 and result.stalled_steps == 0
+    du, dp = result.state.u - u, result.state.p - p
+    assert np.linalg.norm(du - du_ref) < 1e-10 * np.linalg.norm(du_ref)
+    assert np.linalg.norm(dp - dp_ref) < 1e-10 * np.linalg.norm(dp_ref)
 
 
 def test_stokes_manufactured_convergence_order():
@@ -120,6 +121,7 @@ def test_newton_manufactured_residual_and_divergence(pair8):
     problem, case = manufactured_problem(pair8, re=10.0)
     result = solve_steady(problem, re=10.0)
     assert result.residual_norm < 1e-10
+    assert result.stalled_steps == 0
     # strong mass conservation and zero pressure mean
     l2, _ = error_norms(pair8, result.state, case.velocity)
     unorm = np.linalg.norm(result.state.u)
@@ -130,6 +132,41 @@ def test_newton_manufactured_residual_and_divergence(pair8):
     assert abs(m @ result.state.p) < 1e-12 * max(np.abs(result.state.p).max(), 1.0)
     # tight error anchors are covered in the acceptance suite
     assert l2 < 5e-3
+
+
+def test_newton_projects_non_solenoidal_start(pair8):
+    problem, _ = manufactured_problem(pair8, re=10.0, convection=False)
+    ref = newton_steady(problem)
+    rng = np.random.default_rng(4)
+    start = StateVector(u=rng.standard_normal(pair8.n_u), p=np.zeros(pair8.n_p))
+    assert max_divergence(pair8, start.u) > 1.0
+    result = newton_steady(problem, initial=start)
+    scale = np.linalg.norm(ref.state.u)
+    assert result.residual_norm < 1e-10
+    assert np.linalg.norm(result.state.u - ref.state.u) < 1e-8 * scale
+    assert max_divergence(pair8, result.state.u) < 1e-10 * scale
+
+
+class _NeverDecreasingOperator:
+    """Residual (1 + |u|) g along a divergence-free g with an identity Jacobian.
+
+    Each Newton direction is -r, which grows |u| and with it the residual, so
+    no step length decreases the residual.
+    """
+
+    def __init__(self, pair):
+        self.pair = pair
+        self.g = curl_state(pair, seed=3, zero_boundary_ring=True).u
+
+    def linearize(self, u):
+        return (1.0 + np.linalg.norm(u)) * self.g, sp.identity(self.pair.n_u, format="csr")
+
+
+def test_newton_counts_line_search_stalls(pair8):
+    op = _NeverDecreasingOperator(pair8)
+    zero = np.zeros(pair8.n_u)
+    with pytest.raises(ConvergenceError, match="after 3 iterations, 3 of them line-search stalls"):
+        _newton(op, zero, np.zeros(pair8.n_p), NewtonConfig(max_iter=3), "fake")
 
 
 def test_newton_jacobian_matches_frozen_eta_fd(pair8):

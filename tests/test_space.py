@@ -4,8 +4,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from divspline.bspline import eval_nonzero_basis, make_open_uniform
+from divspline.bspline import eval_nonzero_basis, make_open_uniform, open_knots
+from divspline.forms import assemble_divergence
 from divspline.mesh import build_mesh, gauss_rule
 from divspline.space import (
     ElementTables,
@@ -13,6 +16,7 @@ from divspline.space import (
     build_pair,
     classify_boundary_dofs,
     component_l2_projection,
+    curl_matrix,
     divergence_coefficients,
     eval_velocity,
     facet_normal_derivative_jump,
@@ -22,6 +26,7 @@ from divspline.space import (
     quad_points_1d,
     zero_state,
 )
+from util_fields import curl_state
 
 
 def _pair(n, k_prime, interval=(0.0, 1.0)):
@@ -345,3 +350,43 @@ def test_pressure_mean_vector_is_exact():
     integral = w_y @ vals @ w_x
     assert abs(m @ p - integral) < 1e-12 * max(1.0, abs(integral))
     assert abs(m.sum() - pair.mesh.area) < 1e-12
+
+
+# ------------------------------------------------------------------ curl map
+
+
+@st.composite
+def _breakpoints(draw):
+    """Uniform or graded (random element sizes) breakpoints, 1 to 5 elements."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return np.linspace(0.0, 1.0, n + 1)
+    sizes = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    return np.concatenate([[0.0], np.cumsum(sizes)])
+
+
+@st.composite
+def _pairs(draw):
+    bx, by = draw(_breakpoints()), draw(_breakpoints())
+    mesh = build_mesh(open_knots(1, bx), open_knots(1, by))
+    return build_pair(mesh, draw(st.integers(1, 3)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=_pairs(), seed=st.integers(0, 2**16))
+def test_curl_matrix_spans_the_divergence_free_subspace(pair, seed):
+    c = curl_matrix(pair)
+    assert c.shape[0] == pair.n_u
+    assert abs(assemble_divergence(pair) @ c).max() < 1e-12
+    assert c[pair.normal_boundary_dofs.all].nnz == 0
+    n_free = pair.n_u - len(pair.normal_boundary_dofs.all)
+    assert c.shape[1] == n_free - pair.n_p + 1
+    assert np.linalg.matrix_rank(c.toarray()) == c.shape[1]
+    # curl_state draws psi over the full (n_y, n_x) grid of the degree-k
+    # space and zeroes its boundary ring; redraw the same interior values
+    k = pair.k_prime + 1
+    n_x = open_knots(k, pair.mesh.unique_knots_x).n_basis
+    n_y = open_knots(k, pair.mesh.unique_knots_y).n_basis
+    psi = np.random.default_rng(seed).standard_normal((n_y, n_x))[1:-1, 1:-1]
+    u_ref = curl_state(pair, seed=seed, zero_boundary_ring=True).u
+    assert c @ psi.ravel() == pytest.approx(u_ref, rel=1e-12, abs=1e-12 * np.abs(u_ref).max())
