@@ -22,21 +22,29 @@ directional degree 3k - 1, so convection uses ceil(3(k' + 1) / 2) points to
 stay exact as well; facet rules use k' + 2 points (the rational eta factor is
 only approximately integrated). Matrices act on the full velocity DOF vector
 [Vx block; Vy block]; the solver imposes the strong normal trace.
+
+Every operator comes from batched basis tables built on
+`space.element_basis_1d`: volume terms from `ElementTables` at element Gauss
+points, the skeleton penalty and the boundary terms from `FacetTables` on the
+interior and boundary facets. Each operator lists its local blocks as (row
+DOFs, column DOFs) pairs, and one `CooPattern` sums them into CSR.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
 from weakref import WeakKeyDictionary
 
 import numpy as np
 import scipy.sparse as sp
 
-from .bspline import eval_nonzero_basis
-from .mesh import Facet, gauss_rule
+from .mesh import gauss_rule
 from .space import (
     DivConformingPair,
     StateVector,
+    element_basis_1d,
     element_tables,
     mass_matrix_1d,
 )
@@ -52,7 +60,7 @@ __all__ = [
     "assemble_velocity_mass",
     "assemble_strain",
     "assemble_boundary_mass",
-    "skeleton_tables",
+    "facet_tables",
     "convection_quad_points",
 ]
 
@@ -115,13 +123,23 @@ def convection_quad_points(pair: DivConformingPair) -> int:
 
 
 class CooPattern:
-    """Frozen sparsity pattern; turns raw COO data into CSR without re-sorting."""
+    """Frozen sparsity pattern of a list of dense local blocks.
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
+    Block b pairs row DOFs (E_b, L_b) with column DOFs (E_b, M_b); `build`
+    sums the matching local arrays (E_b, L_b, M_b), given in the same order,
+    into CSR without re-sorting.
+    """
+
+    def __init__(self, blocks, shape: tuple[int, int]):
+        rows = np.concatenate(
+            [np.broadcast_to(r[:, :, None], (*r.shape, c.shape[1])).ravel() for r, c in blocks]
+        )
+        cols = np.concatenate(
+            [np.broadcast_to(c[:, None, :], (*r.shape, c.shape[1])).ravel() for r, c in blocks]
+        )
         order = np.lexsort((cols, rows))
         r, c = rows[order], cols[order]
-        new_group = np.empty(len(r), dtype=bool)
-        new_group[0] = True
+        new_group = np.ones(len(r), dtype=bool)
         new_group[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
         self._order = order
         self._starts = np.flatnonzero(new_group)
@@ -132,26 +150,23 @@ class CooPattern:
         np.cumsum(self._indptr, out=self._indptr)
         self._shape = shape
 
-    def build(self, data: np.ndarray) -> sp.csr_matrix:
+    def build(self, local_blocks) -> sp.csr_matrix:
+        data = np.concatenate([b.ravel() for b in local_blocks])
         summed = np.add.reduceat(data[self._order], self._starts)
         return sp.csr_matrix(
             (summed, self._indices.copy(), self._indptr.copy()), shape=self._shape
         )
 
 
-def _coo(pair, blocks) -> sp.csr_matrix:
-    """Assemble [(rows, cols, dense_local), ...] into a velocity-sized CSR."""
-    n = pair.n_u
-    rows = np.concatenate([np.broadcast_to(r[:, :, None], d.shape).ravel() for r, c, d in blocks])
-    cols = np.concatenate([np.broadcast_to(c[:, None, :], d.shape).ravel() for r, c, d in blocks])
-    data = np.concatenate([d.ravel() for r, c, d in blocks])
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+def _weighted_products(w, a, b) -> np.ndarray:
+    """Local blocks sum_q w[e, q] a[e, q, l] b[e, q, m], shape (E, L, M)."""
+    return np.einsum("eq,eql,eqm->elm", w, a, b)
 
 
 _STRAIN_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 _BOUNDARY_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 _MASS_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-_SKELETON_CACHE: WeakKeyDictionary = WeakKeyDictionary()
+_FACET_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 _CONV_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 
 
@@ -166,95 +181,146 @@ def assemble_strain(pair: DivConformingPair) -> sp.csr_matrix:
     d1 = tab.dofs("vx")
     d2 = tab.dofs("vy") + pair.vx.n_dofs
     # 2 int [ 2 e11(u) e11(v) + 2 e22 e22 + 4 e12 e12 ] expanded per block:
-    k11 = np.einsum("eq,eql,eqm->elm", w, dx1, dx1) * 2 + np.einsum(
-        "eq,eql,eqm->elm", w, dy1, dy1
-    )
-    k22 = np.einsum("eq,eql,eqm->elm", w, dy2, dy2) * 2 + np.einsum(
-        "eq,eql,eqm->elm", w, dx2, dx2
-    )
-    k12 = np.einsum("eq,eql,eqm->elm", w, dy1, dx2)
-    mat = _coo(
-        pair,
-        [(d1, d1, k11), (d2, d2, k22), (d1, d2, k12), (d2, d1, k12.transpose(0, 2, 1))],
-    )
+    k11 = _weighted_products(w, dx1, dx1) * 2 + _weighted_products(w, dy1, dy1)
+    k22 = _weighted_products(w, dy2, dy2) * 2 + _weighted_products(w, dx2, dx2)
+    k12 = _weighted_products(w, dy1, dx2)
+    mat = CooPattern(
+        [(d1, d1), (d2, d2), (d1, d2), (d2, d1)], (pair.n_u, pair.n_u)
+    ).build([k11, k22, k12, k12.transpose(0, 2, 1)])
     _STRAIN_CACHE[pair] = mat
     return mat
 
 
-def _boundary_facet_basis(pair: DivConformingPair, facet: Facet, npts: int):
-    """Per component: (values, d/dx, d/dy) of shape (nq, nloc) plus global dofs."""
-    rule = gauss_rule(npts)
-    t = facet.span[0] + facet.length * rule.points
-    wts = facet.length * rule.weights
-    axis = facet.axis
-    eid = facet.plus_element
-    ex, ey = eid % pair.mesh.nx, eid // pair.mesh.nx
-    out = []
-    for comp, space in enumerate(pair.velocity_spaces):
-        kvx, kvy = space.kv_x, space.kv_y
-        if axis == 0:
-            bn = eval_nonzero_basis(
-                kvx, facet.coordinate, max_deriv=1, span=int(kvx.element_spans[ex])
+def _on_facets(axis: int, normal: np.ndarray, tangential: np.ndarray, op=np.multiply):
+    """Cross per-line normal factors (L, ln) with per-tangential-element
+    factors (T, ..., lt) into per-facet arrays (L * T, ..., ln * lt).
+
+    Facets run line by line, tangential element fastest; the flat local index
+    follows DOF order (x fastest), so the normal index is the fast one for
+    axis 0.
+    """
+    t = tangential[None]
+    n = normal.reshape(len(normal), *([1] * (tangential.ndim - 1)), normal.shape[-1])
+    if axis == 0:
+        out = op(t[..., :, None], n[..., None, :])
+    else:
+        out = op(n[..., :, None], t[..., None, :])
+    return out.reshape(-1, *out.shape[2:-2], out.shape[-2] * out.shape[-1])
+
+
+class FacetTables:
+    """Velocity basis tables on every facet, both orientations.
+
+    For the facets normal to `axis`, normal-direction rows come from
+    `element_basis_1d` at the reference points {0, 1}: interior line i takes
+    element i-1 at 1 (plus side) and element i at 0 (minus side), both on the
+    union of their supports; boundary line 0 takes element 0 at 0 and line n
+    element n-1 at 1. Tangential factors are evaluated at the Gauss points of
+    every tangential element. Tables have shape (n_facets, nq, n_local).
+
+    interior[axis]: weights, dofs[c], jump[c] (the (alpha'+1)-th normal
+    derivative, plus side minus minus side), plus[c] and minus[c] (one-sided
+    values). boundary[axis]: weights, points, normal (outward sign of the
+    facet normal), dofs[c], value[c] and grad[c] = (d/dx, d/dy).
+    """
+
+    def __init__(self, pair: DivConformingPair):
+        mesh = pair.mesh
+        m = pair.alpha_prime + 1
+        rule = gauss_rule(bilinear_quad_points(pair))
+        self.n_u = pair.n_u
+        self.interior, self.boundary = [], []
+        for axis in (0, 1):
+            knots_n, knots_t = mesh.unique_knots_x, mesh.unique_knots_y
+            if axis == 1:
+                knots_n, knots_t = knots_t, knots_n
+            th = np.diff(knots_t)[:, None]
+            weights = th * rule.weights
+            n_tang = len(weights)
+            inner = SimpleNamespace(
+                axis=axis, weights=np.tile(weights, (len(knots_n) - 2, 1)),
+                dofs=[], jump=[], plus=[], minus=[],
             )
-            bt = [eval_nonzero_basis(kvy, float(tq), max_deriv=1) for tq in t]
-            ix0, iy0 = bn.first_index, bt[0].first_index
-            vx_ = np.array([b.values[0] for b in bt])[:, :, None] * bn.values[0][None, None, :]
-            dxv = np.array([b.values[0] for b in bt])[:, :, None] * bn.values[1][None, None, :]
-            dyv = np.array([b.values[1] for b in bt])[:, :, None] * bn.values[0][None, None, :]
-        else:
-            bn = eval_nonzero_basis(
-                kvy, facet.coordinate, max_deriv=1, span=int(kvy.element_spans[ey])
+            bnd = SimpleNamespace(
+                axis=axis, weights=np.tile(weights, (2, 1)),
+                normal=np.repeat([-1.0, 1.0], n_tang)[:, None],
+                points=np.empty((2 * n_tang, rule.npts, 2)),
+                dofs=[], value=[], grad=[],
             )
-            bt = [eval_nonzero_basis(kvx, float(tq), max_deriv=1) for tq in t]
-            iy0, ix0 = bn.first_index, bt[0].first_index
-            vx_ = bn.values[0][None, :, None] * np.array([b.values[0] for b in bt])[:, None, :]
-            dxv = bn.values[0][None, :, None] * np.array([b.values[1] for b in bt])[:, None, :]
-            dyv = bn.values[1][None, :, None] * np.array([b.values[0] for b in bt])[:, None, :]
-        nloc_y, nloc_x = vx_.shape[1], vx_.shape[2]
-        iy = iy0 + np.arange(nloc_y)
-        ix = ix0 + np.arange(nloc_x)
-        dofs = (iy[:, None] * space.n_x + ix[None, :]).ravel() + pair.component_offset(comp)
-        nq = len(t)
-        out.append(
-            (
-                vx_.reshape(nq, -1),
-                dxv.reshape(nq, -1),
-                dyv.reshape(nq, -1),
-                dofs,
-            )
-        )
-    pts = np.empty((len(t), 2))
-    pts[:, axis] = facet.coordinate
-    pts[:, 1 - axis] = t
-    return out, wts, pts
+            bnd.points[..., axis] = np.repeat(knots_n[[0, -1]], n_tang)[:, None]
+            bnd.points[..., 1 - axis] = np.tile(knots_t[:-1, None] + th * rule.points, (2, 1))
+            for comp, space in enumerate(pair.velocity_spaces):
+                kv_n, kv_t = (space.kv_x, space.kv_y) if axis == 0 else (space.kv_y, space.kv_x)
+                rows, first_n = element_basis_1d(kv_n, (0.0, 1.0), m)
+                tang, first_t = element_basis_1d(kv_t, rule.points, 1)
+                if np.any(np.diff(first_n) != 1):
+                    raise ValueError("facet tables require interior multiplicity 1")
+                idx_t = first_t[:, None] + np.arange(kv_t.degree + 1)
+                scale_n, scale_t = (1, space.n_x) if axis == 0 else (space.n_x, 1)
+
+                def on_facets(normal_rows, tang_deriv=0):
+                    return _on_facets(axis, normal_rows, tang[:, :, tang_deriv])
+
+                def dofs(first, width):
+                    idx_n = first[:, None] + np.arange(width)
+                    return _on_facets(
+                        axis, idx_n * scale_n, idx_t * scale_t, np.add
+                    ) + pair.component_offset(comp)
+
+                plus = np.pad(rows[:-1, 1], ((0, 0), (0, 0), (0, 1)))
+                minus = np.pad(rows[1:, 0], ((0, 0), (0, 0), (1, 0)))
+                inner.jump.append(on_facets(plus[:, m] - minus[:, m]))
+                inner.plus.append(on_facets(plus[:, 0]))
+                inner.minus.append(on_facets(minus[:, 0]))
+                inner.dofs.append(dofs(first_n[:-1], kv_n.degree + 2))
+                ends = np.stack([rows[0, 0], rows[-1, 1]])
+                d_n, d_t = on_facets(ends[:, 1]), on_facets(ends[:, 0], 1)
+                bnd.value.append(on_facets(ends[:, 0]))
+                bnd.grad.append((d_n, d_t) if axis == 0 else (d_t, d_n))
+                bnd.dofs.append(dofs(first_n[[0, -1]], kv_n.degree + 1))
+            self.interior.append(inner)
+            self.boundary.append(bnd)
+
+    @cached_property
+    def skeleton_pattern(self) -> CooPattern:
+        """COO pattern of J: one block per interior facet and component."""
+        blocks = [(d, d) for facets in self.interior for d in facets.dofs]
+        return CooPattern(blocks, (self.n_u, self.n_u))
+
+
+def facet_tables(pair: DivConformingPair) -> FacetTables:
+    if pair not in _FACET_CACHE:
+        _FACET_CACHE[pair] = FacetTables(pair)
+    return _FACET_CACHE[pair]
 
 
 def _boundary_unit_matrices(pair: DivConformingPair):
     """G[a,b] = (2 n . grad_s phi_b, phi_a)_bnd and boundary mass P[a,b]."""
     if pair in _BOUNDARY_CACHE:
         return _BOUNDARY_CACHE[pair]
-    npts = bilinear_quad_points(pair)
-    n = pair.n_u
-    g = sp.lil_matrix((n, n))
-    p = sp.lil_matrix((n, n))
-    for facet in pair.mesh.boundary_facets:
-        comps, wts, _ = _boundary_facet_basis(pair, facet, npts)
-        d = facet.axis
-        nd = facet.normal[d]
-        grads = [(comps[c][1], comps[c][2]) for c in (0, 1)]
+    g_blocks, g_locals, p_blocks, p_locals = [], [], [], []
+    for facets in facet_tables(pair).boundary:
+        d = facets.axis
+        wn = facets.weights * facets.normal
+        val, grad, dofs = facets.value, facets.grad, facets.dofs
         for ca in (0, 1):
-            va, dofs_a = comps[ca][0], comps[ca][3]
+            p_blocks.append((dofs[ca], dofs[ca]))
+            p_locals.append(_weighted_products(facets.weights, val[ca], val[ca]))
             for cb in (0, 1):
-                vb, dofs_b = comps[cb][0], comps[cb][3]
-                gl = np.zeros((len(dofs_a), len(dofs_b)))
+                # component ca of 2 n . grad_s phi_b is n_d (d_d phi_b,ca + d_ca phi_b,d)
+                parts = []
                 if ca == cb:
-                    gl += nd * np.einsum("q,ql,qm->lm", wts, va, grads[cb][d])
-                    p[np.ix_(dofs_a, dofs_b)] += np.einsum("q,ql,qm->lm", wts, va, vb)
+                    parts.append(_weighted_products(wn, val[ca], grad[cb][d]))
                 if cb == d:
-                    gl += nd * np.einsum("q,ql,qm->lm", wts, va, grads[cb][ca])
-                if gl.any():
-                    g[np.ix_(dofs_a, dofs_b)] += gl
-    result = (g.tocsr(), p.tocsr())
+                    parts.append(_weighted_products(wn, val[ca], grad[cb][ca]))
+                if parts:
+                    g_blocks.append((dofs[ca], dofs[cb]))
+                    g_locals.append(sum(parts))
+    shape = (pair.n_u, pair.n_u)
+    result = (
+        CooPattern(g_blocks, shape).build(g_locals),
+        CooPattern(p_blocks, shape).build(p_locals),
+    )
     _BOUNDARY_CACHE[pair] = result
     return result
 
@@ -267,115 +333,80 @@ def assemble_boundary_mass(pair: DivConformingPair) -> sp.csr_matrix:
 def assemble_viscous_nitsche(
     pair: DivConformingPair,
     params: StabParams,
-    u_d=None,
     nitsche: bool = True,
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Viscous operator with weak tangential Dirichlet terms, plus its load part.
+) -> sp.csr_matrix:
+    """Viscous operator K with weak tangential Dirichlet terms.
 
-    Returns (K, g): K implements (2 nu grad_s u, grad_s v) plus, when nitsche
-    is set, the consistency/penalty boundary terms; g collects the matching
-    Dirichlet-data terms of the load functional (zero for u_d = None). With
-    nitsche=False only the volume term is kept (free-slip walls where the
-    normal trace is imposed strongly and the tangential traction vanishes).
+    K implements (2 nu grad_s u, grad_s v) plus, when nitsche is set, the
+    consistency/penalty boundary terms; the matching Dirichlet-data terms of
+    the load are `nitsche_load`. With nitsche=False only the volume term is
+    kept (free-slip walls where the normal trace is imposed strongly and the
+    tangential traction vanishes).
     """
     k = assemble_strain(pair) * params.nu
-    g = np.zeros(pair.n_u)
     if not nitsche:
-        return k.tocsr(), g
+        return k.tocsr()
     gmat, pmat = _boundary_unit_matrices(pair)
     h = pair.mesh.h
     k = k - params.nu * (gmat + gmat.T) + (2.0 * params.nu * params.c_nit / h) * pmat
-    if u_d is not None:
-        g = nitsche_load(pair, params, u_d)
-    return k.tocsr(), g
+    return k.tocsr()
 
 
 def nitsche_load(pair: DivConformingPair, params: StabParams, u_d) -> np.ndarray:
     """Dirichlet-data part of the load: -(2 nu n.grad_s v, uD) + (2 nu Cnit/h v, uD)."""
-    npts = bilinear_quad_points(pair)
+    sides = facet_tables(pair).boundary
+    pts = np.concatenate([facets.points for facets in sides])
+    ud_all = np.array(u_d(pts[..., 0], pts[..., 1]))
+    coef = 2.0 * params.c_nit / pair.mesh.h
     g = np.zeros(pair.n_u)
-    h = pair.mesh.h
-    for facet in pair.mesh.boundary_facets:
-        comps, wts, pts = _boundary_facet_basis(pair, facet, npts)
-        ud = np.column_stack(u_d(pts[:, 0], pts[:, 1]))
-        d = facet.axis
-        nd = facet.normal[d]
+    lo = 0
+    for facets in sides:
+        ud = ud_all[:, lo : lo + len(facets.weights)]
+        lo += len(facets.weights)
+        d = facets.axis
+        wn = facets.weights * facets.normal
         for ca in (0, 1):
-            va, dofs_a = comps[ca][0], comps[ca][3]
-            grads_a = (comps[ca][1], comps[ca][2])
+            grad = facets.grad[ca]
             # 2 (n . grad_s phi_a) . uD = nd (d_d phi_a uD_ca + delta_{d,ca} grad phi_a . uD)
-            cons = nd * np.einsum("q,ql,q->l", wts, grads_a[d], ud[:, ca])
+            cons = np.einsum("fq,fql->fl", wn * ud[ca], grad[d])
             if ca == d:
-                cons += nd * (
-                    np.einsum("q,ql,q->l", wts, grads_a[0], ud[:, 0])
-                    + np.einsum("q,ql,q->l", wts, grads_a[1], ud[:, 1])
+                cons += np.einsum("fq,fql->fl", wn * ud[0], grad[0]) + np.einsum(
+                    "fq,fql->fl", wn * ud[1], grad[1]
                 )
-            pen = np.einsum("q,ql,q->l", wts, va, ud[:, ca])
-            g[dofs_a] += params.nu * (2.0 * params.c_nit / h * pen - cons)
+            pen = np.einsum("fq,fql->fl", facets.weights * ud[ca], facets.value[ca])
+            local = params.nu * (coef * pen - cons)
+            g += np.bincount(facets.dofs[ca].ravel(), local.ravel(), minlength=pair.n_u)
     return g
 
 
 def assemble_divergence(pair: DivConformingPair) -> sp.csr_matrix:
     """B with (B u)_q = (div u_h, psi_q); exact for the polynomial integrand."""
     tab = element_tables(pair, bilinear_quad_points(pair), max_deriv=1)
-    w = tab.weights
     qb = tab.basis("q", 0, 0)
     dq = tab.dofs("q")
-    rows_cols_data = []
+    blocks, local_blocks = [], []
     for name, comp, (dx, dy) in (("vx", 0, (1, 0)), ("vy", 1, (0, 1))):
-        db = tab.basis(name, dx, dy)
-        dv = tab.dofs(name) + pair.component_offset(comp)
-        local = np.einsum("eq,eql,eqm->elm", w, qb, db)
-        rows = np.broadcast_to(dq[:, :, None], local.shape).ravel()
-        cols = np.broadcast_to(dv[:, None, :], local.shape).ravel()
-        rows_cols_data.append((rows, cols, local.ravel()))
-    rows = np.concatenate([r for r, c, d in rows_cols_data])
-    cols = np.concatenate([c for r, c, d in rows_cols_data])
-    data = np.concatenate([d for r, c, d in rows_cols_data])
-    return sp.coo_matrix((data, (rows, cols)), shape=(pair.n_p, pair.n_u)).tocsr()
+        blocks.append((dq, tab.dofs(name) + pair.component_offset(comp)))
+        local_blocks.append(_weighted_products(tab.weights, qb, tab.basis(name, dx, dy)))
+    return CooPattern(blocks, (pair.n_p, pair.n_u)).build(local_blocks)
 
 
 class _ConvectionKit:
-    """Static index pattern and tables for fast convection reassembly."""
+    """Static tables and the N1/N2 sparsity patterns for convection reassembly."""
 
     def __init__(self, pair: DivConformingPair):
         tab = element_tables(pair, convection_quad_points(pair), max_deriv=1)
-        self.tab = tab
+        names = ("vx", "vy")
         self.w = tab.weights
-        self.val = {c: tab.basis(name, 0, 0) for c, name in ((0, "vx"), (1, "vy"))}
-        self.grad = {
-            (c, i): tab.basis(name, 1 - i, i)
-            for c, name in ((0, "vx"), (1, "vy"))
-            for i in (0, 1)
-        }
-        self.dofs = {
-            c: tab.dofs(name) + pair.component_offset(c)
-            for c, name in ((0, "vx"), (1, "vy"))
-        }
-        blocks = []
-        # N1 blocks (j, j); N2 blocks (rows j, cols i)
-        self.block_defs = []
-        for j in (0, 1):
-            blocks.append((self.dofs[j], self.dofs[j]))
-            self.block_defs.append(("n1", j, j))
-        for j in (0, 1):
-            for i in (0, 1):
-                blocks.append((self.dofs[j], self.dofs[i]))
-                self.block_defs.append(("n2", j, i))
-        rows = np.concatenate(
-            [
-                np.broadcast_to(r[:, :, None], (r.shape[0], r.shape[1], c.shape[1])).ravel()
-                for r, c in blocks
-            ]
+        self.val = [tab.basis(name, 0, 0) for name in names]
+        self.grad = [(tab.basis(name, 1, 0), tab.basis(name, 0, 1)) for name in names]
+        self.dofs = [tab.dofs(name) + pair.component_offset(c) for c, name in enumerate(names)]
+        shape = (pair.n_u, pair.n_u)
+        # N1 couples each component with itself; N2 rows j with columns i
+        self.n1 = CooPattern([(d, d) for d in self.dofs], shape)
+        self.n2 = CooPattern(
+            [(self.dofs[j], self.dofs[i]) for j in (0, 1) for i in (0, 1)], shape
         )
-        cols = np.concatenate(
-            [
-                np.broadcast_to(c[:, None, :], (r.shape[0], r.shape[1], c.shape[1])).ravel()
-                for r, c in blocks
-            ]
-        )
-        self.pattern = CooPattern(rows, cols, (pair.n_u, pair.n_u))
-        self.sizes = [r.shape[0] * r.shape[1] * c.shape[1] for r, c in blocks]
 
 
 def _convection_kit(pair: DivConformingPair) -> _ConvectionKit:
@@ -395,171 +426,35 @@ def assemble_convection(
     """
     w_u = w_state.u if isinstance(w_state, StateVector) else w_state
     kit = _convection_kit(pair)
-    wvals = [np.einsum("eql,el->eq", kit.val[c], w_u[kit.dofs[c]]) for c in (0, 1)]
-    datas = []
-    for kind, j, i in kit.block_defs:
-        if kind == "n1":
-            # rows test comp j, cols trial comp j: -(w . grad phi_a) phi_b
-            local = -(
-                np.einsum(
-                    "eq,eql,eqm->elm", kit.w * wvals[0], kit.grad[(j, 0)], kit.val[j]
-                )
-                + np.einsum(
-                    "eq,eql,eqm->elm", kit.w * wvals[1], kit.grad[(j, 1)], kit.val[j]
-                )
+    ww = [kit.w * np.einsum("eql,el->eq", kit.val[c], w_u[kit.dofs[c]]) for c in (0, 1)]
+    # rows test comp j, cols trial comp j: -(w . grad phi_a) phi_b
+    n1 = kit.n1.build(
+        [
+            -(
+                _weighted_products(ww[0], kit.grad[j][0], kit.val[j])
+                + _weighted_products(ww[1], kit.grad[j][1], kit.val[j])
             )
-        else:
-            # rows test comp j, cols trial comp i: -(phi_b w_j, d_i phi_a)
-            local = -np.einsum(
-                "eq,eql,eqm->elm", kit.w * wvals[j], kit.grad[(j, i)], kit.val[i]
-            )
-        datas.append(local.ravel())
-    n1 = kit.pattern.build(
-        np.concatenate([datas[0], datas[1], np.zeros(sum(kit.sizes[2:]))])
+            for j in (0, 1)
+        ]
     )
-    n2 = kit.pattern.build(
-        np.concatenate([np.zeros(kit.sizes[0] + kit.sizes[1]), *datas[2:]])
+    # rows test comp j, cols trial comp i: -(phi_b w_j, d_i phi_a)
+    n2 = kit.n2.build(
+        [-_weighted_products(ww[j], kit.grad[j][i], kit.val[i]) for j in (0, 1) for i in (0, 1)]
     )
     return n1, n2
-
-
-class _OrientationTables:
-    """Jump and one-sided value tables for the facets normal to one axis."""
-
-    def __init__(self, pair: DivConformingPair, axis: int, npts: int):
-        mesh = pair.mesh
-        rule = gauss_rule(npts)
-        m = pair.alpha_prime + 1
-        n_norm = mesh.nx if axis == 0 else mesh.ny
-        n_tang = mesh.ny if axis == 0 else mesh.nx
-        coords = mesh.unique_knots_x if axis == 0 else mesh.unique_knots_y
-        tang_knots = mesh.unique_knots_y if axis == 0 else mesh.unique_knots_x
-        self.axis = axis
-        self.n_facets = (n_norm - 1) * n_tang
-        self.nq = npts
-        if self.n_facets == 0:
-            return
-
-        # tangential weights/points per tangential element
-        th = np.diff(tang_knots)
-        tpts = tang_knots[:-1][:, None] + th[:, None] * rule.points[None, :]
-        twts = th[:, None] * rule.weights[None, :]
-
-        self.jump: dict[int, np.ndarray] = {}
-        self.vplus: dict[int, np.ndarray] = {}
-        self.vminus: dict[int, np.ndarray] = {}
-        self.dofs: dict[int, np.ndarray] = {}
-        nf = self.n_facets
-        self.weights = twts[np.tile(np.arange(n_tang), n_norm - 1)]
-        for comp, space in enumerate(pair.velocity_spaces):
-            kv_n = space.kv_x if axis == 0 else space.kv_y
-            kv_t = space.kv_y if axis == 0 else space.kv_x
-            pn, pt = kv_n.degree, kv_t.degree
-            spans = kv_n.element_spans
-            # one-sided normal-direction rows per interior line, padded to the
-            # union footprint of the two neighbor elements (pn + 2 functions)
-            left = np.zeros((n_norm - 1, m + 1, pn + 2))
-            right = np.zeros((n_norm - 1, m + 1, pn + 2))
-            starts_n = np.empty(n_norm - 1, dtype=int)
-            for i in range(1, n_norm):
-                sl, sr = int(spans[i - 1]), int(spans[i])
-                if sr != sl + 1:
-                    raise ValueError("skeleton tables require interior multiplicity 1")
-                zeta = float(coords[i])
-                bl = eval_nonzero_basis(kv_n, zeta, max_deriv=m, span=sl)
-                br = eval_nonzero_basis(kv_n, zeta, max_deriv=m, span=sr)
-                left[i - 1, :, : pn + 1] = bl.values[: m + 1]
-                right[i - 1, :, 1:] = br.values[: m + 1]
-                starts_n[i - 1] = bl.first_index
-            # tangential values per tangential element
-            tvals = np.empty((n_tang, npts, pt + 1))
-            starts_t = np.empty(n_tang, dtype=int)
-            for e in range(n_tang):
-                span = int(kv_t.element_spans[e])
-                starts_t[e] = span - pt
-                for q in range(npts):
-                    tvals[e, q] = eval_nonzero_basis(
-                        kv_t, float(tpts[e, q]), span=span
-                    ).values[0]
-
-            iline = np.repeat(np.arange(n_norm - 1), n_tang)
-            itang = np.tile(np.arange(n_tang), n_norm - 1)
-            jseg = left[iline, m, :] - right[iline, m, :]
-            tv = tvals[itang]
-
-            def compose(nrows):
-                # flat local = l_t * (pn + 2) + l_n for axis 0;
-                # for axis 1 the normal direction is y, so l_n is the slow index
-                if axis == 0:
-                    out = tv[:, :, :, None] * nrows[:, None, None, :]
-                    return out.reshape(nf, npts, -1)
-                out = nrows[:, None, :, None] * tv[:, :, None, :]
-                return out.reshape(nf, npts, -1)
-
-            self.jump[comp] = compose(jseg)
-            self.vplus[comp] = compose(left[iline, 0, :])
-            self.vminus[comp] = compose(right[iline, 0, :])
-            ln = starts_n[iline][:, None] + np.arange(pn + 2)[None, :]
-            lt = starts_t[itang][:, None] + np.arange(pt + 1)[None, :]
-            if axis == 0:
-                dof = lt[:, :, None] * space.n_x + ln[:, None, :]
-            else:
-                dof = ln[:, :, None] * space.n_x + lt[:, None, :]
-            self.dofs[comp] = dof.reshape(nf, -1) + pair.component_offset(comp)
-
-
-class SkeletonTables:
-    """Both facet orientations plus the static COO pattern of J."""
-
-    def __init__(self, pair: DivConformingPair):
-        npts = bilinear_quad_points(pair)
-        self.orients = [
-            _OrientationTables(pair, 0, npts),
-            _OrientationTables(pair, 1, npts),
-        ]
-        rows_list, cols_list = [], []
-        for ot in self.orients:
-            if ot.n_facets == 0:
-                continue
-            for comp in (0, 1):
-                d = ot.dofs[comp]
-                nloc = d.shape[1]
-                rows_list.append(
-                    np.broadcast_to(d[:, :, None], (d.shape[0], nloc, nloc)).ravel()
-                )
-                cols_list.append(
-                    np.broadcast_to(d[:, None, :], (d.shape[0], nloc, nloc)).ravel()
-                )
-        if rows_list:
-            self.pattern = CooPattern(
-                np.concatenate(rows_list), np.concatenate(cols_list), (pair.n_u, pair.n_u)
-            )
-        else:
-            self.pattern = None
-
-
-def skeleton_tables(pair: DivConformingPair) -> SkeletonTables:
-    if pair not in _SKELETON_CACHE:
-        _SKELETON_CACHE[pair] = SkeletonTables(pair)
-    return _SKELETON_CACHE[pair]
 
 
 def facet_eta_values(
     pair: DivConformingPair, w_u: np.ndarray, params: StabParams
 ) -> list[np.ndarray]:
-    """eta at every facet quadrature point, per orientation, shape (nF, nq)."""
-    st = skeleton_tables(pair)
-    h = pair.mesh.h
+    """eta at every interior facet quadrature point, per orientation, shape (nF, nq)."""
     out = []
-    for ot in st.orients:
-        if ot.n_facets == 0:
-            out.append(np.zeros((0, ot.nq)))
-            continue
-        up = [np.einsum("fql,fl->fq", ot.vplus[c], w_u[ot.dofs[c]]) for c in (0, 1)]
-        um = [np.einsum("fql,fl->fq", ot.vminus[c], w_u[ot.dofs[c]]) for c in (0, 1)]
+    for facets in facet_tables(pair).interior:
+        up = [np.einsum("fql,fl->fq", facets.plus[c], w_u[facets.dofs[c]]) for c in (0, 1)]
+        um = [np.einsum("fql,fl->fq", facets.minus[c], w_u[facets.dofs[c]]) for c in (0, 1)]
         mag = 0.5 * (np.hypot(up[0], up[1]) + np.hypot(um[0], um[1]))
-        u_dot_n = up[ot.axis]  # normal component is single-valued
-        out.append(compute_eta(u_dot_n, mag, h, params))
+        u_dot_n = up[facets.axis]  # normal component is single-valued
+        out.append(compute_eta(u_dot_n, mag, pair.mesh.h, params))
     return out
 
 
@@ -575,19 +470,13 @@ def assemble_skeleton(
     if params.gamma == 0.0:
         return sp.csr_matrix((n, n))
     w_u = w_state.u if isinstance(w_state, StateVector) else w_state
-    st = skeleton_tables(pair)
-    if st.pattern is None:
-        return sp.csr_matrix((n, n))
-    etas = facet_eta_values(pair, w_u, params)
-    datas = []
-    for ot, eta in zip(st.orients, etas):
-        if ot.n_facets == 0:
-            continue
-        scaled = ot.weights * eta
-        for comp in (0, 1):
-            local = np.einsum("fq,fql,fqm->flm", scaled, ot.jump[comp], ot.jump[comp])
-            datas.append(local.ravel())
-    return st.pattern.build(np.concatenate(datas))
+    tables = facet_tables(pair)
+    local_blocks = [
+        _weighted_products(facets.weights * eta, jump, jump)
+        for facets, eta in zip(tables.interior, facet_eta_values(pair, w_u, params))
+        for jump in facets.jump
+    ]
+    return tables.skeleton_pattern.build(local_blocks)
 
 
 def assemble_load(

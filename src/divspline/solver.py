@@ -242,7 +242,7 @@ class _SpatialOperator:
         self.pair = pair
         self.params = params
         self.convection = problem.convection
-        self.k, _ = assemble_viscous_nitsche(pair, params, nitsche=problem.nitsche)
+        self.k = assemble_viscous_nitsche(pair, params, nitsche=problem.nitsche)
         self.load = assemble_load(
             pair, params, f=problem.f, u_d=problem.u_d, nitsche=problem.nitsche
         )

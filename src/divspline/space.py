@@ -26,7 +26,6 @@ from .bspline import (
     KnotVector,
     basis_integrals,
     collocation_matrix,
-    derivative_coefficients,
     derivative_matrix,
     eval_nonzero_basis,
     open_knots,
@@ -46,6 +45,7 @@ __all__ = [
     "interpolate_field",
     "divergence_coefficients",
     "ElementTables",
+    "element_basis_1d",
     "quad_points_1d",
     "mass_matrix_1d",
 ]
@@ -357,13 +357,9 @@ def divergence_coefficients(pair: DivConformingPair, u: np.ndarray) -> np.ndarra
     """Exact Q-space coefficients of div u_h (the divergence lies in Q)."""
     g1 = pair.component_coeffs(u, 0)
     g2 = pair.component_coeffs(u, 1)
-    d1 = np.apply_along_axis(
-        lambda row: derivative_coefficients(pair.vx.kv_x, row)[1], 1, g1
-    )
-    d2 = np.apply_along_axis(
-        lambda col: derivative_coefficients(pair.vy.kv_y, col)[1], 0, g2
-    )
-    return (d1 + d2).ravel()
+    dx = derivative_matrix(pair.vx.kv_x)
+    dy = derivative_matrix(pair.vy.kv_y)
+    return (g1 @ dx.T + dy @ g2).ravel()
 
 
 def pressure_mean_vector(pair: DivConformingPair) -> np.ndarray:
@@ -371,6 +367,29 @@ def pressure_mean_vector(pair: DivConformingPair) -> np.ndarray:
     ix = basis_integrals(pair.q.kv_x)
     iy = basis_integrals(pair.q.kv_y)
     return np.kron(iy, ix)
+
+
+def element_basis_1d(
+    kv: KnotVector, ref_points, max_deriv: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero basis functions of kv and their derivatives on every element.
+
+    Reference point t in [0, 1] of element e maps to x = a_e + h_e t and is
+    evaluated with that element's polynomial pieces, so t = 0 and t = 1 give
+    the one-sided limits at the element's ends. Returns (values, first):
+    values[e, q, d, j] is the d-th derivative of basis function first[e] + j
+    at point q of element e.
+    """
+    uk = kv.unique_knots
+    x = uk[:-1, None] + np.diff(uk)[:, None] * np.asarray(ref_points)[None, :]
+    spans = kv.element_spans
+    values = np.array(
+        [
+            [eval_nonzero_basis(kv, float(xq), max_deriv, span=int(span)).values for xq in xe]
+            for xe, span in zip(x, spans)
+        ]
+    )
+    return values, spans - kv.degree
 
 
 class ElementTables:
@@ -415,23 +434,14 @@ class ElementTables:
         ).reshape(self.n_elements, -1)
         self.points = pts
 
+        rule = gauss_rule(npts)
         for name, space in self._spaces.items():
-            for axis, kv, p1d in ((0, space.kv_x, ptx), (1, space.kv_y, pty)):
+            for axis, kv in ((0, space.kv_x), (1, space.kv_y)):
                 key = (id(kv), axis)
-                if key in self._b1d:
-                    continue
-                nel = p1d.shape[0]
-                tab = np.empty((nel, npts, max_deriv + 1, kv.degree + 1))
-                starts = np.empty(nel, dtype=int)
-                for e in range(nel):
-                    span = int(kv.element_spans[e])
-                    starts[e] = span - kv.degree
-                    for q in range(npts):
-                        tab[e, q] = eval_nonzero_basis(
-                            kv, float(p1d[e, q]), max_deriv=max_deriv, span=span
-                        ).values
-                self._b1d[key] = tab
-                self._starts[key] = starts
+                if key not in self._b1d:
+                    self._b1d[key], self._starts[key] = element_basis_1d(
+                        kv, rule.points, max_deriv
+                    )
         self._exs, self._eys = exs, eys
         self._cache: dict[tuple[str, int, int], np.ndarray] = {}
         self._dof_cache: dict[str, np.ndarray] = {}

@@ -4,10 +4,12 @@ Tests marked ``@pytest.mark.acceptance(num, label)`` feed a summary block
 printed after the run, one PASS/FAIL line per criterion.  A criterion with
 several tests (e.g. parametrized over spline degree) passes only if all of
 them do; skips and fixture errors count as failures so nothing can go
-silently green.
+silently green: a FAIL line also makes the run exit with a nonzero status.
 """
 
 import pytest
+
+pytest_plugins = ["pytester"]
 
 _RESULTS: dict[int, list] = {}
 
@@ -30,6 +32,11 @@ def pytest_runtest_makereport(item, call):
     entry = _RESULTS.setdefault(num, [label, True])
     if report.when in ("setup", "call") and (report.failed or report.skipped):
         entry[1] = False
+
+
+def pytest_sessionfinish(session, exitstatus):
+    if exitstatus == pytest.ExitCode.OK and not all(ok for _, ok in _RESULTS.values()):
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

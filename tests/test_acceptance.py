@@ -180,7 +180,7 @@ def test_coercivity_random_states(k_prime):
     pair = unit_square_pair(8, k_prime)
     params = StabParams.create(k_prime, nu=0.01)
     assert params.c_nit == 5.0 * (k_prime + 1)
-    k, _ = assemble_viscous_nitsche(pair, params)
+    k = assemble_viscous_nitsche(pair, params)
     s = assemble_strain(pair)
     p = assemble_boundary_mass(pair)
     coef = 2.0 * params.nu * params.c_nit / pair.mesh.h
@@ -281,7 +281,7 @@ def test_newton_linearization_matches_fd():
     case = ManufacturedCase(re=100.0)
     params = StabParams.create(1, nu=case.nu)
     problem = FlowProblem(pair, params, f=case.forcing)
-    k, _ = assemble_viscous_nitsche(pair, params)
+    k = assemble_viscous_nitsche(pair, params)
     load = assemble_load(pair, params, f=problem.f)
     rng = np.random.default_rng(88)
     u0 = rng.standard_normal(pair.n_u) * 0.1

@@ -1,10 +1,13 @@
 """Tests for the form assembly module."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from divspline.bspline import basis_integrals
+from divspline.bspline import basis_integrals, open_knots
 from divspline.forms import (
     StabParams,
+    _boundary_unit_matrices,
     assemble_boundary_mass,
     assemble_convection,
     assemble_divergence,
@@ -27,7 +30,7 @@ from divspline.space import (
     interpolate_field,
     pressure_mean_vector,
 )
-from util_fields import curl_state
+from util_fields import curl_state, random_pairs
 
 
 def max_abs(mat):
@@ -49,6 +52,13 @@ def pair44():
 @pytest.fixture(scope="module")
 def pair33k2():
     return make_pair(3, 2)
+
+
+@pytest.fixture(scope="module")
+def graded_pair_k2():
+    bx = np.array([0.0, 0.1, 0.35, 0.5, 1.0])
+    by = np.array([0.0, 0.6, 0.7, 1.0])
+    return build_pair(build_mesh(open_knots(1, bx), open_knots(1, by)), 2)
 
 
 def params_for(pair, nu):
@@ -126,39 +136,72 @@ def test_boundary_mass_analytic(pair44):
 
 
 def test_boundary_consistency_analytic(pair44):
-    from divspline.forms import _boundary_unit_matrices
-
     g, _ = _boundary_unit_matrices(pair44)
     u = shear_state(pair44).u
     # (2 n . grad_s u, u) over the boundary: only the top edge contributes 1
     assert u @ (g @ u) == pytest.approx(1.0, rel=1e-12)
 
 
+@settings(max_examples=15, deadline=None)
+@given(pair=random_pairs(), seed=st.integers(0, 2**16))
+def test_boundary_terms_match_pointwise_quadrature(pair, seed):
+    # u.G.v, u.P.v and g.v against per-facet quadrature of pointwise values
+    gmat, pmat = _boundary_unit_matrices(pair)
+    params = params_for(pair, 0.3)
+    coef = 2.0 * params.c_nit / pair.mesh.h
+    u_d = lambda x, y: (np.sin(x + 2.0 * y), x * y - 1.0)
+    g = nitsche_load(pair, params, u_d)
+    rng = np.random.default_rng(seed)
+    u, v = (StateVector(rng.standard_normal(pair.n_u), np.zeros(pair.n_p)) for _ in "uv")
+    rule = gauss_rule(pair.k_prime + 2)
+    sums = np.zeros(3)
+    sizes = np.zeros(3)
+    for facet in pair.mesh.boundary_facets:
+        pts, wts = facet_quadrature(facet, rule)
+        n = np.array(facet.normal)
+        for x, w in zip(pts, wts):
+            uq = eval_velocity(pair, u, x, deriv_order=1).value
+            dv = eval_velocity(pair, v, x, deriv_order=1)
+            grad = dv.gradient
+            traction = n @ grad + grad @ n  # 2 n . grad_s v
+            ud = np.array(u_d(x[0], x[1]))
+            terms = w * np.array(
+                [
+                    traction @ uq,
+                    dv.value @ uq,
+                    params.nu * (coef * dv.value - traction) @ ud,
+                ]
+            )
+            sums += terms
+            sizes += np.abs(terms)
+    got = np.array([u.u @ (gmat @ v.u), u.u @ (pmat @ v.u), g @ v.u])
+    assert np.abs(got - sums).max() <= 1e-11 * sizes.max()
+
+
 def test_viscous_symmetry(pair44, pair33k2):
     for pair in (pair44, pair33k2):
-        k, _ = assemble_viscous_nitsche(pair, params_for(pair, 1e-3))
+        k = assemble_viscous_nitsche(pair, params_for(pair, 1e-3))
         assert max_abs(k - k.T) < 1e-10 * max_abs(k)
 
 
 def test_viscous_nu_scaling(pair44):
-    k1, _ = assemble_viscous_nitsche(pair44, params_for(pair44, 1e-3))
-    k2, _ = assemble_viscous_nitsche(pair44, params_for(pair44, 2e-3))
+    k1 = assemble_viscous_nitsche(pair44, params_for(pair44, 1e-3))
+    k2 = assemble_viscous_nitsche(pair44, params_for(pair44, 2e-3))
     assert max_abs(2.0 * k1 - k2) < 1e-14 * max_abs(k2)
 
 
 def test_viscous_without_nitsche_is_pure_strain(pair44):
     params = params_for(pair44, 0.5)
-    k, g = assemble_viscous_nitsche(pair44, params, nitsche=False)
+    k = assemble_viscous_nitsche(pair44, params, nitsche=False)
     s = assemble_strain(pair44)
     assert max_abs(k - 0.5 * s) < 1e-14
-    assert np.all(g == 0.0)
 
 
 def test_coercivity_with_skeleton(pair44, pair33k2):
     # A_h(u,u) + J(u;u,u) >= 1/2 |||u|||^2 on the strong-normal-trace kernel
     for pair in (pair44, pair33k2):
         params = params_for(pair, 0.01)
-        k, _ = assemble_viscous_nitsche(pair, params)
+        k = assemble_viscous_nitsche(pair, params)
         s = assemble_strain(pair)
         p = assemble_boundary_mass(pair)
         coef = 2.0 * params.nu * params.c_nit / pair.mesh.h
@@ -297,9 +340,9 @@ def test_skeleton_ignores_normal_component():
     assert abs(quad) < 1e-20
 
 
-def test_skeleton_matches_pointwise_quadrature(pair44, pair33k2):
+def test_skeleton_matches_pointwise_quadrature(pair44, pair33k2, graded_pair_k2):
     # independent evaluation per facet from one-sided jumps and eta
-    for pair in (pair44, pair33k2):
+    for pair in (pair44, pair33k2, graded_pair_k2):
         params = params_for(pair, 1e-2)
         st = curl_state(pair, seed=8)
         j = assemble_skeleton(pair, st, params)

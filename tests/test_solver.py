@@ -50,7 +50,7 @@ def _saddle_newton_step(pair, problem, u, p):
     [0      m^T    0] [dl]     [    m . p    ]
     """
     params = problem.params
-    k, _ = assemble_viscous_nitsche(pair, params)
+    k = assemble_viscous_nitsche(pair, params)
     n1, n2 = assemble_convection(pair, u)
     j = assemble_skeleton(pair, u, params)
     r = (k + n1 + j) @ u - assemble_load(pair, params, f=problem.f)
@@ -173,7 +173,7 @@ def test_newton_jacobian_matches_frozen_eta_fd(pair8):
     # R(u) = K u + N1(u) u + J0 u with J0 frozen at the base state
     problem, _ = manufactured_problem(pair8, re=100.0)
     params = problem.params
-    k, _ = assemble_viscous_nitsche(pair8, params)
+    k = assemble_viscous_nitsche(pair8, params)
     load = assemble_load(pair8, params, f=problem.f)
     rng = np.random.default_rng(21)
     u0 = rng.standard_normal(pair8.n_u) * 0.1

@@ -26,7 +26,7 @@ from divspline.space import (
     quad_points_1d,
     zero_state,
 )
-from util_fields import curl_state
+from util_fields import curl_state, random_pairs
 
 
 def _pair(n, k_prime, interval=(0.0, 1.0)):
@@ -355,25 +355,8 @@ def test_pressure_mean_vector_is_exact():
 # ------------------------------------------------------------------ curl map
 
 
-@st.composite
-def _breakpoints(draw):
-    """Uniform or graded (random element sizes) breakpoints, 1 to 5 elements."""
-    n = draw(st.integers(1, 5))
-    if draw(st.booleans()):
-        return np.linspace(0.0, 1.0, n + 1)
-    sizes = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
-    return np.concatenate([[0.0], np.cumsum(sizes)])
-
-
-@st.composite
-def _pairs(draw):
-    bx, by = draw(_breakpoints()), draw(_breakpoints())
-    mesh = build_mesh(open_knots(1, bx), open_knots(1, by))
-    return build_pair(mesh, draw(st.integers(1, 3)))
-
-
 @settings(max_examples=30, deadline=None)
-@given(pair=_pairs(), seed=st.integers(0, 2**16))
+@given(pair=random_pairs(), seed=st.integers(0, 2**16))
 def test_curl_matrix_spans_the_divergence_free_subspace(pair, seed):
     c = curl_matrix(pair)
     assert c.shape[0] == pair.n_u

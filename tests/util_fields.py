@@ -2,9 +2,29 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from divspline.bspline import derivative_coefficients, open_knots
-from divspline.space import DivConformingPair, StateVector
+from divspline.mesh import build_mesh
+from divspline.space import DivConformingPair, StateVector, build_pair
+
+
+@st.composite
+def breakpoints(draw):
+    """Uniform or graded (random element sizes) breakpoints, 1 to 5 elements."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return np.linspace(0.0, 1.0, n + 1)
+    sizes = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    return np.concatenate([[0.0], np.cumsum(sizes)])
+
+
+@st.composite
+def random_pairs(draw):
+    """Pairs of order k' = 1..3 over independent uniform or graded breakpoints."""
+    bx, by = draw(breakpoints()), draw(breakpoints())
+    mesh = build_mesh(open_knots(1, bx), open_knots(1, by))
+    return build_pair(mesh, draw(st.integers(1, 3)))
 
 
 def curl_state(
