@@ -1,11 +1,13 @@
-"""Univariate B-spline knot vectors and Cox-de Boor basis evaluation.
+"""Univariate B-spline knot vectors and batched Cox-de Boor basis evaluation.
 
 Open knot vectors only. Basis values and derivatives are computed with the
 standard recursion over the derivative knot differences (exact, O(k^2) per
-point) rather than by symbolic differentiation. Evaluation at a knot follows
-the half-open convention [zeta_j, zeta_{j+1}) with closure at the right end
-of the domain; one-sided limits at interior knots are obtained by passing an
-explicit span index.
+point) rather than by symbolic differentiation. One evaluator,
+eval_nonzero_basis, serves a scalar or any array of points: spans come from
+one searchsorted call and the recursion runs over all points at once.
+Evaluation at a knot follows the half-open convention [zeta_j, zeta_{j+1})
+with closure at the right end of the domain; one-sided limits at interior
+knots are obtained by passing an explicit span index.
 """
 from __future__ import annotations
 
@@ -29,31 +31,20 @@ __all__ = [
 ]
 
 
-def find_span(knots: np.ndarray, degree: int, x: float) -> int:
+def find_span(knots: np.ndarray, degree: int, x):
     """Return the knot span index i with knots[i] <= x < knots[i+1].
 
-    The search is restricted to the nondegenerate spans of an open knot
-    vector. Queries at the right end of the domain are clamped to the last
-    nondegenerate span (left-limit convention).
+    x may be a scalar or an array; the result has its shape. Spans are
+    restricted to the nondegenerate spans of an open knot vector, so queries
+    at the right end of the domain are clamped to the last nondegenerate
+    span (left-limit convention).
     """
-    low = degree
-    high = len(knots) - 1 - degree
-    if x >= knots[high]:
-        return high - 1
-    if x <= knots[low]:
-        return low
-    span = (low + high) // 2
-    while x < knots[span] or x >= knots[span + 1]:
-        if x < knots[span]:
-            high = span
-        else:
-            low = span
-        span = (low + high) // 2
-    return span
+    span = np.searchsorted(knots, x, side="right") - 1
+    return np.minimum(np.maximum(span, degree), len(knots) - degree - 2)
 
 
 def basis_all_derivatives(
-    knots: np.ndarray, degree: int, x: float, span: int, max_deriv: int
+    knots: np.ndarray, degree: int, x, span, max_deriv: int
 ) -> np.ndarray:
     """Evaluate the degree+1 nonzero basis functions and their derivatives.
 
@@ -63,12 +54,12 @@ def basis_all_derivatives(
         Full open knot sequence.
     degree : int
         Polynomial degree k.
-    x : float
-        Evaluation point. It may lie outside [knots[span], knots[span+1]];
+    x : float or ndarray
+        Evaluation points. A point may lie outside [knots[span], knots[span+1]];
         in that case the polynomial pieces active on that span are extended,
         which is what one-sided limit evaluation at a knot relies on.
-    span : int
-        Knot span whose polynomial pieces are evaluated.
+    span : int or ndarray of int
+        Knot span whose polynomial pieces are evaluated, broadcast against x.
     max_deriv : int
         Highest derivative order requested. Orders above the degree are
         returned as exact zeros.
@@ -76,73 +67,77 @@ def basis_all_derivatives(
     Returns
     -------
     ders : ndarray
-        Array of shape (max_deriv+1, degree+1); row d holds the d-th
-        derivatives of basis functions span-degree .. span at x.
+        Array of shape broadcast(x, span).shape + (max_deriv+1, degree+1);
+        ders[..., d, j] holds the d-th derivative of basis function
+        span-degree+j at x.
+
+    The recursion is that of Piegl & Tiller, The NURBS Book, A2.3. Each step
+    runs over all points and all basis functions at once, with the scalar
+    algorithm's arithmetic and summation order for every entry, so a value
+    does not depend on how the points are batched.
     """
-    left = np.empty(degree)
-    right = np.empty(degree)
-    ndu = np.empty((degree + 1, degree + 1))
-    a = np.empty((2, degree + 1))
-    ders = np.zeros((max_deriv + 1, degree + 1))
+    x, span = np.broadcast_arrays(np.asarray(x, dtype=float), span)
+    shape = x.shape
+    x, span = x.ravel(), span.ravel()
+    offsets = np.arange(degree)[:, None]
+    left = x - knots[span - offsets]
+    right = knots[span + 1 + offsets] - x
+    ndu = np.empty((degree + 1, degree + 1, x.size))
+    saved = np.zeros((degree + 1, x.size))
+    ders = np.zeros((x.size, max_deriv + 1, degree + 1))
 
     ndu[0, 0] = 1.0
     for j in range(degree):
-        left[j] = x - knots[span - j]
-        right[j] = knots[span + 1 + j] - x
-        saved = 0.0
-        for r in range(j + 1):
-            # lower triangle stores reciprocals of the knot differences
-            ndu[j + 1, r] = 1.0 / (right[r] + left[j - r])
-            temp = ndu[r, j] * ndu[j + 1, r]
-            ndu[r, j + 1] = saved + right[r] * temp
-            saved = left[j - r] * temp
-        ndu[j + 1, j + 1] = saved
+        # lower triangle stores reciprocals of the knot differences
+        ndu[j + 1, : j + 1] = 1.0 / (right[: j + 1] + left[j::-1])
+        temp = ndu[: j + 1, j] * ndu[j + 1, : j + 1]
+        # saved[r] = left[j - r + 1] * temp[r - 1] enters row r; saved[0] stays 0.0
+        saved[1 : j + 2] = left[j::-1] * temp
+        ndu[: j + 1, j + 1] = saved[: j + 1] + right[: j + 1] * temp
+        ndu[j + 1, j + 1] = saved[j + 1]
 
-    ders[0, :] = ndu[:, degree]
+    ders[:, 0, :] = ndu[:, degree].T
 
-    ne = min(max_deriv, degree)
-    for r in range(degree + 1):
-        s1 = 0
-        s2 = 1
-        a[0, 0] = 1.0
-        for k in range(1, ne + 1):
-            d = 0.0
-            rk = r - k
-            pk = degree - k
-            if r >= k:
-                a[s2, 0] = a[s1, 0] * ndu[pk + 1, rk]
-                d = a[s2, 0] * ndu[rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if r - 1 <= pk else degree - r
-            for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) * ndu[pk + 1, rk + j]
-                d += a[s2, j] * ndu[rk + j, pk]
-            if r <= pk:
-                a[s2, k] = -a[s1, k - 1] * ndu[pk + 1, r]
-                d += a[s2, k] * ndu[r, pk]
-            ders[k, r] = d
-            s1, s2 = s2, s1
-
-    fac = float(degree)
-    for k in range(1, ne + 1):
-        ders[k, :] *= fac
-        fac *= degree - k
-    return ders
+    # derivatives: at order k, coefficient j of basis function r pairs with
+    # ndu[t, degree - k] for t = r - k + j in 0..degree-k, so each j covers one
+    # slice of rows and all basis functions advance together
+    a = np.ones((1, degree + 1, x.size))
+    fac = 1.0
+    for k in range(1, min(max_deriv, degree) + 1):
+        pk = degree - k
+        inv = ndu[pk + 1, : pk + 1]
+        prev, a = a, np.empty((k + 1, degree + 1, x.size))
+        d = np.zeros((degree + 1, x.size))
+        for j in range(k + 1):
+            rows = slice(k - j, degree - j + 1)
+            if j == 0:
+                a[0, rows] = prev[0, rows] * inv
+                d[rows] = a[0, rows] * ndu[: pk + 1, pk]
+                continue
+            if j == k:
+                a[k, rows] = -prev[k - 1, rows] * inv
+            else:
+                a[j, rows] = (prev[j, rows] - prev[j - 1, rows]) * inv
+            d[rows] += a[j, rows] * ndu[: pk + 1, pk]
+        fac *= degree - k + 1
+        ders[:, k, :] = (d * fac).T
+    return ders.reshape(shape + ders.shape[1:])
 
 
 @dataclass(frozen=True)
 class BasisEval:
-    """Nonzero basis values/derivatives at one point.
+    """Nonzero basis values/derivatives at a scalar or an array of points.
 
-    values[d, j] is the d-th derivative of basis function first_index + j.
+    values[..., d, j] is the d-th derivative of basis function
+    first_index[...] + j; the leading axes are those of the points.
     """
 
-    span: int
+    span: int | np.ndarray
     degree: int
     values: np.ndarray
 
     @property
-    def first_index(self) -> int:
+    def first_index(self) -> int | np.ndarray:
         return self.span - self.degree
 
 
@@ -201,32 +196,35 @@ class KnotVector:
     def element_spans(self) -> np.ndarray:
         """Knot span index of each element (between consecutive unique knots)."""
         mids = 0.5 * (self.unique_knots[:-1] + self.unique_knots[1:])
-        return np.array([find_span(self.knots, self.degree, x) for x in mids])
+        return find_span(self.knots, self.degree, mids)
 
     @cached_property
     def element_sizes(self) -> np.ndarray:
         return np.diff(self.unique_knots)
 
-    def find_span(self, x: float) -> int:
+    def find_span(self, x):
         return find_span(self.knots, self.degree, x)
 
 
-def eval_nonzero_basis(
-    kv: KnotVector, x: float, max_deriv: int = 0, span: int | None = None
-) -> BasisEval:
+def eval_nonzero_basis(kv: KnotVector, x, max_deriv: int = 0, span=None) -> BasisEval:
     """Evaluate the degree+1 basis functions whose support contains x.
 
-    At a knot the right-limit convention applies, except at the right end of
-    the domain where the left limit is used. Passing an explicit span forces
-    evaluation of that span's polynomial pieces, which yields one-sided
-    limits at interior knots.
+    x is a scalar or an array of points; values has the points' shape (x
+    broadcast against an explicit span) followed by (max_deriv+1, degree+1),
+    so a scalar x gives one point's (max_deriv+1, degree+1) table. At a knot the right-limit convention
+    applies, except at the right end of the domain where the left limit is
+    used. Passing an explicit span (broadcast against x) forces evaluation of
+    that span's polynomial pieces, which yields one-sided limits at interior
+    knots; points are then not checked against the domain.
     """
+    x = np.asarray(x, dtype=float)
     if span is None:
         a, b = kv.domain
         tol = 1e-12 * max(abs(a), abs(b), 1.0)
-        if x < a - tol or x > b + tol:
-            raise ValueError(f"x={x} outside the knot range [{a}, {b}]")
-        x = min(max(x, a), b)
+        outside = ~((x >= a - tol) & (x <= b + tol))
+        if outside.any():
+            raise ValueError(f"x={x[outside][0]} outside the knot range [{a}, {b}]")
+        x = np.minimum(np.maximum(x, a), b)
         span = kv.find_span(x)
     ders = basis_all_derivatives(kv.knots, kv.degree, x, span, max_deriv)
     return BasisEval(span=span, degree=kv.degree, values=ders)
@@ -291,14 +289,10 @@ def collocation_matrix(kv: KnotVector, pts: np.ndarray, deriv: int = 0):
 
     pts = np.asarray(pts, dtype=float)
     nq, k = len(pts), kv.degree
+    be = eval_nonzero_basis(kv, pts, max_deriv=deriv)
     rows = np.repeat(np.arange(nq), k + 1)
-    cols = np.empty(nq * (k + 1), dtype=int)
-    data = np.empty(nq * (k + 1))
-    for q, x in enumerate(pts):
-        be = eval_nonzero_basis(kv, float(x), max_deriv=deriv)
-        cols[q * (k + 1) : (q + 1) * (k + 1)] = be.first_index + np.arange(k + 1)
-        data[q * (k + 1) : (q + 1) * (k + 1)] = be.values[deriv]
-    return csr_matrix((data, (rows, cols)), shape=(nq, kv.n_basis))
+    cols = (be.first_index[:, None] + np.arange(k + 1)).ravel()
+    return csr_matrix((be.values[:, deriv].ravel(), (rows, cols)), shape=(nq, kv.n_basis))
 
 
 def basis_integrals(kv: KnotVector) -> np.ndarray:

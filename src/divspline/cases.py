@@ -448,6 +448,10 @@ def run_pressure_robustness(
     )
 
 
+# Samples per cavity centerline profile; centerline.csv has one row per sample.
+CAVITY_PROFILE_POINTS = 257
+
+
 @dataclass
 class CavityResult:
     pair: DivConformingPair
@@ -471,9 +475,8 @@ def run_cavity(
     gamma: float | None = None,
     c_nit: float | None = None,
     config: NewtonConfig | None = None,
-    n_profile: int = 257,
 ) -> CavityResult:
-    """Steady lid-driven cavity with centerline profiles.
+    """Steady lid-driven cavity with CAVITY_PROFILE_POINTS-point centerline profiles.
 
     re = 0 requests the Stokes limit (convection dropped, unit viscosity).
     """
@@ -485,19 +488,10 @@ def run_cavity(
         pair, params, u_d=CavityCase.lid_velocity, convection=not stokes
     )
     result = solve_steady(problem, re=None if stokes else re, config=config)
-    samples = np.linspace(0.0, 1.0, n_profile)
-    u1 = np.array(
-        [
-            eval_velocity(pair, result.state, np.array([0.5, t]), deriv_order=0).value[0]
-            for t in samples
-        ]
-    )
-    u2 = np.array(
-        [
-            eval_velocity(pair, result.state, np.array([t, 0.5]), deriv_order=0).value[1]
-            for t in samples
-        ]
-    )
+    samples = np.linspace(0.0, 1.0, CAVITY_PROFILE_POINTS)
+    mid = np.full_like(samples, 0.5)
+    u1 = eval_velocity(pair, result.state, np.stack([mid, samples], axis=-1), 0).value[:, 0]
+    u2 = eval_velocity(pair, result.state, np.stack([samples, mid], axis=-1), 0).value[:, 1]
     j = assemble_skeleton(pair, result.state.u, params)
     strain = assemble_strain(pair)
     u = result.state.u

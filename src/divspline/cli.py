@@ -34,6 +34,7 @@ from .cases import (
     streamfunction,
     unit_square_pair,
 )
+from .forms import StabParams
 from .space import DivConformingPair, StateVector, TensorSpace, divergence_coefficients
 
 COMMANDS = (
@@ -76,7 +77,6 @@ _KNOWN_KEYS = {
     "rhoInf",
     "out",
     "threads",
-    "seed",
 }
 
 
@@ -88,10 +88,9 @@ class ConfigError(ValueError):
 class CaseConfig:
     """Fully resolved run configuration.
 
-    gamma and c_nit are always explicit here: parsing fills in
-    gamma = delta * 10^-(k'+1) and c_nit = 5 (k'+1) unless overridden, so a
-    config round-trips through the run manifest unchanged.  seed is recorded
-    for reproducibility metadata; the shipped commands are deterministic.
+    gamma and c_nit are always explicit here: parsing fills in the
+    StabParams.create defaults unless overridden, so a config round-trips
+    through the run manifest unchanged.
     """
 
     command: str
@@ -105,7 +104,6 @@ class CaseConfig:
     rho_inf: float
     out: str
     threads: int
-    seed: int
 
 
 def _load_source(source) -> dict:
@@ -134,12 +132,19 @@ def _as_int(value) -> int:
     return int(out)
 
 
+def _finite(value, cast):
+    """cast(value) for a finite number; booleans and inf/nan raise ValueError."""
+    if isinstance(value, bool) or not math.isfinite(float(value)):
+        raise ValueError(value)
+    return cast(value)
+
+
 def _scalar(raw: dict, key: str, cast, kind: str):
     value = raw[key]
     if isinstance(value, (list, tuple, dict)):
         raise ConfigError(f"key '{key}' must be a single {kind}")
     try:
-        return cast(value)
+        return _finite(value, cast)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"key '{key}' is not a valid {kind}: {value!r}") from exc
 
@@ -155,7 +160,7 @@ def _number_list(raw: dict, key: str, cast, kind: str) -> tuple:
     if not parts:
         raise ConfigError(f"key '{key}' must list at least one {kind}")
     try:
-        return tuple(cast(p) for p in parts)
+        return tuple(_finite(p, cast) for p in parts)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"key '{key}' has an invalid {kind}: {value!r}") from exc
 
@@ -230,20 +235,14 @@ def parse_config(source=None, overrides=None) -> CaseConfig:
     delta = _scalar(raw, "delta", float, "number") if "delta" in raw else 1.0
     if not delta > 0:
         raise ConfigError("key 'delta' must be positive")
-    if "gamma" in raw:
-        gamma = _scalar(raw, "gamma", float, "number")
-        if gamma < 0:
-            raise ConfigError("key 'gamma' must be nonnegative")
-    else:
-        gamma = delta * 10.0 ** (-(k_prime + 1))
-
-    c_nit = (
-        _scalar(raw, "cNit", float, "number")
-        if "cNit" in raw
-        else 5.0 * (k_prime + 1)
-    )
-    if not c_nit > 0:
+    gamma = _scalar(raw, "gamma", float, "number") if "gamma" in raw else None
+    if gamma is not None and gamma < 0:
+        raise ConfigError("key 'gamma' must be nonnegative")
+    c_nit = _scalar(raw, "cNit", float, "number") if "cNit" in raw else None
+    if c_nit is not None and not c_nit > 0:
         raise ConfigError("key 'cNit' must be positive")
+    # the viscosity does not enter the derived gamma and c_nit
+    stab = StabParams.create(k_prime, nu=1.0, delta=delta, gamma=gamma, c_nit=c_nit)
 
     dt = _scalar(raw, "dt", float, "number") if "dt" in raw else 1e-2
     if not dt > 0:
@@ -257,7 +256,6 @@ def parse_config(source=None, overrides=None) -> CaseConfig:
     threads = _scalar(raw, "threads", _as_int, "integer") if "threads" in raw else 1
     if threads < 1:
         raise ConfigError("key 'threads' must be at least 1")
-    seed = _scalar(raw, "seed", _as_int, "integer") if "seed" in raw else 0
 
     out = str(raw.get("out", "."))
     env_out = os.environ.get("DIVSPLINE_OUT")
@@ -269,14 +267,13 @@ def parse_config(source=None, overrides=None) -> CaseConfig:
         k_prime=k_prime,
         mesh=tuple(int(n) for n in mesh),
         re=tuple(float(r) for r in re),
-        gamma=float(gamma),
-        c_nit=float(c_nit),
+        gamma=stab.gamma,
+        c_nit=stab.c_nit,
         dt=float(dt),
         t_end=float(t_end),
         rho_inf=float(rho_inf),
         out=out,
         threads=threads,
-        seed=seed,
     )
 
 
@@ -294,7 +291,6 @@ def config_dict(config: CaseConfig) -> dict:
         "rhoInf": config.rho_inf,
         "out": config.out,
         "threads": config.threads,
-        "seed": config.seed,
     }
 
 
@@ -592,9 +588,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         metavar="INT",
         help="process-pool width for sweep points",
     )
-    parser.add_argument(
-        "--seed", type=int, metavar="INT", help="seed recorded in the manifest"
-    )
     return parser
 
 
@@ -613,7 +606,6 @@ def main(argv=None) -> int:
         "rhoInf": args.rho_inf,
         "out": args.out,
         "threads": args.threads,
-        "seed": args.seed,
     }
     try:
         config = parse_config(args.config, overrides)

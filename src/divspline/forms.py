@@ -71,12 +71,11 @@ class StabParams:
 
     nu: float
     gamma: float
-    delta: float
     c_nit: float
     alpha_prime: int
 
     def __post_init__(self):
-        if min(self.nu, self.gamma, self.delta, self.c_nit) < 0:
+        if min(self.nu, self.gamma, self.c_nit) < 0:
             raise ValueError("parameters must be nonnegative")
         if self.alpha_prime < 0:
             raise ValueError("alpha_prime must be >= 0")
@@ -96,10 +95,10 @@ class StabParams:
             gamma = delta * 10.0 ** (-(alpha_prime + 2))
         if c_nit is None:
             c_nit = 5.0 * (k_prime + 1)
-        return cls(nu=nu, gamma=gamma, delta=delta, c_nit=c_nit, alpha_prime=alpha_prime)
+        return cls(nu=nu, gamma=gamma, c_nit=c_nit, alpha_prime=alpha_prime)
 
     def with_nu(self, nu: float) -> "StabParams":
-        return StabParams(nu, self.gamma, self.delta, self.c_nit, self.alpha_prime)
+        return StabParams(nu, self.gamma, self.c_nit, self.alpha_prime)
 
 
 def compute_eta(u_dot_n, u_mag, h: float, params: StabParams):

@@ -175,39 +175,40 @@ def build_pair(mesh: CartesianMesh, k_prime: int) -> DivConformingPair:
 
 @dataclass(frozen=True)
 class VelocityDerivatives:
-    """All partial derivatives D[a, b, c] = d^a/dx^a d^b/dy^b u_c at a point."""
+    """All partial derivatives D[..., a, b, c] = d^a/dx^a d^b/dy^b u_c.
+
+    The leading axes are those of the evaluation points (none for one point).
+    """
 
     derivs: np.ndarray
 
     @property
     def value(self) -> np.ndarray:
-        return self.derivs[0, 0]
+        return self.derivs[..., 0, 0, :]
 
     @property
     def gradient(self) -> np.ndarray:
-        """grad[i, j] = d u_j / d x_i."""
-        return np.array([self.derivs[1, 0], self.derivs[0, 1]])
-
-    @property
-    def divergence(self) -> float:
-        return float(self.derivs[1, 0, 0] + self.derivs[0, 1, 1])
+        """grad[..., i, j] = d u_j / d x_i."""
+        return np.stack([self.derivs[..., 1, 0, :], self.derivs[..., 0, 1, :]], axis=-2)
 
 
 def eval_velocity(
     pair: DivConformingPair, state: StateVector, x: np.ndarray, deriv_order: int = 1
 ) -> VelocityDerivatives:
-    """Evaluate u_h and its partial derivatives up to deriv_order at a point."""
-    x1, x2 = float(x[0]), float(x[1])
-    out = np.zeros((deriv_order + 1, deriv_order + 1, 2))
+    """Evaluate u_h and its partial derivatives up to deriv_order.
+
+    x holds one point (shape (2,)) or an array of points (shape (..., 2));
+    the point axes lead in the result.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape[:-1] + (deriv_order + 1, deriv_order + 1, 2))
     for comp, space in enumerate(pair.velocity_spaces):
-        bx = eval_nonzero_basis(space.kv_x, x1, max_deriv=deriv_order)
-        by = eval_nonzero_basis(space.kv_y, x2, max_deriv=deriv_order)
-        grid = pair.component_coeffs(state.u, comp)
-        block = grid[
-            by.first_index : by.first_index + space.kv_y.degree + 1,
-            bx.first_index : bx.first_index + space.kv_x.degree + 1,
-        ]
-        out[:, :, comp] = bx.values @ block.T @ by.values.T
+        bx = eval_nonzero_basis(space.kv_x, x[..., 0], max_deriv=deriv_order)
+        by = eval_nonzero_basis(space.kv_y, x[..., 1], max_deriv=deriv_order)
+        rows = np.add.outer(by.first_index, np.arange(space.kv_y.degree + 1)[:, None])
+        cols = np.add.outer(bx.first_index, np.arange(space.kv_x.degree + 1)[None, :])
+        block = pair.component_coeffs(state.u, comp)[rows, cols]
+        out[..., comp] = bx.values @ np.swapaxes(block, -1, -2) @ np.swapaxes(by.values, -1, -2)
     return VelocityDerivatives(derivs=out)
 
 
@@ -383,12 +384,7 @@ def element_basis_1d(
     uk = kv.unique_knots
     x = uk[:-1, None] + np.diff(uk)[:, None] * np.asarray(ref_points)[None, :]
     spans = kv.element_spans
-    values = np.array(
-        [
-            [eval_nonzero_basis(kv, float(xq), max_deriv, span=int(span)).values for xq in xe]
-            for xe, span in zip(x, spans)
-        ]
-    )
+    values = eval_nonzero_basis(kv, x, max_deriv, span=spans[:, None]).values
     return values, spans - kv.degree
 
 

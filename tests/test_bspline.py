@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divspline.bspline import (
     KnotVector,
@@ -14,6 +16,7 @@ from divspline.bspline import (
     make_open_uniform,
     open_knots,
 )
+from util_fields import breakpoints
 
 
 def test_open_uniform_degree1_two_elements():
@@ -75,6 +78,10 @@ def test_domain_error():
         eval_nonzero_basis(kv, 1.5)
     with pytest.raises(ValueError, match="outside"):
         eval_nonzero_basis(kv, -0.1)
+    with pytest.raises(ValueError, match="outside"):
+        eval_nonzero_basis(kv, np.nan)
+    with pytest.raises(ValueError, match="outside"):
+        eval_nonzero_basis(kv, np.array([0.5, np.nan, 0.25]))
 
 
 def test_right_end_uses_left_limit():
@@ -182,3 +189,35 @@ def test_basis_integrals_against_quadrature():
             quad[be.first_index : be.first_index + 4] += w * be.values[0]
     assert np.abs(exact - quad).max() < 1e-14
     assert abs(exact.sum() - 1.0) < 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bp=breakpoints(),
+    degree=st.integers(1, 4),
+    multiplicity=st.integers(1, 2),
+    unit_points=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+)
+def test_batched_evaluation_matches_scalar_calls(bp, degree, multiplicity, unit_points):
+    kv = open_knots(degree, 3.0 * bp - 1.0, min(multiplicity, degree))
+    a, b = kv.domain
+    x = np.concatenate([a + (b - a) * np.array(unit_points), kv.knots])
+    for max_deriv in (0, degree + 1):
+        be = eval_nonzero_basis(kv, x, max_deriv=max_deriv)
+        assert be.values.shape == (len(x), max_deriv + 1, degree + 1)
+        for xq, span, values in zip(x, be.span, be.values):
+            one = eval_nonzero_basis(kv, float(xq), max_deriv=max_deriv)
+            assert one.span == span
+            assert np.array_equal(one.values, values)
+    for xq, span in zip(x, be.span):
+        if xq < b:
+            assert kv.knots[span] <= xq < kv.knots[span + 1]
+        else:
+            # right-end closure: the last nondegenerate span
+            assert span == kv.n_basis - 1 and kv.knots[span] < kv.knots[span + 1] == b
+    # explicit spans broadcast against the points: every element's pieces at every point
+    ends = eval_nonzero_basis(kv, x[:, None], max_deriv=1, span=kv.element_spans[None, :])
+    for q, xq in enumerate(x):
+        for e, span in enumerate(kv.element_spans):
+            one = eval_nonzero_basis(kv, float(xq), max_deriv=1, span=int(span))
+            assert np.array_equal(ends.values[q, e], one.values)

@@ -27,7 +27,7 @@ def test_defaults_and_derived_gamma():
     assert config.c_nit == pytest.approx(10.0)
     assert config.mesh == (4, 8, 16, 32)
     assert config.re == (10.0,)
-    assert config.threads == 1 and config.seed == 0
+    assert config.threads == 1
 
 
 def test_derived_gamma_scales_with_degree_and_delta():
@@ -46,6 +46,8 @@ def test_gamma_zero_accepted():
 def test_unknown_key_named():
     with pytest.raises(ConfigError, match="fooBar"):
         parse_config({"command": "cavity", "fooBar": 3})
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config({"command": "cavity", "seed": 7})
 
 
 def test_gamma_delta_mutually_exclusive():
@@ -76,6 +78,27 @@ def test_type_and_bound_errors_name_the_key():
         parse_config({"command": "cavity", "threads": 0})
     with pytest.raises(ConfigError, match="'dt'"):
         parse_config({"command": "taylor-green-2d", "dt": 0})
+    # non-finite numbers and booleans are not numbers here
+    with pytest.raises(ConfigError, match="'gamma'"):
+        parse_config({"command": "cavity", "gamma": "nan"})
+    with pytest.raises(ConfigError, match="'gamma'"):
+        parse_config({"command": "cavity", "gamma": math.inf})
+    with pytest.raises(ConfigError, match="'delta'"):
+        parse_config({"command": "cavity", "delta": math.inf})
+    with pytest.raises(ConfigError, match="'tEnd'"):
+        parse_config({"command": "taylor-green-2d", "tEnd": math.inf})
+    with pytest.raises(ConfigError, match="'re'"):
+        parse_config({"command": "cavity", "re": math.inf})
+    with pytest.raises(ConfigError, match="'re'"):
+        parse_config({"command": "robustness", "re": "1,nan"})
+    with pytest.raises(ConfigError, match="'kPrime'"):
+        parse_config({"command": "cavity", "kPrime": True})
+    with pytest.raises(ConfigError, match="'kPrime'"):
+        parse_config({"command": "cavity", "kPrime": "inf"})
+    with pytest.raises(ConfigError, match="'mesh'"):
+        parse_config({"command": "convergence", "mesh": [True, 8]})
+    with pytest.raises(ConfigError, match="'cNit'"):
+        parse_config({"command": "cavity", "cNit": True})
 
 
 def test_sweeps_only_where_meaningful():
@@ -131,7 +154,7 @@ def test_env_var_overrides_out(monkeypatch, tmp_path):
 def test_manifest_round_trips(tmp_path):
     config = parse_config(
         {"command": "robustness", "kPrime": 2, "mesh": 8, "re": [1, 10],
-         "delta": 2.0, "out": str(tmp_path), "seed": 7}
+         "delta": 2.0, "out": str(tmp_path)}
     )
     path = tmp_path / "manifest.json"
     write_manifest(path, config, 1.23, {"note": [1.0, 2.0]})

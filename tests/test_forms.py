@@ -85,14 +85,14 @@ def test_stab_params_defaults():
 
 def test_stab_params_rejects_negative():
     with pytest.raises(ValueError):
-        StabParams(nu=-1.0, gamma=0.1, delta=1.0, c_nit=10.0, alpha_prime=0)
+        StabParams(nu=-1.0, gamma=0.1, c_nit=10.0, alpha_prime=0)
     with pytest.raises(ValueError):
-        StabParams(nu=1.0, gamma=0.1, delta=1.0, c_nit=10.0, alpha_prime=-1)
+        StabParams(nu=1.0, gamma=0.1, c_nit=10.0, alpha_prime=-1)
 
 
 def test_eta_hand_values():
     # alpha'=0, gamma=1e-2, h=1/16, |u| = |u.n| = 1
-    p = StabParams(nu=1e-3, gamma=1e-2, delta=1.0, c_nit=10.0, alpha_prime=0)
+    p = StabParams(nu=1e-3, gamma=1e-2, c_nit=10.0, alpha_prime=0)
     # Re_h = 62.5 clamps to 1: eta = 1e-2 * (1/16)^2
     assert compute_eta(1.0, 1.0, 1.0 / 16.0, p) == pytest.approx(3.90625e-5, rel=1e-14)
     # nu = 0.25 gives Re_h = 0.25 below the clamp
@@ -299,7 +299,7 @@ def test_convection_jacobian_directional_derivative(pair44):
 
 
 def test_skeleton_gamma_zero_has_no_entries(pair44):
-    params = StabParams(nu=1e-3, gamma=0.0, delta=0.0, c_nit=10.0, alpha_prime=0)
+    params = StabParams(nu=1e-3, gamma=0.0, c_nit=10.0, alpha_prime=0)
     st = curl_state(pair44, seed=0)
     j = assemble_skeleton(pair44, st, params)
     assert j.nnz == 0

@@ -115,6 +115,10 @@ def test_eval_velocity_outside_domain():
     pair = _pair(2, 1)
     with pytest.raises(ValueError):
         eval_velocity(pair, zero_state(pair), np.array([1.2, 0.5]))
+    with pytest.raises(ValueError):
+        eval_velocity(pair, zero_state(pair), np.array([np.nan, 0.5]))
+    with pytest.raises(ValueError):
+        eval_velocity(pair, zero_state(pair), np.array([[0.5, 0.5], [0.5, np.nan]]))
 
 
 def test_jump_rejects_boundary_facet():
@@ -373,3 +377,28 @@ def test_curl_matrix_spans_the_divergence_free_subspace(pair, seed):
     psi = np.random.default_rng(seed).standard_normal((n_y, n_x))[1:-1, 1:-1]
     u_ref = curl_state(pair, seed=seed, zero_boundary_ring=True).u
     assert c @ psi.ravel() == pytest.approx(u_ref, rel=1e-12, abs=1e-12 * np.abs(u_ref).max())
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    pair=random_pairs(),
+    seed=st.integers(0, 2**16),
+    n_points=st.integers(1, 12),
+    deriv_order=st.integers(0, 2),
+)
+def test_eval_velocity_on_point_arrays_matches_single_points(pair, seed, n_points, deriv_order):
+    state = curl_state(pair, seed=seed)
+    rng = np.random.default_rng(seed)
+    lo = [pair.mesh.unique_knots_x[0], pair.mesh.unique_knots_y[0]]
+    hi = [pair.mesh.unique_knots_x[-1], pair.mesh.unique_knots_y[-1]]
+    pts = rng.uniform(lo, hi, size=(n_points, 2))
+    pts[0] = hi
+    batch = eval_velocity(pair, state, pts, deriv_order)
+    grid = eval_velocity(pair, state, pts.reshape(n_points, 1, 2), deriv_order)
+    for q, x in enumerate(pts):
+        one = eval_velocity(pair, state, x, deriv_order)
+        assert np.array_equal(batch.derivs[q], one.derivs)
+        assert np.array_equal(grid.derivs[q, 0], one.derivs)
+        assert np.array_equal(batch.value[q], one.value)
+        if deriv_order:
+            assert np.array_equal(batch.gradient[q], one.gradient)
