@@ -59,7 +59,8 @@ def basis_all_derivatives(
         in that case the polynomial pieces active on that span are extended,
         which is what one-sided limit evaluation at a knot relies on.
     span : int or ndarray of int
-        Knot span whose polynomial pieces are evaluated, broadcast against x.
+        Knot span whose polynomial pieces are evaluated, broadcast against x;
+        it must lie in [degree, n_basis - 1], else ValueError is raised.
     max_deriv : int
         Highest derivative order requested. Orders above the degree are
         returned as exact zeros.
@@ -77,6 +78,13 @@ def basis_all_derivatives(
     does not depend on how the points are batched.
     """
     x, span = np.broadcast_arrays(np.asarray(x, dtype=float), span)
+    lo, hi = degree, len(knots) - degree - 2
+    outside = (span < lo) | (span > hi)
+    if outside.any():
+        raise ValueError(
+            f"span {span[outside].flat[0]} outside the valid range [{lo}, {hi}] "
+            f"(degree, n_basis - 1)"
+        )
     shape = x.shape
     x, span = x.ravel(), span.ravel()
     offsets = np.arange(degree)[:, None]
@@ -215,7 +223,8 @@ def eval_nonzero_basis(kv: KnotVector, x, max_deriv: int = 0, span=None) -> Basi
     applies, except at the right end of the domain where the left limit is
     used. Passing an explicit span (broadcast against x) forces evaluation of
     that span's polynomial pieces, which yields one-sided limits at interior
-    knots; points are then not checked against the domain.
+    knots; points are then not checked against the domain, and a span outside
+    [degree, n_basis - 1] raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     if span is None:

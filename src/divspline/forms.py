@@ -27,13 +27,18 @@ Every operator comes from batched basis tables built on
 `space.element_basis_1d`: volume terms from `ElementTables` at element Gauss
 points, the skeleton penalty and the boundary terms from `FacetTables` on the
 interior and boundary facets. Each operator lists its local blocks as (row
-DOFs, column DOFs) pairs, and one `CooPattern` sums them into CSR.
+DOFs, column DOFs) pairs, and a `CooPattern` adds them into CSR. Local
+blocks are weighted basis products contracted over the quadrature points
+with one batched matmul (`_weighted_products`). Everything a Newton
+linearization re-assembles lives on one `JacobianPattern` per pair: the
+union of the element blocks of all four velocity component pairs (which hold
+K, M, N1 and N2) and the tangential interior-facet blocks (which hold J). The
+solver forms each Jacobian by adding data arrays and building one CSR.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from types import SimpleNamespace
 from weakref import WeakKeyDictionary
 
@@ -61,6 +66,7 @@ __all__ = [
     "assemble_strain",
     "assemble_boundary_mass",
     "facet_tables",
+    "jacobian_pattern",
     "convection_quad_points",
 ]
 
@@ -122,44 +128,69 @@ def convection_quad_points(pair: DivConformingPair) -> int:
 
 
 class CooPattern:
-    """Frozen sparsity pattern of a list of dense local blocks.
+    """Frozen CSR sparsity pattern of a list of dense local blocks.
 
-    Block b pairs row DOFs (E_b, L_b) with column DOFs (E_b, M_b); `build`
-    sums the matching local arrays (E_b, L_b, M_b), given in the same order,
-    into CSR without re-sorting.
+    Block b pairs row DOFs (E_b, L_b) with column DOFs (E_b, M_b). Every
+    entry of every block has a precomputed position in the CSR data, so
+    `build` adds the matching local arrays (E_b, L_b, M_b), given in block
+    order, into place with one `np.bincount`; `targets` selects the
+    positions of a subset of the blocks.
     """
 
     def __init__(self, blocks, shape: tuple[int, int]):
-        rows = np.concatenate(
-            [np.broadcast_to(r[:, :, None], (*r.shape, c.shape[1])).ravel() for r, c in blocks]
+        keys = [
+            (r.astype(np.int64)[:, :, None] * shape[1] + c[:, None, :]).ravel()
+            for r, c in blocks
+        ]
+        self._keys, positions = np.unique(np.concatenate(keys), return_inverse=True)
+        self._blocks = np.split(positions, np.cumsum([len(k) for k in keys])[:-1])
+        self._all = positions
+        self.shape = shape
+        self.nnz = len(self._keys)
+        # scipy picks the index dtype once; `csr` then only copies the indices
+        template = sp.csr_matrix(
+            (
+                np.zeros(self.nnz),
+                self._keys % shape[1],
+                np.searchsorted(self._keys // shape[1], np.arange(shape[0] + 1)),
+            ),
+            shape=shape,
         )
-        cols = np.concatenate(
-            [np.broadcast_to(c[:, None, :], (*r.shape, c.shape[1])).ravel() for r, c in blocks]
-        )
-        order = np.lexsort((cols, rows))
-        r, c = rows[order], cols[order]
-        new_group = np.ones(len(r), dtype=bool)
-        new_group[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-        self._order = order
-        self._starts = np.flatnonzero(new_group)
-        self._indices = c[self._starts]
-        keep_rows = r[self._starts]
-        self._indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-        np.add.at(self._indptr, keep_rows + 1, 1)
-        np.cumsum(self._indptr, out=self._indptr)
-        self._shape = shape
+        self.indices, self.indptr = template.indices, template.indptr
 
-    def build(self, local_blocks) -> sp.csr_matrix:
+    def targets(self, block_ids) -> np.ndarray:
+        """Data positions of the entries of the given blocks, in that order."""
+        return np.concatenate([self._blocks[b] for b in block_ids])
+
+    def build(self, local_blocks, targets: np.ndarray | None = None) -> sp.csr_matrix:
+        """CSR of the summed local blocks (of all blocks, or those of `targets`)."""
         data = np.concatenate([b.ravel() for b in local_blocks])
-        summed = np.add.reduceat(data[self._order], self._starts)
+        targets = self._all if targets is None else targets
+        return self.csr(np.bincount(targets, data, minlength=self.nnz))
+
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        """The matrix with the given data array on this pattern."""
         return sp.csr_matrix(
-            (summed, self._indices.copy(), self._indptr.copy()), shape=self._shape
+            (data, self.indices.copy(), self.indptr.copy()), shape=self.shape
         )
+
+    def scatter(self, mat: sp.spmatrix) -> np.ndarray:
+        """Data array of `mat` on this pattern, which must hold its every nonzero."""
+        coo = mat.tocoo()
+        nonzero = coo.data != 0.0
+        keys = coo.row[nonzero].astype(np.int64) * self.shape[1] + coo.col[nonzero]
+        pos = np.minimum(np.searchsorted(self._keys, keys), self.nnz - 1)
+        if np.any(self._keys[pos] != keys):
+            raise ValueError("matrix has nonzero entries outside the pattern")
+        return np.bincount(pos, coo.data[nonzero], minlength=self.nnz)
 
 
 def _weighted_products(w, a, b) -> np.ndarray:
-    """Local blocks sum_q w[e, q] a[e, q, l] b[e, q, m], shape (E, L, M)."""
-    return np.einsum("eq,eql,eqm->elm", w, a, b)
+    """Local blocks sum_q w[e, q] a[e, q, l] b[e, q, m], shape (E, L, M).
+
+    One batched matmul of the weighted (E, L, Q) transpose of a with b.
+    """
+    return np.matmul((a * w[..., None]).transpose(0, 2, 1), b)
 
 
 _STRAIN_CACHE: WeakKeyDictionary = WeakKeyDictionary()
@@ -167,6 +198,7 @@ _BOUNDARY_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 _MASS_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 _FACET_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 _CONV_CACHE: WeakKeyDictionary = WeakKeyDictionary()
+_JACOBIAN_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def assemble_strain(pair: DivConformingPair) -> sp.csr_matrix:
@@ -227,7 +259,6 @@ class FacetTables:
         mesh = pair.mesh
         m = pair.alpha_prime + 1
         rule = gauss_rule(bilinear_quad_points(pair))
-        self.n_u = pair.n_u
         self.interior, self.boundary = [], []
         for axis in (0, 1):
             knots_n, knots_t = mesh.unique_knots_x, mesh.unique_knots_y
@@ -279,12 +310,6 @@ class FacetTables:
                 bnd.dofs.append(dofs(first_n[[0, -1]], kv_n.degree + 1))
             self.interior.append(inner)
             self.boundary.append(bnd)
-
-    @cached_property
-    def skeleton_pattern(self) -> CooPattern:
-        """COO pattern of J: one block per interior facet and component."""
-        blocks = [(d, d) for facets in self.interior for d in facets.dofs]
-        return CooPattern(blocks, (self.n_u, self.n_u))
 
 
 def facet_tables(pair: DivConformingPair) -> FacetTables:
@@ -391,7 +416,7 @@ def assemble_divergence(pair: DivConformingPair) -> sp.csr_matrix:
 
 
 class _ConvectionKit:
-    """Static tables and the N1/N2 sparsity patterns for convection reassembly."""
+    """Static element tables for convection reassembly."""
 
     def __init__(self, pair: DivConformingPair):
         tab = element_tables(pair, convection_quad_points(pair), max_deriv=1)
@@ -400,12 +425,6 @@ class _ConvectionKit:
         self.val = [tab.basis(name, 0, 0) for name in names]
         self.grad = [(tab.basis(name, 1, 0), tab.basis(name, 0, 1)) for name in names]
         self.dofs = [tab.dofs(name) + pair.component_offset(c) for c, name in enumerate(names)]
-        shape = (pair.n_u, pair.n_u)
-        # N1 couples each component with itself; N2 rows j with columns i
-        self.n1 = CooPattern([(d, d) for d in self.dofs], shape)
-        self.n2 = CooPattern(
-            [(self.dofs[j], self.dofs[i]) for j in (0, 1) for i in (0, 1)], shape
-        )
 
 
 def _convection_kit(pair: DivConformingPair) -> _ConvectionKit:
@@ -414,31 +433,65 @@ def _convection_kit(pair: DivConformingPair) -> _ConvectionKit:
     return _CONV_CACHE[pair]
 
 
+class JacobianPattern(CooPattern):
+    """The one sparsity pattern of every Newton Jacobian of a pair.
+
+    Its blocks are the element blocks of the four velocity component pairs
+    (rows comp i, columns comp j, block 2 i + j), which hold K with its
+    boundary terms, the mass M, N1 and N2, followed by the interior-facet
+    blocks of the tangential component on the facets normal to x and to y,
+    which hold J. The normal component's (alpha'+1)-th normal derivative is
+    continuous across a facet, so its jump blocks are left out.
+    `assemble_convection` and `assemble_skeleton` build their matrices on
+    this pattern, and a Jacobian is the sum of their data arrays.
+    """
+
+    def __init__(self, pair: DivConformingPair):
+        dofs = _convection_kit(pair).dofs
+        facets = facet_tables(pair).interior
+        blocks = [(dofs[i], dofs[j]) for i in (0, 1) for j in (0, 1)]
+        blocks += [(f.dofs[1 - f.axis], f.dofs[1 - f.axis]) for f in facets]
+        super().__init__(blocks, (pair.n_u, pair.n_u))
+        # N1 couples each component with itself; N2 rows j with columns i
+        self.n1 = self.targets([0, 3])
+        self.n2 = self.targets([0, 1, 2, 3])
+        self.skeleton = self.targets([4, 5])
+
+
+def jacobian_pattern(pair: DivConformingPair) -> JacobianPattern:
+    if pair not in _JACOBIAN_CACHE:
+        _JACOBIAN_CACHE[pair] = JacobianPattern(pair)
+    return _JACOBIAN_CACHE[pair]
+
+
 def assemble_convection(
     pair: DivConformingPair, w_state: StateVector | np.ndarray
 ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Convection C(w; u, v) = -(w x u, grad v) and its state-derivative block.
 
-    Returns (N1, N2) with N1 u acting as C(w; u, .) and N2 u as C(u; w, .);
-    the Newton Jacobian of the convective residual N1(w) w is N1 + N2 and the
-    residual itself is N1 @ w.
+    Returns (N1, N2) on the pair's `jacobian_pattern`, with N1 u acting as
+    C(w; u, .) and N2 u as C(u; w, .); the Newton Jacobian of the convective
+    residual N1(w) w is N1 + N2 and the residual itself is N1 @ w.
     """
     w_u = w_state.u if isinstance(w_state, StateVector) else w_state
     kit = _convection_kit(pair)
-    ww = [kit.w * np.einsum("eql,el->eq", kit.val[c], w_u[kit.dofs[c]]) for c in (0, 1)]
+    pattern = jacobian_pattern(pair)
+    wq = [np.matmul(kit.val[c], w_u[kit.dofs[c]][..., None])[..., 0] for c in (0, 1)]
     # rows test comp j, cols trial comp j: -(w . grad phi_a) phi_b
-    n1 = kit.n1.build(
-        [
-            -(
-                _weighted_products(ww[0], kit.grad[j][0], kit.val[j])
-                + _weighted_products(ww[1], kit.grad[j][1], kit.val[j])
-            )
-            for j in (0, 1)
-        ]
+    w_dot_grad = [
+        wq[0][..., None] * kit.grad[j][0] + wq[1][..., None] * kit.grad[j][1] for j in (0, 1)
+    ]
+    n1 = pattern.build(
+        [-_weighted_products(kit.w, w_dot_grad[j], kit.val[j]) for j in (0, 1)], pattern.n1
     )
     # rows test comp j, cols trial comp i: -(phi_b w_j, d_i phi_a)
-    n2 = kit.n2.build(
-        [-_weighted_products(ww[j], kit.grad[j][i], kit.val[i]) for j in (0, 1) for i in (0, 1)]
+    n2 = pattern.build(
+        [
+            -_weighted_products(kit.w * wq[j], kit.grad[j][i], kit.val[i])
+            for j in (0, 1)
+            for i in (0, 1)
+        ],
+        pattern.n2,
     )
     return n1, n2
 
@@ -449,8 +502,9 @@ def facet_eta_values(
     """eta at every interior facet quadrature point, per orientation, shape (nF, nq)."""
     out = []
     for facets in facet_tables(pair).interior:
-        up = [np.einsum("fql,fl->fq", facets.plus[c], w_u[facets.dofs[c]]) for c in (0, 1)]
-        um = [np.einsum("fql,fl->fq", facets.minus[c], w_u[facets.dofs[c]]) for c in (0, 1)]
+        local = [w_u[facets.dofs[c]][..., None] for c in (0, 1)]
+        up = [np.matmul(facets.plus[c], local[c])[..., 0] for c in (0, 1)]
+        um = [np.matmul(facets.minus[c], local[c])[..., 0] for c in (0, 1)]
         mag = 0.5 * (np.hypot(up[0], up[1]) + np.hypot(um[0], um[1]))
         u_dot_n = up[facets.axis]  # normal component is single-valued
         out.append(compute_eta(u_dot_n, mag, pair.mesh.h, params))
@@ -462,20 +516,21 @@ def assemble_skeleton(
 ) -> sp.csr_matrix:
     """Skeleton penalty operator J(w) (symmetric positive semidefinite).
 
-    gamma = 0 returns a matrix with no stored entries so that the assembled
-    system keeps the plain Galerkin sparsity pattern.
+    Only the tangential component jumps (see `JacobianPattern`), so J is
+    built from the tangential jump table of each facet orientation, on the
+    pair's `jacobian_pattern`. gamma = 0 returns a matrix with no stored
+    entries.
     """
     n = pair.n_u
     if params.gamma == 0.0:
         return sp.csr_matrix((n, n))
     w_u = w_state.u if isinstance(w_state, StateVector) else w_state
-    tables = facet_tables(pair)
-    local_blocks = [
-        _weighted_products(facets.weights * eta, jump, jump)
-        for facets, eta in zip(tables.interior, facet_eta_values(pair, w_u, params))
-        for jump in facets.jump
-    ]
-    return tables.skeleton_pattern.build(local_blocks)
+    pattern = jacobian_pattern(pair)
+    local_blocks = []
+    for facets, eta in zip(facet_tables(pair).interior, facet_eta_values(pair, w_u, params)):
+        jump = facets.jump[1 - facets.axis]
+        local_blocks.append(_weighted_products(facets.weights * eta, jump, jump))
+    return pattern.build(local_blocks, pattern.skeleton)
 
 
 def assemble_load(

@@ -9,7 +9,10 @@ correction solves
     C^T J C dpsi = -C^T r,   du = C dpsi,
 
 with J the momentum Jacobian and r the momentum residual over all velocity
-DOFs. The square matrix C^T J C has no pressure block, no mean-constraint
+DOFs. J = K + N1 + N2 + J_h (plus c_mass M in a time step) is one CSR on
+the pair's `forms.jacobian_pattern`: the constant terms are scattered onto
+it once, and each linearization adds the data arrays of the re-assembled
+terms. The square matrix C^T J C has no pressure block, no mean-constraint
 border and no normal-DOF elimination; the pressure gradient drops out since
 B C = 0. Strong normal-trace Dirichlet conditions (u . n = 0 on the box
 boundary) hold by construction; tangential conditions enter weakly through
@@ -67,6 +70,7 @@ from .forms import (
     assemble_skeleton,
     assemble_velocity_mass,
     assemble_viscous_nitsche,
+    jacobian_pattern,
 )
 from .space import DivConformingPair, StateVector, pressure_mean_vector, zero_state
 
@@ -235,52 +239,73 @@ def _pressure_space(pair: DivConformingPair) -> _PressureSpace:
 
 
 class _SpatialOperator:
-    """Steady residual and frozen-eta Jacobian over all velocity DOFs."""
+    """Steady residual and frozen-eta Jacobian over all velocity DOFs.
+
+    Jacobians live on the pair's `jacobian_pattern`: K is scattered onto it
+    once, and each linearization adds the data of N1, N2 and J to K's and
+    builds one CSR.
+    """
 
     def __init__(self, problem: FlowProblem):
         pair, params = problem.pair, problem.params
         self.pair = pair
         self.params = params
         self.convection = problem.convection
+        self.pattern = jacobian_pattern(pair)
         self.k = assemble_viscous_nitsche(pair, params, nitsche=problem.nitsche)
+        self.k_data = self.pattern.scatter(self.k)
         self.load = assemble_load(
             pair, params, f=problem.f, u_d=problem.u_d, nitsche=problem.nitsche
         )
 
-    def linearize(self, u: np.ndarray):
-        """Momentum residual (without -B^T p) and its Jacobian at u."""
+    def evaluate(self, u: np.ndarray, jac_data: np.ndarray) -> np.ndarray:
+        """Momentum residual (without -B^T p) at u; adds N1 + N2 + J to jac_data."""
         r = self.k @ u - self.load
-        jac = self.k
         if self.convection:
             n1, n2 = assemble_convection(self.pair, u)
-            r = r + n1 @ u
-            jac = jac + n1 + n2
+            r += n1 @ u
+            jac_data += n1.data
+            jac_data += n2.data
         if self.params.gamma > 0.0:
             j = assemble_skeleton(self.pair, u, self.params)
-            r = r + j @ u
-            jac = jac + j
-        return r, jac
+            r += j @ u
+            jac_data += j.data
+        return r
+
+    def linearize(self, u: np.ndarray):
+        """Momentum residual (without -B^T p) and its Jacobian at u."""
+        jac_data = self.k_data.copy()
+        r = self.evaluate(u, jac_data)
+        return r, self.pattern.csr(jac_data)
 
 
 class _StageOperator:
-    """Generalized-alpha stage residual/Jacobian as a function of u_{n+1}."""
+    """Generalized-alpha stage residual/Jacobian as a function of u_{n+1}.
 
-    def __init__(self, spatial, mass, u_n, udot_n, cfg: TimeConfig):
+    mass_data is the mass matrix scattered onto the spatial operator's
+    pattern; the constant part c_mass M + alpha_f K of the Jacobian data is
+    formed once per step.
+    """
+
+    def __init__(self, spatial, mass, mass_data, u_n, udot_n, cfg: TimeConfig):
         self.pair = spatial.pair
         self.spatial = spatial
         self.mass = mass
         self.u_n = u_n
         self.alpha_f = cfg.alpha_f
         self.c_mass = cfg.alpha_m / (cfg.gamma_t * cfg.dt)
+        self.base = self.c_mass * mass_data + self.alpha_f * spatial.k_data
         # M udot_am = c_mass M u_new + M [ (1 - alpha_m/gamma_t) udot_n - c_mass u_n ]
         self.hist = mass @ ((1.0 - cfg.alpha_m / cfg.gamma_t) * udot_n - self.c_mass * u_n)
 
     def linearize(self, u_new: np.ndarray):
         u_af = self.u_n + self.alpha_f * (u_new - self.u_n)
-        r_sp, jac_sp = self.spatial.linearize(u_af)
+        jac_data = np.zeros_like(self.base)
+        r_sp = self.spatial.evaluate(u_af, jac_data)
         r = self.c_mass * (self.mass @ u_new) + self.hist + r_sp
-        jac = self.c_mass * self.mass + self.alpha_f * jac_sp
-        return r, jac
+        jac_data *= self.alpha_f
+        jac_data += self.base
+        return r, self.spatial.pattern.csr(jac_data)
 
 
 def _newton(op, u0, p0, config: NewtonConfig, context: str) -> NewtonResult:
@@ -386,6 +411,7 @@ class TimeStepper:
         self.cfg = cfg
         self.spatial = _SpatialOperator(problem)
         self.mass = assemble_velocity_mass(problem.pair)
+        self.mass_data = self.spatial.pattern.scatter(self.mass)
         self.state: StateVector | None = None
         self.udot: np.ndarray | None = None
 
@@ -410,7 +436,9 @@ class TimeStepper:
             raise RuntimeError("call initialize() before stepping")
         cfg = self.cfg
         t_new = self.state.time + cfg.dt
-        op = _StageOperator(self.spatial, self.mass, self.state.u, self.udot, cfg)
+        op = _StageOperator(
+            self.spatial, self.mass, self.mass_data, self.state.u, self.udot, cfg
+        )
         # same-order predictor: udot is divergence-free with zero normal
         # trace, so the start state satisfies the constraints exactly
         u_start = self.state.u + cfg.dt * self.udot

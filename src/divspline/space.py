@@ -221,9 +221,12 @@ def facet_normal_derivative_jump(
 ) -> np.ndarray:
     """Jump of the order-th pure normal derivative of u_h across a facet.
 
-    Returns the 2-vector [[d^m u / d n^m]](qp) = plus-side minus minus-side,
-    with one-sided limits taken from the polynomial pieces of the two
-    neighboring elements.
+    qp holds one point (shape (2,)) or an array of points (shape (..., 2))
+    on the facet. Returns [[d^m u / d n^m]](qp) = plus side minus minus
+    side, with the point axes leading and the two components last, taking
+    one-sided limits from the polynomial pieces of the two neighboring
+    elements. Per component the tangential basis is evaluated once for all
+    points and the normal rows once for both sides.
     """
     if facet.is_boundary:
         raise ValueError("jump is defined on interior facets only")
@@ -232,37 +235,27 @@ def facet_normal_derivative_jump(
     axis = facet.axis
     nx = pair.mesh.nx
     sign = facet.normal[axis] ** order
-
-    def one_sided(comp: int, eid: int) -> float:
-        space = pair.velocity_spaces[comp]
-        ex, ey = eid % nx, eid // nx
+    qp = np.asarray(qp, dtype=float)
+    sides = np.array([facet.plus_element, facet.minus_element])
+    e_n = sides % nx if axis == 0 else sides // nx
+    jump = np.empty(qp.shape[:-1] + (2,))
+    for comp, space in enumerate(pair.velocity_spaces):
         kv_n = space.kv_x if axis == 0 else space.kv_y
         kv_t = space.kv_y if axis == 0 else space.kv_x
-        e_n = ex if axis == 0 else ey
-        t = float(qp[1 - axis])
         bn = eval_nonzero_basis(
-            kv_n, facet.coordinate, max_deriv=order, span=int(kv_n.element_spans[e_n])
+            kv_n, facet.coordinate, max_deriv=order, span=kv_n.element_spans[e_n]
         )
-        bt = eval_nonzero_basis(kv_t, t)
+        bt = eval_nonzero_basis(kv_t, qp[..., 1 - axis])
         grid = pair.component_coeffs(state.u, comp)
-        if axis == 0:
-            block = grid[
-                bt.first_index : bt.first_index + kv_t.degree + 1,
-                bn.first_index : bn.first_index + kv_n.degree + 1,
-            ]
-            return float(bt.values[0] @ block @ bn.values[order])
-        block = grid[
-            bn.first_index : bn.first_index + kv_n.degree + 1,
-            bt.first_index : bt.first_index + kv_t.degree + 1,
-        ]
-        return float(bn.values[order] @ block @ bt.values[0])
-
-    jump = np.array(
-        [
-            one_sided(c, facet.plus_element) - one_sided(c, facet.minus_element)
-            for c in (0, 1)
-        ]
-    )
+        # coefficients indexed [tangential, normal]
+        grid = grid if axis == 0 else grid.T
+        rows = bt.first_index[..., None, None] + np.arange(kv_t.degree + 1)[:, None]
+        one_sided = []
+        for side in (0, 1):
+            cols = bn.first_index[side] + np.arange(kv_n.degree + 1)
+            block = grid[rows, cols]
+            one_sided.append((bt.values[..., :1, :] @ block @ bn.values[side, order])[..., 0])
+        jump[..., comp] = one_sided[0] - one_sided[1]
     return sign * jump
 
 

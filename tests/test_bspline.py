@@ -82,6 +82,13 @@ def test_domain_error():
         eval_nonzero_basis(kv, np.nan)
     with pytest.raises(ValueError, match="outside"):
         eval_nonzero_basis(kv, np.array([0.5, np.nan, 0.25]))
+    # explicit spans must lie in [degree, n_basis - 1] = [2, 5]
+    kv4 = make_open_uniform(2, 4)
+    for span in (1, -1, 99):
+        with pytest.raises(ValueError, match=rf"span {span} outside .*\[2, 5\]"):
+            eval_nonzero_basis(kv4, 0.3, span=span)
+    with pytest.raises(ValueError, match=r"span -1 outside"):
+        eval_nonzero_basis(kv4, np.array([0.1, 0.3]), span=np.array([2, -1]))
 
 
 def test_right_end_uses_left_limit():

@@ -18,6 +18,7 @@ from divspline.forms import (
     assemble_viscous_nitsche,
     compute_eta,
     convection_quad_points,
+    facet_tables,
     nitsche_load,
 )
 from divspline.mesh import build_mesh, facet_quadrature, gauss_rule
@@ -338,6 +339,49 @@ def test_skeleton_ignores_normal_component():
     j = assemble_skeleton(pair, u, params_for(pair, 1e-3))
     quad = u @ (j @ u)
     assert abs(quad) < 1e-20
+
+
+@pytest.mark.parametrize("k_prime", [1, 2, 3])
+def test_normal_component_jump_table_is_zero_on_uniform_knots(k_prime):
+    # the normal component's (alpha'+1)-th normal derivative is continuous
+    for n, interval in ((2, (0.0, 1.0)), (5, (0.0, 2.0 * np.pi)), (3, (-1.0, 3.0))):
+        for facets in facet_tables(make_pair(n, k_prime, interval)).interior:
+            assert np.all(facets.jump[facets.axis] == 0.0)
+            assert np.abs(facets.jump[1 - facets.axis]).max() > 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=random_pairs())
+def test_normal_component_jump_table_is_roundoff_on_graded_knots(pair):
+    # graded knots leave roundoff in the normal component's table, which is
+    # why the skeleton takes the tangential table by construction
+    for facets in facet_tables(pair).interior:
+        if len(facets.weights):
+            scale = np.abs(facets.jump[1 - facets.axis]).max()
+            assert np.abs(facets.jump[facets.axis]).max() <= 1e-13 * scale
+
+
+@settings(max_examples=20, deadline=None)
+@given(pair=random_pairs(), seed=st.integers(0, 2**16))
+def test_skeleton_stores_no_normal_component_facet_coupling(pair, seed):
+    # component c is normal to the facets across axis c; a facet block of it
+    # would couple basis functions degree + 1 apart along that axis, which no
+    # element reaches; the tangential component's blocks do
+    u = np.random.default_rng(seed).standard_normal(pair.n_u)
+    j = assemble_skeleton(pair, u, params_for(pair, 1e-2)).tocoo()
+    for comp, space in enumerate(pair.velocity_spaces):
+        lo = pair.component_offset(comp)
+        own = (j.row >= lo) & (j.row < lo + space.n_dofs)
+        own &= (j.col >= lo) & (j.col < lo + space.n_dofs)
+        rows, cols = j.row[own] - lo, j.col[own] - lo
+        for axis, (index, kv) in enumerate(
+            ((lambda i: i % space.n_x, space.kv_x), (lambda i: i // space.n_x, space.kv_y))
+        ):
+            reach = np.abs(index(rows) - index(cols))
+            if axis == comp:
+                assert reach.max(initial=0) <= kv.degree
+            elif kv.n_elements > 1:
+                assert reach.max() == kv.degree + 1
 
 
 def test_skeleton_matches_pointwise_quadrature(pair44, pair33k2, graded_pair_k2):

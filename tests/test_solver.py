@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divspline.bspline import make_open_uniform
 from divspline.forms import (
@@ -10,6 +12,7 @@ from divspline.forms import (
     assemble_divergence,
     assemble_load,
     assemble_skeleton,
+    assemble_velocity_mass,
     assemble_viscous_nitsche,
 )
 from divspline.mesh import build_mesh
@@ -19,13 +22,15 @@ from divspline.solver import (
     NewtonConfig,
     TimeConfig,
     TimeStepper,
+    _SpatialOperator,
+    _StageOperator,
     _newton,
     newton_steady,
     solve_steady,
 )
 from divspline.space import StateVector, pressure_mean_vector
 from divspline.cases import ManufacturedCase, CavityCase, error_norms, max_divergence, unit_square_pair
-from util_fields import curl_state
+from util_fields import curl_state, random_pairs
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +196,61 @@ def test_newton_jacobian_matches_frozen_eta_fd(pair8):
         jv = jac @ v
         fd = (residual(u0 + eps * v) - residual(u0)) / eps
         assert np.linalg.norm(fd - jv) / np.linalg.norm(jv) < 1e-5
+
+
+def _same_pattern(a, b):
+    return np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    pair=random_pairs(),
+    seed=st.integers(0, 2**16),
+    nitsche=st.booleans(),
+    convection=st.booleans(),
+    skeleton=st.booleans(),
+)
+def test_fused_jacobian_matches_dense_sum(pair, seed, nitsche, convection, skeleton):
+    # linearize adds data arrays on one pattern; the reference sums dense arrays
+    params = StabParams.create(pair.k_prime, nu=0.05, gamma=None if skeleton else 0.0)
+    f = lambda x, y: (np.sin(x + y), x * y)
+    u_d = lambda x, y: (np.cos(x) * y, x - y)
+    problem = FlowProblem(pair, params, f=f, u_d=u_d, nitsche=nitsche, convection=convection)
+    op = _SpatialOperator(problem)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(pair.n_u)
+    r, jac = op.linearize(u)
+
+    zero = np.zeros((pair.n_u, pair.n_u))
+    k = assemble_viscous_nitsche(pair, params, nitsche=nitsche).toarray()
+    load = assemble_load(pair, params, f=f, u_d=u_d, nitsche=nitsche)
+    n1, n2 = assemble_convection(pair, u)
+    j = assemble_skeleton(pair, u, params)
+    assert _same_pattern(n1, n2) and _same_pattern(n1, jac)
+    if skeleton:
+        assert _same_pattern(j, n1)
+    else:
+        assert j.nnz == 0
+    n1d, n2d = (n1.toarray(), n2.toarray()) if convection else (zero, zero)
+    jd = j.toarray()
+    dense_jac = k + n1d + n2d + jd
+    assert np.abs(jac.toarray() - dense_jac).max() <= 1e-13 * np.abs(dense_jac).max()
+    r_scale = (np.abs(k) + np.abs(n1d) + np.abs(jd)) @ np.abs(u) + np.abs(load)
+    assert np.all(np.abs(r - ((k + n1d + jd) @ u - load)) <= 1e-13 * r_scale.max())
+
+    # the stage Jacobian is c_mass M + alpha_f J_sp at the alpha_f state
+    cfg = TimeConfig(dt=0.1, t_end=1.0)
+    mass = assemble_velocity_mass(pair)
+    u_n, udot_n, u_new = (rng.standard_normal(pair.n_u) for _ in range(3))
+    stage = _StageOperator(op, mass, op.pattern.scatter(mass), u_n, udot_n, cfg)
+    r_st, jac_st = stage.linearize(u_new)
+    u_af = u_n + cfg.alpha_f * (u_new - u_n)
+    r_sp, jac_sp = op.linearize(u_af)
+    assert _same_pattern(jac_st, jac_sp)
+    dense_st = stage.c_mass * mass.toarray() + cfg.alpha_f * jac_sp.toarray()
+    assert np.abs(jac_st.toarray() - dense_st).max() <= 1e-13 * np.abs(dense_st).max()
+    expect = stage.c_mass * (mass @ u_new) + stage.hist + r_sp
+    assert np.abs(r_st - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 def test_continuation_failure_names_re_step(pair8):
