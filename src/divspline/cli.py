@@ -304,14 +304,24 @@ def write_manifest(path, config: CaseConfig, wall_time: float, extras=None) -> N
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+_FMT = "{:.17g}".format
+
+
 def _fmt(value) -> str:
-    return format(float(value), ".17g")
+    return _FMT(float(value))
+
+
+def _fmt_all(values) -> list[str]:
+    """_fmt of every value of an array, in C order."""
+    return list(map(_FMT, np.asarray(values, dtype=float).ravel().tolist()))
 
 
 def write_csv(path, header, rows) -> None:
     """Comma-separated table with 17-significant-digit floats."""
+    width = len(header)
+    cells = _fmt_all(np.asarray(list(rows), dtype=float).reshape(-1, width))
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(cells[i : i + width]) for i in range(0, len(cells), width))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -354,18 +364,14 @@ def write_vtk_fields(
         f"POINT_DATA {npx * npy}",
         "VECTORS velocity double",
     ]
-    for iy in range(npy):
-        for ix in range(npx):
-            lines.append(f"{_fmt(u1[iy, ix])} {_fmt(u2[iy, ix])} 0")
+    lines.extend(map("{} {} 0".format, _fmt_all(u1), _fmt_all(u2)))
     scalars = [("pressure", p), ("divergence", div)]
     for name, space, grid in extra_scalars:
         scalars.append((name, _grid_values(space, grid, xs, ys)))
     for name, values in scalars:
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
-        for iy in range(npy):
-            for ix in range(npx):
-                lines.append(_fmt(values[iy, ix]))
+        lines.extend(_fmt_all(values))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -566,7 +566,7 @@ def assemble_velocity_mass(pair: DivConformingPair) -> sp.csr_matrix:
     for space in pair.velocity_spaces:
         mx = mass_matrix_1d(space.kv_x)
         my = mass_matrix_1d(space.kv_y)
-        blocks.append(sp.kron(my, mx))
+        blocks.append(sp.kron(my, mx, format="csr"))
     mat = sp.block_diag(blocks).tocsr()
     _MASS_CACHE[pair] = mat
     return mat

@@ -36,8 +36,27 @@ saddle Newton system
 with p = p_old + dp, and the stopping test and line search use its full
 residual [(r - B^T p)_f, B u, m . p]. Corrections C dpsi keep B u fixed, so
 Newton first removes the divergent part of its starting velocity with the
-same pressure factorization. Every factorization goes through this module's
-spla.splu; the pressure one is built once per pair.
+same pressure factorization.
+
+Every factorization goes through this module's spla.splu with the
+MMD_AT_PLUS_A column ordering (minimum degree on A^T + A). C^T J C, the
+pinned B_f B_f^T and C^T M C are structurally symmetric, so this ordering
+gives less fill and faster factorizations than SuperLU's default COLAMD.
+The pressure LU is built once per pair.
+
+The streamfunction matrix drifts slowly between Newton iterations and time
+steps, so its LU is lagged (Knoll & Keyes, JCP 193 (2004), on lagged
+preconditioners). Each spatial operator holds the last streamfunction LU; a
+TimeStepper shares it across all its steps and each newton_steady call has
+its own. A Newton correction first runs at most _KRYLOV_LIMIT GMRES
+iterations (one restart cycle) on C^T J C dpsi = -C^T r, preconditioned by
+the held LU, and keeps that solution only if it is finite and its
+unpreconditioned residual is at most _KRYLOV_RTOL times the right-hand
+side's norm. Otherwise (and at the first iteration, when no LU is held yet)
+the current matrix is factorized, the new LU replaces the held one and the
+system is solved directly. The corrections therefore match direct solves to
+that tolerance, and the Newton stopping test, line search and pressure
+recovery are those of an LU per iteration.
 
 The steady problem is solved by damped Newton with optional Reynolds
 warm-start continuation. The unsteady problem uses the generalized-alpha
@@ -175,11 +194,13 @@ class NewtonResult:
     residual_norm: float
     initial_residual: float
     stalled_steps: int
+    factorizations: int
+    krylov_iterations: int
 
 
 def _factor(a: sp.spmatrix, what: str):
     try:
-        return spla.splu(sp.csc_matrix(a))
+        return spla.splu(sp.csc_matrix(a), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise SingularSystemError(
             f"{what} factorization failed (n={a.shape[0]}, nnz={a.nnz}): {exc}"
@@ -191,6 +212,51 @@ def _solve(lu, rhs: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(f"{what} solve produced non-finite values")
     return x
+
+
+# GMRES iterations (one restart cycle) tried on the held streamfunction LU
+# before refactorizing; 0 refactorizes at every Newton iteration
+_KRYLOV_LIMIT = 10
+# bound on ||rhs - A x|| / ||rhs|| for keeping a Krylov solution; GMRES
+# stops on its left-preconditioned residual, so it is asked for a tenth
+_KRYLOV_RTOL = 1e-12
+
+
+class _LaggedLU:
+    """The last streamfunction LU, reused as a GMRES preconditioner.
+
+    factorizations and krylov_iterations count the work of every solve.
+    """
+
+    def __init__(self):
+        self.lu = None
+        self.factorizations = 0
+        self.krylov_iterations = 0
+
+    def solve(self, a: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+        """x with a x = rhs: Krylov on the held LU, else a new LU of a."""
+        if self.lu is not None and _KRYLOV_LIMIT > 0:
+            x = self._krylov(a, rhs)
+            if x is not None:
+                return x
+        self.lu = _factor(a, "streamfunction")
+        self.factorizations += 1
+        return _solve(self.lu, rhs, "streamfunction")
+
+    def _krylov(self, a, rhs):
+        """GMRES preconditioned by the held LU; None if it misses the bound."""
+
+        def count(_):
+            self.krylov_iterations += 1
+
+        precond = spla.LinearOperator(a.shape, matvec=self.lu.solve, dtype=float)
+        x, _ = spla.gmres(
+            a, rhs, rtol=0.1 * _KRYLOV_RTOL, atol=0.0, restart=_KRYLOV_LIMIT, maxiter=1,
+            M=precond, callback=count, callback_type="pr_norm",
+        )
+        residual = np.linalg.norm(rhs - a @ x)
+        ok = np.all(np.isfinite(x)) and residual <= _KRYLOV_RTOL * np.linalg.norm(rhs)
+        return x if ok else None
 
 
 class _PressureSpace:
@@ -243,7 +309,8 @@ class _SpatialOperator:
 
     Jacobians live on the pair's `jacobian_pattern`: K is scattered onto it
     once, and each linearization adds the data of N1, N2 and J to K's and
-    builds one CSR.
+    builds one CSR. lagged holds the last streamfunction LU of the Newton
+    solves on this operator (and on stage operators built from it).
     """
 
     def __init__(self, problem: FlowProblem):
@@ -257,6 +324,7 @@ class _SpatialOperator:
         self.load = assemble_load(
             pair, params, f=problem.f, u_d=problem.u_d, nitsche=problem.nitsche
         )
+        self.lagged = _LaggedLU()
 
     def evaluate(self, u: np.ndarray, jac_data: np.ndarray) -> np.ndarray:
         """Momentum residual (without -B^T p) at u; adds N1 + N2 + J to jac_data."""
@@ -308,7 +376,13 @@ class _StageOperator:
         return r, self.spatial.pattern.csr(jac_data)
 
 
-def _newton(op, u0, p0, config: NewtonConfig, context: str) -> NewtonResult:
+def _newton(
+    op, u0, p0, config: NewtonConfig, context: str, lagged: _LaggedLU | None = None
+) -> NewtonResult:
+    """Damped Newton from (u0, p0), reusing the streamfunction LU lagged holds."""
+    if lagged is None:
+        lagged = _LaggedLU()
+    factorizations0, krylov0 = lagged.factorizations, lagged.krylov_iterations
     curl = op.pair.curl
     ps = _pressure_space(op.pair)
     u, p = ps.solenoidal(u0), p0.copy()
@@ -324,11 +398,12 @@ def _newton(op, u0, p0, config: NewtonConfig, context: str) -> NewtonResult:
                 residual_norm=norm,
                 initial_residual=norm0,
                 stalled_steps=stalled,
+                factorizations=lagged.factorizations - factorizations0,
+                krylov_iterations=lagged.krylov_iterations - krylov0,
             )
         if it == config.max_iter:
             break
-        lu = _factor(curl.T @ jac @ curl, "streamfunction")
-        du = curl @ _solve(lu, -(curl.T @ r_u), "streamfunction")
+        du = curl @ lagged.solve(curl.T @ jac @ curl, -(curl.T @ r_u))
         dp = ps.pressure(r_u + jac @ du) - p
         s = 1.0
         while True:
@@ -345,7 +420,9 @@ def _newton(op, u0, p0, config: NewtonConfig, context: str) -> NewtonResult:
     raise ConvergenceError(
         f"{context}: residual {norm:.3e} (target {config.abs_tol:.1e}) "
         f"after {config.max_iter} iterations, {stalled} of them line-search "
-        f"stalls accepting a step that did not decrease the residual"
+        f"stalls accepting a step that did not decrease the residual; "
+        f"{lagged.factorizations - factorizations0} streamfunction factorizations, "
+        f"{lagged.krylov_iterations - krylov0} Krylov iterations"
     )
 
 
@@ -360,7 +437,7 @@ def newton_steady(
     op = _SpatialOperator(problem)
     state = initial.copy() if initial is not None else zero_state(problem.pair)
     state.u[problem.pair.normal_boundary_dofs.all] = 0.0
-    return _newton(op, state.u, state.p, config, context)
+    return _newton(op, state.u, state.p, config, context, lagged=op.lagged)
 
 
 def solve_steady(
@@ -403,7 +480,7 @@ class TimeStepper:
     as given. The consistent initial acceleration C a solves
     C^T M C a = -C^T r at t0, and the initial pressure is recovered from
     M udot + r. Each step runs the streamfunction Newton on the stage
-    residual.
+    residual, and every step reuses the spatial operator's lagged LU.
     """
 
     def __init__(self, problem: FlowProblem, cfg: TimeConfig):
@@ -444,7 +521,12 @@ class TimeStepper:
         u_start = self.state.u + cfg.dt * self.udot
         try:
             res = _newton(
-                op, u_start, self.state.p, cfg.newton, context=f"time step to t={t_new:g}"
+                op,
+                u_start,
+                self.state.p,
+                cfg.newton,
+                context=f"time step to t={t_new:g}",
+                lagged=self.spatial.lagged,
             )
         except ConvergenceError as exc:
             raise ConvergenceError(f"{exc}; consider reducing dt") from exc

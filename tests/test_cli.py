@@ -6,14 +6,18 @@ import math
 import numpy as np
 import pytest
 
+from divspline.cases import unit_square_pair
 from divspline.cli import (
     CaseConfig,
     ConfigError,
     main,
     parse_config,
     run,
+    write_csv,
     write_manifest,
+    write_vtk_fields,
 )
+from divspline.space import StateVector
 
 
 @pytest.fixture(autouse=True)
@@ -287,6 +291,36 @@ def test_csv_floats_are_full_precision(tmp_path):
     # 17 significant digits reproduce the binary double exactly
     assert float(value) == float(format(float(value), ".17g"))
     assert len(value.replace(".", "").replace("-", "").lstrip("0")) >= 16
+
+
+SPECIAL_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e20, -1e-20, 1.0 / 3.0]
+
+
+def _per_value(values) -> list[str]:
+    return [format(float(v), ".17g") for v in np.ravel(values)]
+
+
+def test_csv_writer_matches_per_value_format(tmp_path):
+    rows = np.array(SPECIAL_VALUES * 2).reshape(6, 3)
+    write_csv(tmp_path / "t.csv", ("a", "b", "c"), [tuple(r) for r in rows])
+    expect = ["a,b,c"] + [",".join(_per_value(r)) for r in rows]
+    assert (tmp_path / "t.csv").read_bytes() == ("\n".join(expect) + "\n").encode()
+
+
+def test_vtk_writer_matches_per_value_format(tmp_path, monkeypatch):
+    # every sampled grid value is a special value, so each block is checkable
+    pair = unit_square_pair(1, 1)
+    n_pts = 5 * 5
+    grid = np.resize(np.array(SPECIAL_VALUES), (5, 5))
+    monkeypatch.setattr("divspline.cli._grid_values", lambda space, coeffs, xs, ys: grid)
+    state = StateVector(u=np.zeros(pair.n_u), p=np.zeros(pair.n_p))
+    write_vtk_fields(tmp_path / "f.vtk", pair, state, "special values")
+    lines = (tmp_path / "f.vtk").read_text().split("\n")
+    values = _per_value(grid)
+    assert lines[9 : 9 + n_pts] == [f"{v} {v} 0" for v in values]
+    for block in range(2):
+        start = 9 + n_pts + block * (2 + n_pts) + 2
+        assert lines[start : start + n_pts] == values
 
 
 def test_main_exit_codes(tmp_path):

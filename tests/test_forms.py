@@ -459,3 +459,9 @@ def test_velocity_mass_analytic(pair44):
     u = shear_state(pair44).u
     assert u @ (m @ u) == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert max_abs(m - m.T) < 1e-14
+
+
+def test_velocity_mass_stores_no_explicit_zeros():
+    # on few elements basis functions with disjoint supports share a kron block
+    m = assemble_velocity_mass(make_pair(2, 1))
+    assert m.nnz == np.count_nonzero(m.toarray())

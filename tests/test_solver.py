@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,12 +17,14 @@ from divspline.forms import (
     assemble_viscous_nitsche,
 )
 from divspline.mesh import build_mesh
+import divspline.solver as solver
 from divspline.solver import (
     ConvergenceError,
     FlowProblem,
     NewtonConfig,
     TimeConfig,
     TimeStepper,
+    _LaggedLU,
     _SpatialOperator,
     _StageOperator,
     _newton,
@@ -29,7 +32,15 @@ from divspline.solver import (
     solve_steady,
 )
 from divspline.space import StateVector, pressure_mean_vector
-from divspline.cases import ManufacturedCase, CavityCase, error_norms, max_divergence, unit_square_pair
+from divspline.cases import (
+    CavityCase,
+    ManufacturedCase,
+    error_norms,
+    max_divergence,
+    taylor_green_pair,
+    taylor_green_velocity,
+    unit_square_pair,
+)
 from util_fields import curl_state, random_pairs
 
 
@@ -174,6 +185,14 @@ def test_newton_counts_line_search_stalls(pair8):
         _newton(op, zero, np.zeros(pair8.n_p), NewtonConfig(max_iter=3), "fake")
 
 
+def test_convergence_error_names_factorizations(pair8):
+    # the identity Jacobian gives one streamfunction matrix, factorized once
+    op = _NeverDecreasingOperator(pair8)
+    zero = np.zeros(pair8.n_u)
+    with pytest.raises(ConvergenceError, match=r"1 streamfunction factorizations, [1-9]\d* Krylov"):
+        _newton(op, zero, np.zeros(pair8.n_p), NewtonConfig(max_iter=3), "fake")
+
+
 def test_newton_jacobian_matches_frozen_eta_fd(pair8):
     # R(u) = K u + N1(u) u + J0 u with J0 frozen at the base state
     problem, _ = manufactured_problem(pair8, re=100.0)
@@ -251,6 +270,86 @@ def test_fused_jacobian_matches_dense_sum(pair, seed, nitsche, convection, skele
     assert np.abs(jac_st.toarray() - dense_st).max() <= 1e-13 * np.abs(dense_st).max()
     expect = stage.c_mass * (mass @ u_new) + stage.hist + r_sp
     assert np.abs(r_st - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+# ------------------------------------------------------------- lagged LU
+
+
+def _streamfunction_system(op, u):
+    r, jac = op.linearize(u)
+    curl = op.pair.curl
+    return curl.T @ jac @ curl, -(curl.T @ r)
+
+
+@settings(max_examples=25, deadline=None)
+@given(pair=random_pairs(), seed=st.integers(0, 2**16))
+def test_lagged_lu_correction_matches_direct_solve(pair, seed):
+    # the held LU comes from the stage Jacobian at another random state
+    params = StabParams.create(pair.k_prime, nu=0.05)
+    f = lambda x, y: (np.sin(x + y), x * y)
+    op = _SpatialOperator(FlowProblem(pair, params, f=f, nitsche=False))
+    mass = assemble_velocity_mass(pair)
+    rng = np.random.default_rng(seed)
+    u_n, udot_n, u_a, u_b = (rng.standard_normal(pair.n_u) for _ in range(4))
+    cfg = TimeConfig(dt=0.01, t_end=1.0)
+    stage = _StageOperator(op, mass, op.pattern.scatter(mass), u_n, udot_n, cfg)
+    lagged = _LaggedLU()
+    lagged.solve(*_streamfunction_system(stage, u_a))
+    a, rhs = _streamfunction_system(stage, u_b)
+    x = lagged.solve(a, rhs)
+    assert lagged.krylov_iterations > 0 and lagged.factorizations in (1, 2)
+    ref = spla.spsolve(a.tocsc(), rhs)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_useless_lagged_lu_falls_back_to_refactorizing(pair8):
+    # an LU of the Stokes Jacobian cannot precondition the Re=7500 one
+    u = 0.5 * curl_state(pair8, seed=5, zero_boundary_ring=True).u
+    stokes = _SpatialOperator(FlowProblem(pair8, StabParams.create(1, nu=1.0), convection=False))
+    lagged = _LaggedLU()
+    lagged.solve(*_streamfunction_system(stokes, u))
+    high_re = _SpatialOperator(
+        FlowProblem(pair8, StabParams.create(1, nu=1.0 / 7500.0), u_d=CavityCase.lid_velocity)
+    )
+    a, rhs = _streamfunction_system(high_re, u)
+    x = lagged.solve(a, rhs)
+    assert lagged.factorizations == 2 and lagged.krylov_iterations > 0
+    ref = spla.spsolve(a.tocsc(), rhs)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _vortex_steps(splu_calls, n_steps=10):
+    """States of n_steps n=8 vortex steps and the LUs the steps factorized."""
+    pair = taylor_green_pair(8, 1)
+    problem = FlowProblem(pair, StabParams.create(1, nu=1e-2), nitsche=False)
+    stepper = TimeStepper(problem, TimeConfig(dt=1e-2, t_end=n_steps * 1e-2))
+    stepper.initialize(taylor_green_velocity)
+    start = len(splu_calls)
+    states = [stepper.step().copy() for _ in range(n_steps)]
+    return states, len(splu_calls) - start
+
+
+def test_time_steps_share_one_streamfunction_lu(monkeypatch):
+    calls = []
+    real_splu = solver.spla.splu
+    monkeypatch.setattr(solver.spla, "splu", lambda *a, **k: calls.append(1) or real_splu(*a, **k))
+    lagged, factorizations = _vortex_steps(calls)
+    assert factorizations == 1
+    monkeypatch.setattr(solver, "_KRYLOV_LIMIT", 0)
+    direct, factorizations = _vortex_steps(calls)
+    assert factorizations == 20  # two Newton iterations per step at n=8
+    for st_lag, st_dir in zip(lagged, direct):
+        assert np.linalg.norm(st_lag.u - st_dir.u) <= 1e-12 * np.linalg.norm(st_dir.u)
+        assert np.linalg.norm(st_lag.p - st_dir.p) <= 1e-12 * np.linalg.norm(st_dir.p)
+
+
+def test_newton_result_counts_factorizations_and_krylov_iterations(pair8):
+    problem, _ = manufactured_problem(pair8, re=100.0)
+    result = newton_steady(problem)
+    assert result.iterations >= 2
+    assert 1 <= result.factorizations <= result.iterations
+    # every iteration after the first tries the held LU first
+    assert result.krylov_iterations >= result.iterations - 1
 
 
 def test_continuation_failure_names_re_step(pair8):
