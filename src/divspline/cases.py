@@ -34,7 +34,6 @@ from .mesh import build_mesh
 from .solver import (
     ConvergenceError,
     FlowProblem,
-    NewtonConfig,
     TimeConfig,
     TimeStepper,
     solve_steady,
@@ -59,7 +58,6 @@ __all__ = [
     "PressureRobustnessResult",
     "unit_square_pair",
     "taylor_green_pair",
-    "manufactured_forcing",
     "error_norms",
     "energy_and_dissipation",
     "streamfunction",
@@ -111,13 +109,6 @@ def _manufactured_callables():
         "forcing_ns": tuple(lam(f, with_nu=True) for f in f_ns),
         "forcing_stokes": tuple(lam(f, with_nu=True) for f in f_st),
     }
-
-
-def manufactured_forcing(nu: float, convection: bool = True):
-    """Forcing callable f(x, y) -> (f1, f2) for the manufactured solution."""
-    key = "forcing_ns" if convection else "forcing_stokes"
-    f1, f2 = _manufactured_callables()[key]
-    return lambda xx, yy: (f1(xx, yy, nu), f2(xx, yy, nu))
 
 
 @dataclass(frozen=True)
@@ -190,7 +181,7 @@ def error_norms(pair: DivConformingPair, state: StateVector, velocity, gradient=
     to (d u1/dx, d u1/dy, d u2/dx, d u2/dy). Uses k'+3 points per direction
     so the quadrature error stays below the discretization error.
     """
-    tab = element_tables(pair, pair.k_prime + 3, max_deriv=1)
+    tab = element_tables(pair, pair.k_prime + 3)
     x, y = tab.points[:, :, 0], tab.points[:, :, 1]
     w = tab.weights
     c1 = pair.component_coeffs(state.u, 0).ravel()
@@ -304,32 +295,26 @@ class ConvergenceRow:
 def _steady_manufactured(
     pair: DivConformingPair,
     case: ManufacturedCase,
-    delta: float,
     gamma: float | None,
     c_nit: float | None,
-    config: NewtonConfig | None,
     forcing=None,
 ):
-    params = StabParams.create(
-        pair.k_prime, nu=case.nu, delta=delta, gamma=gamma, c_nit=c_nit
-    )
+    params = StabParams.create(pair.k_prime, nu=case.nu, gamma=gamma, c_nit=c_nit)
     problem = FlowProblem(
         pair,
         params,
         f=forcing if forcing is not None else case.forcing,
         convection=case.convection,
     )
-    return solve_steady(problem, re=case.re if case.convection else None, config=config)
+    return solve_steady(problem, re=case.re if case.convection else None)
 
 
 def run_convergence_study(
     k_prime: int,
     meshes=(4, 8, 16, 32),
     re: float = 10.0,
-    delta: float = 1.0,
     gamma: float | None = None,
     c_nit: float | None = None,
-    config: NewtonConfig | None = None,
 ) -> list[ConvergenceRow]:
     """Manufactured-solution refinement sweep; orders from successive rows."""
     case = ManufacturedCase(re=re)
@@ -337,7 +322,7 @@ def run_convergence_study(
     for n in meshes:
         pair = unit_square_pair(n, k_prime)
         try:
-            result = _steady_manufactured(pair, case, delta, gamma, c_nit, config)
+            result = _steady_manufactured(pair, case, gamma, c_nit)
         except ConvergenceError as exc:
             raise ConvergenceError(f"mesh {n}x{n}: {exc}") from exc
         l2, h1 = error_norms(pair, result.state, case.velocity, case.velocity_gradient)
@@ -374,10 +359,8 @@ def run_reynolds_robustness(
     k_prime: int,
     n: int = 16,
     re_list=(1.0, 10.0, 100.0, 1000.0),
-    delta: float = 1.0,
     gamma: float | None = None,
     c_nit: float | None = None,
-    config: NewtonConfig | None = None,
 ) -> list[RobustnessRow]:
     """Fixed-mesh Reynolds sweep of manufactured-solution errors."""
     pair = unit_square_pair(n, k_prime)
@@ -385,7 +368,7 @@ def run_reynolds_robustness(
     for re in re_list:
         case = ManufacturedCase(re=re)
         try:
-            result = _steady_manufactured(pair, case, delta, gamma, c_nit, config)
+            result = _steady_manufactured(pair, case, gamma, c_nit)
         except ConvergenceError as exc:
             raise ConvergenceError(f"Re={re:g}: {exc}") from exc
         l2, h1 = error_norms(pair, result.state, case.velocity, case.velocity_gradient)
@@ -416,10 +399,8 @@ def run_pressure_robustness(
     k_prime: int = 1,
     n: int = 16,
     re: float = 10.0,
-    delta: float = 1.0,
     gamma: float | None = None,
     c_nit: float | None = None,
-    config: NewtonConfig | None = None,
 ) -> PressureRobustnessResult:
     """Compare solves with f and f + grad(sin(pi x y)) (irrotational shift)."""
     pair = unit_square_pair(n, k_prime)
@@ -430,10 +411,8 @@ def run_pressure_robustness(
         c = np.pi * np.cos(np.pi * x * y)
         return f1 + y * c, f2 + x * c
 
-    base = _steady_manufactured(pair, case, delta, gamma, c_nit, config)
-    pert = _steady_manufactured(
-        pair, case, delta, gamma, c_nit, config, forcing=perturbed
-    )
+    base = _steady_manufactured(pair, case, gamma, c_nit)
+    pert = _steady_manufactured(pair, case, gamma, c_nit, forcing=perturbed)
     l2_b, h1_b = error_norms(pair, base.state, case.velocity, case.velocity_gradient)
     l2_p, h1_p = error_norms(pair, pert.state, case.velocity, case.velocity_gradient)
     du = np.linalg.norm(pert.state.u - base.state.u)
@@ -471,10 +450,8 @@ def run_cavity(
     k_prime: int,
     n: int,
     re: float,
-    delta: float = 1.0,
     gamma: float | None = None,
     c_nit: float | None = None,
-    config: NewtonConfig | None = None,
 ) -> CavityResult:
     """Steady lid-driven cavity with CAVITY_PROFILE_POINTS-point centerline profiles.
 
@@ -483,11 +460,11 @@ def run_cavity(
     pair = unit_square_pair(n, k_prime)
     stokes = re == 0.0
     nu = 1.0 if stokes else 1.0 / re
-    params = StabParams.create(k_prime, nu=nu, delta=delta, gamma=gamma, c_nit=c_nit)
+    params = StabParams.create(k_prime, nu=nu, gamma=gamma, c_nit=c_nit)
     problem = FlowProblem(
         pair, params, u_d=CavityCase.lid_velocity, convection=not stokes
     )
-    result = solve_steady(problem, re=None if stokes else re, config=config)
+    result = solve_steady(problem, re=None if stokes else re)
     samples = np.linspace(0.0, 1.0, CAVITY_PROFILE_POINTS)
     mid = np.full_like(samples, 0.5)
     u1 = eval_velocity(pair, result.state, np.stack([mid, samples], axis=-1), 0).value[:, 0]
@@ -524,11 +501,9 @@ def run_taylor_green_2d(
     re: float = 100.0,
     dt: float = 1e-2,
     t_end: float = 1.0,
-    delta: float = 1.0,
     gamma: float | None = None,
     c_nit: float | None = None,
     rho_inf: float = 0.5,
-    newton: NewtonConfig | None = None,
 ) -> TaylorGreenResult:
     """Unforced 2D Taylor-Green vortex on [0, 2 pi]^2 with free-slip walls.
 
@@ -536,9 +511,9 @@ def run_taylor_green_2d(
     applied, which the initial vortex satisfies exactly.
     """
     pair = taylor_green_pair(n, k_prime)
-    params = StabParams.create(k_prime, nu=1.0 / re, delta=delta, gamma=gamma, c_nit=c_nit)
+    params = StabParams.create(k_prime, nu=1.0 / re, gamma=gamma, c_nit=c_nit)
     problem = FlowProblem(pair, params, nitsche=False, convection=True)
-    cfg = TimeConfig(dt=dt, t_end=t_end, rho_inf=rho_inf, newton=newton or NewtonConfig())
+    cfg = TimeConfig(dt=dt, t_end=t_end, rho_inf=rho_inf)
     stepper = TimeStepper(problem, cfg)
     history = stepper.run(taylor_green_velocity)
     records = energy_and_dissipation(pair, history, params)

@@ -4,9 +4,8 @@ Every command writes a run manifest (the resolved configuration plus
 underscore-prefixed metadata), one or more CSV tables with fixed headers and
 17-significant-digit floats, and a legacy-VTK structured-points dump of the
 final velocity, pressure, and pointwise-divergence fields on a grid with four
-sample points per element per direction.  Single-threaded reruns of the same
-configuration produce byte-identical CSV and VTK files; ``threads > 1``
-distributes sweep points over a process pool without changing row order.
+sample points per element per direction.  Reruns of the same configuration
+produce byte-identical CSV and VTK files.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,7 +74,6 @@ _KNOWN_KEYS = {
     "tEnd",
     "rhoInf",
     "out",
-    "threads",
 }
 
 
@@ -103,7 +100,6 @@ class CaseConfig:
     t_end: float
     rho_inf: float
     out: str
-    threads: int
 
 
 def _load_source(source) -> dict:
@@ -185,8 +181,9 @@ def parse_config(source=None, overrides=None) -> CaseConfig:
     ------
     ConfigError
         Naming the offending key for unknown keys, type errors, violated
-        bounds, a missing or unknown command, or when both 'gamma' and
-        'delta' are given (they are mutually exclusive).
+        bounds, a missing or unknown command, a tEnd that is not a whole
+        number (at least 2) of dt steps, or when both 'gamma' and 'delta'
+        are given (they are mutually exclusive).
 
     Keys starting with '_' are ignored, so a run manifest parses back into
     the configuration that produced it.  The DIVSPLINE_OUT environment
@@ -250,12 +247,19 @@ def parse_config(source=None, overrides=None) -> CaseConfig:
     t_end = _scalar(raw, "tEnd", float, "number") if "tEnd" in raw else 1.0
     if not t_end > 0:
         raise ConfigError("key 'tEnd' must be positive")
+    steps = t_end / dt
+    if not (
+        math.isfinite(steps)
+        and round(steps) >= 2
+        and abs(steps - round(steps)) <= 1e-9 * steps
+    ):
+        raise ConfigError(
+            "keys 'tEnd' and 'dt' must give a whole number of at least 2 time "
+            f"steps; got tEnd/dt = {steps:g}"
+        )
     rho_inf = _scalar(raw, "rhoInf", float, "number") if "rhoInf" in raw else 0.5
     if not 0.0 <= rho_inf <= 1.0:
         raise ConfigError("key 'rhoInf' must lie in [0, 1]")
-    threads = _scalar(raw, "threads", _as_int, "integer") if "threads" in raw else 1
-    if threads < 1:
-        raise ConfigError("key 'threads' must be at least 1")
 
     out = str(raw.get("out", "."))
     env_out = os.environ.get("DIVSPLINE_OUT")
@@ -273,7 +277,6 @@ def parse_config(source=None, overrides=None) -> CaseConfig:
         t_end=float(t_end),
         rho_inf=float(rho_inf),
         out=out,
-        threads=threads,
     )
 
 
@@ -290,7 +293,6 @@ def config_dict(config: CaseConfig) -> dict:
         "tEnd": config.t_end,
         "rhoInf": config.rho_inf,
         "out": config.out,
-        "threads": config.threads,
     }
 
 
@@ -375,41 +377,19 @@ def write_vtk_fields(
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _convergence_point(args):
-    k_prime, n, re, gamma, c_nit = args
-    return run_convergence_study(
-        k_prime, meshes=(n,), re=re, gamma=gamma, c_nit=c_nit
-    )[0]
-
-
-def _robustness_point(args):
-    k_prime, n, re, gamma, c_nit = args
-    return run_reynolds_robustness(
-        k_prime, n=n, re_list=(re,), gamma=gamma, c_nit=c_nit
-    )[0]
-
-
-def _map_points(points, worker, threads):
-    if threads > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(points))) as pool:
-            return list(pool.map(worker, points))
-    return [worker(p) for p in points]
-
-
 def _run_convergence(config: CaseConfig, out_dir: Path) -> dict:
-    points = [
-        (config.k_prime, n, config.re[0], config.gamma, config.c_nit)
-        for n in config.mesh
-    ]
-    rows = _map_points(points, _convergence_point, config.threads)
-    table = []
-    prev = None
-    for row in rows:
-        l2_order = math.log2(prev.l2 / row.l2) if prev else math.nan
-        h1_order = math.log2(prev.h1 / row.h1) if prev else math.nan
-        table.append((row.h, row.l2, l2_order, row.h1, h1_order))
-        prev = row
-    write_csv(out_dir / "convergence.csv", ("h", "L2", "L2order", "H1", "H1order"), table)
+    rows = run_convergence_study(
+        config.k_prime,
+        meshes=config.mesh,
+        re=config.re[0],
+        gamma=config.gamma,
+        c_nit=config.c_nit,
+    )
+    write_csv(
+        out_dir / "convergence.csv",
+        ("h", "L2", "L2order", "H1", "H1order"),
+        [(r.h, r.l2, r.l2_order, r.h1, r.h1_order) for r in rows],
+    )
     finest = rows[-1]
     pair = unit_square_pair(finest.n, config.k_prime)
     write_vtk_fields(
@@ -419,11 +399,13 @@ def _run_convergence(config: CaseConfig, out_dir: Path) -> dict:
 
 
 def _run_robustness(config: CaseConfig, out_dir: Path) -> dict:
-    points = [
-        (config.k_prime, config.mesh[0], re, config.gamma, config.c_nit)
-        for re in config.re
-    ]
-    rows = _map_points(points, _robustness_point, config.threads)
+    rows = run_reynolds_robustness(
+        config.k_prime,
+        n=config.mesh[0],
+        re_list=config.re,
+        gamma=config.gamma,
+        c_nit=config.c_nit,
+    )
     write_csv(
         out_dir / "robustness.csv",
         ("Re", "L2", "H1", "divMax"),
@@ -588,12 +570,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--out", metavar="DIR", help="output directory (DIVSPLINE_OUT overrides)"
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        metavar="INT",
-        help="process-pool width for sweep points",
-    )
     return parser
 
 
@@ -611,7 +587,6 @@ def main(argv=None) -> int:
         "tEnd": args.tend,
         "rhoInf": args.rho_inf,
         "out": args.out,
-        "threads": args.threads,
     }
     try:
         config = parse_config(args.config, overrides)

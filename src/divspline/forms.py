@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from weakref import WeakKeyDictionary
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,6 +51,7 @@ from .space import (
     element_basis_1d,
     element_tables,
     mass_matrix_1d,
+    per_pair,
 )
 
 __all__ = [
@@ -193,19 +193,10 @@ def _weighted_products(w, a, b) -> np.ndarray:
     return np.matmul((a * w[..., None]).transpose(0, 2, 1), b)
 
 
-_STRAIN_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-_BOUNDARY_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-_MASS_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-_FACET_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-_CONV_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-_JACOBIAN_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-
-
+@per_pair
 def assemble_strain(pair: DivConformingPair) -> sp.csr_matrix:
     """Unit-viscosity volume strain matrix S with u^T S u = 2 ||grad_s u||^2."""
-    if pair in _STRAIN_CACHE:
-        return _STRAIN_CACHE[pair]
-    tab = element_tables(pair, bilinear_quad_points(pair), max_deriv=1)
+    tab = element_tables(pair, bilinear_quad_points(pair))
     w = tab.weights
     dx1, dy1 = tab.basis("vx", 1, 0), tab.basis("vx", 0, 1)
     dx2, dy2 = tab.basis("vy", 1, 0), tab.basis("vy", 0, 1)
@@ -215,11 +206,9 @@ def assemble_strain(pair: DivConformingPair) -> sp.csr_matrix:
     k11 = _weighted_products(w, dx1, dx1) * 2 + _weighted_products(w, dy1, dy1)
     k22 = _weighted_products(w, dy2, dy2) * 2 + _weighted_products(w, dx2, dx2)
     k12 = _weighted_products(w, dy1, dx2)
-    mat = CooPattern(
+    return CooPattern(
         [(d1, d1), (d2, d2), (d1, d2), (d2, d1)], (pair.n_u, pair.n_u)
     ).build([k11, k22, k12, k12.transpose(0, 2, 1)])
-    _STRAIN_CACHE[pair] = mat
-    return mat
 
 
 def _on_facets(axis: int, normal: np.ndarray, tangential: np.ndarray, op=np.multiply):
@@ -312,16 +301,12 @@ class FacetTables:
             self.boundary.append(bnd)
 
 
-def facet_tables(pair: DivConformingPair) -> FacetTables:
-    if pair not in _FACET_CACHE:
-        _FACET_CACHE[pair] = FacetTables(pair)
-    return _FACET_CACHE[pair]
+facet_tables = per_pair(FacetTables)
 
 
+@per_pair
 def _boundary_unit_matrices(pair: DivConformingPair):
     """G[a,b] = (2 n . grad_s phi_b, phi_a)_bnd and boundary mass P[a,b]."""
-    if pair in _BOUNDARY_CACHE:
-        return _BOUNDARY_CACHE[pair]
     g_blocks, g_locals, p_blocks, p_locals = [], [], [], []
     for facets in facet_tables(pair).boundary:
         d = facets.axis
@@ -341,12 +326,10 @@ def _boundary_unit_matrices(pair: DivConformingPair):
                     g_blocks.append((dofs[ca], dofs[cb]))
                     g_locals.append(sum(parts))
     shape = (pair.n_u, pair.n_u)
-    result = (
+    return (
         CooPattern(g_blocks, shape).build(g_locals),
         CooPattern(p_blocks, shape).build(p_locals),
     )
-    _BOUNDARY_CACHE[pair] = result
-    return result
 
 
 def assemble_boundary_mass(pair: DivConformingPair) -> sp.csr_matrix:
@@ -405,7 +388,7 @@ def nitsche_load(pair: DivConformingPair, params: StabParams, u_d) -> np.ndarray
 
 def assemble_divergence(pair: DivConformingPair) -> sp.csr_matrix:
     """B with (B u)_q = (div u_h, psi_q); exact for the polynomial integrand."""
-    tab = element_tables(pair, bilinear_quad_points(pair), max_deriv=1)
+    tab = element_tables(pair, bilinear_quad_points(pair))
     qb = tab.basis("q", 0, 0)
     dq = tab.dofs("q")
     blocks, local_blocks = [], []
@@ -419,7 +402,7 @@ class _ConvectionKit:
     """Static element tables for convection reassembly."""
 
     def __init__(self, pair: DivConformingPair):
-        tab = element_tables(pair, convection_quad_points(pair), max_deriv=1)
+        tab = element_tables(pair, convection_quad_points(pair))
         names = ("vx", "vy")
         self.w = tab.weights
         self.val = [tab.basis(name, 0, 0) for name in names]
@@ -427,10 +410,7 @@ class _ConvectionKit:
         self.dofs = [tab.dofs(name) + pair.component_offset(c) for c, name in enumerate(names)]
 
 
-def _convection_kit(pair: DivConformingPair) -> _ConvectionKit:
-    if pair not in _CONV_CACHE:
-        _CONV_CACHE[pair] = _ConvectionKit(pair)
-    return _CONV_CACHE[pair]
+_convection_kit = per_pair(_ConvectionKit)
 
 
 class JacobianPattern(CooPattern):
@@ -458,10 +438,7 @@ class JacobianPattern(CooPattern):
         self.skeleton = self.targets([4, 5])
 
 
-def jacobian_pattern(pair: DivConformingPair) -> JacobianPattern:
-    if pair not in _JACOBIAN_CACHE:
-        _JACOBIAN_CACHE[pair] = JacobianPattern(pair)
-    return _JACOBIAN_CACHE[pair]
+jacobian_pattern = per_pair(JacobianPattern)
 
 
 def assemble_convection(
@@ -543,7 +520,7 @@ def assemble_load(
     """Load vector: body force plus the Dirichlet-data Nitsche terms."""
     rhs = np.zeros(pair.n_u)
     if f is not None:
-        tab = element_tables(pair, bilinear_quad_points(pair), max_deriv=1)
+        tab = element_tables(pair, bilinear_quad_points(pair))
         fx, fy = f(tab.points[:, :, 0], tab.points[:, :, 1])
         for comp, name, fv in ((0, "vx", fx), (1, "vy", fy)):
             vb = tab.basis(name, 0, 0)
@@ -558,16 +535,13 @@ def assemble_load(
     return rhs
 
 
+@per_pair
 def assemble_velocity_mass(pair: DivConformingPair) -> sp.csr_matrix:
     """Block-diagonal velocity mass matrix (exact integration)."""
-    if pair in _MASS_CACHE:
-        return _MASS_CACHE[pair]
     blocks = []
     for space in pair.velocity_spaces:
         mx = mass_matrix_1d(space.kv_x)
         my = mass_matrix_1d(space.kv_y)
         blocks.append(sp.kron(my, mx, format="csr"))
-    mat = sp.block_diag(blocks).tocsr()
-    _MASS_CACHE[pair] = mat
-    return mat
+    return sp.block_diag(blocks).tocsr()
 

@@ -75,7 +75,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Callable
-from weakref import WeakKeyDictionary
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,7 +90,13 @@ from .forms import (
     assemble_viscous_nitsche,
     jacobian_pattern,
 )
-from .space import DivConformingPair, StateVector, pressure_mean_vector, zero_state
+from .space import (
+    DivConformingPair,
+    StateVector,
+    per_pair,
+    pressure_mean_vector,
+    zero_state,
+)
 
 __all__ = [
     "NewtonConfig",
@@ -295,13 +300,7 @@ class _PressureSpace:
         return float(np.linalg.norm(np.concatenate([res_u, self.b @ u, [self.m @ p]])))
 
 
-_PRESSURE_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _pressure_space(pair: DivConformingPair) -> _PressureSpace:
-    if pair not in _PRESSURE_CACHE:
-        _PRESSURE_CACHE[pair] = _PressureSpace(pair)
-    return _PRESSURE_CACHE[pair]
+_pressure_space = per_pair(_PressureSpace)
 
 
 class _SpatialOperator:

@@ -16,7 +16,7 @@ block in lexicographic order dof = iy * n_x + ix (x fastest).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, update_wrapper
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -48,6 +48,7 @@ __all__ = [
     "element_basis_1d",
     "quad_points_1d",
     "mass_matrix_1d",
+    "per_pair",
 ]
 
 
@@ -391,7 +392,6 @@ class ElementTables:
     """
 
     def __init__(self, pair: DivConformingPair, npts: int, max_deriv: int = 1):
-        self.pair = pair
         self.npts = npts
         self.max_deriv = max_deriv
         mesh = pair.mesh
@@ -468,13 +468,22 @@ class ElementTables:
         return np.einsum("eql,el->eq", tab, local)
 
 
-_TABLE_CACHE: WeakKeyDictionary = WeakKeyDictionary()
+def per_pair(build):
+    """Memoize build(pair, *args) per pair and then per positional arguments.
+
+    The pair is held weakly, so its entries go with it; a cached value must
+    not refer back to its pair, or the pair is never freed.
+    """
+    memo: WeakKeyDictionary = WeakKeyDictionary()
+
+    def cached(pair: DivConformingPair, *args):
+        entries = memo.setdefault(pair, {})
+        if args not in entries:
+            entries[args] = build(pair, *args)
+        return entries[args]
+
+    return update_wrapper(cached, build, updated=())
 
 
-def element_tables(pair: DivConformingPair, npts: int, max_deriv: int = 1) -> ElementTables:
-    """Memoized ElementTables for a pair (tables are iterate-independent)."""
-    per_pair = _TABLE_CACHE.setdefault(pair, {})
-    key = (npts, max_deriv)
-    if key not in per_pair:
-        per_pair[key] = ElementTables(pair, npts, max_deriv)
-    return per_pair[key]
+# element_tables(pair, npts): the tables are iterate-independent
+element_tables = per_pair(ElementTables)

@@ -6,7 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from divspline.cases import unit_square_pair
+from divspline.cases import (
+    run_convergence_study,
+    run_reynolds_robustness,
+    unit_square_pair,
+)
 from divspline.cli import (
     CaseConfig,
     ConfigError,
@@ -31,7 +35,6 @@ def test_defaults_and_derived_gamma():
     assert config.c_nit == pytest.approx(10.0)
     assert config.mesh == (4, 8, 16, 32)
     assert config.re == (10.0,)
-    assert config.threads == 1
 
 
 def test_derived_gamma_scales_with_degree_and_delta():
@@ -52,6 +55,8 @@ def test_unknown_key_named():
         parse_config({"command": "cavity", "fooBar": 3})
     with pytest.raises(ConfigError, match="seed"):
         parse_config({"command": "cavity", "seed": 7})
+    with pytest.raises(ConfigError, match="threads"):
+        parse_config({"command": "cavity", "threads": 2})
 
 
 def test_gamma_delta_mutually_exclusive():
@@ -78,8 +83,6 @@ def test_type_and_bound_errors_name_the_key():
         parse_config({"command": "cavity", "re": -5})
     with pytest.raises(ConfigError, match="'rhoInf'"):
         parse_config({"command": "taylor-green-2d", "rhoInf": 1.5})
-    with pytest.raises(ConfigError, match="'threads'"):
-        parse_config({"command": "cavity", "threads": 0})
     with pytest.raises(ConfigError, match="'dt'"):
         parse_config({"command": "taylor-green-2d", "dt": 0})
     # non-finite numbers and booleans are not numbers here
@@ -103,6 +106,24 @@ def test_type_and_bound_errors_name_the_key():
         parse_config({"command": "convergence", "mesh": [True, 8]})
     with pytest.raises(ConfigError, match="'cNit'"):
         parse_config({"command": "cavity", "cNit": True})
+    # tEnd must be a whole number of dt steps, and at least 2 of them
+    with pytest.raises(ConfigError, match="'tEnd' and 'dt'"):
+        parse_config({"command": "taylor-green-2d", "dt": 0.01, "tEnd": 0.015})
+    with pytest.raises(ConfigError, match="'tEnd' and 'dt'"):
+        parse_config({"command": "taylor-green-2d", "dt": 0.01, "tEnd": 0.01})
+    with pytest.raises(ConfigError, match="'tEnd' and 'dt'"):
+        parse_config({"command": "taylor-green-2d", "dt": 1e-300, "tEnd": 1e300})
+
+
+# 0.3 / 0.1 evaluates to 2.9999999999999996
+@pytest.mark.parametrize(
+    "t_end, dt, steps",
+    [(0.05, 0.01, 5), (0.1, 0.01, 10), (0.3, 0.1, 3), (2.0, 0.01, 200)],
+)
+def test_whole_step_horizons_parse(t_end, dt, steps):
+    config = parse_config({"command": "taylor-green-2d", "dt": dt, "tEnd": t_end})
+    assert (config.t_end, config.dt) == (t_end, dt)
+    assert round(config.t_end / config.dt) == steps
 
 
 def test_sweeps_only_where_meaningful():
@@ -188,17 +209,26 @@ def test_convergence_command_outputs(tmp_path):
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["command"] == "convergence"
     assert max(manifest["_divMax"]) < 1e-12
+    # the table is the driver's own rows, orders included
+    study = run_convergence_study(1, meshes=(4, 8))
+    expect = [(r.h, r.l2, r.l2_order, r.h1, r.h1_order) for r in study]
+    np.testing.assert_array_equal(np.array(rows), np.array(expect))
 
-    # single-threaded rerun is byte-identical; a process pool keeps row order
+    # a rerun is byte-identical
     out2 = tmp_path / "b"
     assert main(["--command", "convergence", "--kprime", "1", "--mesh", "4,8",
                  "--out", str(out2)]) == 0
     assert (out1 / "convergence.csv").read_bytes() == (out2 / "convergence.csv").read_bytes()
     assert (out1 / "fields.vtk").read_bytes() == (out2 / "fields.vtk").read_bytes()
-    out3 = tmp_path / "c"
-    assert main(["--command", "convergence", "--kprime", "1", "--mesh", "4,8",
-                 "--threads", "2", "--out", str(out3)]) == 0
-    assert (out1 / "convergence.csv").read_bytes() == (out3 / "convergence.csv").read_bytes()
+
+
+def test_robustness_command_outputs(tmp_path):
+    assert main(["--command", "robustness", "--kprime", "1", "--mesh", "4",
+                 "--re", "1,10,100", "--out", str(tmp_path)]) == 0
+    header, rows = _read_csv(tmp_path / "robustness.csv")
+    assert header == ["Re", "L2", "H1", "divMax"]
+    sweep = run_reynolds_robustness(1, n=4, re_list=(1.0, 10.0, 100.0))
+    assert rows == [[r.re, r.l2, r.h1, r.div_max] for r in sweep]
 
 
 def test_convergence_four_row_sweep(tmp_path):
@@ -325,9 +355,14 @@ def test_vtk_writer_matches_per_value_format(tmp_path, monkeypatch):
 
 def test_main_exit_codes(tmp_path):
     assert main(["--command", "cavity", "--gamma", "0.1", "--delta", "2"]) == 2
-    # too few steps for the dissipation differencing: the run stage fails
+    # too few steps for the dissipation differencing: rejected before running
     assert main(["--command", "taylor-green-2d", "--mesh", "4", "--dt", "0.01",
-                 "--tend", "0.01", "--out", str(tmp_path)]) == 1
+                 "--tend", "0.01", "--out", str(tmp_path)]) == 2
+    # the output directory cannot be made under a file: the run stage fails
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["--command", "pressure-robustness", "--mesh", "4",
+                 "--out", str(blocker / "out")]) == 1
 
 
 def test_run_creates_output_directory(tmp_path):

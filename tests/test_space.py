@@ -1,6 +1,9 @@
 """Divergence-conforming pair construction, evaluation, jumps, projections."""
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divspline.bspline import eval_nonzero_basis, make_open_uniform, open_knots
+from divspline import forms, solver
 from divspline.forms import assemble_divergence
 from divspline.mesh import build_mesh, gauss_rule
 from divspline.space import (
@@ -21,7 +25,9 @@ from divspline.space import (
     eval_velocity,
     facet_normal_derivative_jump,
     interpolate_field,
+    element_tables,
     mass_matrix_1d,
+    per_pair,
     pressure_mean_vector,
     quad_points_1d,
     zero_state,
@@ -402,3 +408,34 @@ def test_eval_velocity_on_point_arrays_matches_single_points(pair, seed, n_point
         assert np.array_equal(batch.value[q], one.value)
         if deriv_order:
             assert np.array_equal(batch.gradient[q], one.gradient)
+
+
+def test_per_pair_memo_keys_on_pair_and_arguments():
+    calls = []
+
+    @per_pair
+    def build(pair, n):
+        """Doc."""
+        calls.append(n)
+        return [n]
+
+    pair, other = _pair(2, 1), _pair(2, 1)
+    assert build(pair, 3) is build(pair, 3)
+    assert build(pair, 4) == [4]
+    assert build(other, 3) is not build(pair, 3)
+    assert calls == [3, 4, 3]
+    assert build.__name__ == "build" and build.__doc__ == "Doc."
+
+
+def test_cached_builders_release_their_pair():
+    pair = _pair(3, 2)
+    params = forms.StabParams.create(2, nu=0.1)
+    element_tables(pair, 4)
+    forms.assemble_viscous_nitsche(pair, params)
+    forms.assemble_velocity_mass(pair)
+    forms.jacobian_pattern(pair)
+    solver._pressure_space(pair)
+    ref = weakref.ref(pair)
+    del pair
+    gc.collect()
+    assert ref() is None
