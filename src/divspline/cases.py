@@ -514,6 +514,11 @@ def run_taylor_green_2d(
     params = StabParams.create(k_prime, nu=1.0 / re, gamma=gamma, c_nit=c_nit)
     problem = FlowProblem(pair, params, nitsche=False, convection=True)
     cfg = TimeConfig(dt=dt, t_end=t_end, rho_inf=rho_inf)
+    if cfg.n_steps < 2:
+        raise ValueError(
+            "the dissipation diagnostics need at least 2 time steps; "
+            f"got t_end/dt = {cfg.n_steps}"
+        )
     stepper = TimeStepper(problem, cfg)
     history = stepper.run(taylor_green_velocity)
     records = energy_and_dissipation(pair, history, params)

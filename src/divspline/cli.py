@@ -33,6 +33,7 @@ from .cases import (
     unit_square_pair,
 )
 from .forms import StabParams
+from .solver import TimeConfig
 from .space import DivConformingPair, StateVector, TensorSpace, divergence_coefficients
 
 COMMANDS = (
@@ -247,15 +248,14 @@ def parse_config(source=None, overrides=None) -> CaseConfig:
     t_end = _scalar(raw, "tEnd", float, "number") if "tEnd" in raw else 1.0
     if not t_end > 0:
         raise ConfigError("key 'tEnd' must be positive")
-    steps = t_end / dt
-    if not (
-        math.isfinite(steps)
-        and round(steps) >= 2
-        and abs(steps - round(steps)) <= 1e-9 * steps
-    ):
+    try:
+        steps = TimeConfig(dt=dt, t_end=t_end).n_steps
+    except ValueError:
+        steps = 0
+    if steps < 2:
         raise ConfigError(
             "keys 'tEnd' and 'dt' must give a whole number of at least 2 time "
-            f"steps; got tEnd/dt = {steps:g}"
+            f"steps; got tEnd/dt = {t_end / dt:g}"
         )
     rho_inf = _scalar(raw, "rhoInf", float, "number") if "rhoInf" in raw else 0.5
     if not 0.0 <= rho_inf <= 1.0:
@@ -412,8 +412,9 @@ def _run_robustness(config: CaseConfig, out_dir: Path) -> dict:
         [(r.re, r.l2, r.h1, r.div_max) for r in rows],
     )
     pair = unit_square_pair(config.mesh[0], config.k_prime)
+    largest = max(rows, key=lambda row: row.re)
     write_vtk_fields(
-        out_dir / "fields.vtk", pair, rows[-1].state, "steady flow, largest Re"
+        out_dir / "fields.vtk", pair, largest.state, "steady flow, largest Re"
     )
     return {}
 

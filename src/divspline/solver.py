@@ -38,30 +38,40 @@ residual [(r - B^T p)_f, B u, m . p]. Corrections C dpsi keep B u fixed, so
 Newton first removes the divergent part of its starting velocity with the
 same pressure factorization.
 
-Every factorization goes through this module's spla.splu with the
-MMD_AT_PLUS_A column ordering (minimum degree on A^T + A). C^T J C, the
-pinned B_f B_f^T and C^T M C are structurally symmetric, so this ordering
-gives less fill and faster factorizations than SuperLU's default COLAMD.
-The pressure LU is built once per pair.
+Every factorization goes through this module's spla.splu in SuperLU's
+symmetric mode: the MMD_AT_PLUS_A column ordering (minimum degree on
+A^T + A) and diagonal pivots unless one is below _PIVOT_THRESHOLD of its
+column's largest entry. C^T J C, the pinned B_f B_f^T and C^T M C are
+structurally symmetric, so the ordering applies to rows and columns alike
+and partial pivoting does not undo it; at Re=7500 on the 16x16 cavity this
+roughly halves the fill of the streamfunction LU. The pressure LU is built
+once per pair.
 
 The streamfunction matrix drifts slowly between Newton iterations and time
 steps, so its LU is lagged (Knoll & Keyes, JCP 193 (2004), on lagged
 preconditioners). Each spatial operator holds the last streamfunction LU; a
 TimeStepper shares it across all its steps and each newton_steady call has
-its own. A Newton correction first runs at most _KRYLOV_LIMIT GMRES
-iterations (one restart cycle) on C^T J C dpsi = -C^T r, preconditioned by
-the held LU, and keeps that solution only if it is finite and its
-unpreconditioned residual is at most _KRYLOV_RTOL times the right-hand
-side's norm. Otherwise (and at the first iteration, when no LU is held yet)
-the current matrix is factorized, the new LU replaces the held one and the
-system is solved directly. The corrections therefore match direct solves to
-that tolerance, and the Newton stopping test, line search and pressure
-recovery are those of an LU per iteration.
+its own. A Newton correction first runs at most _KRYLOV_LIMIT iterations of
+GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986); one restart
+cycle, _gmres) on C^T J C dpsi = -C^T r, with the held LU applied on the
+right. Right preconditioning minimizes the true residual, so the GMRES
+estimate is the quantity checked: once it is at most _KRYLOV_RTOL times
+the right-hand side's norm, the iterate is kept if it is finite, its
+explicit residual meets the same bound and its correction by the held LU
+(an estimate of its error) is at most _KRYLOV_RTOL of it. If no iterate of
+the cycle is kept (and at the first iteration, when no LU is held yet) the
+current matrix is factorized, the new LU replaces the held one and the
+system is solved directly. The corrections therefore match direct solves to that tolerance,
+and the Newton stopping test, line search and pressure recovery are those
+of an LU per iteration.
 
 The steady problem is solved by damped Newton with optional Reynolds
-warm-start continuation. The unsteady problem uses the generalized-alpha
-method in its first-order-system form, parameterized by the spectral radius
-rho_inf:
+warm-start continuation. K and the Nitsche load are linear in nu and the
+body force does not depend on it, so the spatial operator assembles them
+once at nu = 1 and every ladder step scales the same arrays by its own nu.
+
+The unsteady problem uses the generalized-alpha method in its
+first-order-system form, parameterized by the spectral radius rho_inf:
 
     alpha_m = (3 - rho_inf) / (2 (1 + rho_inf)),  alpha_f = 1 / (1 + rho_inf),
     gamma_t = 1/2 + alpha_m - alpha_f,
@@ -73,12 +83,15 @@ linearization; the jump arguments are linearized exactly.
 """
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 from .forms import (
     StabParams,
@@ -148,6 +161,16 @@ class TimeConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        steps = self.t_end / self.dt
+        if not (
+            math.isfinite(steps)
+            and round(steps) >= 1
+            and abs(steps - round(steps)) <= 1e-9 * steps
+        ):
+            raise ValueError(
+                "t_end must be a positive whole number of dt steps; "
+                f"got t_end/dt = {steps:g}"
+            )
         if not 0 <= self.rho_inf <= 1:
             raise ValueError("rho_inf must lie in [0, 1]")
 
@@ -203,9 +226,20 @@ class NewtonResult:
     krylov_iterations: int
 
 
+# SuperLU keeps the diagonal pivot of a column unless it is smaller than
+# this fraction of the column's largest entry, so the symmetric MMD ordering
+# survives pivoting on these structurally symmetric matrices
+_PIVOT_THRESHOLD = 0.1
+
+
 def _factor(a: sp.spmatrix, what: str):
     try:
-        return spla.splu(sp.csc_matrix(a), permc_spec="MMD_AT_PLUS_A")
+        return spla.splu(
+            sp.csc_matrix(a),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=_PIVOT_THRESHOLD,
+            options=dict(SymmetricMode=True),
+        )
     except RuntimeError as exc:
         raise SingularSystemError(
             f"{what} factorization failed (n={a.shape[0]}, nnz={a.nnz}): {exc}"
@@ -222,9 +256,68 @@ def _solve(lu, rhs: np.ndarray, what: str) -> np.ndarray:
 # GMRES iterations (one restart cycle) tried on the held streamfunction LU
 # before refactorizing; 0 refactorizes at every Newton iteration
 _KRYLOV_LIMIT = 10
-# bound on ||rhs - A x|| / ||rhs|| for keeping a Krylov solution; GMRES
-# stops on its left-preconditioned residual, so it is asked for a tenth
+# bound on ||rhs - A x|| / ||rhs|| and on the estimated relative error
+# ||lu^-1 (rhs - A x)|| / ||x|| for keeping a Krylov solution
 _KRYLOV_RTOL = 1e-12
+
+
+def _gmres(a: sp.spmatrix, lu, rhs: np.ndarray):
+    """x solving a x = rhs to _KRYLOV_RTOL, or None; and the iterations run.
+
+    One cycle of at most _KRYLOV_LIMIT GMRES iterations from x = 0, with lu
+    applied on the right: iteration j minimizes ||rhs - a lu^-1 y|| over the
+    Krylov space and x = lu^-1 y, so the Givens estimate of the residual is
+    ||rhs - a x|| itself. Once it is at most _KRYLOV_RTOL ||rhs||, x is kept
+    if it is finite, its explicit residual meets that bound and so does the
+    correction lu^-1 (rhs - a x) relative to x, which estimates its error
+    (a small residual alone allows a large error when a is ill-conditioned).
+    """
+    beta = math.sqrt(rhs @ rhs)
+    if beta == 0.0:
+        return np.zeros_like(rhs), 0
+    tol = _KRYLOV_RTOL * beta
+    basis = np.empty((_KRYLOV_LIMIT + 1, rhs.size))
+    basis[0] = rhs / beta
+    # upper triangle of the Hessenberg matrix after the Givens rotations,
+    # the rotations, and the rotated right-hand side beta e_1
+    tri = np.zeros((_KRYLOV_LIMIT, _KRYLOV_LIMIT))
+    rotations = []
+    g = [beta]
+    for j in range(_KRYLOV_LIMIT):
+        w = a @ lu.solve(basis[j])
+        # classical Gram-Schmidt, twice, keeps the basis orthogonal to roundoff
+        col = np.zeros(j + 1)
+        for _ in range(2):
+            proj = basis[: j + 1] @ w
+            w -= basis[: j + 1].T @ proj
+            col += proj
+        col = col.tolist()
+        w_norm = math.sqrt(w @ w)
+        for i, (c, s) in enumerate(rotations):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        diag = math.hypot(col[j], w_norm)
+        if diag == 0.0:  # singular a lu^-1
+            break
+        c, s = col[j] / diag, w_norm / diag
+        rotations.append((c, s))
+        col[j] = diag
+        tri[: j + 1, j] = col
+        g[j], g_next = c * g[j], -s * g[j]
+        g.append(g_next)
+        if abs(g_next) <= tol:
+            y = solve_triangular(tri[: j + 1, : j + 1], g[: j + 1])
+            x = lu.solve(basis[: j + 1].T @ y)
+            r = rhs - a @ x
+            if (
+                np.all(np.isfinite(x))
+                and np.linalg.norm(r) <= tol
+                and np.linalg.norm(lu.solve(r)) <= _KRYLOV_RTOL * np.linalg.norm(x)
+            ):
+                return x, j + 1
+        if w_norm == 0.0:  # the Krylov space is exhausted
+            break
+        basis[j + 1] = w / w_norm
+    return None, j + 1
 
 
 class _LaggedLU:
@@ -239,29 +332,16 @@ class _LaggedLU:
         self.krylov_iterations = 0
 
     def solve(self, a: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-        """x with a x = rhs: Krylov on the held LU, else a new LU of a."""
+        """x with a x = rhs: GMRES on the held LU, else a new LU of a."""
         if self.lu is not None and _KRYLOV_LIMIT > 0:
-            x = self._krylov(a, rhs)
+            x, iterations = _gmres(a, self.lu, rhs)
+            self.krylov_iterations += iterations
             if x is not None:
                 return x
+        self.lu = None  # freed first, so that two LUs are never held at once
         self.lu = _factor(a, "streamfunction")
         self.factorizations += 1
         return _solve(self.lu, rhs, "streamfunction")
-
-    def _krylov(self, a, rhs):
-        """GMRES preconditioned by the held LU; None if it misses the bound."""
-
-        def count(_):
-            self.krylov_iterations += 1
-
-        precond = spla.LinearOperator(a.shape, matvec=self.lu.solve, dtype=float)
-        x, _ = spla.gmres(
-            a, rhs, rtol=0.1 * _KRYLOV_RTOL, atol=0.0, restart=_KRYLOV_LIMIT, maxiter=1,
-            M=precond, callback=count, callback_type="pr_norm",
-        )
-        residual = np.linalg.norm(rhs - a @ x)
-        ok = np.all(np.isfinite(x)) and residual <= _KRYLOV_RTOL * np.linalg.norm(rhs)
-        return x if ok else None
 
 
 class _PressureSpace:
@@ -306,28 +386,43 @@ _pressure_space = per_pair(_PressureSpace)
 class _SpatialOperator:
     """Steady residual and frozen-eta Jacobian over all velocity DOFs.
 
-    Jacobians live on the pair's `jacobian_pattern`: K is scattered onto it
-    once, and each linearization adds the data of N1, N2 and J to K's and
-    builds one CSR. lagged holds the last streamfunction LU of the Newton
-    solves on this operator (and on stage operators built from it).
+    K and the Nitsche load are linear in nu, and the body force does not
+    depend on it, so they are assembled once at nu = 1 (k_unit, dirichlet,
+    body) and scaled by params.nu; at_nu gives the operator at another
+    viscosity on the same arrays. Jacobians live on the pair's
+    `jacobian_pattern`: K_unit is scattered onto it once, and each
+    linearization adds the data of N1, N2 and J to nu K_unit's and builds
+    one CSR. lagged holds the last streamfunction LU of the Newton solves on
+    this operator (and on stage operators built from it).
     """
 
     def __init__(self, problem: FlowProblem):
-        pair, params = problem.pair, problem.params
+        pair, unit = problem.pair, problem.params.with_nu(1.0)
         self.pair = pair
-        self.params = params
         self.convection = problem.convection
         self.pattern = jacobian_pattern(pair)
-        self.k = assemble_viscous_nitsche(pair, params, nitsche=problem.nitsche)
-        self.k_data = self.pattern.scatter(self.k)
-        self.load = assemble_load(
-            pair, params, f=problem.f, u_d=problem.u_d, nitsche=problem.nitsche
+        self.k_unit = assemble_viscous_nitsche(pair, unit, nitsche=problem.nitsche)
+        self.k_unit_data = self.pattern.scatter(self.k_unit)
+        self.body = assemble_load(pair, unit, f=problem.f, nitsche=False)
+        self.dirichlet = assemble_load(
+            pair, unit, u_d=problem.u_d, nitsche=problem.nitsche
         )
+        self._set_params(problem.params)
+
+    def _set_params(self, params: StabParams):
+        self.params = params
+        self.load = self.body + params.nu * self.dirichlet
         self.lagged = _LaggedLU()
+
+    def at_nu(self, nu: float) -> "_SpatialOperator":
+        """This operator at viscosity nu, with its own lagged LU."""
+        op = copy.copy(self)
+        op._set_params(self.params.with_nu(nu))
+        return op
 
     def evaluate(self, u: np.ndarray, jac_data: np.ndarray) -> np.ndarray:
         """Momentum residual (without -B^T p) at u; adds N1 + N2 + J to jac_data."""
-        r = self.k @ u - self.load
+        r = self.params.nu * (self.k_unit @ u) - self.load
         if self.convection:
             n1, n2 = assemble_convection(self.pair, u)
             r += n1 @ u
@@ -341,7 +436,7 @@ class _SpatialOperator:
 
     def linearize(self, u: np.ndarray):
         """Momentum residual (without -B^T p) and its Jacobian at u."""
-        jac_data = self.k_data.copy()
+        jac_data = self.params.nu * self.k_unit_data
         r = self.evaluate(u, jac_data)
         return r, self.pattern.csr(jac_data)
 
@@ -361,7 +456,10 @@ class _StageOperator:
         self.u_n = u_n
         self.alpha_f = cfg.alpha_f
         self.c_mass = cfg.alpha_m / (cfg.gamma_t * cfg.dt)
-        self.base = self.c_mass * mass_data + self.alpha_f * spatial.k_data
+        self.base = (
+            self.c_mass * mass_data
+            + (self.alpha_f * spatial.params.nu) * spatial.k_unit_data
+        )
         # M udot_am = c_mass M u_new + M [ (1 - alpha_m/gamma_t) udot_n - c_mass u_n ]
         self.hist = mass @ ((1.0 - cfg.alpha_m / cfg.gamma_t) * udot_n - self.c_mass * u_n)
 
@@ -383,6 +481,7 @@ def _newton(
         lagged = _LaggedLU()
     factorizations0, krylov0 = lagged.factorizations, lagged.krylov_iterations
     curl = op.pair.curl
+    curl_t = curl.T.tocsr()
     ps = _pressure_space(op.pair)
     u, p = ps.solenoidal(u0), p0.copy()
     r_u, jac = op.linearize(u)
@@ -402,7 +501,7 @@ def _newton(
             )
         if it == config.max_iter:
             break
-        du = curl @ lagged.solve(curl.T @ jac @ curl, -(curl.T @ r_u))
+        du = curl @ lagged.solve(curl_t @ (jac @ curl), -(curl_t @ r_u))
         dp = ps.pressure(r_u + jac @ du) - p
         s = 1.0
         while True:
@@ -430,10 +529,16 @@ def newton_steady(
     config: NewtonConfig | None = None,
     initial: StateVector | None = None,
     context: str = "steady solve",
+    operator: _SpatialOperator | None = None,
 ) -> NewtonResult:
-    """Damped Newton for the steady problem from a given (or zero) state."""
+    """Damped Newton for the steady problem from a given (or zero) state.
+
+    operator is problem's spatial operator when the caller already holds one
+    (solve_steady's ladder steps share their nu-free parts); by default it is
+    assembled here.
+    """
     config = config or NewtonConfig()
-    op = _SpatialOperator(problem)
+    op = _SpatialOperator(problem) if operator is None else operator
     state = initial.copy() if initial is not None else zero_state(problem.pair)
     state.u[problem.pair.normal_boundary_dofs.all] = 0.0
     return _newton(op, state.u, state.p, config, context, lagged=op.lagged)
@@ -456,15 +561,17 @@ def solve_steady(
         return newton_steady(problem, config)
     ladder = [r for r in config.continuation_re if r < re] + [re]
     nu_target = problem.params.nu
+    target = _SpatialOperator(problem)
     state = None
     result = None
     for i, re_step in enumerate(ladder):
-        prob = replace(problem, params=problem.params.with_nu(nu_target * re / re_step))
+        op = target.at_nu(nu_target * re / re_step)
         result = newton_steady(
-            prob,
+            replace(problem, params=op.params),
             config,
             initial=state,
             context=f"continuation step {i + 1}/{len(ladder)} at Re={re_step:g}",
+            operator=op,
         )
         state = result.state
     return result

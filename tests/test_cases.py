@@ -167,6 +167,19 @@ def test_taylor_green_initial_energy_quarter():
     assert max_divergence(pair, st.u) < 1e-10 * np.linalg.norm(st.u)
 
 
+@pytest.mark.parametrize(
+    "t_end, message", [(0.01, "at least 2 time steps"), (0.015, "whole number")]
+)
+def test_taylor_green_rejects_horizon_before_stepping(t_end, message, monkeypatch):
+    # one step is too few for the diagnostics; 1.5 steps is no whole number
+    def step(self):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(TimeStepper, "step", step)
+    with pytest.raises(ValueError, match=message):
+        run_taylor_green_2d(k_prime=1, n=4, dt=0.01, t_end=t_end)
+
+
 def test_taylor_green_unstabilized_eps_matches_resolved():
     res = run_taylor_green_2d(k_prime=1, n=16, re=100.0, dt=0.01, t_end=0.06, gamma=0.0)
     inner = res.records[1:-1]

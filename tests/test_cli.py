@@ -231,6 +231,15 @@ def test_robustness_command_outputs(tmp_path):
     assert rows == [[r.re, r.l2, r.h1, r.div_max] for r in sweep]
 
 
+def test_robustness_field_is_the_largest_re(tmp_path):
+    # the sweep lists Re=1 last; fields.vtk holds the Re=1000 state
+    swept, single = tmp_path / "swept", tmp_path / "single"
+    for out, re in ((swept, "1000,1"), (single, "1000")):
+        assert main(["--command", "robustness", "--kprime", "1", "--mesh", "4",
+                     "--re", re, "--out", str(out)]) == 0
+    assert (swept / "fields.vtk").read_bytes() == (single / "fields.vtk").read_bytes()
+
+
 def test_convergence_four_row_sweep(tmp_path):
     assert main(["--command", "convergence", "--kprime", "1", "--mesh", "2,4,8,16",
                  "--out", str(tmp_path)]) == 0

@@ -27,6 +27,8 @@ from divspline.solver import (
     _LaggedLU,
     _SpatialOperator,
     _StageOperator,
+    _factor,
+    _gmres,
     _newton,
     newton_steady,
     solve_steady,
@@ -272,6 +274,24 @@ def test_fused_jacobian_matches_dense_sum(pair, seed, nitsche, convection, skele
     assert np.abs(r_st - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
+@pytest.mark.parametrize("nu", [1.0, 1e-2, 1.0 / 7500.0])
+def test_nu_scaled_operator_matches_assembly(pair8, nu):
+    # K and the loads are assembled at nu = 1 and scaled; without convection
+    # and skeleton the Jacobian is K and the residual K u - load
+    f = lambda x, y: (np.sin(x + y), x * y)
+    params = StabParams.create(1, nu=0.05, gamma=0.0)
+    problem = FlowProblem(pair8, params, f=f, u_d=CavityCase.lid_velocity, convection=False)
+    op = _SpatialOperator(problem).at_nu(nu)
+    u = np.random.default_rng(7).standard_normal(pair8.n_u)
+    r, jac = op.linearize(u)
+    k = assemble_viscous_nitsche(pair8, params.with_nu(nu)).toarray()
+    load = assemble_load(pair8, params.with_nu(nu), f=f, u_d=CavityCase.lid_velocity)
+    assert np.abs(jac.toarray() - k).max() <= 1e-14 * np.abs(k).max()
+    assert np.abs(op.load - load).max() <= 1e-14 * np.abs(load).max()
+    scale = (np.abs(k) @ np.abs(u) + np.abs(load)).max()
+    assert np.abs(r - (k @ u - load)).max() <= 1e-14 * scale
+
+
 # ------------------------------------------------------------- lagged LU
 
 
@@ -316,6 +336,60 @@ def test_useless_lagged_lu_falls_back_to_refactorizing(pair8):
     assert lagged.factorizations == 2 and lagged.krylov_iterations > 0
     ref = spla.spsolve(a.tocsc(), rhs)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _cavity_operator(pair, nu):
+    return _SpatialOperator(
+        FlowProblem(pair, StabParams.create(1, nu=nu), u_d=CavityCase.lid_velocity)
+    )
+
+
+def test_symmetric_mode_factorization_has_less_fill(pair8):
+    # the Re=7500 streamfunction matrix at the converged cavity state
+    problem = FlowProblem(
+        pair8, StabParams.create(1, nu=1.0 / 7500.0), u_d=CavityCase.lid_velocity
+    )
+    state = solve_steady(problem, re=7500.0).state
+    a, rhs = _streamfunction_system(_SpatialOperator(problem), state.u)
+    lu = _factor(a, "test")
+    partial = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    assert lu.L.nnz + lu.U.nnz < partial.L.nnz + partial.U.nnz
+    x = lu.solve(rhs)
+    assert np.linalg.norm(rhs - a @ x) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_gmres_exact_lu_and_zero_rhs(pair8):
+    u = 0.5 * curl_state(pair8, seed=5, zero_boundary_ring=True).u
+    a, rhs = _streamfunction_system(_cavity_operator(pair8, 1.0 / 7500.0), u)
+    lu = _factor(a, "test")
+    x, iterations = _gmres(a, lu, rhs)
+    assert iterations == 1
+    assert np.linalg.norm(x - lu.solve(rhs)) <= 1e-12 * np.linalg.norm(x)
+    x, iterations = _gmres(a, lu, np.zeros_like(rhs))
+    assert iterations == 0 and not np.any(x)
+
+
+@pytest.mark.parametrize("limit", [1, 3, 10])
+def test_gmres_returns_only_solutions_within_the_bound(pair8, monkeypatch, limit):
+    monkeypatch.setattr(solver, "_KRYLOV_LIMIT", limit)
+    u = 0.5 * curl_state(pair8, seed=5, zero_boundary_ring=True).u
+    a, rhs = _streamfunction_system(_cavity_operator(pair8, 1.0 / 7500.0), u)
+    # preconditioners from worst to exact: the Stokes LU, the Re=7500 LU at
+    # a perturbed state, the LU of a itself
+    held = [
+        _streamfunction_system(_cavity_operator(pair8, 1.0), u)[0],
+        _streamfunction_system(_cavity_operator(pair8, 1.0 / 7500.0), 1.1 * u)[0],
+        a,
+    ]
+    kept = []
+    for h in held:
+        x, iterations = _gmres(a, _factor(h, "test"), rhs)
+        assert 1 <= iterations <= limit
+        if x is not None:
+            assert np.all(np.isfinite(x))
+            assert np.linalg.norm(rhs - a @ x) <= solver._KRYLOV_RTOL * np.linalg.norm(rhs)
+        kept.append(x is not None)
+    assert kept[0] is False and kept[-1] is True
 
 
 def _vortex_steps(splu_calls, n_steps=10):
@@ -370,6 +444,12 @@ def test_newton_config_validation():
         TimeConfig(dt=-0.1, t_end=1.0)
     with pytest.raises(ValueError):
         TimeConfig(dt=0.1, t_end=1.0, rho_inf=1.5)
+    # t_end must be a positive whole number of steps
+    for t_end, dt in ((0.015, 0.01), (0.0, 0.01), (1e300, 1e-300)):
+        with pytest.raises(ValueError, match="whole number"):
+            TimeConfig(dt=dt, t_end=t_end)
+    assert TimeConfig(dt=0.01, t_end=0.01).n_steps == 1
+    assert TimeConfig(dt=0.1, t_end=0.3).n_steps == 3
 
 
 # ------------------------------------------------------------- time stepping
