@@ -206,10 +206,6 @@ class KnotVector:
         mids = 0.5 * (self.unique_knots[:-1] + self.unique_knots[1:])
         return find_span(self.knots, self.degree, mids)
 
-    @cached_property
-    def element_sizes(self) -> np.ndarray:
-        return np.diff(self.unique_knots)
-
     def find_span(self, x):
         return find_span(self.knots, self.degree, x)
 

@@ -26,9 +26,9 @@ import numpy as np
 from .bspline import basis_integrals, make_open_uniform, open_knots
 from .forms import (
     StabParams,
-    assemble_skeleton,
     assemble_strain,
     assemble_velocity_mass,
+    skeleton_residual,
 )
 from .mesh import build_mesh
 from .solver import (
@@ -250,8 +250,7 @@ def energy_and_dissipation(
     records = []
     for i, st in enumerate(history):
         eps_r = params.nu / vol * float(st.u @ (strain @ st.u))
-        j = assemble_skeleton(pair, st.u, params)
-        eps_m = float(st.u @ (j @ st.u)) / vol
+        eps_m = float(st.u @ skeleton_residual(pair, st.u, params)) / vol
         records.append(
             DiagnosticsRecord(
                 time=float(times[i]),
@@ -469,7 +468,6 @@ def run_cavity(
     mid = np.full_like(samples, 0.5)
     u1 = eval_velocity(pair, result.state, np.stack([mid, samples], axis=-1), 0).value[:, 0]
     u2 = eval_velocity(pair, result.state, np.stack([samples, mid], axis=-1), 0).value[:, 1]
-    j = assemble_skeleton(pair, result.state.u, params)
     strain = assemble_strain(pair)
     u = result.state.u
     return CavityResult(
@@ -481,7 +479,7 @@ def run_cavity(
         profile_u1=u1,
         profile_x=samples,
         profile_u2=u2,
-        j_energy=float(u @ (j @ u)),
+        j_energy=float(u @ skeleton_residual(pair, u, params)),
         strain_energy=float(u @ (strain @ u)),
         div_max=max_divergence(pair, u),
     )

@@ -306,25 +306,29 @@ def write_manifest(path, config: CaseConfig, wall_time: float, extras=None) -> N
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-_FMT = "{:.17g}".format
+# 17 significant digits reproduce every double exactly
+_FLOAT = "%.17g"
 
 
 def _fmt(value) -> str:
-    return _FMT(float(value))
+    return _FLOAT % float(value)
 
 
-def _fmt_all(values) -> list[str]:
-    """_fmt of every value of an array, in C order."""
-    return list(map(_FMT, np.asarray(values, dtype=float).ravel().tolist()))
+def _format_rows(values: np.ndarray, row: str) -> str:
+    """Every row of a 2-D float array through the %-format `row`, concatenated.
+
+    `row` holds one _FLOAT field per column; the whole block is one
+    %-format of one tuple.
+    """
+    return (row * len(values)) % tuple(np.asarray(values, dtype=float).ravel().tolist())
 
 
 def write_csv(path, header, rows) -> None:
     """Comma-separated table with 17-significant-digit floats."""
     width = len(header)
-    cells = _fmt_all(np.asarray(list(rows), dtype=float).reshape(-1, width))
-    lines = [",".join(header)]
-    lines.extend(",".join(cells[i : i + width]) for i in range(0, len(cells), width))
-    Path(path).write_text("\n".join(lines) + "\n")
+    values = np.asarray(list(rows), dtype=float).reshape(-1, width)
+    row = ",".join([_FLOAT] * width) + "\n"
+    Path(path).write_text(",".join(header) + "\n" + _format_rows(values, row))
 
 
 def _grid_values(space: TensorSpace, grid: np.ndarray, xs, ys) -> np.ndarray:
@@ -340,7 +344,8 @@ def write_vtk_fields(
 
     The grid has 4 * elements + 1 sample points per direction.
     extra_scalars lists (name, space, coefficient grid) triples sampled on
-    the same grid.
+    the same grid. Each section is sampled, formatted and written to the
+    open file in turn.
     """
     mesh = pair.mesh
     a1, b1, a2, b2 = mesh.domain_extent
@@ -351,11 +356,12 @@ def write_vtk_fields(
     u1 = _grid_values(pair.vx, pair.component_coeffs(state.u, 0), xs, ys)
     u2 = _grid_values(pair.vy, pair.component_coeffs(state.u, 1), xs, ys)
     q_shape = (pair.q.n_y, pair.q.n_x)
-    p = _grid_values(pair.q, state.p.reshape(q_shape), xs, ys)
-    div = _grid_values(
-        pair.q, divergence_coefficients(pair, state.u).reshape(q_shape), xs, ys
-    )
-    lines = [
+    scalars = [
+        ("pressure", pair.q, state.p.reshape(q_shape)),
+        ("divergence", pair.q, divergence_coefficients(pair, state.u).reshape(q_shape)),
+        *extra_scalars,
+    ]
+    header = [
         "# vtk DataFile Version 3.0",
         title,
         "ASCII",
@@ -366,15 +372,14 @@ def write_vtk_fields(
         f"POINT_DATA {npx * npy}",
         "VECTORS velocity double",
     ]
-    lines.extend(map("{} {} 0".format, _fmt_all(u1), _fmt_all(u2)))
-    scalars = [("pressure", p), ("divergence", div)]
-    for name, space, grid in extra_scalars:
-        scalars.append((name, _grid_values(space, grid, xs, ys)))
-    for name, values in scalars:
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(_fmt_all(values))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as out:
+        out.write("\n".join(header) + "\n")
+        velocity = np.column_stack([u1.ravel(), u2.ravel()])
+        out.write(_format_rows(velocity, f"{_FLOAT} {_FLOAT} 0\n"))
+        for name, space, grid in scalars:
+            out.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            values = _grid_values(space, grid, xs, ys).reshape(-1, 1)
+            out.write(_format_rows(values, _FLOAT + "\n"))
 
 
 def _run_convergence(config: CaseConfig, out_dir: Path) -> dict:

@@ -34,6 +34,12 @@ linearization re-assembles lives on one `JacobianPattern` per pair: the
 union of the element blocks of all four velocity component pairs (which hold
 K, M, N1 and N2) and the tangential interior-facet blocks (which hold J). The
 solver forms each Jacobian by adding data arrays and building one CSR.
+
+Residuals need no matrices: `convection_residual` gives N1(u) u from the
+convection tables and `skeleton_residual` gives J(u) u from the tangential
+jump tables, each as element (or facet) vectors summed with one bincount.
+The solver's line search and the energy diagnostics use only these; the
+matrices are built only for a Newton step's Jacobian.
 """
 from __future__ import annotations
 
@@ -61,6 +67,8 @@ __all__ = [
     "assemble_divergence",
     "assemble_convection",
     "assemble_skeleton",
+    "convection_residual",
+    "skeleton_residual",
     "assemble_load",
     "assemble_velocity_mass",
     "assemble_strain",
@@ -408,6 +416,7 @@ class _ConvectionKit:
         self.val = [tab.basis(name, 0, 0) for name in names]
         self.grad = [(tab.basis(name, 1, 0), tab.basis(name, 0, 1)) for name in names]
         self.dofs = [tab.dofs(name) + pair.component_offset(c) for c, name in enumerate(names)]
+        self.all_dofs = np.concatenate([d.ravel() for d in self.dofs])
 
 
 _convection_kit = per_pair(_ConvectionKit)
@@ -441,6 +450,11 @@ class JacobianPattern(CooPattern):
 jacobian_pattern = per_pair(JacobianPattern)
 
 
+def _convection_values(kit: _ConvectionKit, w_u: np.ndarray) -> list[np.ndarray]:
+    """Both components of w at the convection quadrature points, (E, Q) each."""
+    return [np.matmul(kit.val[c], w_u[kit.dofs[c]][..., None])[..., 0] for c in (0, 1)]
+
+
 def assemble_convection(
     pair: DivConformingPair, w_state: StateVector | np.ndarray
 ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -453,7 +467,7 @@ def assemble_convection(
     w_u = w_state.u if isinstance(w_state, StateVector) else w_state
     kit = _convection_kit(pair)
     pattern = jacobian_pattern(pair)
-    wq = [np.matmul(kit.val[c], w_u[kit.dofs[c]][..., None])[..., 0] for c in (0, 1)]
+    wq = _convection_values(kit, w_u)
     # rows test comp j, cols trial comp j: -(w . grad phi_a) phi_b
     w_dot_grad = [
         wq[0][..., None] * kit.grad[j][0] + wq[1][..., None] * kit.grad[j][1] for j in (0, 1)
@@ -473,15 +487,35 @@ def assemble_convection(
     return n1, n2
 
 
+def convection_residual(pair: DivConformingPair, u: np.ndarray) -> np.ndarray:
+    """Convective residual N1(u) u, i.e. C(u; u, phi_a) for every test function.
+
+    Computed without N1: test component j takes -(u_j u . grad phi_a) at the
+    convection quadrature points, one einsum per gradient term, and both
+    components' element vectors are summed with one bincount.
+    """
+    kit = _convection_kit(pair)
+    uq = _convection_values(kit, u)
+    local = []
+    for j in (0, 1):
+        wu = kit.w * uq[j]
+        local.append(
+            -np.einsum("eq,eql->el", wu * uq[0], kit.grad[j][0])
+            - np.einsum("eq,eql->el", wu * uq[1], kit.grad[j][1])
+        )
+    data = np.concatenate([v.ravel() for v in local])
+    return np.bincount(kit.all_dofs, data, minlength=pair.n_u)
+
+
 def facet_eta_values(
     pair: DivConformingPair, w_u: np.ndarray, params: StabParams
 ) -> list[np.ndarray]:
     """eta at every interior facet quadrature point, per orientation, shape (nF, nq)."""
     out = []
     for facets in facet_tables(pair).interior:
-        local = [w_u[facets.dofs[c]][..., None] for c in (0, 1)]
-        up = [np.matmul(facets.plus[c], local[c])[..., 0] for c in (0, 1)]
-        um = [np.matmul(facets.minus[c], local[c])[..., 0] for c in (0, 1)]
+        local = [w_u[facets.dofs[c]] for c in (0, 1)]
+        up = [np.einsum("fql,fl->fq", facets.plus[c], local[c]) for c in (0, 1)]
+        um = [np.einsum("fql,fl->fq", facets.minus[c], local[c]) for c in (0, 1)]
         mag = 0.5 * (np.hypot(up[0], up[1]) + np.hypot(um[0], um[1]))
         u_dot_n = up[facets.axis]  # normal component is single-valued
         out.append(compute_eta(u_dot_n, mag, pair.mesh.h, params))
@@ -508,6 +542,28 @@ def assemble_skeleton(
         jump = facets.jump[1 - facets.axis]
         local_blocks.append(_weighted_products(facets.weights * eta, jump, jump))
     return pattern.build(local_blocks, pattern.skeleton)
+
+
+def skeleton_residual(
+    pair: DivConformingPair, u: np.ndarray, params: StabParams
+) -> np.ndarray:
+    """Skeleton penalty residual J(u) u, so that u @ J(u) u = J(u; u, u).
+
+    Computed without J: on each facet orientation the tangential jump of u
+    at the quadrature points, times eta(u) and the weights, is applied to the
+    transposed jump table, and the facet vectors are summed with one
+    bincount. gamma = 0 returns zeros.
+    """
+    if params.gamma == 0.0:
+        return np.zeros(pair.n_u)
+    dofs, data = [], []
+    for facets, eta in zip(facet_tables(pair).interior, facet_eta_values(pair, u, params)):
+        c = 1 - facets.axis
+        jump = facets.jump[c]
+        u_jump = np.einsum("fql,fl->fq", jump, u[facets.dofs[c]])
+        dofs.append(facets.dofs[c].ravel())
+        data.append(np.einsum("fq,fql->fl", facets.weights * eta * u_jump, jump).ravel())
+    return np.bincount(np.concatenate(dofs), np.concatenate(data), minlength=pair.n_u)
 
 
 def assemble_load(

@@ -12,11 +12,15 @@ with J the momentum Jacobian and r the momentum residual over all velocity
 DOFs. J = K + N1 + N2 + J_h (plus c_mass M in a time step) is one CSR on
 the pair's `forms.jacobian_pattern`: the constant terms are scattered onto
 it once, and each linearization adds the data arrays of the re-assembled
-terms. The square matrix C^T J C has no pressure block, no mean-constraint
-border and no normal-DOF elimination; the pressure gradient drops out since
-B C = 0. Strong normal-trace Dirichlet conditions (u . n = 0 on the box
-boundary) hold by construction; tangential conditions enter weakly through
-the operator.
+terms. Residuals are formed without matrices (forms.convection_residual and
+forms.skeleton_residual): the initial residual, every line-search trial and
+TimeStepper.initialize evaluate only the residual, and Newton builds one
+Jacobian per step, at the current iterate, only once it has decided to take
+another step. The square matrix C^T J C has no pressure block, no
+mean-constraint border and no normal-DOF elimination; the pressure gradient
+drops out since B C = 0. Strong normal-trace Dirichlet conditions
+(u . n = 0 on the box boundary) hold by construction; tangential conditions
+enter weakly through the operator.
 
 The pressure is recovered on the pressure space. With B_f the divergence
 matrix restricted to the velocity DOFs free of the normal-trace condition,
@@ -101,7 +105,9 @@ from .forms import (
     assemble_skeleton,
     assemble_velocity_mass,
     assemble_viscous_nitsche,
+    convection_residual,
     jacobian_pattern,
+    skeleton_residual,
 )
 from .space import (
     DivConformingPair,
@@ -386,14 +392,15 @@ _pressure_space = per_pair(_PressureSpace)
 class _SpatialOperator:
     """Steady residual and frozen-eta Jacobian over all velocity DOFs.
 
-    K and the Nitsche load are linear in nu, and the body force does not
-    depend on it, so they are assembled once at nu = 1 (k_unit, dirichlet,
-    body) and scaled by params.nu; at_nu gives the operator at another
-    viscosity on the same arrays. Jacobians live on the pair's
-    `jacobian_pattern`: K_unit is scattered onto it once, and each
-    linearization adds the data of N1, N2 and J to nu K_unit's and builds
-    one CSR. lagged holds the last streamfunction LU of the Newton solves on
-    this operator (and on stage operators built from it).
+    residual(u) assembles no matrix; jacobian(u) builds the CSR. K and the
+    Nitsche load are linear in nu, and the body force does not depend on
+    it, so they are assembled once at nu = 1 (k_unit, dirichlet, body) and
+    scaled by params.nu; at_nu gives the operator at another viscosity on
+    the same arrays. Jacobians live on the pair's `jacobian_pattern`: K_unit
+    is scattered onto it once, and each jacobian call adds the data of N1,
+    N2 and J (add_nonlinear_data) to nu K_unit's and builds one CSR. lagged
+    holds the last streamfunction LU of the Newton solves on this operator
+    (and on stage operators built from it).
     """
 
     def __init__(self, problem: FlowProblem):
@@ -420,29 +427,33 @@ class _SpatialOperator:
         op._set_params(self.params.with_nu(nu))
         return op
 
-    def evaluate(self, u: np.ndarray, jac_data: np.ndarray) -> np.ndarray:
-        """Momentum residual (without -B^T p) at u; adds N1 + N2 + J to jac_data."""
+    def residual(self, u: np.ndarray) -> np.ndarray:
+        """Momentum residual (without -B^T p) at u, assembling no matrix."""
         r = self.params.nu * (self.k_unit @ u) - self.load
         if self.convection:
+            r += convection_residual(self.pair, u)
+        if self.params.gamma > 0.0:
+            r += skeleton_residual(self.pair, u, self.params)
+        return r
+
+    def add_nonlinear_data(self, u: np.ndarray, jac_data: np.ndarray) -> None:
+        """Add the data of N1 + N2 + J at u to jac_data (on the pattern)."""
+        if self.convection:
             n1, n2 = assemble_convection(self.pair, u)
-            r += n1 @ u
             jac_data += n1.data
             jac_data += n2.data
         if self.params.gamma > 0.0:
-            j = assemble_skeleton(self.pair, u, self.params)
-            r += j @ u
-            jac_data += j.data
-        return r
+            jac_data += assemble_skeleton(self.pair, u, self.params).data
 
-    def linearize(self, u: np.ndarray):
-        """Momentum residual (without -B^T p) and its Jacobian at u."""
+    def jacobian(self, u: np.ndarray) -> sp.csr_matrix:
+        """Frozen-eta Jacobian nu K + N1 + N2 + J of the residual at u."""
         jac_data = self.params.nu * self.k_unit_data
-        r = self.evaluate(u, jac_data)
-        return r, self.pattern.csr(jac_data)
+        self.add_nonlinear_data(u, jac_data)
+        return self.pattern.csr(jac_data)
 
 
 class _StageOperator:
-    """Generalized-alpha stage residual/Jacobian as a function of u_{n+1}.
+    """Generalized-alpha stage residual and Jacobian as functions of u_{n+1}.
 
     mass_data is the mass matrix scattered onto the spatial operator's
     pattern; the constant part c_mass M + alpha_f K of the Jacobian data is
@@ -463,14 +474,19 @@ class _StageOperator:
         # M udot_am = c_mass M u_new + M [ (1 - alpha_m/gamma_t) udot_n - c_mass u_n ]
         self.hist = mass @ ((1.0 - cfg.alpha_m / cfg.gamma_t) * udot_n - self.c_mass * u_n)
 
-    def linearize(self, u_new: np.ndarray):
-        u_af = self.u_n + self.alpha_f * (u_new - self.u_n)
+    def _alpha_f_state(self, u_new: np.ndarray) -> np.ndarray:
+        return self.u_n + self.alpha_f * (u_new - self.u_n)
+
+    def residual(self, u_new: np.ndarray) -> np.ndarray:
+        r_sp = self.spatial.residual(self._alpha_f_state(u_new))
+        return self.c_mass * (self.mass @ u_new) + self.hist + r_sp
+
+    def jacobian(self, u_new: np.ndarray) -> sp.csr_matrix:
         jac_data = np.zeros_like(self.base)
-        r_sp = self.spatial.evaluate(u_af, jac_data)
-        r = self.c_mass * (self.mass @ u_new) + self.hist + r_sp
+        self.spatial.add_nonlinear_data(self._alpha_f_state(u_new), jac_data)
         jac_data *= self.alpha_f
         jac_data += self.base
-        return r, self.spatial.pattern.csr(jac_data)
+        return self.spatial.pattern.csr(jac_data)
 
 
 def _newton(
@@ -484,7 +500,7 @@ def _newton(
     curl_t = curl.T.tocsr()
     ps = _pressure_space(op.pair)
     u, p = ps.solenoidal(u0), p0.copy()
-    r_u, jac = op.linearize(u)
+    r_u = op.residual(u)
     norm = ps.residual_norm(r_u, u, p)
     norm0 = norm
     stalled = 0
@@ -501,18 +517,19 @@ def _newton(
             )
         if it == config.max_iter:
             break
+        jac = op.jacobian(u)
         du = curl @ lagged.solve(curl_t @ (jac @ curl), -(curl_t @ r_u))
         dp = ps.pressure(r_u + jac @ du) - p
         s = 1.0
         while True:
             u_t = u + s * du
             p_t = p + s * dp
-            r_t, jac_t = op.linearize(u_t)
+            r_t = op.residual(u_t)
             norm_t = ps.residual_norm(r_t, u_t, p_t)
             decreased = norm_t < norm
             if decreased or s <= config.damping**8:
                 stalled += not decreased
-                u, p, r_u, jac, norm = u_t, p_t, r_t, jac_t, norm_t
+                u, p, r_u, norm = u_t, p_t, r_t, norm_t
                 break
             s *= config.damping
     raise ConvergenceError(
@@ -608,7 +625,7 @@ class TimeStepper:
         else:
             u = u0.u.copy()
             u[pair.normal_boundary_dofs.all] = 0.0
-        r_u, _ = self.spatial.linearize(u)
+        r_u = self.spatial.residual(u)
         self.udot = curl @ _solve(lu, -(curl.T @ r_u), "streamfunction mass")
         p0 = _pressure_space(pair).pressure(self.mass @ self.udot + r_u)
         self.state = StateVector(u=u, p=p0, time=t0)

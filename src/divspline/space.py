@@ -352,9 +352,8 @@ def divergence_coefficients(pair: DivConformingPair, u: np.ndarray) -> np.ndarra
     """Exact Q-space coefficients of div u_h (the divergence lies in Q)."""
     g1 = pair.component_coeffs(u, 0)
     g2 = pair.component_coeffs(u, 1)
-    dx = derivative_matrix(pair.vx.kv_x)
-    dy = derivative_matrix(pair.vy.kv_y)
-    return (g1 @ dx.T + dy @ g2).ravel()
+    dx_t, dy = _divergence_factors(pair)
+    return (g1 @ dx_t + dy @ g2).ravel()
 
 
 def pressure_mean_vector(pair: DivConformingPair) -> np.ndarray:
@@ -487,3 +486,9 @@ def per_pair(build):
 
 # element_tables(pair, npts): the tables are iterate-independent
 element_tables = per_pair(ElementTables)
+
+
+@per_pair
+def _divergence_factors(pair: DivConformingPair):
+    """(D_x^T, D_y): the derivative matrices of divergence_coefficients."""
+    return derivative_matrix(pair.vx.kv_x).T, derivative_matrix(pair.vy.kv_y)

@@ -9,11 +9,14 @@ import pytest
 from divspline.cases import (
     run_convergence_study,
     run_reynolds_robustness,
+    streamfunction,
     unit_square_pair,
 )
 from divspline.cli import (
     CaseConfig,
     ConfigError,
+    _format_rows,
+    _grid_values,
     main,
     parse_config,
     run,
@@ -21,7 +24,8 @@ from divspline.cli import (
     write_manifest,
     write_vtk_fields,
 )
-from divspline.space import StateVector
+from divspline.space import StateVector, divergence_coefficients
+from util_fields import curl_state
 
 
 @pytest.fixture(autouse=True)
@@ -360,6 +364,70 @@ def test_vtk_writer_matches_per_value_format(tmp_path, monkeypatch):
     for block in range(2):
         start = 9 + n_pts + block * (2 + n_pts) + 2
         assert lines[start : start + n_pts] == values
+
+
+def test_block_formatter_matches_str_format():
+    values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0]
+    expect = ["{:.17g}".format(v) for v in values]
+    column = np.array(values).reshape(-1, 1)
+    assert _format_rows(column, "%.17g\n") == "".join(e + "\n" for e in expect)
+    pairs = np.array(values).reshape(-1, 2)
+    assert _format_rows(pairs, "%.17g,%.17g\n") == "".join(
+        f"{a},{b}\n" for a, b in zip(expect[::2], expect[1::2])
+    )
+
+
+def _reference_vtk(path, pair, state, title, extra_scalars=()):
+    """The VTK writer as it was before streaming: one line list, one write."""
+    fmt = "{:.17g}".format
+
+    def fmt_all(values):
+        return list(map(fmt, np.asarray(values, dtype=float).ravel().tolist()))
+
+    mesh = pair.mesh
+    a1, b1, a2, b2 = mesh.domain_extent
+    npx = 4 * mesh.nx + 1
+    npy = 4 * mesh.ny + 1
+    xs = np.linspace(a1, b1, npx)
+    ys = np.linspace(a2, b2, npy)
+    u1 = _grid_values(pair.vx, pair.component_coeffs(state.u, 0), xs, ys)
+    u2 = _grid_values(pair.vy, pair.component_coeffs(state.u, 1), xs, ys)
+    q_shape = (pair.q.n_y, pair.q.n_x)
+    p = _grid_values(pair.q, state.p.reshape(q_shape), xs, ys)
+    div = _grid_values(
+        pair.q, divergence_coefficients(pair, state.u).reshape(q_shape), xs, ys
+    )
+    lines = [
+        "# vtk DataFile Version 3.0",
+        title,
+        "ASCII",
+        "DATASET STRUCTURED_POINTS",
+        f"DIMENSIONS {npx} {npy} 1",
+        f"ORIGIN {fmt(float(a1))} {fmt(float(a2))} 0",
+        f"SPACING {fmt(float((b1 - a1) / (npx - 1)))} {fmt(float((b2 - a2) / (npy - 1)))} 1",
+        f"POINT_DATA {npx * npy}",
+        "VECTORS velocity double",
+    ]
+    lines.extend(map("{} {} 0".format, fmt_all(u1), fmt_all(u2)))
+    scalars = [("pressure", p), ("divergence", div)]
+    for name, space, grid in extra_scalars:
+        scalars.append((name, _grid_values(space, grid, xs, ys)))
+    for name, values in scalars:
+        lines.append(f"SCALARS {name} double 1")
+        lines.append("LOOKUP_TABLE default")
+        lines.extend(fmt_all(values))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_vtk_writer_matches_reference_writer(tmp_path):
+    pair = unit_square_pair(3, 2)
+    u = curl_state(pair, seed=4).u
+    p = np.random.default_rng(4).standard_normal(pair.n_p)
+    state = StateVector(u=u, p=p)
+    extra = [("streamfunction", *streamfunction(pair, u))]
+    write_vtk_fields(tmp_path / "new.vtk", pair, state, "fixed state", extra)
+    _reference_vtk(tmp_path / "ref.vtk", pair, state, "fixed state", extra)
+    assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "ref.vtk").read_bytes()
 
 
 def test_main_exit_codes(tmp_path):

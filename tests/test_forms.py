@@ -18,8 +18,10 @@ from divspline.forms import (
     assemble_viscous_nitsche,
     compute_eta,
     convection_quad_points,
+    convection_residual,
     facet_tables,
     nitsche_load,
+    skeleton_residual,
 )
 from divspline.mesh import build_mesh, facet_quadrature, gauss_rule
 from divspline.bspline import make_open_uniform
@@ -294,6 +296,31 @@ def test_convection_jacobian_directional_derivative(pair44):
     eps = 1e-6
     fd = (residual(u + eps * d) - residual(u - eps * d)) / (2 * eps)
     assert np.abs(fd - jac_dir).max() < 1e-6 * max(1.0, np.abs(jac_dir).max())
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    pair=random_pairs(),
+    seed=st.integers(0, 2**16),
+    nu=st.sampled_from([1.0, 1e-2, 1e-4]),
+)
+def test_residual_kernels_match_assembled_matrices(pair, seed, nu):
+    # N1(u) u and J(u) u without matrices against the assembled products;
+    # the viscosities put the facet Reynolds numbers on both sides of 1
+    u = np.random.default_rng(seed).standard_normal(pair.n_u)
+    params = StabParams.create(pair.k_prime, nu=nu)
+    n1, _ = assemble_convection(pair, u)
+    j = assemble_skeleton(pair, u, params)
+    for kernel, mat in (
+        (convection_residual(pair, u), n1),
+        (skeleton_residual(pair, u, params), j),
+    ):
+        scale = (abs(mat) @ np.abs(u)).max(initial=0.0)
+        assert np.abs(kernel - mat @ u).max() <= 1e-13 * scale
+    energy = u @ skeleton_residual(pair, u, params)
+    assert abs(energy - u @ (j @ u)) <= 1e-13 * (np.abs(u) @ (abs(j) @ np.abs(u)))
+    galerkin = StabParams(nu, 0.0, params.c_nit, params.alpha_prime)
+    assert not skeleton_residual(pair, u, galerkin).any()
 
 
 # ------------------------------------------------------------------ skeleton

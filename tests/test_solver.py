@@ -39,6 +39,7 @@ from divspline.cases import (
     ManufacturedCase,
     error_norms,
     max_divergence,
+    run_cavity,
     taylor_green_pair,
     taylor_green_velocity,
     unit_square_pair,
@@ -176,8 +177,11 @@ class _NeverDecreasingOperator:
         self.pair = pair
         self.g = curl_state(pair, seed=3, zero_boundary_ring=True).u
 
-    def linearize(self, u):
-        return (1.0 + np.linalg.norm(u)) * self.g, sp.identity(self.pair.n_u, format="csr")
+    def residual(self, u):
+        return (1.0 + np.linalg.norm(u)) * self.g
+
+    def jacobian(self, u):
+        return sp.identity(self.pair.n_u, format="csr")
 
 
 def test_newton_counts_line_search_stalls(pair8):
@@ -232,7 +236,8 @@ def _same_pattern(a, b):
     skeleton=st.booleans(),
 )
 def test_fused_jacobian_matches_dense_sum(pair, seed, nitsche, convection, skeleton):
-    # linearize adds data arrays on one pattern; the reference sums dense arrays
+    # jacobian adds data arrays on one pattern and residual assembles no
+    # matrix; the references sum dense arrays
     params = StabParams.create(pair.k_prime, nu=0.05, gamma=None if skeleton else 0.0)
     f = lambda x, y: (np.sin(x + y), x * y)
     u_d = lambda x, y: (np.cos(x) * y, x - y)
@@ -240,7 +245,7 @@ def test_fused_jacobian_matches_dense_sum(pair, seed, nitsche, convection, skele
     op = _SpatialOperator(problem)
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(pair.n_u)
-    r, jac = op.linearize(u)
+    r, jac = op.residual(u), op.jacobian(u)
 
     zero = np.zeros((pair.n_u, pair.n_u))
     k = assemble_viscous_nitsche(pair, params, nitsche=nitsche).toarray()
@@ -264,9 +269,9 @@ def test_fused_jacobian_matches_dense_sum(pair, seed, nitsche, convection, skele
     mass = assemble_velocity_mass(pair)
     u_n, udot_n, u_new = (rng.standard_normal(pair.n_u) for _ in range(3))
     stage = _StageOperator(op, mass, op.pattern.scatter(mass), u_n, udot_n, cfg)
-    r_st, jac_st = stage.linearize(u_new)
+    r_st, jac_st = stage.residual(u_new), stage.jacobian(u_new)
     u_af = u_n + cfg.alpha_f * (u_new - u_n)
-    r_sp, jac_sp = op.linearize(u_af)
+    r_sp, jac_sp = op.residual(u_af), op.jacobian(u_af)
     assert _same_pattern(jac_st, jac_sp)
     dense_st = stage.c_mass * mass.toarray() + cfg.alpha_f * jac_sp.toarray()
     assert np.abs(jac_st.toarray() - dense_st).max() <= 1e-13 * np.abs(dense_st).max()
@@ -283,7 +288,7 @@ def test_nu_scaled_operator_matches_assembly(pair8, nu):
     problem = FlowProblem(pair8, params, f=f, u_d=CavityCase.lid_velocity, convection=False)
     op = _SpatialOperator(problem).at_nu(nu)
     u = np.random.default_rng(7).standard_normal(pair8.n_u)
-    r, jac = op.linearize(u)
+    r, jac = op.residual(u), op.jacobian(u)
     k = assemble_viscous_nitsche(pair8, params.with_nu(nu)).toarray()
     load = assemble_load(pair8, params.with_nu(nu), f=f, u_d=CavityCase.lid_velocity)
     assert np.abs(jac.toarray() - k).max() <= 1e-14 * np.abs(k).max()
@@ -296,7 +301,7 @@ def test_nu_scaled_operator_matches_assembly(pair8, nu):
 
 
 def _streamfunction_system(op, u):
-    r, jac = op.linearize(u)
+    r, jac = op.residual(u), op.jacobian(u)
     curl = op.pair.curl
     return curl.T @ jac @ curl, -(curl.T @ r)
 
@@ -415,6 +420,53 @@ def test_time_steps_share_one_streamfunction_lu(monkeypatch):
     for st_lag, st_dir in zip(lagged, direct):
         assert np.linalg.norm(st_lag.u - st_dir.u) <= 1e-12 * np.linalg.norm(st_dir.u)
         assert np.linalg.norm(st_lag.p - st_dir.p) <= 1e-12 * np.linalg.norm(st_dir.p)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Patch module.name with a wrapper; returns the list it appends to per call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _newton_iterations(monkeypatch):
+    """Patch solver._newton to record the iterations of every solve."""
+    iterations = []
+    real = solver._newton
+
+    def recorded(*args, **kwargs):
+        result = real(*args, **kwargs)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(solver, "_newton", recorded)
+    return iterations
+
+
+def test_one_jacobian_per_newton_iteration(monkeypatch):
+    # residuals (initial, line-search trials, initialize) assemble no matrix,
+    # so convection is assembled only for the Jacobian of a Newton step
+    builds = _count_calls(monkeypatch, solver, "assemble_convection")
+    iterations = _newton_iterations(monkeypatch)
+    pair = taylor_green_pair(8, 1)
+    problem = FlowProblem(pair, StabParams.create(1, nu=1e-2), nitsche=False)
+    stepper = TimeStepper(problem, TimeConfig(dt=1e-2, t_end=5e-2))
+    stepper.initialize(taylor_green_velocity)
+    assert builds == []
+    for _ in range(5):
+        stepper.step()
+    assert len(iterations) == 5 and min(iterations) >= 1
+    assert len(builds) == sum(iterations)
+
+    del builds[:], iterations[:]
+    run_cavity(1, 16, 7500.0)
+    assert len(builds) == sum(iterations) == 44
 
 
 def test_newton_result_counts_factorizations_and_krylov_iterations(pair8):

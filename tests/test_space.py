@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divspline.bspline import eval_nonzero_basis, make_open_uniform, open_knots
-from divspline import forms, solver
+from divspline import forms, solver, space
 from divspline.forms import assemble_divergence
 from divspline.mesh import build_mesh, gauss_rule
 from divspline.space import (
@@ -427,10 +427,23 @@ def test_per_pair_memo_keys_on_pair_and_arguments():
     assert build.__name__ == "build" and build.__doc__ == "Doc."
 
 
+def test_divergence_factors_are_built_once_per_pair(monkeypatch):
+    pair = _pair(3, 2)
+    u = np.random.default_rng(2).standard_normal(pair.n_u)
+    builds = []
+    real = space.derivative_matrix
+    monkeypatch.setattr(space, "derivative_matrix", lambda kv: builds.append(kv) or real(kv))
+    first = divergence_coefficients(pair, u)
+    for _ in range(3):
+        assert np.array_equal(divergence_coefficients(pair, u), first)
+    assert len(builds) == 2
+
+
 def test_cached_builders_release_their_pair():
     pair = _pair(3, 2)
     params = forms.StabParams.create(2, nu=0.1)
     element_tables(pair, 4)
+    divergence_coefficients(pair, np.zeros(pair.n_u))
     forms.assemble_viscous_nitsche(pair, params)
     forms.assemble_velocity_mass(pair)
     forms.jacobian_pattern(pair)
