@@ -46,6 +46,7 @@ from .forms import (
 from .solver import (
     ConvergenceError,
     FlowProblem,
+    LadderStep,
     NewtonConfig,
     NewtonResult,
     SingularSystemError,
@@ -104,6 +105,7 @@ __all__ = [
     "nitsche_load",
     "ConvergenceError",
     "FlowProblem",
+    "LadderStep",
     "NewtonConfig",
     "NewtonResult",
     "SingularSystemError",

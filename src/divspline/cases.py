@@ -34,6 +34,7 @@ from .mesh import build_mesh
 from .solver import (
     ConvergenceError,
     FlowProblem,
+    LadderStep,
     TimeConfig,
     TimeStepper,
     solve_steady,
@@ -432,10 +433,17 @@ CAVITY_PROFILE_POINTS = 257
 
 @dataclass
 class CavityResult:
+    """Cavity solution and diagnostics.
+
+    iterations counts the Newton iterations of the final (target-Re) solve
+    only; ladder has one LadderStep per Reynolds ladder step.
+    """
+
     pair: DivConformingPair
     state: StateVector
     residual_norm: float
     iterations: int
+    ladder: tuple[LadderStep, ...]
     profile_y: np.ndarray
     profile_u1: np.ndarray
     profile_x: np.ndarray
@@ -475,6 +483,7 @@ def run_cavity(
         state=result.state,
         residual_norm=result.residual_norm,
         iterations=result.iterations,
+        ladder=result.ladder,
         profile_y=samples,
         profile_u1=u1,
         profile_x=samples,

@@ -449,6 +449,10 @@ def _run_pressure_robustness(config: CaseConfig, out_dir: Path) -> dict:
 
 
 def _run_cavity(config: CaseConfig, out_dir: Path) -> dict:
+    """Cavity outputs; newtonIterations counts the target-Re solve only, and
+    ladderIterations / ladderFactorizations give each Reynolds ladder step's
+    Newton iterations and streamfunction LUs (the last entry is that solve's).
+    """
     result = run_cavity(
         config.k_prime,
         n=config.mesh[0],
@@ -472,6 +476,8 @@ def _run_cavity(config: CaseConfig, out_dir: Path) -> dict:
     return {
         "residualNorm": float(result.residual_norm),
         "newtonIterations": int(result.iterations),
+        "ladderIterations": [step.iterations for step in result.ladder],
+        "ladderFactorizations": [step.factorizations for step in result.ladder],
         "jumpEnergy": float(result.j_energy),
         "strainEnergy": float(result.strain_energy),
         "divMax": float(result.div_max),

@@ -39,7 +39,11 @@ Residuals need no matrices: `convection_residual` gives N1(u) u from the
 convection tables and `skeleton_residual` gives J(u) u from the tangential
 jump tables, each as element (or facet) vectors summed with one bincount.
 The solver's line search and the energy diagnostics use only these; the
-matrices are built only for a Newton step's Jacobian.
+matrices are built only for a Newton step's Jacobian. The iterate-dependent
+values a residual and a Jacobian share (eta on the facets, w at the
+convection points) are kept per pair for the last state they were computed
+at, so the Jacobian at a state whose residual was just evaluated recomputes
+neither.
 """
 from __future__ import annotations
 
@@ -450,9 +454,43 @@ class JacobianPattern(CooPattern):
 jacobian_pattern = per_pair(JacobianPattern)
 
 
-def _convection_values(kit: _ConvectionKit, w_u: np.ndarray) -> list[np.ndarray]:
-    """Both components of w at the convection quadrature points, (E, Q) each."""
+class _LastState:
+    """One-slot memo of a per-state kernel: its value at the last state and arguments.
+
+    A residual and the Jacobian Newton builds at the same state need the
+    same iterate-dependent values (eta, w at the convection points); the
+    slot is keyed on a copy of the state array, compared by value, and on
+    the other arguments, so a state changed in place is recomputed. The
+    kernel returns a list of arrays, which are shared and made read-only.
+    """
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.state = None
+        self.args = None
+        self.value = None
+
+    def __call__(self, pair: DivConformingPair, u: np.ndarray, *args):
+        if self.args != args or self.state is None or not np.array_equal(self.state, u):
+            self.value = self.kernel(pair, u, *args)
+            for array in self.value:
+                array.flags.writeable = False
+            self.state, self.args = u.copy(), args
+        return self.value
+
+
+# _last_state(pair, kernel): the slot of kernel's values on pair
+_last_state = per_pair(lambda pair, kernel: _LastState(kernel))
+
+
+def _convection_point_values(pair: DivConformingPair, w_u: np.ndarray) -> list[np.ndarray]:
+    kit = _convection_kit(pair)
     return [np.matmul(kit.val[c], w_u[kit.dofs[c]][..., None])[..., 0] for c in (0, 1)]
+
+
+def _convection_values(pair: DivConformingPair, w_u: np.ndarray) -> list[np.ndarray]:
+    """Both components of w at the convection quadrature points, (E, Q) each."""
+    return _last_state(pair, _convection_point_values)(pair, w_u)
 
 
 def assemble_convection(
@@ -467,7 +505,7 @@ def assemble_convection(
     w_u = w_state.u if isinstance(w_state, StateVector) else w_state
     kit = _convection_kit(pair)
     pattern = jacobian_pattern(pair)
-    wq = _convection_values(kit, w_u)
+    wq = _convection_values(pair, w_u)
     # rows test comp j, cols trial comp j: -(w . grad phi_a) phi_b
     w_dot_grad = [
         wq[0][..., None] * kit.grad[j][0] + wq[1][..., None] * kit.grad[j][1] for j in (0, 1)
@@ -495,7 +533,7 @@ def convection_residual(pair: DivConformingPair, u: np.ndarray) -> np.ndarray:
     components' element vectors are summed with one bincount.
     """
     kit = _convection_kit(pair)
-    uq = _convection_values(kit, u)
+    uq = _convection_values(pair, u)
     local = []
     for j in (0, 1):
         wu = kit.w * uq[j]
@@ -510,7 +548,17 @@ def convection_residual(pair: DivConformingPair, u: np.ndarray) -> np.ndarray:
 def facet_eta_values(
     pair: DivConformingPair, w_u: np.ndarray, params: StabParams
 ) -> list[np.ndarray]:
-    """eta at every interior facet quadrature point, per orientation, shape (nF, nq)."""
+    """eta at every interior facet quadrature point, per orientation, shape (nF, nq).
+
+    The value at the last (w_u, params) is kept, so the residual and the
+    Jacobian at one Newton iterate compute eta once.
+    """
+    return _last_state(pair, _facet_eta)(pair, w_u, params)
+
+
+def _facet_eta(
+    pair: DivConformingPair, w_u: np.ndarray, params: StabParams
+) -> list[np.ndarray]:
     out = []
     for facets in facet_tables(pair).interior:
         local = [w_u[facets.dofs[c]] for c in (0, 1)]

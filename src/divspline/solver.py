@@ -55,7 +55,8 @@ The streamfunction matrix drifts slowly between Newton iterations and time
 steps, so its LU is lagged (Knoll & Keyes, JCP 193 (2004), on lagged
 preconditioners). Each spatial operator holds the last streamfunction LU; a
 TimeStepper shares it across all its steps and each newton_steady call has
-its own. A Newton correction first runs at most _KRYLOV_LIMIT iterations of
+its own (on solve_steady's ladder the next step's predictor uses it last).
+A Newton correction first runs at most _KRYLOV_LIMIT iterations of
 GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986); one restart
 cycle, _gmres) on C^T J C dpsi = -C^T r, with the held LU applied on the
 right. Right preconditioning minimizes the true residual, so the GMRES
@@ -69,10 +70,24 @@ system is solved directly. The corrections therefore match direct solves to that
 and the Newton stopping test, line search and pressure recovery are those
 of an LU per iteration.
 
-The steady problem is solved by damped Newton with optional Reynolds
-warm-start continuation. K and the Nitsche load are linear in nu and the
-body force does not depend on it, so the spatial operator assembles them
-once at nu = 1 and every ladder step scales the same arrays by its own nu.
+The steady problem is solved by damped Newton with optional
+predictor-corrector Reynolds continuation (Allgower & Georg, Introduction to
+Numerical Continuation Methods, SIAM (2003)). K and the Nitsche load are
+linear in nu and the body force does not depend on it, so the spatial
+operator assembles them once at nu = 1 and every ladder step scales the same
+arrays by its own nu. The same arrays give dr/dnu = K_unit u - g_unit (g_unit
+the Nitsche load at nu = 1; the penalty's nu-dependence through min(Re_h, 1)
+is left out), and each ladder step after the first starts from the Euler
+tangent predictor
+
+    u + (nu_next - nu) C dpsi,   C^T J C dpsi = -C^T dr/dnu,
+
+with J the (lagged) Jacobian whose LU the previous step's Newton solve
+holds: one back-substitution, no new Jacobian and no new factorization.
+That LU is then released, so one streamfunction LU is alive at a time. The
+steps below the target Re only seed the next one, so each stops once its
+saddle residual is sqrt(rel_tol) of its initial value (or abs_tol); the step
+at the target Re meets the full tolerances.
 
 The unsteady problem uses the generalized-alpha method in its
 first-order-system form, parameterized by the spectral radius rho_inf:
@@ -90,7 +105,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -122,6 +137,7 @@ __all__ = [
     "TimeConfig",
     "FlowProblem",
     "NewtonResult",
+    "LadderStep",
     "SingularSystemError",
     "ConvergenceError",
     "newton_steady",
@@ -140,7 +156,14 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Tolerances and continuation ladder for the nonlinear solves."""
+    """Tolerances and continuation ladder for the nonlinear solves.
+
+    A Newton solve stops once its saddle residual is at most abs_tol or
+    rel_tol times its initial value; the line search multiplies the step
+    length by damping, down to damping^8. solve_steady passes through the
+    continuation_re values below its target Re, and those steps stop at
+    sqrt(rel_tol) of their initial residual (or abs_tol) instead.
+    """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
@@ -215,12 +238,29 @@ class FlowProblem:
     convection: bool = True
 
 
+class LadderStep(NamedTuple):
+    """What one Newton solve of solve_steady's Reynolds ladder did.
+
+    re is None for a solve_steady call without continuation.
+    """
+
+    re: float | None
+    iterations: int
+    factorizations: int
+    krylov_iterations: int
+    initial_residual: float
+    residual_norm: float
+
+
 @dataclass
 class NewtonResult:
     """Converged state plus iteration diagnostics.
 
     stalled_steps counts line searches that reached the smallest step
     length without decreasing the residual and accepted that step anyway.
+    The counts describe this solve alone; solve_steady returns the result
+    of its last ladder step, with ladder holding one LadderStep per step
+    (empty for a newton_steady result).
     """
 
     state: StateVector
@@ -230,6 +270,7 @@ class NewtonResult:
     stalled_steps: int
     factorizations: int
     krylov_iterations: int
+    ladder: tuple[LadderStep, ...] = ()
 
 
 # SuperLU keeps the diagonal pivot of a column unless it is smaller than
@@ -451,6 +492,13 @@ class _SpatialOperator:
         self.add_nonlinear_data(u, jac_data)
         return self.pattern.csr(jac_data)
 
+    def nu_derivative(self, u: np.ndarray) -> np.ndarray:
+        """d residual / d nu at u from the terms linear in nu: K_unit u - dirichlet.
+
+        The penalty's nu-dependence through min(Re_h, 1) is left out.
+        """
+        return self.k_unit @ u - self.dirichlet
+
 
 class _StageOperator:
     """Generalized-alpha stage residual and Jacobian as functions of u_{n+1}.
@@ -561,37 +609,74 @@ def newton_steady(
     return _newton(op, state.u, state.p, config, context, lagged=op.lagged)
 
 
+def _tangent_predictor(op: _SpatialOperator, state: StateVector, nu: float) -> StateVector:
+    """Euler tangent step from op's solution state to viscosity nu.
+
+    du/dnu = C dpsi with C^T J C dpsi = -C^T dr/dnu, solved by one
+    back-substitution on the streamfunction LU that op's Newton solve holds
+    (of a Jacobian from that solve: no new Jacobian, no new factorization).
+    The LU is released here, before the next step factorizes its own. A
+    solve that held no LU (it took no Newton step) predicts no change.
+    """
+    lu, op.lagged.lu = op.lagged.lu, None
+    if lu is None:
+        return state
+    curl = op.pair.curl
+    dpsi = _solve(lu, -(curl.T @ op.nu_derivative(state.u)), "streamfunction")
+    return StateVector(u=state.u + (nu - op.params.nu) * (curl @ dpsi), p=state.p)
+
+
+def _ladder_step(re: float | None, result: NewtonResult) -> LadderStep:
+    return LadderStep(
+        re=re,
+        iterations=result.iterations,
+        factorizations=result.factorizations,
+        krylov_iterations=result.krylov_iterations,
+        initial_residual=result.initial_residual,
+        residual_norm=result.residual_norm,
+    )
+
+
 def solve_steady(
     problem: FlowProblem, re: float | None = None, config: NewtonConfig | None = None
 ) -> NewtonResult:
-    """Steady solve with Reynolds warm-start continuation.
+    """Steady solve with predictor-corrector Reynolds continuation.
 
-    re is the Reynolds number matching problem.params.nu; ladder steps below
-    re are solved first, each warm-starting the next. re=None solves the
-    problem directly.
+    re is the Reynolds number matching problem.params.nu; the ladder steps
+    of config.continuation_re below re are solved first. Each step after the
+    first starts from the tangent predictor of the previous solution, and
+    each step below re stops at sqrt(rel_tol) of its initial residual (or
+    abs_tol); the step at re meets the full tolerances. re=None solves the
+    problem directly. The result is the last step's, with one LadderStep
+    per step in its ladder.
     """
     config = config or NewtonConfig()
     # per-pair set-up (the pressure factorization), shared by every ladder
     # step, before the first Newton iteration
     _pressure_space(problem.pair)
     if re is None:
-        return newton_steady(problem, config)
+        result = newton_steady(problem, config)
+        return replace(result, ladder=(_ladder_step(None, result),))
     ladder = [r for r in config.continuation_re if r < re] + [re]
     nu_target = problem.params.nu
     target = _SpatialOperator(problem)
-    state = None
-    result = None
+    loose = replace(config, rel_tol=math.sqrt(config.rel_tol))
+    state = prev = None
+    steps = []
     for i, re_step in enumerate(ladder):
         op = target.at_nu(nu_target * re / re_step)
+        if prev is not None:
+            state = _tangent_predictor(prev, state, op.params.nu)
         result = newton_steady(
             replace(problem, params=op.params),
-            config,
+            config if i == len(ladder) - 1 else loose,
             initial=state,
             context=f"continuation step {i + 1}/{len(ladder)} at Re={re_step:g}",
             operator=op,
         )
-        state = result.state
-    return result
+        steps.append(_ladder_step(re_step, result))
+        state, prev = result.state, op
+    return replace(result, ladder=tuple(steps))
 
 
 class TimeStepper:

@@ -298,6 +298,9 @@ def test_cavity_command_outputs(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["_residualNorm"] < 1e-8
     assert manifest["_divMax"] < 1e-12
+    # Re=10 lies below the whole continuation ladder: one step
+    assert manifest["_ladderIterations"] == [manifest["_newtonIterations"]]
+    assert len(manifest["_ladderFactorizations"]) == 1
 
 
 def test_taylor_green_command_outputs(tmp_path):

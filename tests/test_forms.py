@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divspline.bspline import basis_integrals, open_knots
+import divspline.forms as forms
 from divspline.forms import (
     StabParams,
     _boundary_unit_matrices,
@@ -19,6 +20,7 @@ from divspline.forms import (
     compute_eta,
     convection_quad_points,
     convection_residual,
+    facet_eta_values,
     facet_tables,
     nitsche_load,
     skeleton_residual,
@@ -321,6 +323,25 @@ def test_residual_kernels_match_assembled_matrices(pair, seed, nu):
     assert abs(energy - u @ (j @ u)) <= 1e-13 * (np.abs(u) @ (abs(j) @ np.abs(u)))
     galerkin = StabParams(nu, 0.0, params.c_nit, params.alpha_prime)
     assert not skeleton_residual(pair, u, galerkin).any()
+
+
+def test_per_state_values_are_recomputed_for_a_new_state_or_params(pair44):
+    # eta and w at the convection points are kept for the last state, which
+    # is compared by value: a copy hits, a change in place or new params miss
+    u = np.random.default_rng(3).standard_normal(pair44.n_u)
+    params = StabParams.create(1, nu=1e-2)
+    eta = facet_eta_values(pair44, u, params)
+    wq = forms._convection_values(pair44, u)
+    assert facet_eta_values(pair44, u.copy(), params) is eta
+    assert forms._convection_values(pair44, u.copy()) is wq
+    u[::2] *= 3.0
+    for p in (params, params.with_nu(1e-4)):
+        for cached, fresh in zip(facet_eta_values(pair44, u, p), forms._facet_eta(pair44, u, p)):
+            np.testing.assert_array_equal(cached, fresh)
+    for cached, fresh in zip(
+        forms._convection_values(pair44, u), forms._convection_point_values(pair44, u)
+    ):
+        np.testing.assert_array_equal(cached, fresh)
 
 
 # ------------------------------------------------------------------ skeleton
