@@ -5,23 +5,26 @@ Navier-Stokes forcing, the lid-driven cavity, and the 2D Taylor-Green vortex
 on [0, 2 pi]^2, together with error norms, kinetic-energy/dissipation
 diagnostics, and the sweep drivers used by the command-line interface.
 
-The manufactured velocity is
+The manufactured velocity is the curl of one streamfunction,
 
-    u1 =  2 e^x (x-1)^2 x^2 (y^2 - y) (2y - 1)
-    u2 = -e^x (x-1) x (x^2 + 3x - 2) (y-1)^2 y^2
+    psi = e^x a(x) a(y),  a(t) = t^2 (t-1)^2,
+    u1 = e^x a(x) a'(y),  u2 = -e^x c(x) a(y),  c = a + a',
 
-which is divergence-free and vanishes on the boundary; the matching smooth
-pressure is a quartic-times-exponential form with zero-mean normalization.
-The forcing f = (u . grad) u + grad p - nu lap u is derived symbolically once
-and compiled to numpy callables.
+so it is divergence-free and vanishes on the boundary. With s = y^2 - y the
+smooth pressure is
+
+    p = p0 - 456 s + e^x (s Q(x) + s^2 c(x)),
+    Q = 12x^4 - 72x^3 + 228x^2 - 456x + 456,  p0 = -424 + 156 e,
+
+which has zero mean. The forcing f = (u . grad) u + grad p - nu lap u is
+written in the same closed form, differentiating e^x g(x) as e^x (g + g').
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .bspline import basis_integrals, make_open_uniform, open_knots
 from .forms import (
@@ -60,6 +63,7 @@ __all__ = [
     "unit_square_pair",
     "taylor_green_pair",
     "error_norms",
+    "error_quad_points",
     "energy_and_dissipation",
     "streamfunction",
     "run_convergence_study",
@@ -70,46 +74,16 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=1)
-def _manufactured_callables():
-    """Symbolically derived fields compiled to numpy; built once."""
-    import sympy as sy
-
-    x, y, nu = sy.symbols("x y nu", real=True)
-    u1 = 2 * sy.exp(x) * (x - 1) ** 2 * x**2 * (y**2 - y) * (2 * y - 1)
-    u2 = -sy.exp(x) * (x - 1) * x * (x**2 + 3 * x - 2) * (y - 1) ** 2 * y**2
-    p = -424 + 156 * sy.E + (y**2 - y) * (
-        -456
-        + sy.exp(x)
-        * (
-            456
-            + x**2 * (228 - 5 * (y**2 - y))
-            + 2 * x * (-228 + (y**2 - y))
-            + 2 * x**3 * (-36 + (y**2 - y))
-            + x**4 * (12 + y**2 - y)
-        )
-    )
-    grads = [sy.diff(u1, x), sy.diff(u1, y), sy.diff(u2, x), sy.diff(u2, y)]
-    conv = [u1 * grads[0] + u2 * grads[1], u1 * grads[2] + u2 * grads[3]]
-    visc = [
-        sy.diff(u1, x, 2) + sy.diff(u1, y, 2),
-        sy.diff(u2, x, 2) + sy.diff(u2, y, 2),
-    ]
-    dp = [sy.diff(p, x), sy.diff(p, y)]
-    f_ns = [conv[i] + dp[i] - nu * visc[i] for i in (0, 1)]
-    f_st = [dp[i] - nu * visc[i] for i in (0, 1)]
-
-    def lam(expr, with_nu=False):
-        args = (x, y, nu) if with_nu else (x, y)
-        return sy.lambdify(args, expr, modules="numpy")
-
-    return {
-        "velocity": (lam(u1), lam(u2)),
-        "gradient": tuple(lam(g) for g in grads),
-        "pressure": lam(p),
-        "forcing_ns": tuple(lam(f, with_nu=True) for f in f_ns),
-        "forcing_stokes": tuple(lam(f, with_nu=True) for f in f_st),
-    }
+# Polynomial factors of the manufactured fields (see the module docstring):
+# _DA[m] = a^(m), and d^m/dx^m (e^x a) = e^x _X[m] since d/dx (e^x g) = e^x (g + g').
+_A = Polynomial([0, 0, 1, -2, 1])  # a(t) = t^2 (t-1)^2
+_DA = [_A.deriv(m) for m in range(4)]
+_X = [_A]
+for _ in range(3):
+    _X.append(_X[-1] + _X[-1].deriv())
+_S = Polynomial([0, -1, 1])
+_Q = Polynomial([456, -456, 228, -72, 12])
+_P0 = -424 + 156 * math.e
 
 
 @dataclass(frozen=True)
@@ -124,21 +98,37 @@ class ManufacturedCase:
         return 1.0 / self.re
 
     def velocity(self, x, y):
-        u1, u2 = _manufactured_callables()["velocity"]
-        return u1(x, y), u2(x, y)
+        ex = np.exp(x)
+        return ex * _X[0](x) * _DA[1](y), -ex * _X[1](x) * _DA[0](y)
 
     def velocity_gradient(self, x, y):
         """(d u1/dx, d u1/dy, d u2/dx, d u2/dy)."""
-        return tuple(g(x, y) for g in _manufactured_callables()["gradient"])
+        ex = np.exp(x)
+        return (
+            ex * _X[1](x) * _DA[1](y),
+            ex * _X[0](x) * _DA[2](y),
+            -ex * _X[2](x) * _DA[0](y),
+            -ex * _X[1](x) * _DA[1](y),
+        )
 
     def pressure(self, x, y):
-        return _manufactured_callables()["pressure"](x, y)
+        s = _S(y)
+        return _P0 - 456 * s + np.exp(x) * (s * _Q(x) + s * s * _X[1](x))
 
     def forcing(self, x, y):
-        f1, f2 = _manufactured_callables()[
-            "forcing_ns" if self.convection else "forcing_stokes"
-        ]
-        return f1(x, y, self.nu), f2(x, y, self.nu)
+        """f = (u . grad) u + grad p - nu lap u; without convection if disabled."""
+        ex = np.exp(x)
+        s, ds = _S(y), 2 * y - 1
+        x0, x1, x2, x3 = (p(x) for p in _X)
+        a0, a1, a2, a3 = (p(y) for p in _DA)
+        # d/dx (e^x Q) = 12 e^x a, since Q + Q' = 12 a
+        f1 = ex * (s * (12 * x0 + s * x2) - self.nu * (x2 * a1 + x0 * a3))
+        f2 = ds * (ex * (_Q(x) + 2 * s * x1) - 456) + self.nu * ex * (x3 * a0 + x1 * a2)
+        if self.convection:
+            u1, u2 = ex * x0 * a1, -ex * x1 * a0
+            f1 = f1 + ex * (u1 * x1 * a1 + u2 * x0 * a2)
+            f2 = f2 - ex * (u1 * x2 * a0 + u2 * x1 * a1)
+        return f1, f2
 
 
 @dataclass(frozen=True)
@@ -175,14 +165,20 @@ def taylor_green_velocity(x, y):
     return np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y)
 
 
+def error_quad_points(k_prime: int) -> int:
+    """Gauss points per direction in error_norms, k'+3."""
+    return k_prime + 3
+
+
 def error_norms(pair: DivConformingPair, state: StateVector, velocity, gradient=None):
     """L2 and H1-seminorm velocity errors by elevated Gauss quadrature.
 
     velocity maps (x, y) arrays to (u1, u2); gradient, when given, maps them
-    to (d u1/dx, d u1/dy, d u2/dx, d u2/dy). Uses k'+3 points per direction
-    so the quadrature error stays below the discretization error.
+    to (d u1/dx, d u1/dy, d u2/dx, d u2/dy). Uses error_quad_points(k')
+    points per direction so the quadrature error stays below the
+    discretization error.
     """
-    tab = element_tables(pair, pair.k_prime + 3)
+    tab = element_tables(pair, error_quad_points(pair.k_prime))
     x, y = tab.points[:, :, 0], tab.points[:, :, 1]
     w = tab.weights
     c1 = pair.component_coeffs(state.u, 0).ravel()

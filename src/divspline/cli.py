@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .bspline import collocation_matrix
 from .cases import (
+    error_quad_points,
     run_cavity,
     run_convergence_study,
     run_pressure_robustness,
@@ -32,7 +33,8 @@ from .cases import (
     streamfunction,
     unit_square_pair,
 )
-from .forms import StabParams
+from .forms import StabParams, convection_quad_points
+from .mesh import MAX_GAUSS_POINTS
 from .solver import TimeConfig
 from .space import DivConformingPair, StateVector, TensorSpace, divergence_coefficients
 
@@ -162,6 +164,11 @@ def _number_list(raw: dict, key: str, cast, kind: str) -> tuple:
         raise ConfigError(f"key '{key}' has an invalid {kind}: {value!r}") from exc
 
 
+def _gauss_points(k_prime: int) -> int:
+    """Widest Gauss rule a run at order k' uses: convection's or error_norms'."""
+    return max(convection_quad_points(k_prime), error_quad_points(k_prime))
+
+
 def parse_config(source=None, overrides=None) -> CaseConfig:
     """Resolve a run configuration from a JSON file or dict plus overrides.
 
@@ -213,6 +220,15 @@ def parse_config(source=None, overrides=None) -> CaseConfig:
     k_prime = _scalar(raw, "kPrime", _as_int, "integer") if "kPrime" in raw else 1
     if k_prime < 1:
         raise ConfigError("key 'kPrime' must be at least 1")
+    if _gauss_points(k_prime) > MAX_GAUSS_POINTS:
+        k_max = max(
+            k for k in range(1, MAX_GAUSS_POINTS) if _gauss_points(k) <= MAX_GAUSS_POINTS
+        )
+        raise ConfigError(
+            f"key 'kPrime' must be at most {k_max}: kPrime {k_prime} needs "
+            f"{_gauss_points(k_prime)} Gauss points per direction, more than "
+            f"the {MAX_GAUSS_POINTS} available"
+        )
 
     defaults = _COMMAND_DEFAULTS[command]
     mesh = (

@@ -134,9 +134,9 @@ def bilinear_quad_points(pair: DivConformingPair) -> int:
     return pair.k_prime + 2
 
 
-def convection_quad_points(pair: DivConformingPair) -> int:
+def convection_quad_points(k_prime: int) -> int:
     """Exact for the degree-(3k-1) trilinear integrand."""
-    return max(pair.k_prime + 2, math.ceil(3 * (pair.k_prime + 1) / 2))
+    return max(k_prime + 2, math.ceil(3 * (k_prime + 1) / 2))
 
 
 class CooPattern:
@@ -414,7 +414,7 @@ class _ConvectionKit:
     """Static element tables for convection reassembly."""
 
     def __init__(self, pair: DivConformingPair):
-        tab = element_tables(pair, convection_quad_points(pair))
+        tab = element_tables(pair, convection_quad_points(pair.k_prime))
         names = ("vx", "vy")
         self.w = tab.weights
         self.val = [tab.basis(name, 0, 0) for name in names]

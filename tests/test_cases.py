@@ -1,5 +1,8 @@
 """Tests for the benchmark cases and diagnostics."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -66,6 +69,81 @@ def test_manufactured_momentum_residual_fd():
             lap = fd2(comp[i], x, y, 0) + fd2(comp[i], x, y, 1)
             dp = fd1(case.pressure, x, y, i)
             assert abs(conv + dp - case.nu * lap - f[i]) < 1e-6
+
+
+def sympy_manufactured_fields():
+    """Reference fields derived symbolically from the original expressions."""
+    sy = pytest.importorskip("sympy")
+    x, y, nu = sy.symbols("x y nu", real=True)
+    u1 = 2 * sy.exp(x) * (x - 1) ** 2 * x**2 * (y**2 - y) * (2 * y - 1)
+    u2 = -sy.exp(x) * (x - 1) * x * (x**2 + 3 * x - 2) * (y - 1) ** 2 * y**2
+    p = -424 + 156 * sy.E + (y**2 - y) * (
+        -456
+        + sy.exp(x)
+        * (
+            456
+            + x**2 * (228 - 5 * (y**2 - y))
+            + 2 * x * (-228 + (y**2 - y))
+            + 2 * x**3 * (-36 + (y**2 - y))
+            + x**4 * (12 + y**2 - y)
+        )
+    )
+    grads = [sy.diff(u1, x), sy.diff(u1, y), sy.diff(u2, x), sy.diff(u2, y)]
+    conv = [u1 * grads[0] + u2 * grads[1], u1 * grads[2] + u2 * grads[3]]
+    visc = [
+        sy.diff(u1, x, 2) + sy.diff(u1, y, 2),
+        sy.diff(u2, x, 2) + sy.diff(u2, y, 2),
+    ]
+    dp = [sy.diff(p, x), sy.diff(p, y)]
+    f_st = [dp[i] - nu * visc[i] for i in (0, 1)]
+    f_ns = [conv[i] + f_st[i] for i in (0, 1)]
+
+    def lam(exprs):
+        return sy.lambdify((x, y, nu), exprs, modules="numpy")
+
+    # the forcings are keyed by ManufacturedCase.convection
+    return {
+        "velocity": lam([u1, u2]),
+        "gradient": lam(grads),
+        "pressure": lam([p]),
+        True: lam(f_ns),
+        False: lam(f_st),
+    }
+
+
+def test_manufactured_fields_match_sympy():
+    ref = sympy_manufactured_fields()
+    rng = np.random.default_rng(3)
+    x, y = rng.random(10_000), rng.random(10_000)
+
+    def assert_close(got, want, rtol):
+        for g, w in zip(got, want, strict=True):
+            w = np.broadcast_to(w, x.shape)
+            assert np.abs(g - w).max() <= rtol * np.abs(w).max()
+
+    for re in (1.0, 10.0, 1000.0):
+        case = ManufacturedCase(re=re)
+        assert_close(case.velocity(x, y), ref["velocity"](x, y, case.nu), 1e-13)
+        assert_close(case.velocity_gradient(x, y), ref["gradient"](x, y, case.nu), 1e-13)
+        assert_close([case.pressure(x, y)], ref["pressure"](x, y, case.nu), 1e-11)
+        for convection in (True, False):
+            got = ManufacturedCase(re=re, convection=convection).forcing(x, y)
+            assert_close(got, ref[convection](x, y, case.nu), 1e-11)
+
+
+def test_manufactured_study_runs_without_sympy():
+    # a None entry in sys.modules makes every "import sympy" raise ImportError
+    code = (
+        "import sys; sys.modules['sympy'] = None\n"
+        "from divspline.cases import run_convergence_study\n"
+        "rows = run_convergence_study(1, meshes=(4, 8))\n"
+        "assert rows[1].l2 < rows[0].l2\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_manufactured_velocity_divergence_free():

@@ -445,6 +445,16 @@ def test_main_exit_codes(tmp_path):
                  "--out", str(blocker / "out")]) == 1
 
 
+def test_kprime_beyond_gauss_tables_rejected_at_parse(tmp_path):
+    # k'=6 convection needs 11 Gauss points per direction; the tables hold 10
+    assert parse_config({"command": "cavity", "kPrime": 5}).k_prime == 5
+    with pytest.raises(ConfigError, match="'kPrime' must be at most 5"):
+        parse_config({"command": "cavity", "kPrime": 6})
+    # exit code 2 is a configuration error; a failed run would exit with 1
+    assert main(["--command", "cavity", "--kprime", "6", "--mesh", "2",
+                 "--out", str(tmp_path)]) == 2
+
+
 def test_run_creates_output_directory(tmp_path):
     nested = tmp_path / "deep" / "dir"
     config = parse_config(

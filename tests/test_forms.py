@@ -258,9 +258,9 @@ def test_convection_zero_advector(pair44):
 
 
 def test_convection_quad_points():
-    assert convection_quad_points(make_pair(1, 1)) == 3
-    assert convection_quad_points(make_pair(1, 2)) == 5
-    assert convection_quad_points(make_pair(1, 3)) == 6
+    assert convection_quad_points(1) == 3
+    assert convection_quad_points(2) == 5
+    assert convection_quad_points(3) == 6
 
 
 def test_convection_skew_symmetry(pair44, pair33k2):
