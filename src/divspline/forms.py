@@ -23,7 +23,7 @@ stay exact as well; facet rules use k' + 2 points (the rational eta factor is
 only approximately integrated). Matrices act on the full velocity DOF vector
 [Vx block; Vy block]; the solver imposes the strong normal trace.
 
-Every operator comes from batched basis tables built on
+Every operator but B comes from batched basis tables built on
 `space.element_basis_1d`: volume terms from `ElementTables` at element Gauss
 points, the skeleton penalty and the boundary terms from `FacetTables` on the
 interior and boundary facets. Each operator lists its local blocks as (row
@@ -399,15 +399,9 @@ def nitsche_load(pair: DivConformingPair, params: StabParams, u_d) -> np.ndarray
 
 
 def assemble_divergence(pair: DivConformingPair) -> sp.csr_matrix:
-    """B with (B u)_q = (div u_h, psi_q); exact for the polynomial integrand."""
-    tab = element_tables(pair, bilinear_quad_points(pair))
-    qb = tab.basis("q", 0, 0)
-    dq = tab.dofs("q")
-    blocks, local_blocks = [], []
-    for name, comp, (dx, dy) in (("vx", 0, (1, 0)), ("vy", 1, (0, 1))):
-        blocks.append((dq, tab.dofs(name) + pair.component_offset(comp)))
-        local_blocks.append(_weighted_products(tab.weights, qb, tab.basis(name, dx, dy)))
-    return CooPattern(blocks, (pair.n_p, pair.n_u)).build(local_blocks)
+    """B with (B u)_q = (div u_h, psi_q): M_p D, as div u_h = D u lies in Q exactly."""
+    m_p = sp.kron(mass_matrix_1d(pair.q.kv_y), mass_matrix_1d(pair.q.kv_x))
+    return (m_p @ pair.divergence).tocsr()
 
 
 class _ConvectionKit:

@@ -22,16 +22,16 @@ drops out since B C = 0. Strong normal-trace Dirichlet conditions
 (u . n = 0 on the box boundary) hold by construction; tangential conditions
 enter weakly through the operator.
 
-The pressure is recovered on the pressure space. With B_f the divergence
-matrix restricted to the velocity DOFs free of the normal-trace condition,
-p solves the normal equations of B_f^T p = (r + J du)_f,
+The pressure is recovered on the pressure space. B = M_p D, with M_p the
+pressure mass matrix and D = pair.divergence the exact map from u to div u_h
+in Q. With D_f the columns of D at the velocity DOFs free of the normal-trace
+condition, the normal equations of B_f^T p = (r + J du)_f read
 
-    B_f B_f^T p = B_f (r + J du)_f,   m . p = 0,
+    D_f D_f^T q = D_f (r + J du)_f,   p = M_p^-1 q + c,   m . p = 0,
 
-where m is the pressure-integral vector. B_f^T annihilates only the
-constants, so the factorization pins one pressure DOF and the solution is
-shifted to zero mean. The pair (du, p) equals the solution of the bordered
-saddle Newton system
+m the pressure-integral vector. D_f D_f^T is a 5-point stencil with kernel
+M_p 1, so one DOF of q is pinned; 1-D Cholesky solves give M_p^-1. The pair
+(du, p) equals the solution of the bordered saddle Newton system
 
     [ J_ff  -B_f^T  0 ] [du]     [(r - B^T p_old)_f]
     [ B_f    0      m ] [dp] = - [       B u       ]
@@ -45,7 +45,7 @@ same pressure factorization.
 Every factorization goes through this module's spla.splu in SuperLU's
 symmetric mode: the MMD_AT_PLUS_A column ordering (minimum degree on
 A^T + A) and diagonal pivots unless one is below _PIVOT_THRESHOLD of its
-column's largest entry. C^T J C, the pinned B_f B_f^T and C^T M C are
+column's largest entry. C^T J C, the pinned D_f D_f^T and C^T M C are
 structurally symmetric, so the ordering applies to rows and columns alike
 and partial pivoting does not undo it; at Re=7500 on the 16x16 cavity this
 roughly halves the fill of the streamfunction LU. The pressure LU is built
@@ -110,7 +110,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .forms import (
     StabParams,
@@ -127,6 +127,7 @@ from .forms import (
 from .space import (
     DivConformingPair,
     StateVector,
+    mass_matrix_1d,
     per_pair,
     pressure_mean_vector,
     zero_state,
@@ -392,37 +393,39 @@ class _LaggedLU:
 
 
 class _PressureSpace:
-    """Per-pair divergence data and the factorized pressure normal equations."""
+    """Per-pair divergence data and the factorized pressure equations."""
 
     def __init__(self, pair: DivConformingPair):
         self.b = assemble_divergence(pair)
-        self.bt = self.b.T.tocsr()
         self.m = pressure_mean_vector(pair)
         self.normal = pair.normal_boundary_dofs.all
+        self.d = pair.divergence
         keep = np.ones(pair.n_u)
         keep[self.normal] = 0.0
-        self.b_f = (self.b @ sp.diags(keep)).tocsr()
-        self.b_f.eliminate_zeros()
-        # B_f^T annihilates exactly the constants (u . n = 0 on the boundary),
-        # so pinning p_0 = 0 makes B_f B_f^T nonsingular without a dense border
-        self._lu = _factor((self.b_f @ self.b_f.T).tocsc()[1:, 1:], "pressure")
+        self.d_f = self.d @ sp.diags(keep)
+        # D_f^T annihilates exactly M_p 1 (all entries > 0): pin q_0 = 0, no border
+        self._lu = _factor((self.d_f @ self.d_f.T).tocsc()[1:, 1:], "pressure")
+        self._shape = pair.q.n_y, pair.q.n_x
+        self._mass_y = cho_factor(mass_matrix_1d(pair.q.kv_y).toarray())
+        self._mass_x = cho_factor(mass_matrix_1d(pair.q.kv_x).toarray())
 
     def _solve(self, rhs_p: np.ndarray) -> np.ndarray:
-        """Zero-mean p with B_f B_f^T p = rhs_p, for rhs_p orthogonal to constants."""
-        p = np.concatenate([[0.0], _solve(self._lu, rhs_p[1:], "pressure")])
-        return p - (self.m @ p) / self.m.sum()
+        """q with D_f D_f^T q = rhs_p and q_0 = 0, for rhs_p orthogonal to M_p 1."""
+        return np.concatenate([[0.0], _solve(self._lu, rhs_p[1:], "pressure")])
 
     def pressure(self, r_u: np.ndarray) -> np.ndarray:
         """Zero-mean p closest to B_f^T p = r_f in the least-squares sense."""
-        return self._solve(self.b_f @ r_u)
+        q = self._solve(self.d_f @ r_u).reshape(self._shape)
+        p = cho_solve(self._mass_y, cho_solve(self._mass_x, q.T).T).ravel()
+        return p - (self.m @ p) / self.m.sum()
 
     def solenoidal(self, u: np.ndarray) -> np.ndarray:
-        """u minus its smallest free-DOF correction making B u vanish."""
-        return u - self.b_f.T @ self._solve(self.b @ u)
+        """u minus its smallest free-DOF correction making D u vanish."""
+        return u - self.d_f.T @ self._solve(self.d @ u)
 
     def residual_norm(self, r_u: np.ndarray, u: np.ndarray, p: np.ndarray) -> float:
         """Norm of the saddle residual [(r - B^T p)_f, B u, m . p]."""
-        res_u = r_u - self.bt @ p
+        res_u = r_u - self.b.T @ p
         res_u[self.normal] = 0.0
         return float(np.linalg.norm(np.concatenate([res_u, self.b @ u, [self.m @ p]])))
 

@@ -134,6 +134,13 @@ class DivConformingPair:
     def curl(self) -> sp.csr_matrix:
         return curl_matrix(self)
 
+    @cached_property
+    def divergence(self) -> sp.csr_matrix:
+        """D with D u = the Q-space coefficients of div u_h: [I (x) D_x, D_y (x) I]."""
+        d_x, d_y = derivative_matrix(self.vx.kv_x), derivative_matrix(self.vy.kv_y)
+        eye_y, eye_x = sp.eye(self.q.n_y), sp.eye(self.q.n_x)
+        return sp.hstack([sp.kron(eye_y, d_x), sp.kron(d_y, eye_x)], format="csr")
+
 
 @dataclass
 class StateVector:
@@ -350,10 +357,7 @@ def interpolate_field(pair: DivConformingPair, u) -> StateVector:
 
 def divergence_coefficients(pair: DivConformingPair, u: np.ndarray) -> np.ndarray:
     """Exact Q-space coefficients of div u_h (the divergence lies in Q)."""
-    g1 = pair.component_coeffs(u, 0)
-    g2 = pair.component_coeffs(u, 1)
-    dx_t, dy = _divergence_factors(pair)
-    return (g1 @ dx_t + dy @ g2).ravel()
+    return pair.divergence @ u
 
 
 def pressure_mean_vector(pair: DivConformingPair) -> np.ndarray:
@@ -486,9 +490,3 @@ def per_pair(build):
 
 # element_tables(pair, npts): the tables are iterate-independent
 element_tables = per_pair(ElementTables)
-
-
-@per_pair
-def _divergence_factors(pair: DivConformingPair):
-    """(D_x^T, D_y): the derivative matrices of divergence_coefficients."""
-    return derivative_matrix(pair.vx.kv_x).T, derivative_matrix(pair.vy.kv_y)

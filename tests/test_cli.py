@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -443,6 +446,16 @@ def test_main_exit_codes(tmp_path):
     blocker.write_text("")
     assert main(["--command", "pressure-robustness", "--mesh", "4",
                  "--out", str(blocker / "out")]) == 1
+
+
+def test_python_m_divspline_runs_without_runtime_warning():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "divspline", "--help"], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "--command" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_kprime_beyond_gauss_tables_rejected_at_parse(tmp_path):

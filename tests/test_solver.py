@@ -48,7 +48,7 @@ from divspline.cases import (
     taylor_green_velocity,
     unit_square_pair,
 )
-from util_fields import curl_state, random_pairs
+from util_fields import curl_state, quadrature_divergence, random_pairs
 
 
 @pytest.fixture(scope="module")
@@ -623,6 +623,47 @@ def test_generalized_alpha_steady_fixed_point(pair8):
         st = stepper.step()
     assert np.linalg.norm(st.u - steady.state.u) < 1e-8 * scale
     assert st.time == pytest.approx(0.1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=random_pairs(), seed=st.integers(0, 2**16))
+def test_divergence_and_pressure_space_match_dense_oracles(pair, seed):
+    b = quadrature_divergence(pair).toarray()
+    assert np.abs(assemble_divergence(pair).toarray() - b).max() <= 1e-13 * np.linalg.norm(b)
+    ps = solver._pressure_space(pair)
+    m = pressure_mean_vector(pair)
+    b_f = b.copy()
+    b_f[:, pair.normal_boundary_dofs.all] = 0.0
+    rng = np.random.default_rng(seed)
+    # pressure: the zero-mean least-squares solution of B_f^T p = r_f
+    r = rng.standard_normal(pair.n_u)
+    p_ref = np.linalg.lstsq(b_f.T, r, rcond=None)[0]
+    p_ref -= (m @ p_ref) / m.sum()
+    p = ps.pressure(r)
+    assert np.abs(p - p_ref).max() <= 1e-10 * np.abs(p_ref).max()
+    assert abs(m @ p) <= 1e-14 * np.abs(m).sum() * np.abs(p).max()
+    # solenoidal: u minus the smallest free-DOF correction d with B_f d = B u
+    u = rng.standard_normal(pair.n_u)
+    u[pair.normal_boundary_dofs.all] = 0.0
+    u_ref = u - np.linalg.lstsq(b_f, b @ u, rcond=None)[0]
+    assert np.abs(ps.solenoidal(u) - u_ref).max() <= 1e-12 * np.abs(u).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=random_pairs())
+def test_pressure_factorization_is_a_five_point_stencil(pair):
+    factored = []
+
+    def record(a, what):
+        factored.append((what, sp.csr_matrix(a)))
+        return _factor(a, what)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_factor", record)
+        solver._PressureSpace(pair)
+    [(what, a)] = factored
+    assert what == "pressure" and a.shape == (pair.n_p - 1, pair.n_p - 1)
+    assert np.diff(a.indptr).max() <= 5
 
 
 def test_constrained_projection_is_divergence_free(pair8):

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from divspline.bspline import derivative_coefficients, open_knots
 from divspline.mesh import build_mesh
-from divspline.space import DivConformingPair, StateVector, build_pair
+from divspline.space import DivConformingPair, StateVector, build_pair, element_tables
 
 
 @st.composite
@@ -51,4 +52,24 @@ def curl_state(
     assert u2.shape == (pair.vy.n_y, pair.vy.n_x)
     return StateVector(
         u=np.concatenate([u1.ravel(), u2.ravel()]), p=np.zeros(pair.n_p)
+    )
+
+
+def quadrature_divergence(pair: DivConformingPair) -> sp.csr_matrix:
+    """Oracle B with (B u)_q = (div u_h, psi_q) by element Gauss quadrature.
+
+    k' + 2 points per direction integrate the polynomial integrand exactly.
+    """
+    tab = element_tables(pair, pair.k_prime + 2)
+    qb = tab.basis("q", 0, 0)
+    rows, cols, vals = [], [], []
+    for name, comp, (dx, dy) in (("vx", 0, (1, 0)), ("vy", 1, (0, 1))):
+        local = np.einsum("eq,eql,eqm->elm", tab.weights, qb, tab.basis(name, dx, dy))
+        col_dofs = tab.dofs(name) + pair.component_offset(comp)
+        rows.append(np.broadcast_to(tab.dofs("q")[:, :, None], local.shape).ravel())
+        cols.append(np.broadcast_to(col_dofs[:, None, :], local.shape).ravel())
+        vals.append(local.ravel())
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(pair.n_p, pair.n_u),
     )
