@@ -26,14 +26,15 @@ only approximately integrated). Matrices act on the full velocity DOF vector
 Every operator but B comes from batched basis tables built on
 `space.element_basis_1d`: volume terms from `ElementTables` at element Gauss
 points, the skeleton penalty and the boundary terms from `FacetTables` on the
-interior and boundary facets. Each operator lists its local blocks as (row
-DOFs, column DOFs) pairs, and a `CooPattern` adds them into CSR. Local
-blocks are weighted basis products contracted over the quadrature points
-with one batched matmul (`_weighted_products`). Everything a Newton
-linearization re-assembles lives on one `JacobianPattern` per pair: the
-union of the element blocks of all four velocity component pairs (which hold
-K, M, N1 and N2) and the tangential interior-facet blocks (which hold J). The
-solver forms each Jacobian by adding data arrays and building one CSR.
+interior and boundary facets. Local blocks are weighted basis products
+contracted over the quadrature points with one batched matmul
+(`_weighted_products`). Each operator adds its local blocks into a data
+array on the pair's one sparsity pattern, a `JacobianPattern`: the element
+blocks of the four velocity component pairs (K, M, N1, N2), the tangential
+interior-facet blocks (J) and the boundary-facet blocks (the Nitsche terms,
+inside the element blocks). K with its Nitsche terms is arithmetic on those
+arrays, and the solver forms each Jacobian by adding data arrays and
+building one CSR.
 
 Residuals need no matrices: `convection_residual` gives N1(u) u from the
 convection tables and `skeleton_residual` gives J(u) u from the tangential
@@ -139,46 +140,56 @@ def convection_quad_points(k_prime: int) -> int:
     return max(k_prime + 2, math.ceil(3 * (k_prime + 1) / 2))
 
 
-class CooPattern:
-    """Frozen CSR sparsity pattern of a list of dense local blocks.
+class JacobianPattern:
+    """The one CSR sparsity pattern of a pair: every velocity operator is a
+    data array on it, and a Jacobian is a sum of data arrays.
 
-    Block b pairs row DOFs (E_b, L_b) with column DOFs (E_b, M_b). Every
+    It is the union of dense local blocks, block b pairing row DOFs
+    (E_b, L_b) with column DOFs (E_b, M_b): blocks 2 i + j (i, j in {0, 1})
+    are the element blocks of velocity components i and j, which hold K, M,
+    N1 and N2; blocks 4 and 5 the interior-facet blocks of the tangential
+    component on the facets normal to x and to y, which hold J (the normal
+    component's (alpha'+1)-th normal derivative is continuous, so its jump
+    blocks are left out); blocks 6 + 4 d + 2 i + j the boundary-facet blocks
+    normal to axis d, which hold G, G^T and P and add no entries. Every
     entry of every block has a precomputed position in the CSR data, so
-    `build` adds the matching local arrays (E_b, L_b, M_b), given in block
-    order, into place with one `np.bincount`; `targets` selects the
-    positions of a subset of the blocks.
+    `data` adds local arrays (E_b, L_b, M_b), given in block order, into
+    place with one `np.bincount`; `targets` selects the positions of a
+    subset of the blocks.
     """
 
-    def __init__(self, blocks, shape: tuple[int, int]):
-        keys = [
-            (r.astype(np.int64)[:, :, None] * shape[1] + c[:, None, :]).ravel()
-            for r, c in blocks
-        ]
-        self._keys, positions = np.unique(np.concatenate(keys), return_inverse=True)
+    def __init__(self, pair: DivConformingPair):
+        tab = element_tables(pair, bilinear_quad_points(pair))
+        dofs = [tab.dofs(name) + pair.component_offset(c) for c, name in enumerate(("vx", "vy"))]
+        facets = facet_tables(pair)
+        blocks = [(dofs[i], dofs[j]) for i in (0, 1) for j in (0, 1)]
+        blocks += [(f.dofs[1 - f.axis],) * 2 for f in facets.interior]
+        blocks += [(f.dofs[i], f.dofs[j]) for f in facets.boundary for i in (0, 1) for j in (0, 1)]
+        n = pair.n_u
+        keys = [(r.astype(np.int64)[:, :, None] * n + c[:, None, :]).ravel() for r, c in blocks]
+        unique, positions = np.unique(np.concatenate(keys), return_inverse=True)
         self._blocks = np.split(positions, np.cumsum([len(k) for k in keys])[:-1])
-        self._all = positions
-        self.shape = shape
-        self.nnz = len(self._keys)
+        self.shape = (n, n)
+        self.nnz = len(unique)
         # scipy picks the index dtype once; `csr` then only copies the indices
         template = sp.csr_matrix(
-            (
-                np.zeros(self.nnz),
-                self._keys % shape[1],
-                np.searchsorted(self._keys // shape[1], np.arange(shape[0] + 1)),
-            ),
-            shape=shape,
+            (np.zeros(self.nnz), unique % n, np.searchsorted(unique // n, np.arange(n + 1))),
+            shape=self.shape,
         )
         self.indices, self.indptr = template.indices, template.indptr
+        # M and N1 couple each component with itself; K and N2 all component pairs
+        self.diagonal = self.targets([0, 3])
+        self.elements = self.targets([0, 1, 2, 3])
+        self.skeleton = self.targets([4, 5])
 
     def targets(self, block_ids) -> np.ndarray:
         """Data positions of the entries of the given blocks, in that order."""
         return np.concatenate([self._blocks[b] for b in block_ids])
 
-    def build(self, local_blocks, targets: np.ndarray | None = None) -> sp.csr_matrix:
-        """CSR of the summed local blocks (of all blocks, or those of `targets`)."""
-        data = np.concatenate([b.ravel() for b in local_blocks])
-        targets = self._all if targets is None else targets
-        return self.csr(np.bincount(targets, data, minlength=self.nnz))
+    def data(self, local_blocks, targets: np.ndarray) -> np.ndarray:
+        """Data array of the summed local blocks of the blocks at `targets`."""
+        values = np.concatenate([b.ravel() for b in local_blocks])
+        return np.bincount(targets, values, minlength=self.nnz)
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
         """The matrix with the given data array on this pattern."""
@@ -186,15 +197,8 @@ class CooPattern:
             (data, self.indices.copy(), self.indptr.copy()), shape=self.shape
         )
 
-    def scatter(self, mat: sp.spmatrix) -> np.ndarray:
-        """Data array of `mat` on this pattern, which must hold its every nonzero."""
-        coo = mat.tocoo()
-        nonzero = coo.data != 0.0
-        keys = coo.row[nonzero].astype(np.int64) * self.shape[1] + coo.col[nonzero]
-        pos = np.minimum(np.searchsorted(self._keys, keys), self.nnz - 1)
-        if np.any(self._keys[pos] != keys):
-            raise ValueError("matrix has nonzero entries outside the pattern")
-        return np.bincount(pos, coo.data[nonzero], minlength=self.nnz)
+
+jacobian_pattern = per_pair(JacobianPattern)
 
 
 def _weighted_products(w, a, b) -> np.ndarray:
@@ -212,15 +216,14 @@ def assemble_strain(pair: DivConformingPair) -> sp.csr_matrix:
     w = tab.weights
     dx1, dy1 = tab.basis("vx", 1, 0), tab.basis("vx", 0, 1)
     dx2, dy2 = tab.basis("vy", 1, 0), tab.basis("vy", 0, 1)
-    d1 = tab.dofs("vx")
-    d2 = tab.dofs("vy") + pair.vx.n_dofs
     # 2 int [ 2 e11(u) e11(v) + 2 e22 e22 + 4 e12 e12 ] expanded per block:
     k11 = _weighted_products(w, dx1, dx1) * 2 + _weighted_products(w, dy1, dy1)
     k22 = _weighted_products(w, dy2, dy2) * 2 + _weighted_products(w, dx2, dx2)
     k12 = _weighted_products(w, dy1, dx2)
-    return CooPattern(
-        [(d1, d1), (d2, d2), (d1, d2), (d2, d1)], (pair.n_u, pair.n_u)
-    ).build([k11, k22, k12, k12.transpose(0, 2, 1)])
+    pattern = jacobian_pattern(pair)
+    return pattern.csr(
+        pattern.data([k11, k12, k12.transpose(0, 2, 1), k22], pattern.elements)
+    )
 
 
 def _on_facets(axis: int, normal: np.ndarray, tangential: np.ndarray, op=np.multiply):
@@ -317,15 +320,21 @@ facet_tables = per_pair(FacetTables)
 
 
 @per_pair
-def _boundary_unit_matrices(pair: DivConformingPair):
-    """G[a,b] = (2 n . grad_s phi_b, phi_a)_bnd and boundary mass P[a,b]."""
-    g_blocks, g_locals, p_blocks, p_locals = [], [], [], []
+def _boundary_unit_data(pair: DivConformingPair):
+    """Data arrays of G[a,b] = (2 n . grad_s phi_b, phi_a)_bnd, of G^T and of
+    the boundary mass P on the pair's `jacobian_pattern`."""
+    pattern = jacobian_pattern(pair)
+    g_blocks, gt_blocks, g_locals, p_blocks, p_locals = [], [], [], [], []
     for facets in facet_tables(pair).boundary:
         d = facets.axis
         wn = facets.weights * facets.normal
-        val, grad, dofs = facets.value, facets.grad, facets.dofs
+        val, grad = facets.value, facets.grad
+
+        def block(i, j):  # the JacobianPattern block of rows comp i, columns comp j
+            return 6 + 4 * d + 2 * i + j
+
         for ca in (0, 1):
-            p_blocks.append((dofs[ca], dofs[ca]))
+            p_blocks.append(block(ca, ca))
             p_locals.append(_weighted_products(facets.weights, val[ca], val[ca]))
             for cb in (0, 1):
                 # component ca of 2 n . grad_s phi_b is n_d (d_d phi_b,ca + d_ca phi_b,d)
@@ -335,18 +344,19 @@ def _boundary_unit_matrices(pair: DivConformingPair):
                 if cb == d:
                     parts.append(_weighted_products(wn, val[ca], grad[cb][ca]))
                 if parts:
-                    g_blocks.append((dofs[ca], dofs[cb]))
+                    g_blocks.append(block(ca, cb))
+                    gt_blocks.append(block(cb, ca))
                     g_locals.append(sum(parts))
-    shape = (pair.n_u, pair.n_u)
     return (
-        CooPattern(g_blocks, shape).build(g_locals),
-        CooPattern(p_blocks, shape).build(p_locals),
+        pattern.data(g_locals, pattern.targets(g_blocks)),
+        pattern.data([g.transpose(0, 2, 1) for g in g_locals], pattern.targets(gt_blocks)),
+        pattern.data(p_locals, pattern.targets(p_blocks)),
     )
 
 
 def assemble_boundary_mass(pair: DivConformingPair) -> sp.csr_matrix:
     """Boundary mass P with u^T P u = ||u||^2 over the boundary facets."""
-    return _boundary_unit_matrices(pair)[1]
+    return jacobian_pattern(pair).csr(_boundary_unit_data(pair)[2])
 
 
 def assemble_viscous_nitsche(
@@ -360,15 +370,14 @@ def assemble_viscous_nitsche(
     consistency/penalty boundary terms; the matching Dirichlet-data terms of
     the load are `nitsche_load`. With nitsche=False only the volume term is
     kept (free-slip walls where the normal trace is imposed strongly and the
-    tangential traction vanishes).
+    tangential traction vanishes). K is data arithmetic on `jacobian_pattern`.
     """
-    k = assemble_strain(pair) * params.nu
-    if not nitsche:
-        return k.tocsr()
-    gmat, pmat = _boundary_unit_matrices(pair)
-    h = pair.mesh.h
-    k = k - params.nu * (gmat + gmat.T) + (2.0 * params.nu * params.c_nit / h) * pmat
-    return k.tocsr()
+    data = assemble_strain(pair).data * params.nu
+    if nitsche:
+        g, gt, p = _boundary_unit_data(pair)
+        coef = 2.0 * params.nu * params.c_nit / pair.mesh.h
+        data = data - params.nu * (g + gt) + coef * p
+    return jacobian_pattern(pair).csr(data)
 
 
 def nitsche_load(pair: DivConformingPair, params: StabParams, u_d) -> np.ndarray:
@@ -418,34 +427,6 @@ class _ConvectionKit:
 
 
 _convection_kit = per_pair(_ConvectionKit)
-
-
-class JacobianPattern(CooPattern):
-    """The one sparsity pattern of every Newton Jacobian of a pair.
-
-    Its blocks are the element blocks of the four velocity component pairs
-    (rows comp i, columns comp j, block 2 i + j), which hold K with its
-    boundary terms, the mass M, N1 and N2, followed by the interior-facet
-    blocks of the tangential component on the facets normal to x and to y,
-    which hold J. The normal component's (alpha'+1)-th normal derivative is
-    continuous across a facet, so its jump blocks are left out.
-    `assemble_convection` and `assemble_skeleton` build their matrices on
-    this pattern, and a Jacobian is the sum of their data arrays.
-    """
-
-    def __init__(self, pair: DivConformingPair):
-        dofs = _convection_kit(pair).dofs
-        facets = facet_tables(pair).interior
-        blocks = [(dofs[i], dofs[j]) for i in (0, 1) for j in (0, 1)]
-        blocks += [(f.dofs[1 - f.axis], f.dofs[1 - f.axis]) for f in facets]
-        super().__init__(blocks, (pair.n_u, pair.n_u))
-        # N1 couples each component with itself; N2 rows j with columns i
-        self.n1 = self.targets([0, 3])
-        self.n2 = self.targets([0, 1, 2, 3])
-        self.skeleton = self.targets([4, 5])
-
-
-jacobian_pattern = per_pair(JacobianPattern)
 
 
 class _LastState:
@@ -504,17 +485,22 @@ def assemble_convection(
     w_dot_grad = [
         wq[0][..., None] * kit.grad[j][0] + wq[1][..., None] * kit.grad[j][1] for j in (0, 1)
     ]
-    n1 = pattern.build(
-        [-_weighted_products(kit.w, w_dot_grad[j], kit.val[j]) for j in (0, 1)], pattern.n1
+    n1 = pattern.csr(
+        pattern.data(
+            [-_weighted_products(kit.w, w_dot_grad[j], kit.val[j]) for j in (0, 1)],
+            pattern.diagonal,
+        )
     )
     # rows test comp j, cols trial comp i: -(phi_b w_j, d_i phi_a)
-    n2 = pattern.build(
-        [
-            -_weighted_products(kit.w * wq[j], kit.grad[j][i], kit.val[i])
-            for j in (0, 1)
-            for i in (0, 1)
-        ],
-        pattern.n2,
+    n2 = pattern.csr(
+        pattern.data(
+            [
+                -_weighted_products(kit.w * wq[j], kit.grad[j][i], kit.val[i])
+                for j in (0, 1)
+                for i in (0, 1)
+            ],
+            pattern.elements,
+        )
     )
     return n1, n2
 
@@ -583,7 +569,7 @@ def assemble_skeleton(
     for facets, eta in zip(facet_tables(pair).interior, facet_eta_values(pair, w_u, params)):
         jump = facets.jump[1 - facets.axis]
         local_blocks.append(_weighted_products(facets.weights * eta, jump, jump))
-    return pattern.build(local_blocks, pattern.skeleton)
+    return pattern.csr(pattern.data(local_blocks, pattern.skeleton))
 
 
 def skeleton_residual(
@@ -634,12 +620,21 @@ def assemble_load(
 
 
 @per_pair
-def assemble_velocity_mass(pair: DivConformingPair) -> sp.csr_matrix:
-    """Block-diagonal velocity mass matrix (exact integration)."""
-    blocks = []
-    for space in pair.velocity_spaces:
-        mx = mass_matrix_1d(space.kv_x)
-        my = mass_matrix_1d(space.kv_y)
-        blocks.append(sp.kron(my, mx, format="csr"))
-    return sp.block_diag(blocks).tocsr()
+def _velocity_mass_data(pair: DivConformingPair) -> np.ndarray:
+    """Velocity mass M as a data array on the pair's `jacobian_pattern`.
 
+    k' + 2 Gauss points per direction integrate it exactly.
+    """
+    tab = element_tables(pair, bilinear_quad_points(pair))
+    pattern = jacobian_pattern(pair)
+    values = [tab.basis(name, 0, 0) for name in ("vx", "vy")]
+    return pattern.data([_weighted_products(tab.weights, v, v) for v in values], pattern.diagonal)
+
+
+@per_pair
+def assemble_velocity_mass(pair: DivConformingPair) -> sp.csr_matrix:
+    """Block-diagonal velocity mass matrix without the pattern's other entries."""
+    # eliminate_zeros works in place, so it must not reach the memoized data
+    mass = jacobian_pattern(pair).csr(_velocity_mass_data(pair).copy())
+    mass.eliminate_zeros()
+    return mass

@@ -10,17 +10,17 @@ correction solves
 
 with J the momentum Jacobian and r the momentum residual over all velocity
 DOFs. J = K + N1 + N2 + J_h (plus c_mass M in a time step) is one CSR on
-the pair's `forms.jacobian_pattern`: the constant terms are scattered onto
-it once, and each linearization adds the data arrays of the re-assembled
-terms. Residuals are formed without matrices (forms.convection_residual and
-forms.skeleton_residual): the initial residual, every line-search trial and
-TimeStepper.initialize evaluate only the residual, and Newton builds one
-Jacobian per step, at the current iterate, only once it has decided to take
-another step. The square matrix C^T J C has no pressure block, no
-mean-constraint border and no normal-DOF elimination; the pressure gradient
-drops out since B C = 0. Strong normal-trace Dirichlet conditions
-(u . n = 0 on the box boundary) hold by construction; tangential conditions
-enter weakly through the operator.
+the pair's `forms.jacobian_pattern`, on which every term is assembled as a
+data array: the constant terms once, and each linearization adds the data
+arrays of the re-assembled terms. Residuals are formed without matrices
+(forms.convection_residual and forms.skeleton_residual): the initial
+residual, every line-search trial and TimeStepper.initialize evaluate only
+the residual, and Newton builds one Jacobian per step, at the current
+iterate, only once it has decided to take another step. The square matrix
+C^T J C has no pressure block, no mean-constraint border and no normal-DOF
+elimination; the pressure gradient drops out since B C = 0. Strong
+normal-trace Dirichlet conditions (u . n = 0 on the box boundary) hold by
+construction; tangential conditions enter weakly through the operator.
 
 The pressure is recovered on the pressure space. B = M_p D, with M_p the
 pressure mass matrix and D = pair.divergence the exact map from u to div u_h
@@ -123,6 +123,7 @@ from .forms import (
     convection_residual,
     jacobian_pattern,
     skeleton_residual,
+    _velocity_mass_data,
 )
 from .space import (
     DivConformingPair,
@@ -440,9 +441,9 @@ class _SpatialOperator:
     Nitsche load are linear in nu, and the body force does not depend on
     it, so they are assembled once at nu = 1 (k_unit, dirichlet, body) and
     scaled by params.nu; at_nu gives the operator at another viscosity on
-    the same arrays. Jacobians live on the pair's `jacobian_pattern`: K_unit
-    is scattered onto it once, and each jacobian call adds the data of N1,
-    N2 and J (add_nonlinear_data) to nu K_unit's and builds one CSR. lagged
+    the same arrays. Jacobians live on the pair's `jacobian_pattern`, where
+    K_unit is assembled too: each jacobian call adds the data of N1, N2 and
+    J (add_nonlinear_data) to nu K_unit's and builds one CSR. lagged
     holds the last streamfunction LU of the Newton solves on this operator
     (and on stage operators built from it).
     """
@@ -453,7 +454,7 @@ class _SpatialOperator:
         self.convection = problem.convection
         self.pattern = jacobian_pattern(pair)
         self.k_unit = assemble_viscous_nitsche(pair, unit, nitsche=problem.nitsche)
-        self.k_unit_data = self.pattern.scatter(self.k_unit)
+        self.k_unit_data = self.k_unit.data
         self.body = assemble_load(pair, unit, f=problem.f, nitsche=False)
         self.dirichlet = assemble_load(
             pair, unit, u_d=problem.u_d, nitsche=problem.nitsche
@@ -506,9 +507,9 @@ class _SpatialOperator:
 class _StageOperator:
     """Generalized-alpha stage residual and Jacobian as functions of u_{n+1}.
 
-    mass_data is the mass matrix scattered onto the spatial operator's
-    pattern; the constant part c_mass M + alpha_f K of the Jacobian data is
-    formed once per step.
+    mass is the velocity mass matrix for products and mass_data its data
+    array on the spatial operator's pattern; the constant part
+    c_mass M + alpha_f K of the Jacobian data is formed once per step.
     """
 
     def __init__(self, spatial, mass, mass_data, u_n, udot_n, cfg: TimeConfig):
@@ -691,7 +692,8 @@ class TimeStepper:
     as given. The consistent initial acceleration C a solves
     C^T M C a = -C^T r at t0, and the initial pressure is recovered from
     M udot + r. Each step runs the streamfunction Newton on the stage
-    residual, and every step reuses the spatial operator's lagged LU.
+    residual, and every step reuses the spatial operator's lagged LU. M is
+    held as a matrix (mass) and as data on the Jacobian pattern (mass_data).
     """
 
     def __init__(self, problem: FlowProblem, cfg: TimeConfig):
@@ -699,7 +701,7 @@ class TimeStepper:
         self.cfg = cfg
         self.spatial = _SpatialOperator(problem)
         self.mass = assemble_velocity_mass(problem.pair)
-        self.mass_data = self.spatial.pattern.scatter(self.mass)
+        self.mass_data = _velocity_mass_data(problem.pair)
         self.state: StateVector | None = None
         self.udot: np.ndarray | None = None
 

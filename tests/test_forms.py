@@ -8,7 +8,6 @@ from divspline.bspline import basis_integrals, open_knots
 import divspline.forms as forms
 from divspline.forms import (
     StabParams,
-    _boundary_unit_matrices,
     assemble_boundary_mass,
     assemble_convection,
     assemble_divergence,
@@ -140,8 +139,14 @@ def test_boundary_mass_analytic(pair44):
     assert u @ (p @ u) == pytest.approx(5.0 / 3.0, rel=1e-12)
 
 
+def boundary_unit_matrices(pair):
+    """G, G^T and P as matrices on the pair's Jacobian pattern."""
+    pattern = forms.jacobian_pattern(pair)
+    return [pattern.csr(data) for data in forms._boundary_unit_data(pair)]
+
+
 def test_boundary_consistency_analytic(pair44):
-    g, _ = _boundary_unit_matrices(pair44)
+    g, _, _ = boundary_unit_matrices(pair44)
     u = shear_state(pair44).u
     # (2 n . grad_s u, u) over the boundary: only the top edge contributes 1
     assert u @ (g @ u) == pytest.approx(1.0, rel=1e-12)
@@ -151,7 +156,8 @@ def test_boundary_consistency_analytic(pair44):
 @given(pair=random_pairs(), seed=st.integers(0, 2**16))
 def test_boundary_terms_match_pointwise_quadrature(pair, seed):
     # u.G.v, u.P.v and g.v against per-facet quadrature of pointwise values
-    gmat, pmat = _boundary_unit_matrices(pair)
+    gmat, gtmat, pmat = boundary_unit_matrices(pair)
+    assert np.array_equal(gtmat.toarray(), gmat.T.toarray())
     params = params_for(pair, 0.3)
     coef = 2.0 * params.c_nit / pair.mesh.h
     u_d = lambda x, y: (np.sin(x + 2.0 * y), x * y - 1.0)

@@ -203,25 +203,29 @@ def test_convergence_error_names_factorizations(pair8):
         _newton(op, zero, np.zeros(pair8.n_p), NewtonConfig(max_iter=3), "fake")
 
 
-def test_newton_jacobian_matches_frozen_eta_fd(pair8):
-    # R(u) = K u + N1(u) u + J0 u with J0 frozen at the base state
-    problem, _ = manufactured_problem(pair8, re=100.0)
-    params = problem.params
-    k = assemble_viscous_nitsche(pair8, params)
-    load = assemble_load(pair8, params, f=problem.f)
+@settings(max_examples=15, deadline=None)
+@given(pair=random_pairs())
+def test_newton_jacobian_matches_frozen_eta_fd(pair):
+    # R(u) = K u + N1(u) u + J0 u - f with J0 frozen at the base state, on
+    # uniform and graded meshes with the Nitsche terms on. f is bounded: the
+    # manufactured forcing grows off the unit square (a load of 1e5 on
+    # [0, 2] x [0, 3]), and its cancellation would swamp the difference
+    params = StabParams.create(pair.k_prime, nu=1e-2)
+    k = assemble_viscous_nitsche(pair, params)
+    load = assemble_load(pair, params, f=lambda x, y: (np.sin(x + y), x * y))
     rng = np.random.default_rng(21)
-    u0 = rng.standard_normal(pair8.n_u) * 0.1
-    j0 = assemble_skeleton(pair8, u0, params)
+    u0 = rng.standard_normal(pair.n_u) * 0.1
+    j0 = assemble_skeleton(pair, u0, params)
 
     def residual(u):
-        n1, _ = assemble_convection(pair8, u)
+        n1, _ = assemble_convection(pair, u)
         return k @ u + n1 @ u + j0 @ u - load
 
-    n1, n2 = assemble_convection(pair8, u0)
+    n1, n2 = assemble_convection(pair, u0)
     jac = k + n1 + n2 + j0
     eps = 1e-7
     for seed in range(3):
-        v = np.random.default_rng(seed).standard_normal(pair8.n_u)
+        v = np.random.default_rng(seed).standard_normal(pair.n_u)
         jv = jac @ v
         fd = (residual(u0 + eps * v) - residual(u0)) / eps
         assert np.linalg.norm(fd - jv) / np.linalg.norm(jv) < 1e-5
@@ -240,8 +244,9 @@ def _same_pattern(a, b):
     skeleton=st.booleans(),
 )
 def test_fused_jacobian_matches_dense_sum(pair, seed, nitsche, convection, skeleton):
-    # jacobian adds data arrays on one pattern and residual assembles no
-    # matrix; the references sum dense arrays
+    # every operator is assembled on the one Jacobian pattern, jacobian adds
+    # their data arrays and residual assembles no matrix; the references sum
+    # dense arrays
     params = StabParams.create(pair.k_prime, nu=0.05, gamma=None if skeleton else 0.0)
     f = lambda x, y: (np.sin(x + y), x * y)
     u_d = lambda x, y: (np.cos(x) * y, x - y)
@@ -256,7 +261,11 @@ def test_fused_jacobian_matches_dense_sum(pair, seed, nitsche, convection, skele
     load = assemble_load(pair, params, f=f, u_d=u_d, nitsche=nitsche)
     n1, n2 = assemble_convection(pair, u)
     j = assemble_skeleton(pair, u, params)
-    assert _same_pattern(n1, n2) and _same_pattern(n1, jac)
+    pattern = forms.jacobian_pattern(pair)
+    for mat in (n1, n2, jac, assemble_viscous_nitsche(pair, params, nitsche=nitsche)):
+        assert _same_pattern(mat, pattern)
+    for data in forms._boundary_unit_data(pair):
+        assert data.shape == (pattern.nnz,)
     if skeleton:
         assert _same_pattern(j, n1)
     else:
@@ -270,9 +279,12 @@ def test_fused_jacobian_matches_dense_sum(pair, seed, nitsche, convection, skele
 
     # the stage Jacobian is c_mass M + alpha_f J_sp at the alpha_f state
     cfg = TimeConfig(dt=0.1, t_end=1.0)
-    mass = assemble_velocity_mass(pair)
+    stepper = TimeStepper(problem, cfg)
+    mass, mass_data = stepper.mass, stepper.mass_data
+    assert mass_data.shape == (pattern.nnz,)
+    assert np.array_equal(pattern.csr(mass_data).toarray(), mass.toarray())
     u_n, udot_n, u_new = (rng.standard_normal(pair.n_u) for _ in range(3))
-    stage = _StageOperator(op, mass, op.pattern.scatter(mass), u_n, udot_n, cfg)
+    stage = _StageOperator(op, mass, mass_data, u_n, udot_n, cfg)
     r_st, jac_st = stage.residual(u_new), stage.jacobian(u_new)
     u_af = u_n + cfg.alpha_f * (u_new - u_n)
     r_sp, jac_sp = op.residual(u_af), op.jacobian(u_af)
@@ -281,6 +293,35 @@ def test_fused_jacobian_matches_dense_sum(pair, seed, nitsche, convection, skele
     assert np.abs(jac_st.toarray() - dense_st).max() <= 1e-13 * np.abs(dense_st).max()
     expect = stage.c_mass * (mass @ u_new) + stage.hist + r_sp
     assert np.abs(r_st - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+class _CountingNumpy:
+    """numpy for divspline.forms, counting its np.unique calls."""
+
+    def __init__(self):
+        self.unique_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def unique(self, *args, **kwargs):
+        self.unique_calls += 1
+        return np.unique(*args, **kwargs)
+
+
+def test_one_sparsity_pattern_per_pair(monkeypatch):
+    # each sparsity pattern is one np.unique over its block keys; a steady
+    # ladder with Nitsche terms and time steps with and without them on one
+    # fresh pair all assemble on the same pattern
+    counting = _CountingNumpy()
+    monkeypatch.setattr(forms, "np", counting)
+    pair = unit_square_pair(4, 2)
+    problem = FlowProblem(pair, StabParams.create(2, nu=1e-3), u_d=CavityCase.lid_velocity)
+    steady = solve_steady(problem, re=1000.0).state
+    cfg = TimeConfig(dt=1e-2, t_end=2e-2)
+    TimeStepper(problem, cfg).run(steady)
+    TimeStepper(replace(problem, nitsche=False), cfg).run(steady)
+    assert counting.unique_calls == 1
 
 
 @pytest.mark.parametrize("nu", [1.0, 1e-2, 1.0 / 7500.0])
@@ -321,7 +362,7 @@ def test_lagged_lu_correction_matches_direct_solve(pair, seed):
     rng = np.random.default_rng(seed)
     u_n, udot_n, u_a, u_b = (rng.standard_normal(pair.n_u) for _ in range(4))
     cfg = TimeConfig(dt=0.01, t_end=1.0)
-    stage = _StageOperator(op, mass, op.pattern.scatter(mass), u_n, udot_n, cfg)
+    stage = _StageOperator(op, mass, forms._velocity_mass_data(pair), u_n, udot_n, cfg)
     lagged = _LaggedLU()
     lagged.solve(*_streamfunction_system(stage, u_a))
     a, rhs = _streamfunction_system(stage, u_b)
