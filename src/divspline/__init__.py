@@ -70,7 +70,6 @@ from .cases import (
     taylor_green_pair,
     unit_square_pair,
 )
-from .cli import CaseConfig, ConfigError, main, parse_config, run
 
 __all__ = [
     "KnotVector",
@@ -126,9 +125,4 @@ __all__ = [
     "streamfunction",
     "taylor_green_pair",
     "unit_square_pair",
-    "CaseConfig",
-    "ConfigError",
-    "main",
-    "parse_config",
-    "run",
 ]

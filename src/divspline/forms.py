@@ -4,10 +4,11 @@ The discrete momentum operator combines the viscous form with weak tangential
 Dirichlet terms,
 
     A_h(u, v) = (2 nu grad_s u, grad_s v) - (2 nu n . grad_s u, v)_bnd
-                - (2 nu n . grad_s v, u)_bnd + (2 nu C_nit / h u, v)_bnd,
+                - (2 nu n . grad_s v, u)_bnd + (2 nu C_nit / h_n u, v)_bnd,
 
-the convective trilinear form C(w; u, v) = -(w x u, grad v), and the skeleton
-penalty
+with h_n the length normal to the facet of each boundary facet's element,
+the convective trilinear form C(w; u, v) = -(w x u, grad v), and the
+skeleton penalty
 
     J_h(w; u, v) = sum_facets (eta(w) [[d^m u / d n^m]], [[d^m v / d n^m]]),
 
@@ -34,7 +35,10 @@ blocks of the four velocity component pairs (K, M, N1, N2), the tangential
 interior-facet blocks (J) and the boundary-facet blocks (the Nitsche terms,
 inside the element blocks). K with its Nitsche terms is arithmetic on those
 arrays, and the solver forms each Jacobian by adding data arrays and
-building one CSR.
+building one CSR. The pattern keeps each entry position once, and every
+CSR on it shares its read-only indices; the memoized data arrays of K's
+strain part and of M are read-only too, so no caller can change an
+operator that later operators on the pair reuse.
 
 Residuals need no matrices: `convection_residual` gives N1(u) u from the
 convection tables and `skeleton_residual` gives J(u) u from the tangential
@@ -140,47 +144,58 @@ def convection_quad_points(k_prime: int) -> int:
     return max(k_prime + 2, math.ceil(3 * (k_prime + 1) / 2))
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """array, made read-only: every caller of a memo shares it."""
+    array.flags.writeable = False
+    return array
+
+
 class JacobianPattern:
     """The one CSR sparsity pattern of a pair: every velocity operator is a
     data array on it, and a Jacobian is a sum of data arrays.
 
     It is the union of dense local blocks, block b pairing row DOFs
-    (E_b, L_b) with column DOFs (E_b, M_b): blocks 2 i + j (i, j in {0, 1})
-    are the element blocks of velocity components i and j, which hold K, M,
-    N1 and N2; blocks 4 and 5 the interior-facet blocks of the tangential
-    component on the facets normal to x and to y, which hold J (the normal
-    component's (alpha'+1)-th normal derivative is continuous, so its jump
-    blocks are left out); blocks 6 + 4 d + 2 i + j the boundary-facet blocks
-    normal to axis d, which hold G, G^T and P and add no entries. Every
-    entry of every block has a precomputed position in the CSR data, so
-    `data` adds local arrays (E_b, L_b, M_b), given in block order, into
-    place with one `np.bincount`; `targets` selects the positions of a
-    subset of the blocks.
+    (E_b, L_b) with column DOFs (E_b, M_b): blocks 0-3 are the element
+    blocks of the velocity component pairs (0, 0), (1, 1), (0, 1) and
+    (1, 0), which hold K, M, N1 and N2; blocks 4 and 5 the interior-facet
+    blocks of the tangential component on the facets normal to x and to y,
+    which hold J (the normal component's (alpha'+1)-th normal derivative is
+    continuous, so its jump blocks are left out); blocks 6 + 4 d + 2 i + j
+    the boundary-facet blocks of components (i, j) normal to axis d, which
+    hold G, G^T and P and add no entries. Every entry of every block has one
+    position in the CSR data, stored once in block order, so `diagonal`
+    (blocks 0-1), `elements` (0-3) and `skeleton` (4-5) are slices of one
+    array, and `targets` selects the positions of any subset of the blocks.
+    `data` adds local arrays (E_b, L_b, M_b), given in the targets' block
+    order, into place with one `np.bincount`. The positions, `indices` and
+    `indptr` are read-only, and every matrix `csr` builds shares the last
+    two, so no matrix on the pattern can be changed in its structure.
     """
 
     def __init__(self, pair: DivConformingPair):
         tab = element_tables(pair, bilinear_quad_points(pair))
         dofs = [tab.dofs(name) + pair.component_offset(c) for c, name in enumerate(("vx", "vy"))]
         facets = facet_tables(pair)
-        blocks = [(dofs[i], dofs[j]) for i in (0, 1) for j in (0, 1)]
+        blocks = [(dofs[i], dofs[j]) for i, j in ((0, 0), (1, 1), (0, 1), (1, 0))]
         blocks += [(f.dofs[1 - f.axis],) * 2 for f in facets.interior]
         blocks += [(f.dofs[i], f.dofs[j]) for f in facets.boundary for i in (0, 1) for j in (0, 1)]
         n = pair.n_u
         keys = [(r.astype(np.int64)[:, :, None] * n + c[:, None, :]).ravel() for r, c in blocks]
         unique, positions = np.unique(np.concatenate(keys), return_inverse=True)
-        self._blocks = np.split(positions, np.cumsum([len(k) for k in keys])[:-1])
+        ends = np.cumsum([len(k) for k in keys])
+        self._blocks = np.split(_read_only(positions), ends[:-1])
         self.shape = (n, n)
         self.nnz = len(unique)
-        # scipy picks the index dtype once; `csr` then only copies the indices
+        # scipy picks the index dtype once; `csr` then passes these arrays on
         template = sp.csr_matrix(
             (np.zeros(self.nnz), unique % n, np.searchsorted(unique // n, np.arange(n + 1))),
             shape=self.shape,
         )
-        self.indices, self.indptr = template.indices, template.indptr
+        self.indices, self.indptr = _read_only(template.indices), _read_only(template.indptr)
         # M and N1 couple each component with itself; K and N2 all component pairs
-        self.diagonal = self.targets([0, 3])
-        self.elements = self.targets([0, 1, 2, 3])
-        self.skeleton = self.targets([4, 5])
+        self.diagonal = positions[: ends[1]]
+        self.elements = positions[: ends[3]]
+        self.skeleton = positions[ends[3] : ends[5]]
 
     def targets(self, block_ids) -> np.ndarray:
         """Data positions of the entries of the given blocks, in that order."""
@@ -192,10 +207,8 @@ class JacobianPattern:
         return np.bincount(targets, values, minlength=self.nnz)
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
-        """The matrix with the given data array on this pattern."""
-        return sp.csr_matrix(
-            (data, self.indices.copy(), self.indptr.copy()), shape=self.shape
-        )
+        """The matrix with the given data array on this pattern's shared indices."""
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
 jacobian_pattern = per_pair(JacobianPattern)
@@ -221,9 +234,8 @@ def assemble_strain(pair: DivConformingPair) -> sp.csr_matrix:
     k22 = _weighted_products(w, dy2, dy2) * 2 + _weighted_products(w, dx2, dx2)
     k12 = _weighted_products(w, dy1, dx2)
     pattern = jacobian_pattern(pair)
-    return pattern.csr(
-        pattern.data([k11, k12, k12.transpose(0, 2, 1), k22], pattern.elements)
-    )
+    data = pattern.data([k11, k22, k12, k12.transpose(0, 2, 1)], pattern.elements)
+    return pattern.csr(_read_only(data))
 
 
 def _on_facets(axis: int, normal: np.ndarray, tangential: np.ndarray, op=np.multiply):
@@ -255,8 +267,10 @@ class FacetTables:
 
     interior[axis]: weights, dofs[c], jump[c] (the (alpha'+1)-th normal
     derivative, plus side minus minus side), plus[c] and minus[c] (one-sided
-    values). boundary[axis]: weights, points, normal (outward sign of the
-    facet normal), dofs[c], value[c] and grad[c] = (d/dx, d/dy).
+    values). boundary[axis]: weights, penalty (the weights times h / h_n,
+    h_n the boundary element's length normal to the facet, which weight the
+    Nitsche penalty), points, normal (outward sign of the facet normal),
+    dofs[c], value[c] and grad[c] = (d/dx, d/dy).
     """
 
     def __init__(self, pair: DivConformingPair):
@@ -281,6 +295,8 @@ class FacetTables:
                 points=np.empty((2 * n_tang, rule.npts, 2)),
                 dofs=[], value=[], grad=[],
             )
+            h_n = np.diff(knots_n)[[0, -1]]
+            bnd.penalty = bnd.weights * np.repeat(mesh.h / h_n, n_tang)[:, None]
             bnd.points[..., axis] = np.repeat(knots_n[[0, -1]], n_tang)[:, None]
             bnd.points[..., 1 - axis] = np.tile(knots_t[:-1, None] + th * rule.points, (2, 1))
             for comp, space in enumerate(pair.velocity_spaces):
@@ -319,12 +335,12 @@ class FacetTables:
 facet_tables = per_pair(FacetTables)
 
 
-@per_pair
 def _boundary_unit_data(pair: DivConformingPair):
-    """Data arrays of G[a,b] = (2 n . grad_s phi_b, phi_a)_bnd, of G^T and of
-    the boundary mass P on the pair's `jacobian_pattern`."""
+    """Data arrays of G[a,b] = (2 n . grad_s phi_b, phi_a)_bnd, of G^T, of the
+    boundary mass P and of the penalty mass P_h, P with each facet scaled by
+    h / h_n, on the pair's `jacobian_pattern`."""
     pattern = jacobian_pattern(pair)
-    g_blocks, gt_blocks, g_locals, p_blocks, p_locals = [], [], [], [], []
+    g_blocks, gt_blocks, g_locals, p_blocks, p_locals, ph_locals = [], [], [], [], [], []
     for facets in facet_tables(pair).boundary:
         d = facets.axis
         wn = facets.weights * facets.normal
@@ -336,6 +352,7 @@ def _boundary_unit_data(pair: DivConformingPair):
         for ca in (0, 1):
             p_blocks.append(block(ca, ca))
             p_locals.append(_weighted_products(facets.weights, val[ca], val[ca]))
+            ph_locals.append(_weighted_products(facets.penalty, val[ca], val[ca]))
             for cb in (0, 1):
                 # component ca of 2 n . grad_s phi_b is n_d (d_d phi_b,ca + d_ca phi_b,d)
                 parts = []
@@ -347,10 +364,12 @@ def _boundary_unit_data(pair: DivConformingPair):
                     g_blocks.append(block(ca, cb))
                     gt_blocks.append(block(cb, ca))
                     g_locals.append(sum(parts))
+    p_targets = pattern.targets(p_blocks)
     return (
         pattern.data(g_locals, pattern.targets(g_blocks)),
         pattern.data([g.transpose(0, 2, 1) for g in g_locals], pattern.targets(gt_blocks)),
-        pattern.data(p_locals, pattern.targets(p_blocks)),
+        pattern.data(p_locals, p_targets),
+        pattern.data(ph_locals, p_targets),
     )
 
 
@@ -370,18 +389,21 @@ def assemble_viscous_nitsche(
     consistency/penalty boundary terms; the matching Dirichlet-data terms of
     the load are `nitsche_load`. With nitsche=False only the volume term is
     kept (free-slip walls where the normal trace is imposed strongly and the
-    tangential traction vanishes). K is data arithmetic on `jacobian_pattern`.
+    tangential traction vanishes). The penalty on each boundary facet is
+    2 nu C_nit / h_n, h_n the boundary element's length normal to the facet,
+    so small boundary elements keep K coercive on graded meshes. K is data
+    arithmetic on `jacobian_pattern`.
     """
     data = assemble_strain(pair).data * params.nu
     if nitsche:
-        g, gt, p = _boundary_unit_data(pair)
+        g, gt, _, p_h = _boundary_unit_data(pair)
         coef = 2.0 * params.nu * params.c_nit / pair.mesh.h
-        data = data - params.nu * (g + gt) + coef * p
+        data = data - params.nu * (g + gt) + coef * p_h
     return jacobian_pattern(pair).csr(data)
 
 
 def nitsche_load(pair: DivConformingPair, params: StabParams, u_d) -> np.ndarray:
-    """Dirichlet-data part of the load: -(2 nu n.grad_s v, uD) + (2 nu Cnit/h v, uD)."""
+    """Dirichlet-data part of the load: -(2 nu n.grad_s v, uD) + (2 nu Cnit/h_n v, uD)."""
     sides = facet_tables(pair).boundary
     pts = np.concatenate([facets.points for facets in sides])
     ud_all = np.array(u_d(pts[..., 0], pts[..., 1]))
@@ -401,7 +423,7 @@ def nitsche_load(pair: DivConformingPair, params: StabParams, u_d) -> np.ndarray
                 cons += np.einsum("fq,fql->fl", wn * ud[0], grad[0]) + np.einsum(
                     "fq,fql->fl", wn * ud[1], grad[1]
                 )
-            pen = np.einsum("fq,fql->fl", facets.weights * ud[ca], facets.value[ca])
+            pen = np.einsum("fq,fql->fl", facets.penalty * ud[ca], facets.value[ca])
             local = params.nu * (coef * pen - cons)
             g += np.bincount(facets.dofs[ca].ravel(), local.ravel(), minlength=pair.n_u)
     return g
@@ -496,8 +518,7 @@ def assemble_convection(
         pattern.data(
             [
                 -_weighted_products(kit.w * wq[j], kit.grad[j][i], kit.val[i])
-                for j in (0, 1)
-                for i in (0, 1)
+                for j, i in ((0, 0), (1, 1), (0, 1), (1, 0))
             ],
             pattern.elements,
         )
@@ -628,13 +649,16 @@ def _velocity_mass_data(pair: DivConformingPair) -> np.ndarray:
     tab = element_tables(pair, bilinear_quad_points(pair))
     pattern = jacobian_pattern(pair)
     values = [tab.basis(name, 0, 0) for name in ("vx", "vy")]
-    return pattern.data([_weighted_products(tab.weights, v, v) for v in values], pattern.diagonal)
+    data = pattern.data([_weighted_products(tab.weights, v, v) for v in values], pattern.diagonal)
+    return _read_only(data)
 
 
 @per_pair
 def assemble_velocity_mass(pair: DivConformingPair) -> sp.csr_matrix:
     """Block-diagonal velocity mass matrix without the pattern's other entries."""
-    # eliminate_zeros works in place, so it must not reach the memoized data
-    mass = jacobian_pattern(pair).csr(_velocity_mass_data(pair).copy())
+    # eliminate_zeros works in place, so it must not reach the pattern's arrays
+    mass = jacobian_pattern(pair).csr(_velocity_mass_data(pair)).copy()
     mass.eliminate_zeros()
+    for array in (mass.data, mass.indices, mass.indptr):
+        _read_only(array)
     return mass

@@ -458,6 +458,20 @@ def test_python_m_divspline_runs_without_runtime_warning():
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_python_m_divspline_cli_runs_without_runtime_warning(tmp_path):
+    # the package must not import .cli before runpy executes it as __main__
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "divspline.cli",
+         "--command", "cavity", "--kprime", "1", "--mesh", "2", "--re", "10",
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr
+    assert (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_kprime_beyond_gauss_tables_rejected_at_parse(tmp_path):
     # k'=6 convection needs 11 Gauss points per direction; the tables hold 10
     assert parse_config({"command": "cavity", "kPrime": 5}).k_prime == 5

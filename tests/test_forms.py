@@ -1,6 +1,7 @@
 """Tests for the form assembly module."""
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +35,7 @@ from divspline.space import (
     interpolate_field,
     pressure_mean_vector,
 )
+from divspline.solver import FlowProblem, _SpatialOperator
 from util_fields import curl_state, random_pairs
 
 
@@ -140,13 +142,13 @@ def test_boundary_mass_analytic(pair44):
 
 
 def boundary_unit_matrices(pair):
-    """G, G^T and P as matrices on the pair's Jacobian pattern."""
+    """G, G^T, P and the penalty mass P_h as matrices on the pair's Jacobian pattern."""
     pattern = forms.jacobian_pattern(pair)
     return [pattern.csr(data) for data in forms._boundary_unit_data(pair)]
 
 
 def test_boundary_consistency_analytic(pair44):
-    g, _, _ = boundary_unit_matrices(pair44)
+    g = boundary_unit_matrices(pair44)[0]
     u = shear_state(pair44).u
     # (2 n . grad_s u, u) over the boundary: only the top edge contributes 1
     assert u @ (g @ u) == pytest.approx(1.0, rel=1e-12)
@@ -155,8 +157,9 @@ def test_boundary_consistency_analytic(pair44):
 @settings(max_examples=15, deadline=None)
 @given(pair=random_pairs(), seed=st.integers(0, 2**16))
 def test_boundary_terms_match_pointwise_quadrature(pair, seed):
-    # u.G.v, u.P.v and g.v against per-facet quadrature of pointwise values
-    gmat, gtmat, pmat = boundary_unit_matrices(pair)
+    # u.G.v, u.P.v, u.P_h.v and g.v against per-facet quadrature of pointwise
+    # values; the penalty weight h / h_n comes from each facet's element box
+    gmat, gtmat, pmat, phmat = boundary_unit_matrices(pair)
     assert np.array_equal(gtmat.toarray(), gmat.T.toarray())
     params = params_for(pair, 0.3)
     coef = 2.0 * params.c_nit / pair.mesh.h
@@ -165,11 +168,13 @@ def test_boundary_terms_match_pointwise_quadrature(pair, seed):
     rng = np.random.default_rng(seed)
     u, v = (StateVector(rng.standard_normal(pair.n_u), np.zeros(pair.n_p)) for _ in "uv")
     rule = gauss_rule(pair.k_prime + 2)
-    sums = np.zeros(3)
-    sizes = np.zeros(3)
+    sums = np.zeros(4)
+    sizes = np.zeros(4)
     for facet in pair.mesh.boundary_facets:
         pts, wts = facet_quadrature(facet, rule)
         n = np.array(facet.normal)
+        box = pair.mesh.element_boxes[facet.plus_element]
+        scale = pair.mesh.h / (box[2 * facet.axis + 1] - box[2 * facet.axis])
         for x, w in zip(pts, wts):
             uq = eval_velocity(pair, u, x, deriv_order=1).value
             dv = eval_velocity(pair, v, x, deriv_order=1)
@@ -180,12 +185,13 @@ def test_boundary_terms_match_pointwise_quadrature(pair, seed):
                 [
                     traction @ uq,
                     dv.value @ uq,
-                    params.nu * (coef * dv.value - traction) @ ud,
+                    scale * dv.value @ uq,
+                    params.nu * (coef * scale * dv.value - traction) @ ud,
                 ]
             )
             sums += terms
             sizes += np.abs(terms)
-    got = np.array([u.u @ (gmat @ v.u), u.u @ (pmat @ v.u), g @ v.u])
+    got = np.array([u.u @ (m @ v.u) for m in (gmat, pmat, phmat)] + [g @ v.u])
     assert np.abs(got - sums).max() <= 1e-11 * sizes.max()
 
 
@@ -226,6 +232,34 @@ def test_coercivity_with_skeleton(pair44, pair33k2):
             lhs = u @ (k @ u) + ju
             norm2 = params.nu * (u @ (s @ u)) + coef * (u @ (p @ u)) + ju
             assert lhs >= 0.5 * norm2 - 1e-12 * norm2
+
+
+def nitsche_coercivity_constant(pair):
+    """Smallest generalized eigenvalue of K on the free DOFs (normal trace
+    fixed) against nu S + (2 nu C_nit / h) P, the energy norm with global h."""
+    params = params_for(pair, 1.0)
+    k = assemble_viscous_nitsche(pair, params).toarray()
+    norm = params.nu * assemble_strain(pair).toarray() + (
+        2.0 * params.nu * params.c_nit / pair.mesh.h
+    ) * assemble_boundary_mass(pair).toarray()
+    free = np.setdiff1d(np.arange(pair.n_u), pair.normal_boundary_dofs.all)
+    sub = np.ix_(free, free)
+    return sla.eigh(k[sub], norm[sub], eigvals_only=True)[0]
+
+
+@pytest.mark.parametrize("k_prime", [1, 2, 3])
+def test_nitsche_penalty_keeps_graded_mesh_coercive(k_prime):
+    # boundary elements 10x thinner than the largest edge, where a penalty
+    # with the global h leaves K indefinite at k' = 2, 3 (-0.012, -0.147)
+    b = np.array([0.0, 1.0, 11.0, 21.0, 31.0]) / 31.0
+    pair = build_pair(build_mesh(open_knots(1, b), open_knots(1, b)), k_prime)
+    assert nitsche_coercivity_constant(pair) > 0.5
+
+
+@settings(max_examples=25, deadline=None)
+@given(pair=random_pairs())
+def test_nitsche_penalty_coercive_on_random_pairs(pair):
+    assert nitsche_coercivity_constant(pair) > 0.0
 
 
 # ---------------------------------------------------------------- divergence
@@ -516,6 +550,64 @@ def test_velocity_mass_analytic(pair44):
 
 
 def test_velocity_mass_stores_no_explicit_zeros():
-    # on few elements basis functions with disjoint supports share a kron block
-    m = assemble_velocity_mass(make_pair(2, 1))
+    # the pattern holds component couplings and skeleton entries M does not
+    pair = make_pair(2, 1)
+    m = assemble_velocity_mass(pair)
     assert m.nnz == np.count_nonzero(m.toarray())
+    assert m.nnz < forms.jacobian_pattern(pair).nnz
+    # its own arrays, read-only as it is memoized
+    assert not np.shares_memory(m.indices, forms.jacobian_pattern(pair).indices)
+    assert not any(a.flags.writeable for a in (m.data, m.indices, m.indptr))
+
+
+# ------------------------------------------------------------------- pattern
+
+
+def test_pattern_targets_are_slices_of_one_positions_array(pair33k2):
+    pattern = forms.jacobian_pattern(pair33k2)
+    views = (pattern.diagonal, pattern.elements, pattern.skeleton)
+    positions = pattern.elements.base
+    assert positions is not None
+    for view, blocks in zip(views, ([0, 1], [0, 1, 2, 3], [4, 5])):
+        assert view.base is positions
+        assert not view.flags.writeable
+        assert np.array_equal(view, pattern.targets(blocks))
+
+
+def test_pattern_matrices_share_read_only_indices(pair33k2):
+    pair = pair33k2
+    params = params_for(pair, 0.05)
+    u = curl_state(pair, seed=3).u
+    n1, n2 = assemble_convection(pair, u)
+    op = _SpatialOperator(FlowProblem(pair, params, u_d=lambda x, y: (x, 0 * y)))
+    pattern = forms.jacobian_pattern(pair)
+    matrices = (
+        assemble_strain(pair),
+        assemble_viscous_nitsche(pair, params),
+        n1,
+        n2,
+        assemble_skeleton(pair, u, params),
+        op.jacobian(u),
+    )
+    for mat in matrices:
+        for got, shared in ((mat.indices, pattern.indices), (mat.indptr, pattern.indptr)):
+            assert np.shares_memory(got, shared)
+            assert not got.flags.writeable
+
+
+def test_shared_operators_reject_in_place_changes():
+    pair = make_pair(3, 2)
+    params = params_for(pair, 0.5)
+    strain = assemble_strain(pair)
+    before = strain.data.copy()
+    with pytest.raises(ValueError):
+        strain.data *= 2.0
+    with pytest.raises(ValueError):
+        strain.eliminate_zeros()
+    with pytest.raises(ValueError):
+        assemble_viscous_nitsche(pair, params).eliminate_zeros()
+    assert not forms._velocity_mass_data(pair).flags.writeable
+    op = _SpatialOperator(FlowProblem(pair, params, nitsche=False))
+    assert np.array_equal(assemble_strain(pair).data, before)
+    # K_unit is assembled at nu = 1: without Nitsche terms it is S itself
+    assert np.array_equal(op.k_unit.data, before)
