@@ -35,10 +35,11 @@ blocks of the four velocity component pairs (K, M, N1, N2), the tangential
 interior-facet blocks (J) and the boundary-facet blocks (the Nitsche terms,
 inside the element blocks). K with its Nitsche terms is arithmetic on those
 arrays, and the solver forms each Jacobian by adding data arrays and
-building one CSR. The pattern keeps each entry position once, and every
-CSR on it shares its read-only indices; the memoized data arrays of K's
-strain part and of M are read-only too, so no caller can change an
-operator that later operators on the pair reuse.
+building one CSR. The pattern comes from 1-D bands by arithmetic, with no
+sort; it keeps each entry position once, and every CSR on it shares its
+read-only indices; the memoized data arrays of K's strain part and of M are
+read-only too, so no caller can change an operator that later operators on
+the pair reuse.
 
 Residuals need no matrices: `convection_residual` gives N1(u) u from the
 convection tables and `skeleton_residual` gives J(u) u from the tangential
@@ -150,6 +151,24 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _band(n_el: int, p_row: int, p_col: int, widen: bool = False):
+    """1-D band of a space of degree p_row against one of degree p_col: row a
+    couples columns lo[a] .. lo[a] + length[a] - 1; returns (lo, length).
+
+    Interior knots have multiplicity 1, so element e carries basis functions
+    e .. e + p, and row a meets the elements max(a - p_row, 0) .. min(a,
+    n_el - 1). With `widen` (one space, p_row = p_col = p, n_el >= 2) the
+    band is the union with the interior-facet jump blocks: facet i between
+    elements i-1 and i couples functions i-1 .. i+p, so row a reaches
+    max(a - p - 1, 0) .. min(a, n_el - 2) + p + 1, a superset of its
+    element band.
+    """
+    w = int(widen and n_el > 1)
+    a = np.arange(n_el + p_row)
+    lo = np.maximum(a - p_row - w, 0)
+    return lo, np.minimum(a, n_el - 1 - w) + p_col + w + 1 - lo
+
+
 class JacobianPattern:
     """The one CSR sparsity pattern of a pair: every velocity operator is a
     data array on it, and a Jacobian is a sum of data arrays.
@@ -170,28 +189,79 @@ class JacobianPattern:
     order, into place with one `np.bincount`. The positions, `indices` and
     `indptr` are read-only, and every matrix `csr` builds shares the last
     two, so no matrix on the pattern can be changed in its structure.
+
+    The pattern is found by arithmetic, without a sort. Each component block
+    (i, j) is the Kronecker product of a y band and an x band (`_band`):
+    element bands, except that vx's jump blocks (facets normal to y) widen
+    block (0, 0)'s y band and vy's (facets normal to x) widen block (1, 1)'s
+    x band. A CSR row r of component i holds block (i, 0) and then block
+    (i, 1), each in (c_y, c_x) order, so entry (r, c), c = (c_y, c_x) in
+    component j, sits at
+
+        indptr[r] + [j = 1] len_i0(r) + (c_y - lo_y(r_y)) len_x(r_x) + (c_x - lo_x(r_x)),
+
+    with len_i0(r) the length of block (i, 0)'s part of row r and (lo, len)
+    the bands of block (i, j). The bands need interior knot multiplicity 1;
+    other knot vectors raise ValueError.
     """
 
     def __init__(self, pair: DivConformingPair):
+        mesh, spaces = pair.mesh, pair.velocity_spaces
+        knot_vectors = [kv for s in spaces for kv in (s.kv_x, s.kv_y)]
+        if any(kv.n_basis != kv.n_elements + kv.degree for kv in knot_vectors):
+            raise ValueError("JacobianPattern requires interior knot multiplicity 1")
         tab = element_tables(pair, bilinear_quad_points(pair))
         dofs = [tab.dofs(name) + pair.component_offset(c) for c, name in enumerate(("vx", "vy"))]
         facets = facet_tables(pair)
-        blocks = [(dofs[i], dofs[j]) for i, j in ((0, 0), (1, 1), (0, 1), (1, 0))]
-        blocks += [(f.dofs[1 - f.axis],) * 2 for f in facets.interior]
-        blocks += [(f.dofs[i], f.dofs[j]) for f in facets.boundary for i in (0, 1) for j in (0, 1)]
+        # (row component, row DOFs, column component, column DOFs) per block
+        blocks = [(i, dofs[i], j, dofs[j]) for i, j in ((0, 0), (1, 1), (0, 1), (1, 0))]
+        blocks += [(1 - f.axis, f.dofs[1 - f.axis]) * 2 for f in facets.interior]
+        blocks += [
+            (i, f.dofs[i], j, f.dofs[j]) for f in facets.boundary for i in (0, 1) for j in (0, 1)
+        ]
+        # bands[i][j] = ((lo_x, len_x), (lo_y, len_y)) of component block (i, j)
+        bands = [
+            [
+                (
+                    _band(mesh.nx, si.kv_x.degree, sj.kv_x.degree, widen=i == j == 1),
+                    _band(mesh.ny, si.kv_y.degree, sj.kv_y.degree, widen=i == j == 0),
+                )
+                for j, sj in enumerate(spaces)
+            ]
+            for i, si in enumerate(spaces)
+        ]
+        # row lengths of each component block, rows in DOF order
+        lengths = [[np.outer(by[1], bx[1]).ravel() for bx, by in bands[i]] for i in (0, 1)]
         n = pair.n_u
-        keys = [(r.astype(np.int64)[:, :, None] * n + c[:, None, :]).ravel() for r, c in blocks]
-        unique, positions = np.unique(np.concatenate(keys), return_inverse=True)
-        ends = np.cumsum([len(k) for k in keys])
-        self._blocks = np.split(_read_only(positions), ends[:-1])
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.concatenate([a + b for a, b in lengths]), out=indptr[1:])
+        # first position of block (i, j) in row r: starts[j][r]
+        starts = (indptr[:-1], indptr[:-1] + np.concatenate([a for a, _ in lengths]))
         self.shape = (n, n)
-        self.nnz = len(unique)
-        # scipy picks the index dtype once; `csr` then passes these arrays on
-        template = sp.csr_matrix(
-            (np.zeros(self.nnz), unique % n, np.searchsorted(unique // n, np.arange(n + 1))),
-            shape=self.shape,
-        )
-        self.indices, self.indptr = _read_only(template.indices), _read_only(template.indptr)
+        self.nnz = int(indptr[-1])
+        index_dtype = sp.get_index_dtype(maxval=max(n, self.nnz))
+        indices = np.empty(self.nnz, dtype=index_dtype)
+        sizes = [rows.size * cols.shape[-1] for _, rows, _, cols in blocks]
+        ends = np.cumsum(sizes)
+        positions = np.empty(ends[-1], dtype=np.intp)
+        for b, (i, rows, j, cols) in enumerate(blocks):
+            (lo_x, len_x), (lo_y, _) = bands[i][j]
+            r_y, r_x = np.divmod(rows - pair.component_offset(i), spaces[i].n_x)
+            c_y, c_x = np.divmod(cols - pair.component_offset(j), spaces[j].n_x)
+            stride = len_x[r_x]
+            row_part = starts[j][rows] - lo_y[r_y] * stride - lo_x[r_x]
+            # written in place: the (E, L, M) block is the only array of its size
+            out = positions[ends[b] - sizes[b] : ends[b]].reshape(
+                rows.shape + cols.shape[-1:]
+            )
+            np.multiply(c_y[:, None, :], stride[:, :, None], out=out)
+            out += c_x[:, None, :]
+            out += row_part[:, :, None]
+            if b < 6:  # element and interior-facet blocks: their union is the pattern
+                indices[out] = cols.astype(index_dtype)[:, None, :]
+        self._blocks = np.split(_read_only(positions), ends[:-1])
+        self.indices = _read_only(indices)
+        self.indptr = _read_only(indptr.astype(index_dtype))
         # M and N1 couple each component with itself; K and N2 all component pairs
         self.diagonal = positions[: ends[1]]
         self.elements = positions[: ends[3]]
@@ -392,9 +462,13 @@ def assemble_viscous_nitsche(
     tangential traction vanishes). The penalty on each boundary facet is
     2 nu C_nit / h_n, h_n the boundary element's length normal to the facet,
     so small boundary elements keep K coercive on graded meshes. K is data
-    arithmetic on `jacobian_pattern`.
+    arithmetic on `jacobian_pattern`; at nu = 1 without Nitsche terms it is
+    the memoized, read-only `assemble_strain` matrix itself.
     """
-    data = assemble_strain(pair).data * params.nu
+    strain = assemble_strain(pair)
+    if params.nu == 1.0 and not nitsche:
+        return strain
+    data = strain.data * params.nu
     if nitsche:
         g, gt, _, p_h = _boundary_unit_data(pair)
         coef = 2.0 * params.nu * params.c_nit / pair.mesh.h

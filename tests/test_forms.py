@@ -1,4 +1,8 @@
 """Tests for the form assembly module."""
+import dataclasses
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -29,6 +33,7 @@ from divspline.mesh import build_mesh, facet_quadrature, gauss_rule
 from divspline.bspline import make_open_uniform
 from divspline.space import (
     StateVector,
+    TensorSpace,
     build_pair,
     eval_velocity,
     facet_normal_derivative_jump,
@@ -36,7 +41,7 @@ from divspline.space import (
     pressure_mean_vector,
 )
 from divspline.solver import FlowProblem, _SpatialOperator
-from util_fields import curl_state, random_pairs
+from util_fields import curl_state, random_pairs, sorted_pattern
 
 
 def max_abs(mat):
@@ -563,6 +568,60 @@ def test_velocity_mass_stores_no_explicit_zeros():
 # ------------------------------------------------------------------- pattern
 
 
+def assert_pattern_matches_sort(pair):
+    pattern = forms.JacobianPattern(pair)
+    indptr, indices, blocks = sorted_pattern(pair)
+    assert pattern.nnz == len(indices)
+    assert np.array_equal(pattern.indptr, indptr)
+    assert np.array_equal(pattern.indices, indices)
+    assert len(pattern._blocks) == len(blocks)
+    for got, expect in zip(pattern._blocks, blocks):
+        assert got.dtype == np.intp
+        assert np.array_equal(got, expect)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=random_pairs())
+def test_pattern_matches_sorted_block_keys_on_random_pairs(pair):
+    assert_pattern_matches_sort(pair)
+
+
+@pytest.mark.parametrize(
+    "k_prime,nx,ny",
+    [(1, 32, 32), (2, 32, 32), (3, 32, 32), (1, 64, 64), (3, 1, 1), (2, 1, 4), (3, 5, 1)],
+)
+def test_pattern_matches_sorted_block_keys(k_prime, nx, ny):
+    kx = make_open_uniform(k_prime + 1, nx)
+    ky = make_open_uniform(k_prime + 1, ny)
+    assert_pattern_matches_sort(build_pair(build_mesh(kx, ky), k_prime))
+
+
+def test_pattern_build_transient_within_twice_retained():
+    # the positions are written in place, block by block: no sort keys
+    pair = make_pair(32, 3)
+    forms.facet_tables(pair)
+    tab = forms.element_tables(pair, forms.bilinear_quad_points(pair))
+    tab.dofs("vx"), tab.dofs("vy")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pattern = forms.JacobianPattern(pair)
+        retained, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert retained >= pattern.elements.base.nbytes + pattern.indices.nbytes
+    assert peak <= 2 * retained
+
+
+def test_pattern_rejects_interior_multiplicity_above_one(pair33k2):
+    kv = pair33k2.vx.kv_x
+    doubled = open_knots(kv.degree, kv.unique_knots, interior_multiplicity=2)
+    pair = dataclasses.replace(pair33k2, vx=TensorSpace(kv_x=doubled, kv_y=pair33k2.vx.kv_y))
+    with pytest.raises(ValueError, match="multiplicity"):
+        forms.JacobianPattern(pair)
+
+
 def test_pattern_targets_are_slices_of_one_positions_array(pair33k2):
     pattern = forms.jacobian_pattern(pair33k2)
     views = (pattern.diagonal, pattern.elements, pattern.skeleton)
@@ -611,3 +670,5 @@ def test_shared_operators_reject_in_place_changes():
     assert np.array_equal(assemble_strain(pair).data, before)
     # K_unit is assembled at nu = 1: without Nitsche terms it is S itself
     assert np.array_equal(op.k_unit.data, before)
+    assert np.shares_memory(op.k_unit.data, assemble_strain(pair).data)
+    assert not op.k_unit.data.flags.writeable

@@ -296,32 +296,47 @@ def test_fused_jacobian_matches_dense_sum(pair, seed, nitsche, convection, skele
 
 
 class _CountingNumpy:
-    """numpy for divspline.forms, counting its np.unique calls."""
+    """numpy for divspline.forms, counting its calls of numpy's sorting functions."""
+
+    SORTS = ("unique", "sort", "argsort", "lexsort", "searchsorted")
 
     def __init__(self):
-        self.unique_calls = 0
+        self.calls = dict.fromkeys(self.SORTS, 0)
 
     def __getattr__(self, name):
-        return getattr(np, name)
+        attr = getattr(np, name)
+        if name not in self.SORTS:
+            return attr
 
-    def unique(self, *args, **kwargs):
-        self.unique_calls += 1
-        return np.unique(*args, **kwargs)
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
 
 
 def test_one_sparsity_pattern_per_pair(monkeypatch):
-    # each sparsity pattern is one np.unique over its block keys; a steady
-    # ladder with Nitsche terms and time steps with and without them on one
-    # fresh pair all assemble on the same pattern
+    # a steady ladder with Nitsche terms and time steps with and without them
+    # on one fresh pair all assemble on one JacobianPattern, and it is built
+    # by arithmetic on 1-D bands: divspline.forms sorts nothing
     counting = _CountingNumpy()
     monkeypatch.setattr(forms, "np", counting)
+    builds = []
+    build = forms.JacobianPattern.__init__
+
+    def counted_build(self, pair):
+        builds.append(pair)
+        build(self, pair)
+
+    monkeypatch.setattr(forms.JacobianPattern, "__init__", counted_build)
     pair = unit_square_pair(4, 2)
     problem = FlowProblem(pair, StabParams.create(2, nu=1e-3), u_d=CavityCase.lid_velocity)
     steady = solve_steady(problem, re=1000.0).state
     cfg = TimeConfig(dt=1e-2, t_end=2e-2)
     TimeStepper(problem, cfg).run(steady)
     TimeStepper(replace(problem, nitsche=False), cfg).run(steady)
-    assert counting.unique_calls == 1
+    assert len(builds) == 1 and builds[0] is pair
+    assert counting.calls == dict.fromkeys(_CountingNumpy.SORTS, 0)
 
 
 @pytest.mark.parametrize("nu", [1.0, 1e-2, 1.0 / 7500.0])

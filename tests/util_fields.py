@@ -5,6 +5,7 @@ import numpy as np
 import scipy.sparse as sp
 from hypothesis import strategies as st
 
+from divspline import forms
 from divspline.bspline import derivative_coefficients, open_knots
 from divspline.mesh import build_mesh
 from divspline.space import DivConformingPair, StateVector, build_pair, element_tables
@@ -73,3 +74,24 @@ def quadrature_divergence(pair: DivConformingPair) -> sp.csr_matrix:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(pair.n_p, pair.n_u),
     )
+
+
+def sorted_pattern(pair: DivConformingPair):
+    """Oracle Jacobian pattern: one `np.unique` over every local-block key.
+
+    The blocks are those of `forms.JacobianPattern`, in its order. Returns
+    (indptr, indices, positions), positions[b] the CSR data position of each
+    entry of block b in its (E, L, M) order.
+    """
+    tab = element_tables(pair, pair.k_prime + 2)
+    dofs = [tab.dofs(name) + pair.component_offset(c) for c, name in enumerate(("vx", "vy"))]
+    facets = forms.facet_tables(pair)
+    blocks = [(dofs[i], dofs[j]) for i, j in ((0, 0), (1, 1), (0, 1), (1, 0))]
+    blocks += [(f.dofs[1 - f.axis],) * 2 for f in facets.interior]
+    blocks += [(f.dofs[i], f.dofs[j]) for f in facets.boundary for i in (0, 1) for j in (0, 1)]
+    n = pair.n_u
+    keys = [(r.astype(np.int64)[:, :, None] * n + c[:, None, :]).ravel() for r, c in blocks]
+    unique, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    ends = np.cumsum([len(k) for k in keys])
+    indptr = np.searchsorted(unique // n, np.arange(n + 1))
+    return indptr, unique % n, np.split(inverse, ends[:-1])
