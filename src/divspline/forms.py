@@ -29,27 +29,27 @@ Every operator but B comes from batched basis tables built on
 points, the skeleton penalty and the boundary terms from `FacetTables` on the
 interior and boundary facets. Local blocks are weighted basis products
 contracted over the quadrature points with one batched matmul
-(`_weighted_products`). Each operator adds its local blocks into a data
-array on the pair's one sparsity pattern, a `JacobianPattern`: the element
-blocks of the four velocity component pairs (K, M, N1, N2), the tangential
-interior-facet blocks (J) and the boundary-facet blocks (the Nitsche terms,
-inside the element blocks). K with its Nitsche terms is arithmetic on those
-arrays, and the solver forms each Jacobian by adding data arrays and
-building one CSR. The pattern comes from 1-D bands by arithmetic, with no
-sort; it keeps each entry position once, and every CSR on it shares its
-read-only indices; the memoized data arrays of K's strain part and of M are
-read-only too, so no caller can change an operator that later operators on
-the pair reuse.
+(`_weighted_products`). Each operator makes its local blocks one at a time
+and adds each, with one `np.add.at`, into a data array on the pair's one
+sparsity pattern, a `JacobianPattern`: the element blocks of the four
+velocity component pairs (K, M, N1, N2), the tangential interior-facet
+blocks (J) and the boundary-facet blocks (the Nitsche terms, inside the
+element blocks). K with its Nitsche terms is arithmetic on those arrays,
+and the solver forms each Jacobian by adding data arrays and building one
+CSR. The pattern comes from 1-D bands by arithmetic, with no sort; it keeps
+each entry position once, and every CSR on it shares its read-only indices;
+the memoized data arrays of K's strain part and of M are read-only too, so
+no caller can change an operator that later operators on the pair reuse.
 
 Residuals need no matrices: `convection_residual` gives N1(u) u from the
 convection tables and `skeleton_residual` gives J(u) u from the tangential
-jump tables, each as element (or facet) vectors summed with one bincount.
-The solver's line search and the energy diagnostics use only these; the
-matrices are built only for a Newton step's Jacobian. The iterate-dependent
-values a residual and a Jacobian share (eta on the facets, w at the
-convection points) are kept per pair for the last state they were computed
-at, so the Jacobian at a state whose residual was just evaluated recomputes
-neither.
+jump tables, each as element (or facet) vectors added into place with one
+`np.add.at` per velocity component (or facet orientation). The solver's
+line search and the energy diagnostics use only these; the matrices are
+built only for a Newton step's Jacobian. The iterate-dependent values a
+residual and a Jacobian share (eta on the facets, w at the convection
+points) are kept per pair for the last state they were computed at, so the
+Jacobian at a state whose residual was just evaluated recomputes neither.
 """
 from __future__ import annotations
 
@@ -182,13 +182,14 @@ class JacobianPattern:
     continuous, so its jump blocks are left out); blocks 6 + 4 d + 2 i + j
     the boundary-facet blocks of components (i, j) normal to axis d, which
     hold G, G^T and P and add no entries. Every entry of every block has one
-    position in the CSR data, stored once in block order, so `diagonal`
-    (blocks 0-1), `elements` (0-3) and `skeleton` (4-5) are slices of one
-    array, and `targets` selects the positions of any subset of the blocks.
-    `data` adds local arrays (E_b, L_b, M_b), given in the targets' block
-    order, into place with one `np.bincount`. The positions, `indices` and
-    `indptr` are read-only, and every matrix `csr` builds shares the last
-    two, so no matrix on the pattern can be changed in its structure.
+    position in the CSR data, stored once in block order: `_blocks[b]` is
+    block b's slice of one positions array. `data` adds local arrays
+    (E_b, L_b, M_b), one block at a time, into a zeroed data array with
+    `np.add.at`, which allocates nothing for the read-only positions (a
+    `np.bincount` would copy them, and all the local arrays concatenated).
+    The positions, `indices` and `indptr` are read-only, and every matrix
+    `csr` builds shares the last two, so no matrix on the pattern can be
+    changed in its structure.
 
     The pattern is found by arithmetic, without a sort. Each component block
     (i, j) is the Kronecker product of a y band and an x band (`_band`):
@@ -262,19 +263,18 @@ class JacobianPattern:
         self._blocks = np.split(_read_only(positions), ends[:-1])
         self.indices = _read_only(indices)
         self.indptr = _read_only(indptr.astype(index_dtype))
-        # M and N1 couple each component with itself; K and N2 all component pairs
-        self.diagonal = positions[: ends[1]]
-        self.elements = positions[: ends[3]]
-        self.skeleton = positions[ends[3] : ends[5]]
 
-    def targets(self, block_ids) -> np.ndarray:
-        """Data positions of the entries of the given blocks, in that order."""
-        return np.concatenate([self._blocks[b] for b in block_ids])
+    def data(self, blocks) -> np.ndarray:
+        """Data array of the local blocks (b, local), local of block b's shape
+        (E_b, L_b, M_b), added in the given order from 0.0.
 
-    def data(self, local_blocks, targets: np.ndarray) -> np.ndarray:
-        """Data array of the summed local blocks of the blocks at `targets`."""
-        values = np.concatenate([b.ravel() for b in local_blocks])
-        return np.bincount(targets, values, minlength=self.nnz)
+        `blocks` may be a generator, so that one local block is alive at a time.
+        """
+        out = np.zeros(self.nnz)
+        for b, local in blocks:
+            np.add.at(out, self._blocks[b], local.reshape(-1))
+            del local  # freed before the generator makes the next block
+        return out
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
         """The matrix with the given data array on this pattern's shared indices."""
@@ -299,13 +299,17 @@ def assemble_strain(pair: DivConformingPair) -> sp.csr_matrix:
     w = tab.weights
     dx1, dy1 = tab.basis("vx", 1, 0), tab.basis("vx", 0, 1)
     dx2, dy2 = tab.basis("vy", 1, 0), tab.basis("vy", 0, 1)
-    # 2 int [ 2 e11(u) e11(v) + 2 e22 e22 + 4 e12 e12 ] expanded per block:
-    k11 = _weighted_products(w, dx1, dx1) * 2 + _weighted_products(w, dy1, dy1)
-    k22 = _weighted_products(w, dy2, dy2) * 2 + _weighted_products(w, dx2, dx2)
-    k12 = _weighted_products(w, dy1, dx2)
+
+    def local_blocks():
+        # 2 int [ 2 e11(u) e11(v) + 2 e22 e22 + 4 e12 e12 ] expanded per block:
+        yield 0, _weighted_products(w, dx1, dx1) * 2 + _weighted_products(w, dy1, dy1)
+        yield 1, _weighted_products(w, dy2, dy2) * 2 + _weighted_products(w, dx2, dx2)
+        k12 = _weighted_products(w, dy1, dx2)
+        yield 2, k12
+        yield 3, k12.transpose(0, 2, 1)
+
     pattern = jacobian_pattern(pair)
-    data = pattern.data([k11, k22, k12, k12.transpose(0, 2, 1)], pattern.elements)
-    return pattern.csr(_read_only(data))
+    return pattern.csr(_read_only(pattern.data(local_blocks())))
 
 
 def _on_facets(axis: int, normal: np.ndarray, tangential: np.ndarray, op=np.multiply):
@@ -405,24 +409,15 @@ class FacetTables:
 facet_tables = per_pair(FacetTables)
 
 
-def _boundary_unit_data(pair: DivConformingPair):
-    """Data arrays of G[a,b] = (2 n . grad_s phi_b, phi_a)_bnd, of G^T, of the
-    boundary mass P and of the penalty mass P_h, P with each facet scaled by
-    h / h_n, on the pair's `jacobian_pattern`."""
-    pattern = jacobian_pattern(pair)
-    g_blocks, gt_blocks, g_locals, p_blocks, p_locals, ph_locals = [], [], [], [], [], []
+def _boundary_g_blocks(pair: DivConformingPair):
+    """Local blocks of G[a,b] = (2 n . grad_s phi_b, phi_a)_bnd: yields (d, ca,
+    cb, local) for rows of component ca, columns of component cb, facets
+    normal to axis d, in `JacobianPattern` block order."""
     for facets in facet_tables(pair).boundary:
         d = facets.axis
         wn = facets.weights * facets.normal
         val, grad = facets.value, facets.grad
-
-        def block(i, j):  # the JacobianPattern block of rows comp i, columns comp j
-            return 6 + 4 * d + 2 * i + j
-
         for ca in (0, 1):
-            p_blocks.append(block(ca, ca))
-            p_locals.append(_weighted_products(facets.weights, val[ca], val[ca]))
-            ph_locals.append(_weighted_products(facets.penalty, val[ca], val[ca]))
             for cb in (0, 1):
                 # component ca of 2 n . grad_s phi_b is n_d (d_d phi_b,ca + d_ca phi_b,d)
                 parts = []
@@ -431,15 +426,32 @@ def _boundary_unit_data(pair: DivConformingPair):
                 if cb == d:
                     parts.append(_weighted_products(wn, val[ca], grad[cb][ca]))
                 if parts:
-                    g_blocks.append(block(ca, cb))
-                    gt_blocks.append(block(cb, ca))
-                    g_locals.append(sum(parts))
-    p_targets = pattern.targets(p_blocks)
+                    yield d, ca, cb, sum(parts)
+
+
+def _boundary_unit_data(pair: DivConformingPair):
+    """Data arrays of G (see `_boundary_g_blocks`), of G^T, of the boundary
+    mass P and of the penalty mass P_h, P with each facet scaled by h / h_n,
+    on the pair's `jacobian_pattern`."""
+    pattern = jacobian_pattern(pair)
+
+    def block(d, i, j):  # the block of rows comp i, columns comp j, facets normal to d
+        return 6 + 4 * d + 2 * i + j
+
+    def mass_blocks(scaled: bool):
+        for facets in facet_tables(pair).boundary:
+            w = facets.penalty if scaled else facets.weights
+            for c, val in enumerate(facets.value):
+                yield block(facets.axis, c, c), _weighted_products(w, val, val)
+
     return (
-        pattern.data(g_locals, pattern.targets(g_blocks)),
-        pattern.data([g.transpose(0, 2, 1) for g in g_locals], pattern.targets(gt_blocks)),
-        pattern.data(p_locals, p_targets),
-        pattern.data(ph_locals, p_targets),
+        pattern.data((block(d, ca, cb), g) for d, ca, cb, g in _boundary_g_blocks(pair)),
+        pattern.data(
+            (block(d, cb, ca), g.transpose(0, 2, 1))
+            for d, ca, cb, g in _boundary_g_blocks(pair)
+        ),
+        pattern.data(mass_blocks(scaled=False)),
+        pattern.data(mass_blocks(scaled=True)),
     )
 
 
@@ -485,6 +497,9 @@ def nitsche_load(pair: DivConformingPair, params: StabParams, u_d) -> np.ndarray
     g = np.zeros(pair.n_u)
     lo = 0
     for facets in sides:
+        # each side is summed on its own and then added: the two sides of a
+        # corner reach some of the same DOFs
+        side = np.zeros(pair.n_u)
         ud = ud_all[:, lo : lo + len(facets.weights)]
         lo += len(facets.weights)
         d = facets.axis
@@ -499,7 +514,8 @@ def nitsche_load(pair: DivConformingPair, params: StabParams, u_d) -> np.ndarray
                 )
             pen = np.einsum("fq,fql->fl", facets.penalty * ud[ca], facets.value[ca])
             local = params.nu * (coef * pen - cons)
-            g += np.bincount(facets.dofs[ca].ravel(), local.ravel(), minlength=pair.n_u)
+            np.add.at(side, facets.dofs[ca].reshape(-1), local.reshape(-1))
+        g += side
     return g
 
 
@@ -519,7 +535,6 @@ class _ConvectionKit:
         self.val = [tab.basis(name, 0, 0) for name in names]
         self.grad = [(tab.basis(name, 1, 0), tab.basis(name, 0, 1)) for name in names]
         self.dofs = [tab.dofs(name) + pair.component_offset(c) for c, name in enumerate(names)]
-        self.all_dofs = np.concatenate([d.ravel() for d in self.dofs])
 
 
 _convection_kit = per_pair(_ConvectionKit)
@@ -577,24 +592,22 @@ def assemble_convection(
     kit = _convection_kit(pair)
     pattern = jacobian_pattern(pair)
     wq = _convection_values(pair, w_u)
-    # rows test comp j, cols trial comp j: -(w . grad phi_a) phi_b
-    w_dot_grad = [
-        wq[0][..., None] * kit.grad[j][0] + wq[1][..., None] * kit.grad[j][1] for j in (0, 1)
-    ]
+    neg_w = -kit.w  # the forms' minus sign, carried by the weights
+
+    def w_dot_grad(j):  # w . grad of component j's test functions, (E, Q, L)
+        return wq[0][..., None] * kit.grad[j][0] + wq[1][..., None] * kit.grad[j][1]
+
+    # block j, rows test comp j, cols trial comp j: -(w . grad phi_a) phi_b
     n1 = pattern.csr(
         pattern.data(
-            [-_weighted_products(kit.w, w_dot_grad[j], kit.val[j]) for j in (0, 1)],
-            pattern.diagonal,
+            (j, _weighted_products(neg_w, w_dot_grad(j), kit.val[j])) for j in (0, 1)
         )
     )
     # rows test comp j, cols trial comp i: -(phi_b w_j, d_i phi_a)
     n2 = pattern.csr(
         pattern.data(
-            [
-                -_weighted_products(kit.w * wq[j], kit.grad[j][i], kit.val[i])
-                for j, i in ((0, 0), (1, 1), (0, 1), (1, 0))
-            ],
-            pattern.elements,
+            (b, _weighted_products(neg_w * wq[j], kit.grad[j][i], kit.val[i]))
+            for b, (j, i) in enumerate(((0, 0), (1, 1), (0, 1), (1, 0)))
         )
     )
     return n1, n2
@@ -604,20 +617,19 @@ def convection_residual(pair: DivConformingPair, u: np.ndarray) -> np.ndarray:
     """Convective residual N1(u) u, i.e. C(u; u, phi_a) for every test function.
 
     Computed without N1: test component j takes -(u_j u . grad phi_a) at the
-    convection quadrature points, one einsum per gradient term, and both
-    components' element vectors are summed with one bincount.
+    convection quadrature points, one einsum per gradient term, and each
+    component's element vectors are added into place with one `np.add.at`.
     """
     kit = _convection_kit(pair)
     uq = _convection_values(pair, u)
-    local = []
+    out = np.zeros(pair.n_u)
     for j in (0, 1):
-        wu = kit.w * uq[j]
-        local.append(
-            -np.einsum("eq,eql->el", wu * uq[0], kit.grad[j][0])
-            - np.einsum("eq,eql->el", wu * uq[1], kit.grad[j][1])
+        wu = -kit.w * uq[j]
+        local = np.einsum("eq,eql->el", wu * uq[0], kit.grad[j][0]) + np.einsum(
+            "eq,eql->el", wu * uq[1], kit.grad[j][1]
         )
-    data = np.concatenate([v.ravel() for v in local])
-    return np.bincount(kit.all_dofs, data, minlength=pair.n_u)
+        np.add.at(out, kit.dofs[j].reshape(-1), local.reshape(-1))
+    return out
 
 
 def facet_eta_values(
@@ -660,11 +672,14 @@ def assemble_skeleton(
         return sp.csr_matrix((n, n))
     w_u = w_state.u if isinstance(w_state, StateVector) else w_state
     pattern = jacobian_pattern(pair)
-    local_blocks = []
-    for facets, eta in zip(facet_tables(pair).interior, facet_eta_values(pair, w_u, params)):
-        jump = facets.jump[1 - facets.axis]
-        local_blocks.append(_weighted_products(facets.weights * eta, jump, jump))
-    return pattern.csr(pattern.data(local_blocks, pattern.skeleton))
+
+    def local_blocks():
+        for facets, eta in zip(facet_tables(pair).interior, facet_eta_values(pair, w_u, params)):
+            jump = facets.jump[1 - facets.axis]
+            # block 4 + axis: the tangential jumps on the facets normal to axis
+            yield 4 + facets.axis, _weighted_products(facets.weights * eta, jump, jump)
+
+    return pattern.csr(pattern.data(local_blocks()))
 
 
 def skeleton_residual(
@@ -674,19 +689,19 @@ def skeleton_residual(
 
     Computed without J: on each facet orientation the tangential jump of u
     at the quadrature points, times eta(u) and the weights, is applied to the
-    transposed jump table, and the facet vectors are summed with one
-    bincount. gamma = 0 returns zeros.
+    transposed jump table, and each orientation's facet vectors are added
+    into place with one `np.add.at`. gamma = 0 returns zeros.
     """
+    out = np.zeros(pair.n_u)
     if params.gamma == 0.0:
-        return np.zeros(pair.n_u)
-    dofs, data = [], []
+        return out
     for facets, eta in zip(facet_tables(pair).interior, facet_eta_values(pair, u, params)):
         c = 1 - facets.axis
         jump = facets.jump[c]
         u_jump = np.einsum("fql,fl->fq", jump, u[facets.dofs[c]])
-        dofs.append(facets.dofs[c].ravel())
-        data.append(np.einsum("fq,fql->fl", facets.weights * eta * u_jump, jump).ravel())
-    return np.bincount(np.concatenate(dofs), np.concatenate(data), minlength=pair.n_u)
+        local = np.einsum("fq,fql->fl", facets.weights * eta * u_jump, jump)
+        np.add.at(out, facets.dofs[c].reshape(-1), local.reshape(-1))
+    return out
 
 
 def assemble_load(
@@ -722,8 +737,10 @@ def _velocity_mass_data(pair: DivConformingPair) -> np.ndarray:
     """
     tab = element_tables(pair, bilinear_quad_points(pair))
     pattern = jacobian_pattern(pair)
-    values = [tab.basis(name, 0, 0) for name in ("vx", "vy")]
-    data = pattern.data([_weighted_products(tab.weights, v, v) for v in values], pattern.diagonal)
+    data = pattern.data(
+        (c, _weighted_products(tab.weights, v, v))
+        for c, v in enumerate(tab.basis(name, 0, 0) for name in ("vx", "vy"))
+    )
     return _read_only(data)
 
 

@@ -41,7 +41,15 @@ from divspline.space import (
     pressure_mean_vector,
 )
 from divspline.solver import FlowProblem, _SpatialOperator
-from util_fields import curl_state, random_pairs, sorted_pattern
+from util_fields import (
+    bincount_convection,
+    bincount_data,
+    bincount_nitsche_load,
+    bincount_skeleton_residual,
+    curl_state,
+    random_pairs,
+    sorted_pattern,
+)
 
 
 def max_abs(mat):
@@ -610,8 +618,41 @@ def test_pattern_build_transient_within_twice_retained():
         retained, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert retained >= pattern.elements.base.nbytes + pattern.indices.nbytes
+    assert retained >= pattern._blocks[0].base.nbytes + pattern.indices.nbytes
     assert peak <= 2 * retained
+
+
+@pytest.mark.parametrize("kernel", ["convection", "skeleton"])
+def test_newton_kernel_transient_is_outputs_plus_a_few_blocks(kernel):
+    # the local blocks are made and added one at a time, and np.add.at copies
+    # none of the read-only positions: no block list, no joined targets
+    pair = make_pair(16, 3)
+    params = params_for(pair, 1e-3)
+    rng = np.random.default_rng(4)
+    u_warm, u = rng.standard_normal(pair.n_u), rng.standard_normal(pair.n_u)
+    nnz = forms.jacobian_pattern(pair).nnz
+    if kernel == "convection":
+        build = lambda v: assemble_convection(pair, v)
+        n_outputs = 2
+        grad = forms._convection_kit(pair).grad[0][0]  # (E, Q, L)
+        n_el, _, n_local = grad.shape
+        largest = max(grad.nbytes, n_el * n_local**2 * 8)
+    else:
+        build = lambda v: assemble_skeleton(pair, v, params)
+        n_outputs = 1
+        jumps = [f.jump[1 - f.axis] for f in facet_tables(pair).interior]
+        largest = max(max(j.nbytes, len(j) * j.shape[-1] ** 2 * 8) for j in jumps)
+    build(u_warm)  # tables and pattern
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = build(u)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out is not None
+    assert peak <= n_outputs * nnz * 8 + 3 * largest
 
 
 def test_pattern_rejects_interior_multiplicity_above_one(pair33k2):
@@ -623,14 +664,54 @@ def test_pattern_rejects_interior_multiplicity_above_one(pair33k2):
 
 
 def test_pattern_targets_are_slices_of_one_positions_array(pair33k2):
+    # the scatter targets of the blocks tile one read-only array, in block order
     pattern = forms.jacobian_pattern(pair33k2)
-    views = (pattern.diagonal, pattern.elements, pattern.skeleton)
-    positions = pattern.elements.base
-    assert positions is not None
-    for view, blocks in zip(views, ([0, 1], [0, 1, 2, 3], [4, 5])):
-        assert view.base is positions
-        assert not view.flags.writeable
-        assert np.array_equal(view, pattern.targets(blocks))
+    positions = pattern._blocks[0].base
+    assert positions is not None and not positions.flags.writeable
+    start = positions.ctypes.data
+    for block in pattern._blocks:
+        assert block.base is positions
+        assert not block.flags.writeable
+        assert block.ctypes.data == start
+        start += block.nbytes
+    assert start == positions.ctypes.data + positions.nbytes
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=random_pairs(), seed=st.integers(0, 2**16))
+def test_scatter_matches_bincount_oracle_bit_for_bit(pair, seed):
+    # np.add.at block by block adds in the order one bincount over the
+    # concatenated blocks does, from 0.0, and -w in the weights is exact
+    params = params_for(pair, 0.05)
+    u = np.random.default_rng(seed).standard_normal(pair.n_u)
+    u_d = lambda x, y: (np.sin(3.0 * x + y), np.cos(x * y))
+    n1, n2 = assemble_convection(pair, u)
+    got = {
+        "S": assemble_strain(pair).data,
+        "K": assemble_viscous_nitsche(pair, params).data,
+        "M": forms._velocity_mass_data(pair),
+        "J": assemble_skeleton(pair, u, params).data,
+        "G, G^T, P, P_h": np.stack(forms._boundary_unit_data(pair)),
+        "N1": n1.data,
+        "N2": n2.data,
+        "N1(u) u": convection_residual(pair, u),
+        "J(u) u": skeleton_residual(pair, u, params),
+        "Nitsche load": nitsche_load(pair, params, u_d),
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forms.JacobianPattern, "data", bincount_data)
+        expect = {
+            "S": assemble_strain.__wrapped__(pair).data,
+            "K": assemble_viscous_nitsche(pair, params).data,
+            "M": forms._velocity_mass_data.__wrapped__(pair),
+            "J": assemble_skeleton(pair, u, params).data,
+            "G, G^T, P, P_h": np.stack(forms._boundary_unit_data(pair)),
+        }
+    expect["N1"], expect["N2"], expect["N1(u) u"] = bincount_convection(pair, u)
+    expect["J(u) u"] = bincount_skeleton_residual(pair, u, params)
+    expect["Nitsche load"] = bincount_nitsche_load(pair, params, u_d)
+    for name, array in got.items():
+        assert array.tobytes() == expect[name].tobytes(), name
 
 
 def test_pattern_matrices_share_read_only_indices(pair33k2):

@@ -296,16 +296,17 @@ def test_fused_jacobian_matches_dense_sum(pair, seed, nitsche, convection, skele
 
 
 class _CountingNumpy:
-    """numpy for divspline.forms, counting its calls of numpy's sorting functions."""
+    """numpy for divspline.forms, counting its calls of the named functions
+    (by default numpy's sorting functions)."""
 
     SORTS = ("unique", "sort", "argsort", "lexsort", "searchsorted")
 
-    def __init__(self):
-        self.calls = dict.fromkeys(self.SORTS, 0)
+    def __init__(self, names=SORTS):
+        self.calls = dict.fromkeys(names, 0)
 
     def __getattr__(self, name):
         attr = getattr(np, name)
-        if name not in self.SORTS:
+        if name not in self.calls:
             return attr
 
         def counted(*args, **kwargs):
@@ -337,6 +338,29 @@ def test_one_sparsity_pattern_per_pair(monkeypatch):
     TimeStepper(replace(problem, nitsche=False), cfg).run(steady)
     assert len(builds) == 1 and builds[0] is pair
     assert counting.calls == dict.fromkeys(_CountingNumpy.SORTS, 0)
+
+
+@pytest.mark.parametrize("k_prime", [1, 2, 3])
+def test_newton_step_kernels_neither_concatenate_nor_bincount(monkeypatch, k_prime):
+    # with the tables and the pattern built, the kernels of a Newton step
+    # scatter each local array in place: no index or value array is joined
+    pair = unit_square_pair(4, k_prime)
+    params = StabParams.create(k_prime, nu=1e-3)
+    rng = np.random.default_rng(k_prime)
+    u_warm, u = rng.standard_normal(pair.n_u), rng.standard_normal(pair.n_u)
+    kernels = (
+        lambda v: assemble_convection(pair, v),
+        lambda v: assemble_skeleton(pair, v, params),
+        lambda v: forms.convection_residual(pair, v),
+        lambda v: forms.skeleton_residual(pair, v, params),
+    )
+    for kernel in kernels:
+        kernel(u_warm)
+    counting = _CountingNumpy(("bincount", "concatenate"))
+    monkeypatch.setattr(forms, "np", counting)
+    for kernel in kernels:
+        kernel(u)  # a new state: eta and w at the points are recomputed too
+    assert counting.calls == {"bincount": 0, "concatenate": 0}
 
 
 @pytest.mark.parametrize("nu", [1.0, 1e-2, 1.0 / 7500.0])

@@ -95,3 +95,75 @@ def sorted_pattern(pair: DivConformingPair):
     ends = np.cumsum([len(k) for k in keys])
     indptr = np.searchsorted(unique // n, np.arange(n + 1))
     return indptr, unique % n, np.split(inverse, ends[:-1])
+
+
+def bincount_data(pattern: forms.JacobianPattern, blocks) -> np.ndarray:
+    """Oracle of `JacobianPattern.data`: the positions of the blocks and their
+    local arrays, each concatenated, summed with one `np.bincount`."""
+    blocks = list(blocks)
+    targets = np.concatenate([pattern._blocks[b] for b, _ in blocks])
+    values = np.concatenate([local.ravel() for _, local in blocks])
+    return np.bincount(targets, values, minlength=pattern.nnz)
+
+
+def bincount_convection(pair: DivConformingPair, u: np.ndarray):
+    """Oracle of the data of `assemble_convection`'s (N1, N2) and of
+    `convection_residual`: the minus sign applied to each local array, and
+    the arrays concatenated and summed with one `np.bincount`."""
+    kit = forms._convection_kit(pair)
+    pattern = forms.jacobian_pattern(pair)
+    product = forms._weighted_products
+    wq = [np.matmul(kit.val[c], u[kit.dofs[c]][..., None])[..., 0] for c in (0, 1)]
+    w_dot_grad = [
+        wq[0][..., None] * kit.grad[j][0] + wq[1][..., None] * kit.grad[j][1] for j in (0, 1)
+    ]
+    n1 = [-product(kit.w, w_dot_grad[j], kit.val[j]) for j in (0, 1)]
+    n2 = [
+        -product(kit.w * wq[j], kit.grad[j][i], kit.val[i])
+        for j, i in ((0, 0), (1, 1), (0, 1), (1, 0))
+    ]
+    local = [
+        -np.einsum("eq,eql->el", kit.w * wq[j] * wq[0], kit.grad[j][0])
+        - np.einsum("eq,eql->el", kit.w * wq[j] * wq[1], kit.grad[j][1])
+        for j in (0, 1)
+    ]
+    dofs = np.concatenate([d.ravel() for d in kit.dofs])
+    residual = np.bincount(dofs, np.concatenate([v.ravel() for v in local]), minlength=pair.n_u)
+    return bincount_data(pattern, enumerate(n1)), bincount_data(pattern, enumerate(n2)), residual
+
+
+def bincount_skeleton_residual(pair: DivConformingPair, u: np.ndarray, params) -> np.ndarray:
+    """Oracle of `skeleton_residual`: both orientations' facet vectors
+    concatenated and summed with one `np.bincount`."""
+    dofs, data = [], []
+    etas = forms.facet_eta_values(pair, u, params)
+    for facets, eta in zip(forms.facet_tables(pair).interior, etas):
+        c = 1 - facets.axis
+        jump = facets.jump[c]
+        u_jump = np.einsum("fql,fl->fq", jump, u[facets.dofs[c]])
+        dofs.append(facets.dofs[c].ravel())
+        data.append(np.einsum("fq,fql->fl", facets.weights * eta * u_jump, jump).ravel())
+    return np.bincount(np.concatenate(dofs), np.concatenate(data), minlength=pair.n_u)
+
+
+def bincount_nitsche_load(pair: DivConformingPair, params, u_d) -> np.ndarray:
+    """Oracle of `nitsche_load`: one `np.bincount` per boundary side and
+    component, summed. (One bincount over every side would add the terms of
+    the DOFs two sides of a corner reach in another order.)"""
+    coef = 2.0 * params.c_nit / pair.mesh.h
+    g = np.zeros(pair.n_u)
+    for facets in forms.facet_tables(pair).boundary:
+        ud = np.array(u_d(facets.points[..., 0], facets.points[..., 1]))
+        d = facets.axis
+        wn = facets.weights * facets.normal
+        for ca in (0, 1):
+            grad = facets.grad[ca]
+            cons = np.einsum("fq,fql->fl", wn * ud[ca], grad[d])
+            if ca == d:
+                cons += np.einsum("fq,fql->fl", wn * ud[0], grad[0]) + np.einsum(
+                    "fq,fql->fl", wn * ud[1], grad[1]
+                )
+            pen = np.einsum("fq,fql->fl", facets.penalty * ud[ca], facets.value[ca])
+            local = params.nu * (coef * pen - cons)
+            g += np.bincount(facets.dofs[ca].ravel(), local.ravel(), minlength=pair.n_u)
+    return g
