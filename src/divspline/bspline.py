@@ -201,6 +201,27 @@ class KnotVector:
         return float(self.knots[0]), float(self.knots[-1])
 
     @cached_property
+    def mass(self) -> np.ndarray:
+        """Dense mass matrix, mass[i, j] = integral of N_i N_j; read-only.
+
+        degree + 1 Gauss points per element integrate it exactly, and the
+        element blocks are added into place with one np.add.at.
+        """
+        k = self.degree
+        nodes, weights = np.polynomial.legendre.leggauss(k + 1)
+        uk = self.unique_knots
+        half = 0.5 * np.diff(uk)[:, None]
+        x = uk[:-1, None] + half * (nodes + 1.0)
+        spans = self.element_spans
+        values = basis_all_derivatives(self.knots, k, x, spans[:, None], 0)[..., 0, :]
+        local = np.matmul((values * (half * weights)[..., None]).transpose(0, 2, 1), values)
+        idx = (spans - k)[:, None] + np.arange(k + 1)
+        mass = np.zeros((self.n_basis, self.n_basis))
+        np.add.at(mass, (idx[:, :, None], idx[:, None, :]), local)
+        mass.flags.writeable = False
+        return mass
+
+    @cached_property
     def element_spans(self) -> np.ndarray:
         """Knot span index of each element (between consecutive unique knots)."""
         mids = 0.5 * (self.unique_knots[:-1] + self.unique_knots[1:])

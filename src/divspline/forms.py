@@ -41,15 +41,19 @@ each entry position once, and every CSR on it shares its read-only indices;
 the memoized data arrays of K's strain part and of M are read-only too, so
 no caller can change an operator that later operators on the pair reuse.
 
-Residuals need no matrices: `convection_residual` gives N1(u) u from the
-convection tables and `skeleton_residual` gives J(u) u from the tangential
-jump tables, each as element (or facet) vectors added into place with one
-`np.add.at` per velocity component (or facet orientation). The solver's
-line search and the energy diagnostics use only these; the matrices are
-built only for a Newton step's Jacobian. The iterate-dependent values a
-residual and a Jacobian share (eta on the facets, w at the convection
-points) are kept per pair for the last state they were computed at, so the
-Jacobian at a state whose residual was just evaluated recomputes neither.
+Residuals need no matrices, and the per-state kernels work on dense 1-D
+factors of the tensor-product spaces instead of element tables:
+`convection_residual` gives N1(u) u from the collocation matrices of each
+velocity component at the convection points (`_ConvectionKit`), and
+`skeleton_residual` gives J(u) u from the one-sided value rows, jump rows
+and tangential collocation on the interior knot lines (`FacetTables`); each
+writes its components' slices of the output, with no gather and no scatter.
+The solver's line search and the energy diagnostics use only these; the
+matrices are built only for a Newton step's Jacobian. The iterate-dependent
+values a residual and a Jacobian share (eta on the facet lines, w on the
+grid of convection points) are kept per pair for the last state they were
+computed at, so the Jacobian at a state whose residual was just evaluated
+recomputes neither.
 """
 from __future__ import annotations
 
@@ -68,6 +72,7 @@ from .space import (
     element_tables,
     mass_matrix_1d,
     per_pair,
+    quad_points_1d,
 )
 
 __all__ = [
@@ -329,6 +334,17 @@ def _on_facets(axis: int, normal: np.ndarray, tangential: np.ndarray, op=np.mult
     return out.reshape(-1, *out.shape[2:-2], out.shape[-2] * out.shape[-1])
 
 
+def _dense_rows(first, values: np.ndarray, n_basis: int) -> np.ndarray:
+    """values[..., j] of basis functions first + j as dense rows (..., n_basis).
+
+    first broadcasts against values.shape[:-1].
+    """
+    rows = np.zeros(values.shape[:-1] + (n_basis,))
+    cols = np.asarray(first)[..., None] + np.arange(values.shape[-1])
+    np.put_along_axis(rows, np.broadcast_to(cols, values.shape), values, axis=-1)
+    return rows
+
+
 class FacetTables:
     """Velocity basis tables on every facet, both orientations.
 
@@ -337,14 +353,25 @@ class FacetTables:
     element i-1 at 1 (plus side) and element i at 0 (minus side), both on the
     union of their supports; boundary line 0 takes element 0 at 0 and line n
     element n-1 at 1. Tangential factors are evaluated at the Gauss points of
-    every tangential element. Tables have shape (n_facets, nq, n_local).
+    every tangential element. Per-facet tables have shape (n_facets, nq,
+    n_local); facets run line by line, tangential element fastest.
 
-    interior[axis]: weights, dofs[c], jump[c] (the (alpha'+1)-th normal
-    derivative, plus side minus minus side), plus[c] and minus[c] (one-sided
-    values). boundary[axis]: weights, penalty (the weights times h / h_n,
-    h_n the boundary element's length normal to the facet, which weight the
-    Nitsche penalty), points, normal (outward sign of the facet normal),
-    dofs[c], value[c] and grad[c] = (d/dx, d/dy).
+    interior[axis]: weights and, per component c, dofs[c] and jump[c] (the
+    (alpha'+1)-th normal derivative, plus side minus minus side), the
+    per-facet tables of the Jacobian's J. The per-state kernels use the same
+    rows as dense 1-D factors on the n - 1 interior knot lines: line_value[c]
+    (lines, n_normal; the plus side, as every component of a supported pair
+    is continuous across the facets), line_jump[c] (lines, n_normal) and
+    tang[c] (T, n_tangential), the collocation at the T tangential
+    quadrature points of all tangential elements, whose weights are
+    line_weights (T,). A component's values on the facet lines are then
+    tang[c] G line_value[c]^T, shape (T, lines), with G its coefficient grid
+    indexed (tangential, normal).
+
+    boundary[axis]: weights, penalty (the weights times h / h_n, h_n the
+    boundary element's length normal to the facet, which weight the Nitsche
+    penalty), points, normal (outward sign of the facet normal), dofs[c],
+    value[c] and grad[c] = (d/dx, d/dy).
     """
 
     def __init__(self, pair: DivConformingPair):
@@ -361,7 +388,8 @@ class FacetTables:
             n_tang = len(weights)
             inner = SimpleNamespace(
                 axis=axis, weights=np.tile(weights, (len(knots_n) - 2, 1)),
-                dofs=[], jump=[], plus=[], minus=[],
+                line_weights=weights.ravel(), dofs=[], jump=[],
+                line_value=[], line_jump=[], tang=[],
             )
             bnd = SimpleNamespace(
                 axis=axis, weights=np.tile(weights, (2, 1)),
@@ -391,12 +419,17 @@ class FacetTables:
                         axis, idx_n * scale_n, idx_t * scale_t, np.add
                     ) + pair.component_offset(comp)
 
-                plus = np.pad(rows[:-1, 1], ((0, 0), (0, 0), (0, 1)))
-                minus = np.pad(rows[1:, 0], ((0, 0), (0, 0), (1, 0)))
-                inner.jump.append(on_facets(plus[:, m] - minus[:, m]))
-                inner.plus.append(on_facets(plus[:, 0]))
-                inner.minus.append(on_facets(minus[:, 0]))
+                plus, minus = rows[:-1, 1], rows[1:, 0]
+                padded = np.pad(plus[:, m], ((0, 0), (0, 1))), np.pad(minus[:, m], ((0, 0), (1, 0)))
+                inner.jump.append(on_facets(padded[0] - padded[1]))
                 inner.dofs.append(dofs(first_n[:-1], kv_n.degree + 2))
+                # (value, m-th derivative) rows of each side, dense on kv_n
+                n_n, n_t = kv_n.n_basis, kv_t.n_basis
+                plus = _dense_rows(first_n[:-1], plus[:, [0, m]].transpose(1, 0, 2), n_n)
+                minus = _dense_rows(first_n[1:], minus[:, [0, m]].transpose(1, 0, 2), n_n)
+                inner.line_value.append(plus[0])
+                inner.line_jump.append(plus[1] - minus[1])
+                inner.tang.append(_dense_rows(first_t[:, None], tang[:, :, 0], n_t).reshape(-1, n_t))
                 ends = np.stack([rows[0, 0], rows[-1, 1]])
                 d_n, d_t = on_facets(ends[:, 1]), on_facets(ends[:, 0], 1)
                 bnd.value.append(on_facets(ends[:, 0]))
@@ -526,15 +559,32 @@ def assemble_divergence(pair: DivConformingPair) -> sp.csr_matrix:
 
 
 class _ConvectionKit:
-    """Static element tables for convection reassembly."""
+    """Static tables of convection at the convection Gauss points.
+
+    w, val and grad are the element tables N1 and N2 are assembled from. The
+    per-state kernels use dense 1-D factors instead: cx[c] = (C, C') holds
+    the values and first derivatives of component c's x basis at the points
+    of every x element, shape (nx nq, n_x), cy[c] likewise in y, and
+    neg_weights the tensor grid -(w_y (x) w_x), shape (ny nq, nx nq). A
+    component's values on that grid are C_y G C_x^T, G its coefficient grid.
+    """
 
     def __init__(self, pair: DivConformingPair):
-        tab = element_tables(pair, convection_quad_points(pair.k_prime))
+        npts = convection_quad_points(pair.k_prime)
+        tab = element_tables(pair, npts)
         names = ("vx", "vy")
         self.w = tab.weights
         self.val = [tab.basis(name, 0, 0) for name in names]
         self.grad = [(tab.basis(name, 1, 0), tab.basis(name, 0, 1)) for name in names]
-        self.dofs = [tab.dofs(name) + pair.component_offset(c) for c, name in enumerate(names)]
+        points = gauss_rule(npts).points
+        self.cx, self.cy = [], []
+        for space in pair.velocity_spaces:
+            for kv, factors in ((space.kv_x, self.cx), (space.kv_y, self.cy)):
+                values, first = element_basis_1d(kv, points, 1)
+                rows = _dense_rows(first[:, None], values.transpose(2, 0, 1, 3), kv.n_basis)
+                factors.append(tuple(rows.reshape(2, -1, kv.n_basis)))
+        w_x, w_y = (quad_points_1d(kv, npts)[1] for kv in (pair.q.kv_x, pair.q.kv_y))
+        self.neg_weights = -np.outer(w_y, w_x)
 
 
 _convection_kit = per_pair(_ConvectionKit)
@@ -571,11 +621,14 @@ _last_state = per_pair(lambda pair, kernel: _LastState(kernel))
 
 def _convection_point_values(pair: DivConformingPair, w_u: np.ndarray) -> list[np.ndarray]:
     kit = _convection_kit(pair)
-    return [np.matmul(kit.val[c], w_u[kit.dofs[c]][..., None])[..., 0] for c in (0, 1)]
+    return [
+        kit.cy[c][0] @ pair.component_coeffs(w_u, c) @ kit.cx[c][0].T for c in (0, 1)
+    ]
 
 
 def _convection_values(pair: DivConformingPair, w_u: np.ndarray) -> list[np.ndarray]:
-    """Both components of w at the convection quadrature points, (E, Q) each."""
+    """Both components of w on the grid of convection quadrature points,
+    (ny nq, nx nq) each: row ey nq + qy, column ex nq + qx."""
     return _last_state(pair, _convection_point_values)(pair, w_u)
 
 
@@ -591,7 +644,14 @@ def assemble_convection(
     w_u = w_state.u if isinstance(w_state, StateVector) else w_state
     kit = _convection_kit(pair)
     pattern = jacobian_pattern(pair)
-    wq = _convection_values(pair, w_u)
+    nq = convection_quad_points(pair.k_prime)
+    # the grid values in (E, Q) order: E = ey nx + ex, Q = qy nq + qx
+    wq = [
+        grid.reshape(pair.mesh.ny, nq, pair.mesh.nx, nq)
+        .transpose(0, 2, 1, 3)
+        .reshape(kit.w.shape)
+        for grid in _convection_values(pair, w_u)
+    ]
     neg_w = -kit.w  # the forms' minus sign, carried by the weights
 
     def w_dot_grad(j):  # w . grad of component j's test functions, (E, Q, L)
@@ -616,29 +676,43 @@ def assemble_convection(
 def convection_residual(pair: DivConformingPair, u: np.ndarray) -> np.ndarray:
     """Convective residual N1(u) u, i.e. C(u; u, phi_a) for every test function.
 
-    Computed without N1: test component j takes -(u_j u . grad phi_a) at the
-    convection quadrature points, one einsum per gradient term, and each
-    component's element vectors are added into place with one `np.add.at`.
+    Computed without N1, on the tensor grid of convection points: with U_c
+    the values of component c there and W = -(w_y (x) w_x), test component
+    j takes
+
+        r_j = C_y,j^T (W U_j U_0) C'_x,j + C'_y,j^T (W U_j U_1) C_x,j,
+
+    (see `_ConvectionKit`), written into its slice of the output.
     """
     kit = _convection_kit(pair)
     uq = _convection_values(pair, u)
-    out = np.zeros(pair.n_u)
+    out = np.empty(pair.n_u)
     for j in (0, 1):
-        wu = -kit.w * uq[j]
-        local = np.einsum("eq,eql->el", wu * uq[0], kit.grad[j][0]) + np.einsum(
-            "eq,eql->el", wu * uq[1], kit.grad[j][1]
-        )
-        np.add.at(out, kit.dofs[j].reshape(-1), local.reshape(-1))
+        (c_x, dc_x), (c_y, dc_y) = kit.cx[j], kit.cy[j]
+        wu = kit.neg_weights * uq[j]
+        r_j = pair.component_coeffs(out, j)  # a view of the output
+        np.matmul(c_y.T @ (wu * uq[0]), dc_x, out=r_j)
+        r_j += dc_y.T @ (wu * uq[1]) @ c_x
     return out
+
+
+def _tangential_first(grid: np.ndarray, axis: int) -> np.ndarray:
+    """A component's coefficient grid (n_y, n_x) indexed (tangential, normal)
+    for the facets normal to axis (a view)."""
+    return grid if axis == 0 else grid.T
 
 
 def facet_eta_values(
     pair: DivConformingPair, w_u: np.ndarray, params: StabParams
 ) -> list[np.ndarray]:
-    """eta at every interior facet quadrature point, per orientation, shape (nF, nq).
+    """eta on the interior facet lines, per orientation, shape (T, lines).
 
-    The value at the last (w_u, params) is kept, so the residual and the
-    Jacobian at one Newton iterate compute eta once.
+    For the facets normal to axis, entry (t, i) is at tangential quadrature
+    point t (of all tangential elements, `FacetTables`) on interior knot
+    line i; facet f = i * n_tangential_elements + e holds the points of row
+    i of eta.T.reshape(n_facets, nq). The value at the last (w_u, params) is
+    kept, so the residual and the Jacobian at one Newton iterate compute eta
+    once.
     """
     return _last_state(pair, _facet_eta)(pair, w_u, params)
 
@@ -648,12 +722,15 @@ def _facet_eta(
 ) -> list[np.ndarray]:
     out = []
     for facets in facet_tables(pair).interior:
-        local = [w_u[facets.dofs[c]] for c in (0, 1)]
-        up = [np.einsum("fql,fl->fq", facets.plus[c], local[c]) for c in (0, 1)]
-        um = [np.einsum("fql,fl->fq", facets.minus[c], local[c]) for c in (0, 1)]
-        mag = 0.5 * (np.hypot(up[0], up[1]) + np.hypot(um[0], um[1]))
-        u_dot_n = up[facets.axis]  # normal component is single-valued
-        out.append(compute_eta(u_dot_n, mag, pair.mesh.h, params))
+        a = facets.axis
+        # every component is continuous across the facets: one side gives u
+        u = [
+            facets.tang[c]
+            @ _tangential_first(pair.component_coeffs(w_u, c), a)
+            @ facets.line_value[c].T
+            for c in (0, 1)
+        ]
+        out.append(compute_eta(u[a], np.hypot(u[0], u[1]), pair.mesh.h, params))
     return out
 
 
@@ -676,6 +753,7 @@ def assemble_skeleton(
     def local_blocks():
         for facets, eta in zip(facet_tables(pair).interior, facet_eta_values(pair, w_u, params)):
             jump = facets.jump[1 - facets.axis]
+            eta = eta.T.reshape(facets.weights.shape)  # lines to facets
             # block 4 + axis: the tangential jumps on the facets normal to axis
             yield 4 + facets.axis, _weighted_products(facets.weights * eta, jump, jump)
 
@@ -687,20 +765,29 @@ def skeleton_residual(
 ) -> np.ndarray:
     """Skeleton penalty residual J(u) u, so that u @ J(u) u = J(u; u, u).
 
-    Computed without J: on each facet orientation the tangential jump of u
-    at the quadrature points, times eta(u) and the weights, is applied to the
-    transposed jump table, and each orientation's facet vectors are added
-    into place with one `np.add.at`. gamma = 0 returns zeros.
+    Computed without J, on the facet lines (`FacetTables`): on the facets
+    normal to axis the tangential component c = 1 - axis, with G its
+    coefficient grid indexed (tangential, normal), has the jumps
+    S = T_c G L_c^T at the quadrature points of every line, and
+
+        r_c = T_c^T (w eta S) L_c,
+
+    with T_c the tangential collocation, L_c the jump rows and w the
+    tangential weights; each orientation writes its tangential component's
+    slice of the output. gamma = 0 returns zeros.
     """
-    out = np.zeros(pair.n_u)
     if params.gamma == 0.0:
-        return out
+        return np.zeros(pair.n_u)
+    out = np.empty(pair.n_u)  # each component is the tangential one of one orientation
     for facets, eta in zip(facet_tables(pair).interior, facet_eta_values(pair, u, params)):
-        c = 1 - facets.axis
-        jump = facets.jump[c]
-        u_jump = np.einsum("fql,fl->fq", jump, u[facets.dofs[c]])
-        local = np.einsum("fq,fql->fl", facets.weights * eta * u_jump, jump)
-        np.add.at(out, facets.dofs[c].reshape(-1), local.reshape(-1))
+        a = facets.axis
+        c = 1 - a
+        tang, jump = facets.tang[c], facets.line_jump[c]
+        u_jump = tang @ _tangential_first(pair.component_coeffs(u, c), a) @ jump.T
+        weighted = (facets.line_weights[:, None] * eta) * u_jump
+        np.matmul(
+            tang.T @ weighted, jump, out=_tangential_first(pair.component_coeffs(out, c), a)
+        )
     return out
 
 

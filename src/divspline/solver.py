@@ -29,9 +29,13 @@ condition, the normal equations of B_f^T p = (r + J du)_f read
 
     D_f D_f^T q = D_f (r + J du)_f,   p = M_p^-1 q + c,   m . p = 0,
 
-m the pressure-integral vector. D_f D_f^T is a 5-point stencil with kernel
-M_p 1, so one DOF of q is pinned; 1-D Cholesky solves give M_p^-1. The pair
-(du, p) equals the solution of the bordered saddle Newton system
+m the pressure-integral vector. D_f D_f^T = I (x) A_x + A_y (x) I is a
+Kronecker sum of 1-D matrices with kernel M_p 1, so it is solved by fast
+diagonalization (Lynch, Rice & Thomas, Numer. Math. 6 (1964); _KroneckerSum)
+with that one mode dropped, and M_p^-1 = M_y^-1 (x) M_x^-1 is folded into the
+1-D modes; the dropped mode adds a constant to p, which the zero-mean shift
+removes. The pair (du, p) equals the solution of the bordered saddle Newton
+system
 
     [ J_ff  -B_f^T  0 ] [du]     [(r - B^T p_old)_f]
     [ B_f    0      m ] [dp] = - [       B u       ]
@@ -40,16 +44,17 @@ M_p 1, so one DOF of q is pinned; 1-D Cholesky solves give M_p^-1. The pair
 with p = p_old + dp, and the stopping test and line search use its full
 residual [(r - B^T p)_f, B u, m . p]. Corrections C dpsi keep B u fixed, so
 Newton first removes the divergent part of its starting velocity with the
-same pressure factorization.
+same modal solve. The initial L2 projection of a time stepper solves
+C^T M C = K_y (x) M_x + M_y (x) K_x the same way (_streamfunction_mass), so
+the streamfunction Jacobian is the only matrix a run factorizes.
 
-Every factorization goes through this module's spla.splu in SuperLU's
+That factorization goes through this module's spla.splu in SuperLU's
 symmetric mode: the MMD_AT_PLUS_A column ordering (minimum degree on
 A^T + A) and diagonal pivots unless one is below _PIVOT_THRESHOLD of its
-column's largest entry. C^T J C, the pinned D_f D_f^T and C^T M C are
-structurally symmetric, so the ordering applies to rows and columns alike
-and partial pivoting does not undo it; at Re=7500 on the 16x16 cavity this
-roughly halves the fill of the streamfunction LU. The pressure LU is built
-once per pair.
+column's largest entry. C^T J C is structurally symmetric, so the ordering
+applies to rows and columns alike and partial pivoting does not undo it; at
+Re=7500 on the 16x16 cavity this roughly halves the fill of the
+streamfunction LU. The pressure modes are computed once per pair.
 
 The streamfunction matrix drifts slowly between Newton iterations and time
 steps, so its LU is lagged (Knoll & Keyes, JCP 193 (2004), on lagged
@@ -110,8 +115,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
+from .bspline import derivative_matrix
 from .forms import (
     StabParams,
     assemble_convection,
@@ -128,7 +134,6 @@ from .forms import (
 from .space import (
     DivConformingPair,
     StateVector,
-    mass_matrix_1d,
     per_pair,
     pressure_mean_vector,
     zero_state,
@@ -393,8 +398,62 @@ class _LaggedLU:
         return _solve(self.lu, rhs, "streamfunction")
 
 
+def _modes(a: np.ndarray, b: np.ndarray | None = None):
+    """(lam, V) with a V = b V diag(lam), V^T b V = I, lam ascending; b = None
+    is the identity.
+
+    numpy's LAPACK, through the Cholesky factor b = L L^T: scipy.linalg.eigh
+    pages in LAPACK code of its own, which alone raised the peak RSS of a
+    16x16 cavity run by about 0.7 MB.
+    """
+    if b is None:
+        return np.linalg.eigh(a)
+    l_inv = np.linalg.inv(np.linalg.cholesky(b))
+    lam, w = np.linalg.eigh(l_inv @ a @ l_inv.T)
+    return lam, l_inv.T @ w
+
+
+class _KroneckerSum:
+    """Solver of (A_y (x) B_x + B_y (x) A_x) x = r by fast diagonalization.
+
+    Lynch, Rice & Thomas, Numer. Math. 6 (1964): with the 1-D generalized
+    eigendecompositions A V = B V diag(lam), V^T B V = I, of each direction
+    (B = None is the identity), and x, r as grids (y rows, x columns),
+
+        x = V_y [(V_y^T r V_x) / (lam_y (+) lam_x)] V_x^T.
+
+    singular marks a sum with the one zero eigenvalue lam_y[0] + lam_x[0]
+    (each A positive semidefinite with a one-dimensional kernel), whose mode
+    is dropped: the least-squares solution for r orthogonal to the kernel.
+    """
+
+    def __init__(self, a_y, a_x, b_y=None, b_x=None, singular: bool = False):
+        lam_y, self.v_y = _modes(a_y, b_y)
+        lam_x, self.v_x = _modes(a_x, b_x)
+        total = lam_y[:, None] + lam_x[None, :]
+        if singular:
+            total[0, 0] = np.inf
+        self._inverse = 1.0 / total
+
+    def solve(self, rhs: np.ndarray, left=None, right=None) -> np.ndarray:
+        """x for the flat right-hand side rhs, flat; left and right replace
+        V_y and V_x in the back-transformation."""
+        grid = rhs.reshape(len(self.v_y), len(self.v_x))
+        modal = (self.v_y.T @ grid @ self.v_x) * self._inverse
+        left = self.v_y if left is None else left
+        right = self.v_x if right is None else right
+        return (left @ modal @ right.T).ravel()
+
+
 class _PressureSpace:
-    """Per-pair divergence data and the factorized pressure equations."""
+    """Per-pair divergence data and the pressure equations in 1-D modes.
+
+    Zeroing the normal-trace columns of D = [I (x) D_x, D_y (x) I] gives
+    D_f D_f^T = I (x) A_x + A_y (x) I, A_x = D_x' D_x'^T with D_x' = D_x
+    without its two end columns, and A_y likewise: tridiagonal, each with
+    one zero eigenvalue. The kernel M_p 1 of D_f D_f^T is dropped, and
+    p = M_p^-1 q with M_p = M_y (x) M_x is folded into the modes.
+    """
 
     def __init__(self, pair: DivConformingPair):
         self.b = assemble_divergence(pair)
@@ -404,25 +463,23 @@ class _PressureSpace:
         keep = np.ones(pair.n_u)
         keep[self.normal] = 0.0
         self.d_f = self.d @ sp.diags(keep)
-        # D_f^T annihilates exactly M_p 1 (all entries > 0): pin q_0 = 0, no border
-        self._lu = _factor((self.d_f @ self.d_f.T).tocsc()[1:, 1:], "pressure")
-        self._shape = pair.q.n_y, pair.q.n_x
-        self._mass_y = cho_factor(mass_matrix_1d(pair.q.kv_y).toarray())
-        self._mass_x = cho_factor(mass_matrix_1d(pair.q.kv_x).toarray())
-
-    def _solve(self, rhs_p: np.ndarray) -> np.ndarray:
-        """q with D_f D_f^T q = rhs_p and q_0 = 0, for rhs_p orthogonal to M_p 1."""
-        return np.concatenate([[0.0], _solve(self._lu, rhs_p[1:], "pressure")])
+        d_x, d_y = (
+            derivative_matrix(kv).toarray()[:, 1:-1] for kv in (pair.vx.kv_x, pair.vy.kv_y)
+        )
+        self._modes = _KroneckerSum(d_y @ d_y.T, d_x @ d_x.T, singular=True)
+        self._to_pressure = (
+            np.linalg.solve(pair.q.kv_y.mass, self._modes.v_y),
+            np.linalg.solve(pair.q.kv_x.mass, self._modes.v_x),
+        )
 
     def pressure(self, r_u: np.ndarray) -> np.ndarray:
         """Zero-mean p closest to B_f^T p = r_f in the least-squares sense."""
-        q = self._solve(self.d_f @ r_u).reshape(self._shape)
-        p = cho_solve(self._mass_y, cho_solve(self._mass_x, q.T).T).ravel()
+        p = self._modes.solve(self.d_f @ r_u, *self._to_pressure)
         return p - (self.m @ p) / self.m.sum()
 
     def solenoidal(self, u: np.ndarray) -> np.ndarray:
         """u minus its smallest free-DOF correction making D u vanish."""
-        return u - self.d_f.T @ self._solve(self.d @ u)
+        return u - self.d_f.T @ self._modes.solve(self.d @ u)
 
     def residual_norm(self, r_u: np.ndarray, u: np.ndarray, p: np.ndarray) -> float:
         """Norm of the saddle residual [(r - B^T p)_f, B u, m . p]."""
@@ -432,6 +489,26 @@ class _PressureSpace:
 
 
 _pressure_space = per_pair(_PressureSpace)
+
+
+def _streamfunction_mass(pair: DivConformingPair) -> _KroneckerSum:
+    """C^T M C on the interior streamfunction coefficients, as a Kronecker sum.
+
+    u = C psi = (d psi/dy, -d psi/dx) and both velocity masses are tensor
+    products of 1-D masses, so C^T M C = K_y (x) M_x + M_y (x) K_x: M_x is
+    the mass of psi's x knot vector (that of vx) without its two end
+    functions, K_x = D_x'^T M(vy.kv_x) D_x' with D_x' the derivative matrix
+    of psi's x knot vector without its two end columns, and K_y, M_y
+    likewise in y.
+    """
+
+    def factors(kv_psi, kv_derivative):
+        d = derivative_matrix(kv_psi).toarray()[:, 1:-1]
+        return d.T @ kv_derivative.mass @ d, kv_psi.mass[1:-1, 1:-1]
+
+    k_x, m_x = factors(pair.vx.kv_x, pair.vy.kv_x)
+    k_y, m_y = factors(pair.vy.kv_y, pair.vx.kv_y)
+    return _KroneckerSum(k_y, k_x, m_y, m_x)
 
 
 class _SpatialOperator:
@@ -548,8 +625,7 @@ def _newton(
     if lagged is None:
         lagged = _LaggedLU()
     factorizations0, krylov0 = lagged.factorizations, lagged.krylov_iterations
-    curl = op.pair.curl
-    curl_t = curl.T.tocsr()
+    curl, curl_t = op.pair.curl, op.pair.curl_transpose
     ps = _pressure_space(op.pair)
     u, p = ps.solenoidal(u0), p0.copy()
     r_u = op.residual(u)
@@ -625,9 +701,8 @@ def _tangent_predictor(op: _SpatialOperator, state: StateVector, nu: float) -> S
     lu, op.lagged.lu = op.lagged.lu, None
     if lu is None:
         return state
-    curl = op.pair.curl
-    dpsi = _solve(lu, -(curl.T @ op.nu_derivative(state.u)), "streamfunction")
-    return StateVector(u=state.u + (nu - op.params.nu) * (curl @ dpsi), p=state.p)
+    dpsi = _solve(lu, -(op.pair.curl_transpose @ op.nu_derivative(state.u)), "streamfunction")
+    return StateVector(u=state.u + (nu - op.params.nu) * (op.pair.curl @ dpsi), p=state.p)
 
 
 def _ladder_step(re: float | None, result: NewtonResult) -> LadderStep:
@@ -655,8 +730,8 @@ def solve_steady(
     per step in its ladder.
     """
     config = config or NewtonConfig()
-    # per-pair set-up (the pressure factorization), shared by every ladder
-    # step, before the first Newton iteration
+    # per-pair set-up (the pressure modes), shared by every ladder step,
+    # before the first Newton iteration
     _pressure_space(problem.pair)
     if re is None:
         result = newton_steady(problem, config)
@@ -688,12 +763,13 @@ class TimeStepper:
 
     initialize() accepts either a callable initial field, which is projected
     onto the discretely divergence-free subspace by the L2 projection onto
-    the streamfunction (one LU of C^T M C), or an existing StateVector used
-    as given. The consistent initial acceleration C a solves
-    C^T M C a = -C^T r at t0, and the initial pressure is recovered from
-    M udot + r. Each step runs the streamfunction Newton on the stage
-    residual, and every step reuses the spatial operator's lagged LU. M is
-    held as a matrix (mass) and as data on the Jacobian pattern (mass_data).
+    the streamfunction (C^T M C solved in 1-D modes, _streamfunction_mass),
+    or an existing StateVector used as given. The consistent initial
+    acceleration C a solves C^T M C a = -C^T r at t0, and the initial
+    pressure is recovered from M udot + r. Each step runs the streamfunction
+    Newton on the stage residual, and every step reuses the spatial
+    operator's lagged LU. M is held as a matrix (mass) and as data on the
+    Jacobian pattern (mass_data).
     """
 
     def __init__(self, problem: FlowProblem, cfg: TimeConfig):
@@ -707,16 +783,16 @@ class TimeStepper:
 
     def initialize(self, u0, t0: float = 0.0) -> StateVector:
         pair = self.problem.pair
-        curl = pair.curl
-        lu = _factor(curl.T @ self.mass @ curl, "streamfunction mass")
+        curl, curl_t = pair.curl, pair.curl_transpose
+        projection = _streamfunction_mass(pair)
         if callable(u0):
             rhs = assemble_load(pair, self.problem.params, f=u0, nitsche=False)
-            u = curl @ _solve(lu, curl.T @ rhs, "streamfunction mass")
+            u = curl @ projection.solve(curl_t @ rhs)
         else:
             u = u0.u.copy()
             u[pair.normal_boundary_dofs.all] = 0.0
         r_u = self.spatial.residual(u)
-        self.udot = curl @ _solve(lu, -(curl.T @ r_u), "streamfunction mass")
+        self.udot = curl @ projection.solve(-(curl_t @ r_u))
         p0 = _pressure_space(pair).pressure(self.mass @ self.udot + r_u)
         self.state = StateVector(u=u, p=p0, time=t0)
         return self.state

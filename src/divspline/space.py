@@ -135,6 +135,11 @@ class DivConformingPair:
         return curl_matrix(self)
 
     @cached_property
+    def curl_transpose(self) -> sp.csr_matrix:
+        """C^T as a CSR, for the streamfunction systems C^T A C and C^T r."""
+        return self.curl.T.tocsr()
+
+    @cached_property
     def divergence(self) -> sp.csr_matrix:
         """D with D u = the Q-space coefficients of div u_h: [I (x) D_x, D_y (x) I]."""
         d_x, d_y = derivative_matrix(self.vx.kv_x), derivative_matrix(self.vy.kv_y)
@@ -319,13 +324,10 @@ def quad_points_1d(kv: KnotVector, npts: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
-def mass_matrix_1d(kv: KnotVector, npts: int | None = None) -> sp.csr_matrix:
-    """Univariate mass matrix, integrated exactly."""
-    if npts is None:
-        npts = kv.degree + 1
-    pts, wts = quad_points_1d(kv, npts)
-    c = collocation_matrix(kv, pts)
-    return (c.T @ sp.diags(wts) @ c).tocsr()
+def mass_matrix_1d(kv: KnotVector) -> sp.csr_matrix:
+    """Univariate mass matrix, integrated exactly: the knot vector's memoized
+    dense `mass`, stored sparse."""
+    return sp.csr_matrix(kv.mass)
 
 
 def component_l2_projection(space: TensorSpace, f, npts: int) -> np.ndarray:

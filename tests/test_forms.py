@@ -42,11 +42,11 @@ from divspline.space import (
 )
 from divspline.solver import FlowProblem, _SpatialOperator
 from util_fields import (
-    bincount_convection,
     bincount_data,
     bincount_nitsche_load,
-    bincount_skeleton_residual,
     curl_state,
+    quadrature_convection,
+    quadrature_skeleton,
     random_pairs,
     sorted_pattern,
 )
@@ -678,24 +678,17 @@ def test_pattern_targets_are_slices_of_one_positions_array(pair33k2):
 
 
 @settings(max_examples=30, deadline=None)
-@given(pair=random_pairs(), seed=st.integers(0, 2**16))
-def test_scatter_matches_bincount_oracle_bit_for_bit(pair, seed):
-    # np.add.at block by block adds in the order one bincount over the
-    # concatenated blocks does, from 0.0, and -w in the weights is exact
+@given(pair=random_pairs())
+def test_scatter_matches_bincount_oracle_bit_for_bit(pair):
+    # the state-independent operators: np.add.at block by block adds in the
+    # order one bincount over the concatenated blocks does, from 0.0
     params = params_for(pair, 0.05)
-    u = np.random.default_rng(seed).standard_normal(pair.n_u)
     u_d = lambda x, y: (np.sin(3.0 * x + y), np.cos(x * y))
-    n1, n2 = assemble_convection(pair, u)
     got = {
         "S": assemble_strain(pair).data,
         "K": assemble_viscous_nitsche(pair, params).data,
         "M": forms._velocity_mass_data(pair),
-        "J": assemble_skeleton(pair, u, params).data,
         "G, G^T, P, P_h": np.stack(forms._boundary_unit_data(pair)),
-        "N1": n1.data,
-        "N2": n2.data,
-        "N1(u) u": convection_residual(pair, u),
-        "J(u) u": skeleton_residual(pair, u, params),
         "Nitsche load": nitsche_load(pair, params, u_d),
     }
     with pytest.MonkeyPatch.context() as mp:
@@ -704,14 +697,45 @@ def test_scatter_matches_bincount_oracle_bit_for_bit(pair, seed):
             "S": assemble_strain.__wrapped__(pair).data,
             "K": assemble_viscous_nitsche(pair, params).data,
             "M": forms._velocity_mass_data.__wrapped__(pair),
-            "J": assemble_skeleton(pair, u, params).data,
             "G, G^T, P, P_h": np.stack(forms._boundary_unit_data(pair)),
         }
-    expect["N1"], expect["N2"], expect["N1(u) u"] = bincount_convection(pair, u)
-    expect["J(u) u"] = bincount_skeleton_residual(pair, u, params)
     expect["Nitsche load"] = bincount_nitsche_load(pair, params, u_d)
     for name, array in got.items():
         assert array.tobytes() == expect[name].tobytes(), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    pair=random_pairs(),
+    seed=st.integers(0, 2**16),
+    nu=st.sampled_from([1.0, 1e-2, 1e-4]),
+)
+def test_per_state_kernels_match_quadrature_oracles(pair, seed, nu):
+    # the per-state kernels contract dense 1-D factors on the tensor grid and
+    # on the facet lines, so they match element and facet quadrature to
+    # roundoff, not bit for bit; the viscosities put the facet Reynolds
+    # numbers on both sides of 1
+    u = np.random.default_rng(seed).standard_normal(pair.n_u)
+    params = StabParams.create(pair.k_prime, nu=nu)
+    n1, n2, conv = quadrature_convection(pair, u)
+    etas, j, skel = quadrature_skeleton(pair, u, params)
+    got_n1, got_n2 = assemble_convection(pair, u)
+    for name, got, expect in (
+        ("N1", got_n1, n1),
+        ("N2", got_n2, n2),
+        ("J", assemble_skeleton(pair, u, params), j),
+    ):
+        assert abs(got - expect).max() <= 1e-13 * abs(expect).max(), name
+    for name, got, expect, mat in (
+        ("N1(u) u", convection_residual(pair, u), conv, n1),
+        ("J(u) u", skeleton_residual(pair, u, params), skel, j),
+    ):
+        scale = (abs(mat) @ np.abs(u)).max(initial=0.0)
+        assert np.abs(got - expect).max(initial=0.0) <= 1e-13 * scale, name
+    for facets, eta in zip(facet_tables(pair).interior, facet_eta_values(pair, u, params)):
+        expect = etas[facets.axis]
+        got = eta.T.reshape(expect.shape)  # lines to facets
+        assert np.abs(got - expect).max(initial=0.0) <= 1e-13 * np.abs(expect).max(initial=0.0)
 
 
 def test_pattern_matrices_share_read_only_indices(pair33k2):

@@ -729,21 +729,30 @@ def test_divergence_and_pressure_space_match_dense_oracles(pair, seed):
     assert np.abs(ps.solenoidal(u) - u_ref).max() <= 1e-12 * np.abs(u).max()
 
 
+def test_a_run_factorizes_only_streamfunction_matrices(monkeypatch):
+    # pressure recovery and the initial projection solve their constant
+    # systems in 1-D modes, so every splu of a run is a streamfunction LU
+    calls = _count_calls(monkeypatch, solver.spla, "splu")
+    pair = taylor_green_pair(8, 1)
+    problem = FlowProblem(pair, StabParams.create(1, nu=1e-2), nitsche=False)
+    stepper = TimeStepper(problem, TimeConfig(dt=1e-2, t_end=0.1))
+    stepper.run(taylor_green_velocity)
+    assert len(calls) == stepper.spatial.lagged.factorizations == 1
+    del calls[:]
+    result = solve_steady(_cavity_problem(unit_square_pair(8, 1), 7500.0), re=7500.0)
+    assert len(calls) == sum(step.factorizations for step in result.ladder)
+
+
 @settings(max_examples=30, deadline=None)
-@given(pair=random_pairs())
-def test_pressure_factorization_is_a_five_point_stencil(pair):
-    factored = []
-
-    def record(a, what):
-        factored.append((what, sp.csr_matrix(a)))
-        return _factor(a, what)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_factor", record)
-        solver._PressureSpace(pair)
-    [(what, a)] = factored
-    assert what == "pressure" and a.shape == (pair.n_p - 1, pair.n_p - 1)
-    assert np.diff(a.indptr).max() <= 5
+@given(pair=random_pairs(), seed=st.integers(0, 2**16))
+def test_streamfunction_mass_solve_matches_dense_oracle(pair, seed):
+    # C^T M C = K_y (x) M_x + M_y (x) K_x, solved by fast diagonalization
+    curl = pair.curl
+    a = (curl.T @ assemble_velocity_mass(pair) @ curl).toarray()
+    rhs = np.random.default_rng(seed).standard_normal(len(a))
+    expect = np.linalg.solve(a, rhs)
+    got = solver._streamfunction_mass(pair).solve(rhs)
+    assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
 
 
 def test_constrained_projection_is_divergence_free(pair8):

@@ -1,14 +1,22 @@
 """Shared helpers for building reference states in tests."""
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from divspline import forms
 from divspline.bspline import derivative_coefficients, open_knots
-from divspline.mesh import build_mesh
-from divspline.space import DivConformingPair, StateVector, build_pair, element_tables
+from divspline.mesh import build_mesh, gauss_rule
+from divspline.space import (
+    DivConformingPair,
+    StateVector,
+    build_pair,
+    element_basis_1d,
+    element_tables,
+)
 
 
 @st.composite
@@ -106,44 +114,141 @@ def bincount_data(pattern: forms.JacobianPattern, blocks) -> np.ndarray:
     return np.bincount(targets, values, minlength=pattern.nnz)
 
 
-def bincount_convection(pair: DivConformingPair, u: np.ndarray):
-    """Oracle of the data of `assemble_convection`'s (N1, N2) and of
-    `convection_residual`: the minus sign applied to each local array, and
-    the arrays concatenated and summed with one `np.bincount`."""
-    kit = forms._convection_kit(pair)
-    pattern = forms.jacobian_pattern(pair)
-    product = forms._weighted_products
-    wq = [np.matmul(kit.val[c], u[kit.dofs[c]][..., None])[..., 0] for c in (0, 1)]
-    w_dot_grad = [
-        wq[0][..., None] * kit.grad[j][0] + wq[1][..., None] * kit.grad[j][1] for j in (0, 1)
-    ]
-    n1 = [-product(kit.w, w_dot_grad[j], kit.val[j]) for j in (0, 1)]
-    n2 = [
-        -product(kit.w * wq[j], kit.grad[j][i], kit.val[i])
-        for j, i in ((0, 0), (1, 1), (0, 1), (1, 0))
-    ]
+def _assembled(pair: DivConformingPair, blocks) -> sp.csr_matrix:
+    """Sum of local blocks (row DOFs (E, L), column DOFs (E, M), values (E, L, M))."""
+    rows, cols, vals = [], [], []
+    for r, c, v in blocks:
+        rows.append(np.broadcast_to(r[:, :, None], v.shape).ravel())
+        cols.append(np.broadcast_to(c[:, None, :], v.shape).ravel())
+        vals.append(v.ravel())
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(pair.n_u, pair.n_u),
+    )
+
+
+def quadrature_convection(pair: DivConformingPair, u: np.ndarray):
+    """Oracle (N1, N2, N1(u) u) by element quadrature on `element_tables`.
+
+    w at the points is gathered from the element tables, every local array
+    is an einsum over the points, and the sums are COO and `np.bincount`.
+    """
+    tab = element_tables(pair, forms.convection_quad_points(pair.k_prime))
+    names = ("vx", "vy")
+    val = [tab.basis(name, 0, 0) for name in names]
+    grad = [(tab.basis(name, 1, 0), tab.basis(name, 0, 1)) for name in names]
+    dofs = [tab.dofs(name) + pair.component_offset(c) for c, name in enumerate(names)]
+    w = tab.weights
+    wq = [np.einsum("eql,el->eq", val[c], u[dofs[c]]) for c in (0, 1)]
+    # -(w . grad phi_a) phi_b and -(phi_b w_j, d_i phi_a)
+    n1 = _assembled(
+        pair,
+        (
+            (dofs[j], dofs[j], -np.einsum("eq,eqa,eqb->eab", w * wq[i], grad[j][i], val[j]))
+            for j in (0, 1)
+            for i in (0, 1)
+        ),
+    )
+    n2 = _assembled(
+        pair,
+        (
+            (dofs[j], dofs[i], -np.einsum("eq,eqa,eqb->eab", w * wq[j], grad[j][i], val[i]))
+            for j in (0, 1)
+            for i in (0, 1)
+        ),
+    )
     local = [
-        -np.einsum("eq,eql->el", kit.w * wq[j] * wq[0], kit.grad[j][0])
-        - np.einsum("eq,eql->el", kit.w * wq[j] * wq[1], kit.grad[j][1])
+        -np.einsum("eq,eql->el", w * wq[j] * wq[0], grad[j][0])
+        - np.einsum("eq,eql->el", w * wq[j] * wq[1], grad[j][1])
         for j in (0, 1)
     ]
-    dofs = np.concatenate([d.ravel() for d in kit.dofs])
-    residual = np.bincount(dofs, np.concatenate([v.ravel() for v in local]), minlength=pair.n_u)
-    return bincount_data(pattern, enumerate(n1)), bincount_data(pattern, enumerate(n2)), residual
+    residual = np.bincount(
+        np.concatenate([d.ravel() for d in dofs]),
+        np.concatenate([v.ravel() for v in local]),
+        minlength=pair.n_u,
+    )
+    return n1, n2, residual
 
 
-def bincount_skeleton_residual(pair: DivConformingPair, u: np.ndarray, params) -> np.ndarray:
-    """Oracle of `skeleton_residual`: both orientations' facet vectors
-    concatenated and summed with one `np.bincount`."""
-    dofs, data = [], []
-    etas = forms.facet_eta_values(pair, u, params)
-    for facets, eta in zip(forms.facet_tables(pair).interior, etas):
-        c = 1 - facets.axis
-        jump = facets.jump[c]
-        u_jump = np.einsum("fql,fl->fq", jump, u[facets.dofs[c]])
-        dofs.append(facets.dofs[c].ravel())
-        data.append(np.einsum("fq,fql->fl", facets.weights * eta * u_jump, jump).ravel())
-    return np.bincount(np.concatenate(dofs), np.concatenate(data), minlength=pair.n_u)
+def interior_facet_tables(pair: DivConformingPair, axis: int, comp: int):
+    """Oracle tables of one velocity component on the interior facets normal
+    to axis, facet by facet from `element_basis_1d`.
+
+    Facet f = i * n_t + e lies on interior knot line i + 1 (between normal
+    elements i and i + 1) and tangential element e, with k' + 2 Gauss
+    points. Returns dofs (F, L) over the functions of both sides, weights
+    (F, Q), and (F, Q, L) tables: the values from element i and from element
+    i + 1, and the jump of the (alpha' + 1)-th normal derivative (element i
+    minus element i + 1).
+    """
+    space = pair.velocity_spaces[comp]
+    kv_n, kv_t = (space.kv_x, space.kv_y) if axis == 0 else (space.kv_y, space.kv_x)
+    m = pair.alpha_prime + 1
+    rule = gauss_rule(pair.k_prime + 2)
+    normal, first_n = element_basis_1d(kv_n, (0.0, 1.0), m)
+    tang, first_t = element_basis_1d(kv_t, rule.points)
+    h_t = np.diff(kv_t.unique_knots)
+    width = kv_n.degree + 2
+    out = {"dofs": [], "weights": [], "before": [], "after": [], "jump": []}
+    for i in range(1, kv_n.n_elements):
+        idx_n = first_n[i - 1] + np.arange(width)
+        before = np.zeros((m + 1, width))
+        before[:, :-1] = normal[i - 1, 1]  # element i - 1 at its right end
+        after = np.zeros((m + 1, width))
+        after[:, 1:] = normal[i, 0]  # element i at its left end
+        for e in range(kv_t.n_elements):
+            idx_t = first_t[e] + np.arange(kv_t.degree + 1)
+            t = tang[e, :, 0]  # (Q, tangential functions)
+            if axis == 0:  # dof = idx_t * n_x + idx_n
+                dofs = idx_t[:, None] * space.n_x + idx_n[None, :]
+                table = lambda row: (t[:, :, None] * row[None, None, :]).reshape(len(t), -1)
+            else:  # dof = idx_n * n_x + idx_t
+                dofs = idx_n[:, None] * space.n_x + idx_t[None, :]
+                table = lambda row: (row[None, :, None] * t[:, None, :]).reshape(len(t), -1)
+            out["dofs"].append(dofs.ravel() + pair.component_offset(comp))
+            out["weights"].append(h_t[e] * rule.weights)
+            out["before"].append(table(before[0]))
+            out["after"].append(table(after[0]))
+            out["jump"].append(table(before[m] - after[m]))
+    n_facets = (kv_n.n_elements - 1) * kv_t.n_elements
+    n_local = width * (kv_t.degree + 1)
+    shapes = {"dofs": (n_local,), "weights": (rule.npts,)}
+    return SimpleNamespace(
+        **{
+            key: np.reshape(
+                np.array(rows, dtype=np.intp if key == "dofs" else float),
+                (n_facets, *shapes.get(key, (rule.npts, n_local))),
+            )
+            for key, rows in out.items()
+        }
+    )
+
+
+def quadrature_skeleton(pair: DivConformingPair, u: np.ndarray, params):
+    """Oracle (eta, J, J(u) u) by facet quadrature on `interior_facet_tables`.
+
+    eta[axis] (F, Q) on the facets normal to axis takes u . n from element
+    i and |u| as the mean of both sides; J and J(u) u sum the tangential
+    component's facet blocks with COO and `np.bincount`.
+    """
+    etas, blocks, dofs, data = [], [], [], []
+    for axis in (0, 1):
+        tables = [interior_facet_tables(pair, axis, c) for c in (0, 1)]
+        before, after = (
+            [np.einsum("fql,fl->fq", getattr(t, side), u[t.dofs]) for t in tables]
+            for side in ("before", "after")
+        )
+        mag = 0.5 * (np.hypot(*before) + np.hypot(*after))
+        eta = forms.compute_eta(before[axis], mag, pair.mesh.h, params)
+        etas.append(eta)
+        t = tables[1 - axis]
+        weighted = t.weights * eta
+        blocks.append((t.dofs, t.dofs, np.einsum("fq,fqa,fqb->fab", weighted, t.jump, t.jump)))
+        u_jump = np.einsum("fql,fl->fq", t.jump, u[t.dofs])
+        dofs.append(t.dofs.ravel())
+        data.append(np.einsum("fq,fql->fl", weighted * u_jump, t.jump).ravel())
+    residual = np.bincount(np.concatenate(dofs), np.concatenate(data), minlength=pair.n_u)
+    return etas, _assembled(pair, blocks), residual
 
 
 def bincount_nitsche_load(pair: DivConformingPair, params, u_d) -> np.ndarray:
