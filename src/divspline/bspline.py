@@ -28,6 +28,7 @@ __all__ = [
     "derivative_matrix",
     "collocation_matrix",
     "basis_integrals",
+    "gram_matrix",
 ]
 
 
@@ -202,22 +203,8 @@ class KnotVector:
 
     @cached_property
     def mass(self) -> np.ndarray:
-        """Dense mass matrix, mass[i, j] = integral of N_i N_j; read-only.
-
-        degree + 1 Gauss points per element integrate it exactly, and the
-        element blocks are added into place with one np.add.at.
-        """
-        k = self.degree
-        nodes, weights = np.polynomial.legendre.leggauss(k + 1)
-        uk = self.unique_knots
-        half = 0.5 * np.diff(uk)[:, None]
-        x = uk[:-1, None] + half * (nodes + 1.0)
-        spans = self.element_spans
-        values = basis_all_derivatives(self.knots, k, x, spans[:, None], 0)[..., 0, :]
-        local = np.matmul((values * (half * weights)[..., None]).transpose(0, 2, 1), values)
-        idx = (spans - k)[:, None] + np.arange(k + 1)
-        mass = np.zeros((self.n_basis, self.n_basis))
-        np.add.at(mass, (idx[:, :, None], idx[:, None, :]), local)
+        """Dense mass matrix, mass[i, j] = integral of N_i N_j (`gram_matrix`); read-only."""
+        mass = gram_matrix(self, self)
         mass.flags.writeable = False
         return mass
 
@@ -326,3 +313,29 @@ def basis_integrals(kv: KnotVector) -> np.ndarray:
     k = kv.degree
     n = kv.n_basis
     return (kv.knots[k + 1 : k + 1 + n] - kv.knots[:n]) / (k + 1)
+
+
+def gram_matrix(kv_a: KnotVector, kv_b: KnotVector, da: int = 0, db: int = 0) -> np.ndarray:
+    """Dense Gram matrix G[i, j] = integral of N_i^(da) N_j^(db), N_i of kv_a
+    and N_j of kv_b, two knot vectors on the same breakpoints.
+
+    max(degree) + 1 Gauss points per element integrate every such product
+    exactly, and the element blocks are added into place with one np.add.at.
+    """
+    uk = kv_a.unique_knots
+    if not np.array_equal(uk, kv_b.unique_knots):
+        raise ValueError("the knot vectors must have the same breakpoints")
+    nodes, weights = np.polynomial.legendre.leggauss(max(kv_a.degree, kv_b.degree) + 1)
+    half = 0.5 * np.diff(uk)[:, None]
+    x = uk[:-1, None] + half * (nodes + 1.0)
+
+    def table(kv: KnotVector, d: int):  # (element, point, function) values and indices
+        spans = kv.element_spans
+        values = basis_all_derivatives(kv.knots, kv.degree, x, spans[:, None], d)[..., d, :]
+        return values, (spans - kv.degree)[:, None] + np.arange(kv.degree + 1)
+
+    (va, ia), (vb, ib) = table(kv_a, da), table(kv_b, db)
+    local = np.matmul((va * (half * weights)[..., None]).transpose(0, 2, 1), vb)
+    gram = np.zeros((kv_a.n_basis, kv_b.n_basis))
+    np.add.at(gram, (ia[:, :, None], ib[:, None, :]), local)
+    return gram

@@ -17,29 +17,29 @@ Re_h = |w| h / nu. The divergence form B(u, q) = (div u, q) closes the saddle
 system. eta is evaluated from the current iterate and frozen during
 linearization; the jump arguments are linearized exactly.
 
-Element quadrature uses k' + 2 Gauss points per direction, which integrates
-every bilinear-form integrand exactly. The trilinear convection integrand has
-directional degree 3k - 1, so convection uses ceil(3(k' + 1) / 2) points to
-stay exact as well; facet rules use k' + 2 points (the rational eta factor is
-only approximately integrated). Matrices act on the full velocity DOF vector
+The constant operators are sums of Kronecker products of dense 1-D matrices
+(Sangalli & Tani, SIAM J. Sci. Comput. 38 (2016)): S and M of Gram matrices
+(`bspline.gram_matrix`, exact with max(degree) + 1 Gauss points per
+element), G, P and P_h of end-point value and derivative rows crossed with
+Grams along the sides (`_boundary_terms`). The loads contract dense 1-D
+collocation at k' + 2 Gauss points per element (`_collocation`). N1, N2
+and J contract batched basis tables (`ElementTables`, `FacetTables`) over
+their quadrature points with one batched matmul (`_weighted_products`):
+convection with ceil(3(k' + 1) / 2) points, exact for its degree-(3k - 1)
+integrand, and the facets with k' + 2 (the rational eta factor is only
+approximately integrated). Matrices act on the full velocity DOF vector
 [Vx block; Vy block]; the solver imposes the strong normal trace.
 
-Every operator but B comes from batched basis tables built on
-`space.element_basis_1d`: volume terms from `ElementTables` at element Gauss
-points, the skeleton penalty and the boundary terms from `FacetTables` on the
-interior and boundary facets. Local blocks are weighted basis products
-contracted over the quadrature points with one batched matmul
-(`_weighted_products`). Each operator makes its local blocks one at a time
-and adds each, with one `np.add.at`, into a data array on the pair's one
-sparsity pattern, a `JacobianPattern`: the element blocks of the four
-velocity component pairs (K, M, N1, N2), the tangential interior-facet
-blocks (J) and the boundary-facet blocks (the Nitsche terms, inside the
-element blocks). K with its Nitsche terms is arithmetic on those arrays,
-and the solver forms each Jacobian by adding data arrays and building one
-CSR. The pattern comes from 1-D bands by arithmetic, with no sort; it keeps
-each entry position once, and every CSR on it shares its read-only indices;
-the memoized data arrays of K's strain part and of M are read-only too, so
-no caller can change an operator that later operators on the pair reuse.
+Every velocity operator is a data array on the pair's one sparsity
+pattern, a `JacobianPattern` of the element blocks of the velocity
+component pairs and the tangential interior-facet blocks: a Kronecker term
+is written at the positions of the pattern's closed-form formula, a local
+block is added with one `np.add.at`. K with its Nitsche terms is arithmetic
+on those arrays, and the solver forms each Jacobian by adding data arrays
+and building one CSR. Every CSR on the pattern shares its read-only
+indices, and the memoized data arrays of K's strain part and of M are
+read-only too, so no caller can change an operator that later operators
+on the pair reuse.
 
 Residuals need no matrices, and the per-state kernels work on dense 1-D
 factors of the tensor-product spaces instead of element tables:
@@ -64,6 +64,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
+from .bspline import KnotVector, eval_nonzero_basis, gram_matrix
 from .mesh import gauss_rule
 from .space import (
     DivConformingPair,
@@ -178,20 +179,19 @@ class JacobianPattern:
     """The one CSR sparsity pattern of a pair: every velocity operator is a
     data array on it, and a Jacobian is a sum of data arrays.
 
-    It is the union of dense local blocks, block b pairing row DOFs
+    It is the union of six dense local blocks, block b pairing row DOFs
     (E_b, L_b) with column DOFs (E_b, M_b): blocks 0-3 are the element
     blocks of the velocity component pairs (0, 0), (1, 1), (0, 1) and
     (1, 0), which hold K, M, N1 and N2; blocks 4 and 5 the interior-facet
     blocks of the tangential component on the facets normal to x and to y,
     which hold J (the normal component's (alpha'+1)-th normal derivative is
-    continuous, so its jump blocks are left out); blocks 6 + 4 d + 2 i + j
-    the boundary-facet blocks of components (i, j) normal to axis d, which
-    hold G, G^T and P and add no entries. Every entry of every block has one
-    position in the CSR data, stored once in block order: `_blocks[b]` is
-    block b's slice of one positions array. `data` adds local arrays
-    (E_b, L_b, M_b), one block at a time, into a zeroed data array with
-    `np.add.at`, which allocates nothing for the read-only positions (a
-    `np.bincount` would copy them, and all the local arrays concatenated).
+    continuous, so its jump blocks are left out). K's boundary terms couple
+    functions of one boundary element and add no entries. Every entry of
+    every block has one position in the CSR data, stored once in block
+    order: `_blocks[b]` is block b's slice of one positions array. `data`
+    adds local arrays (E_b, L_b, M_b) one block at a time with `np.add.at`,
+    which allocates nothing for the read-only positions (a `np.bincount`
+    would copy them); `kron_data` adds Kronecker products of 1-D matrices.
     The positions, `indices` and `indptr` are read-only, and every matrix
     `csr` builds shares the last two, so no matrix on the pattern can be
     changed in its structure.
@@ -202,7 +202,7 @@ class JacobianPattern:
     block (0, 0)'s y band and vy's (facets normal to x) widen block (1, 1)'s
     x band. A CSR row r of component i holds block (i, 0) and then block
     (i, 1), each in (c_y, c_x) order, so entry (r, c), c = (c_y, c_x) in
-    component j, sits at
+    component j, sits at (`positions`)
 
         indptr[r] + [j = 1] len_i0(r) + (c_y - lo_y(r_y)) len_x(r_x) + (c_x - lo_x(r_x)),
 
@@ -217,16 +217,15 @@ class JacobianPattern:
         if any(kv.n_basis != kv.n_elements + kv.degree for kv in knot_vectors):
             raise ValueError("JacobianPattern requires interior knot multiplicity 1")
         tab = element_tables(pair, bilinear_quad_points(pair))
-        dofs = [tab.dofs(name) + pair.component_offset(c) for c, name in enumerate(("vx", "vy"))]
-        facets = facet_tables(pair)
-        # (row component, row DOFs, column component, column DOFs) per block
+        self._offsets = [pair.component_offset(c) for c in (0, 1)]
+        self._n_x = [s.n_x for s in spaces]
+        # (row component, row DOFs, column component, column DOFs) per block,
+        # in component DOFs
+        dofs = [tab.dofs(name) for name in ("vx", "vy")]
         blocks = [(i, dofs[i], j, dofs[j]) for i, j in ((0, 0), (1, 1), (0, 1), (1, 0))]
-        blocks += [(1 - f.axis, f.dofs[1 - f.axis]) * 2 for f in facets.interior]
-        blocks += [
-            (i, f.dofs[i], j, f.dofs[j]) for f in facets.boundary for i in (0, 1) for j in (0, 1)
-        ]
-        # bands[i][j] = ((lo_x, len_x), (lo_y, len_y)) of component block (i, j)
-        bands = [
+        blocks += [(1 - f.axis, f.dofs[1 - f.axis]) * 2 for f in facet_tables(pair).interior]
+        # _bands[i][j] = ((lo_x, len_x), (lo_y, len_y)) of component block (i, j)
+        self._bands = [
             [
                 (
                     _band(mesh.nx, si.kv_x.degree, sj.kv_x.degree, widen=i == j == 1),
@@ -237,12 +236,12 @@ class JacobianPattern:
             for i, si in enumerate(spaces)
         ]
         # row lengths of each component block, rows in DOF order
-        lengths = [[np.outer(by[1], bx[1]).ravel() for bx, by in bands[i]] for i in (0, 1)]
+        lengths = [[np.outer(by[1], bx[1]).ravel() for bx, by in self._bands[i]] for i in (0, 1)]
         n = pair.n_u
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.concatenate([a + b for a, b in lengths]), out=indptr[1:])
-        # first position of block (i, j) in row r: starts[j][r]
-        starts = (indptr[:-1], indptr[:-1] + np.concatenate([a for a, _ in lengths]))
+        # first position of block (i, j) in row r: _starts[j][r]
+        self._starts = (indptr[:-1], indptr[:-1] + np.concatenate([a for a, _ in lengths]))
         self.shape = (n, n)
         self.nnz = int(indptr[-1])
         index_dtype = sp.get_index_dtype(maxval=max(n, self.nnz))
@@ -251,23 +250,29 @@ class JacobianPattern:
         ends = np.cumsum(sizes)
         positions = np.empty(ends[-1], dtype=np.intp)
         for b, (i, rows, j, cols) in enumerate(blocks):
-            (lo_x, len_x), (lo_y, _) = bands[i][j]
-            r_y, r_x = np.divmod(rows - pair.component_offset(i), spaces[i].n_x)
-            c_y, c_x = np.divmod(cols - pair.component_offset(j), spaces[j].n_x)
-            stride = len_x[r_x]
-            row_part = starts[j][rows] - lo_y[r_y] * stride - lo_x[r_x]
             # written in place: the (E, L, M) block is the only array of its size
             out = positions[ends[b] - sizes[b] : ends[b]].reshape(
                 rows.shape + cols.shape[-1:]
             )
-            np.multiply(c_y[:, None, :], stride[:, :, None], out=out)
-            out += c_x[:, None, :]
-            out += row_part[:, :, None]
-            if b < 6:  # element and interior-facet blocks: their union is the pattern
-                indices[out] = cols.astype(index_dtype)[:, None, :]
+            self.positions(i, j, rows[:, :, None], cols[:, None, :], out=out)
+            indices[out] = (cols + self._offsets[j]).astype(index_dtype)[:, None, :]
         self._blocks = np.split(_read_only(positions), ends[:-1])
         self.indices = _read_only(indices)
         self.indptr = _read_only(indptr.astype(index_dtype))
+
+    def positions(self, i: int, j: int, rows, cols, out=None) -> np.ndarray:
+        """CSR data positions of the entries (rows, cols) of component block
+        (i, j), rows and cols in component DOFs and broadcast together;
+        written into out when given. Each entry must lie in the block's
+        bands, or its position is another entry's."""
+        (lo_x, len_x), (lo_y, _) = self._bands[i][j]
+        r_y, r_x = np.divmod(rows, self._n_x[i])
+        c_y, c_x = np.divmod(cols, self._n_x[j])
+        stride = len_x[r_x]
+        out = np.multiply(c_y, stride, out=out)
+        out += c_x
+        out += self._starts[j][rows + self._offsets[i]] - lo_y[r_y] * stride - lo_x[r_x]
+        return out
 
     def data(self, blocks) -> np.ndarray:
         """Data array of the local blocks (b, local), local of block b's shape
@@ -279,6 +284,19 @@ class JacobianPattern:
         for b, local in blocks:
             np.add.at(out, self._blocks[b], local.reshape(-1))
             del local  # freed before the generator makes the next block
+        return out
+
+    def kron_data(self, terms, out: np.ndarray | None = None) -> np.ndarray:
+        """Data array of the Kronecker terms (i, j, a_y, a_x), each the block
+        kron(a_y, a_x) of rows of component i and columns of component j, a_y
+        and a_x dense 1-D matrices with their nonzeros in the block's bands;
+        added in order into out (zeros when None), one indexed add a term."""
+        out = np.zeros(self.nnz) if out is None else out
+        for i, j, a_y, a_x in terms:
+            (r_y, c_y), (r_x, c_x) = np.nonzero(a_y), np.nonzero(a_x)
+            rows = r_y[:, None] * a_x.shape[0] + r_x
+            cols = c_y[:, None] * a_x.shape[1] + c_x
+            out[self.positions(i, j, rows, cols)] += np.outer(a_y[r_y, c_y], a_x[r_x, c_x])
         return out
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
@@ -297,24 +315,32 @@ def _weighted_products(w, a, b) -> np.ndarray:
     return np.matmul((a * w[..., None]).transpose(0, 2, 1), b)
 
 
+def _collocation(kv: KnotVector, points, max_deriv: int = 0) -> np.ndarray:
+    """Dense collocation rows of kv's basis functions and their first
+    max_deriv derivatives at points: (max_deriv + 1, len(points), n_basis)."""
+    basis = eval_nonzero_basis(kv, points, max_deriv)
+    return _dense_rows(basis.first_index, basis.values.transpose(1, 0, 2), kv.n_basis)
+
+
 @per_pair
 def assemble_strain(pair: DivConformingPair) -> sp.csr_matrix:
-    """Unit-viscosity volume strain matrix S with u^T S u = 2 ||grad_s u||^2."""
-    tab = element_tables(pair, bilinear_quad_points(pair))
-    w = tab.weights
-    dx1, dy1 = tab.basis("vx", 1, 0), tab.basis("vx", 0, 1)
-    dx2, dy2 = tab.basis("vy", 1, 0), tab.basis("vy", 0, 1)
+    """Unit-viscosity volume strain matrix S with u^T S u = 2 ||grad_s u||^2.
 
-    def local_blocks():
-        # 2 int [ 2 e11(u) e11(v) + 2 e22 e22 + 4 e12 e12 ] expanded per block:
-        yield 0, _weighted_products(w, dx1, dx1) * 2 + _weighted_products(w, dy1, dy1)
-        yield 1, _weighted_products(w, dy2, dy2) * 2 + _weighted_products(w, dx2, dx2)
-        k12 = _weighted_products(w, dy1, dx2)
-        yield 2, k12
-        yield 3, k12.transpose(0, 2, 1)
-
+    2 int [2 e11(u) e11(v) + 2 e22 e22 + 4 e12 e12], expanded per component
+    block, is a sum of Kronecker products of 1-D Gram matrices.
+    """
+    (x0, y0), (x1, y1) = ((s.kv_x, s.kv_y) for s in pair.velocity_spaces)
+    k12 = gram_matrix(y0, y1, 1, 0), gram_matrix(x0, x1, 0, 1)  # int d_y phi_a d_x phi_b
+    terms = [
+        (0, 0, y0.mass, 2.0 * gram_matrix(x0, x0, 1, 1)),
+        (0, 0, gram_matrix(y0, y0, 1, 1), x0.mass),
+        (1, 1, 2.0 * gram_matrix(y1, y1, 1, 1), x1.mass),
+        (1, 1, y1.mass, gram_matrix(x1, x1, 1, 1)),
+        (0, 1, *k12),
+        (1, 0, k12[0].T, k12[1].T),
+    ]
     pattern = jacobian_pattern(pair)
-    return pattern.csr(_read_only(pattern.data(local_blocks())))
+    return pattern.csr(_read_only(pattern.kron_data(terms)))
 
 
 def _on_facets(axis: int, normal: np.ndarray, tangential: np.ndarray, op=np.multiply):
@@ -345,152 +371,115 @@ def _dense_rows(first, values: np.ndarray, n_basis: int) -> np.ndarray:
     return rows
 
 
+def _tangential_first(grid: np.ndarray, axis: int) -> np.ndarray:
+    """A component's coefficient grid (n_y, n_x) indexed (tangential, normal)
+    for the facets normal to axis (a view)."""
+    return grid if axis == 0 else grid.T
+
+
 class FacetTables:
-    """Velocity basis tables on every facet, both orientations.
+    """Velocity basis tables on the interior facets, both orientations.
 
     For the facets normal to `axis`, normal-direction rows come from
     `element_basis_1d` at the reference points {0, 1}: interior line i takes
     element i-1 at 1 (plus side) and element i at 0 (minus side), both on the
-    union of their supports; boundary line 0 takes element 0 at 0 and line n
-    element n-1 at 1. Tangential factors are evaluated at the Gauss points of
-    every tangential element. Per-facet tables have shape (n_facets, nq,
-    n_local); facets run line by line, tangential element fastest.
+    union of their supports. Tangential factors are evaluated at the Gauss
+    points of every tangential element. Per-facet tables have shape
+    (n_facets, nq, n_local); facets run line by line, tangential element
+    fastest.
 
-    interior[axis]: weights and, per component c, dofs[c] and jump[c] (the
-    (alpha'+1)-th normal derivative, plus side minus minus side), the
-    per-facet tables of the Jacobian's J. The per-state kernels use the same
-    rows as dense 1-D factors on the n - 1 interior knot lines: line_value[c]
-    (lines, n_normal; the plus side, as every component of a supported pair
-    is continuous across the facets), line_jump[c] (lines, n_normal) and
-    tang[c] (T, n_tangential), the collocation at the T tangential
-    quadrature points of all tangential elements, whose weights are
-    line_weights (T,). A component's values on the facet lines are then
+    interior[axis]: weights and, per component c, dofs[c] (component DOFs)
+    and jump[c] (the (alpha'+1)-th normal derivative, plus side minus minus
+    side), the per-facet tables of the Jacobian's J. The per-state kernels
+    use the same rows as dense 1-D factors on the n - 1 interior knot lines:
+    line_value[c] (lines, n_normal; the plus side, as every component of a
+    supported pair is continuous across the facets), line_jump[c] (lines,
+    n_normal) and tang[c] (T, n_tangential), the collocation at the T
+    tangential quadrature points of all tangential elements, whose weights
+    are line_weights (T,). A component's values on the facet lines are then
     tang[c] G line_value[c]^T, shape (T, lines), with G its coefficient grid
     indexed (tangential, normal).
-
-    boundary[axis]: weights, penalty (the weights times h / h_n, h_n the
-    boundary element's length normal to the facet, which weight the Nitsche
-    penalty), points, normal (outward sign of the facet normal), dofs[c],
-    value[c] and grad[c] = (d/dx, d/dy).
     """
 
     def __init__(self, pair: DivConformingPair):
-        mesh = pair.mesh
         m = pair.alpha_prime + 1
         rule = gauss_rule(bilinear_quad_points(pair))
-        self.interior, self.boundary = [], []
+        self.interior = []
+        axes = pair.q.kv_x, pair.q.kv_y  # the breakpoints of each axis
         for axis in (0, 1):
-            knots_n, knots_t = mesh.unique_knots_x, mesh.unique_knots_y
-            if axis == 1:
-                knots_n, knots_t = knots_t, knots_n
-            th = np.diff(knots_t)[:, None]
-            weights = th * rule.weights
-            n_tang = len(weights)
+            points, weights = quad_points_1d(axes[1 - axis], rule.npts)
             inner = SimpleNamespace(
-                axis=axis, weights=np.tile(weights, (len(knots_n) - 2, 1)),
-                line_weights=weights.ravel(), dofs=[], jump=[],
+                axis=axis, line_weights=weights, dofs=[], jump=[],
+                weights=np.tile(weights.reshape(-1, rule.npts), (axes[axis].n_elements - 1, 1)),
                 line_value=[], line_jump=[], tang=[],
             )
-            bnd = SimpleNamespace(
-                axis=axis, weights=np.tile(weights, (2, 1)),
-                normal=np.repeat([-1.0, 1.0], n_tang)[:, None],
-                points=np.empty((2 * n_tang, rule.npts, 2)),
-                dofs=[], value=[], grad=[],
-            )
-            h_n = np.diff(knots_n)[[0, -1]]
-            bnd.penalty = bnd.weights * np.repeat(mesh.h / h_n, n_tang)[:, None]
-            bnd.points[..., axis] = np.repeat(knots_n[[0, -1]], n_tang)[:, None]
-            bnd.points[..., 1 - axis] = np.tile(knots_t[:-1, None] + th * rule.points, (2, 1))
-            for comp, space in enumerate(pair.velocity_spaces):
+            for space in pair.velocity_spaces:
                 kv_n, kv_t = (space.kv_x, space.kv_y) if axis == 0 else (space.kv_y, space.kv_x)
                 rows, first_n = element_basis_1d(kv_n, (0.0, 1.0), m)
-                tang, first_t = element_basis_1d(kv_t, rule.points, 1)
+                tang, first_t = element_basis_1d(kv_t, rule.points)
                 if np.any(np.diff(first_n) != 1):
                     raise ValueError("facet tables require interior multiplicity 1")
+                idx_n = first_n[:-1, None] + np.arange(kv_n.degree + 2)
                 idx_t = first_t[:, None] + np.arange(kv_t.degree + 1)
                 scale_n, scale_t = (1, space.n_x) if axis == 0 else (space.n_x, 1)
-
-                def on_facets(normal_rows, tang_deriv=0):
-                    return _on_facets(axis, normal_rows, tang[:, :, tang_deriv])
-
-                def dofs(first, width):
-                    idx_n = first[:, None] + np.arange(width)
-                    return _on_facets(
-                        axis, idx_n * scale_n, idx_t * scale_t, np.add
-                    ) + pair.component_offset(comp)
-
                 plus, minus = rows[:-1, 1], rows[1:, 0]
                 padded = np.pad(plus[:, m], ((0, 0), (0, 1))), np.pad(minus[:, m], ((0, 0), (1, 0)))
-                inner.jump.append(on_facets(padded[0] - padded[1]))
-                inner.dofs.append(dofs(first_n[:-1], kv_n.degree + 2))
+                inner.jump.append(_on_facets(axis, padded[0] - padded[1], tang[:, :, 0]))
+                inner.dofs.append(_on_facets(axis, idx_n * scale_n, idx_t * scale_t, np.add))
                 # (value, m-th derivative) rows of each side, dense on kv_n
-                n_n, n_t = kv_n.n_basis, kv_t.n_basis
+                n_n = kv_n.n_basis
                 plus = _dense_rows(first_n[:-1], plus[:, [0, m]].transpose(1, 0, 2), n_n)
                 minus = _dense_rows(first_n[1:], minus[:, [0, m]].transpose(1, 0, 2), n_n)
                 inner.line_value.append(plus[0])
                 inner.line_jump.append(plus[1] - minus[1])
-                inner.tang.append(_dense_rows(first_t[:, None], tang[:, :, 0], n_t).reshape(-1, n_t))
-                ends = np.stack([rows[0, 0], rows[-1, 1]])
-                d_n, d_t = on_facets(ends[:, 1]), on_facets(ends[:, 0], 1)
-                bnd.value.append(on_facets(ends[:, 0]))
-                bnd.grad.append((d_n, d_t) if axis == 0 else (d_t, d_n))
-                bnd.dofs.append(dofs(first_n[[0, -1]], kv_n.degree + 1))
+                inner.tang.append(_collocation(kv_t, points)[0])
             self.interior.append(inner)
-            self.boundary.append(bnd)
 
 
 facet_tables = per_pair(FacetTables)
 
 
-def _boundary_g_blocks(pair: DivConformingPair):
-    """Local blocks of G[a,b] = (2 n . grad_s phi_b, phi_a)_bnd: yields (d, ca,
-    cb, local) for rows of component ca, columns of component cb, facets
-    normal to axis d, in `JacobianPattern` block order."""
-    for facets in facet_tables(pair).boundary:
-        d = facets.axis
-        wn = facets.weights * facets.normal
-        val, grad = facets.value, facets.grad
-        for ca in (0, 1):
-            for cb in (0, 1):
-                # component ca of 2 n . grad_s phi_b is n_d (d_d phi_b,ca + d_ca phi_b,d)
-                parts = []
-                if ca == cb:
-                    parts.append(_weighted_products(wn, val[ca], grad[cb][d]))
-                if cb == d:
-                    parts.append(_weighted_products(wn, val[ca], grad[cb][ca]))
-                if parts:
-                    yield d, ca, cb, sum(parts)
+def _boundary_terms(pair: DivConformingPair) -> dict[str, list]:
+    """Kronecker terms (i, j, a_y, a_x) (see `JacobianPattern.kron_data`) of
+    the boundary operators: G[a, b] = (2 n . grad_s phi_b, phi_a)_bnd, the
+    boundary mass P and the penalty mass P_h, P with each side scaled by
+    h / h_n, h_n its boundary elements' length normal to it.
 
+    On the two sides normal to axis d a term is a normal factor, the sum
+    over the sides of a weight (n_d, 1 or h / h_n) times the outer product
+    of end-point value or derivative rows, crossed with a 1-D Gram matrix
+    along the sides. Component ca of 2 n . grad_s phi_b is n_d (d_d phi_b,ca
+    + d_ca phi_b,d), so G couples component d to itself twice through the
+    normal derivative, the tangential component t = 1 - d to itself once
+    through it, and t to d through the tangential derivative.
+    """
+    terms = {"G": [], "P": [], "P_h": []}
+    sign = np.array([-1.0, 1.0])  # the outward normal of the low and the high side
+    for d, t in ((0, 1), (1, 0)):
+        kv_n = [(s.kv_x, s.kv_y)[d] for s in pair.velocity_spaces]
+        kv_t = [(s.kv_x, s.kv_y)[t] for s in pair.velocity_spaces]
+        ends = [_collocation(kv, kv.domain, 1) for kv in kv_n]  # [derivative, side]
 
-def _boundary_unit_data(pair: DivConformingPair):
-    """Data arrays of G (see `_boundary_g_blocks`), of G^T, of the boundary
-    mass P and of the penalty mass P_h, P with each facet scaled by h / h_n,
-    on the pair's `jacobian_pattern`."""
-    pattern = jacobian_pattern(pair)
+        def term(i, j, weights, deriv, along):
+            normal = (ends[i][0].T * weights) @ ends[j][deriv]
+            return (i, j, along, normal) if d == 0 else (i, j, normal, along)
 
-    def block(d, i, j):  # the block of rows comp i, columns comp j, facets normal to d
-        return 6 + 4 * d + 2 * i + j
-
-    def mass_blocks(scaled: bool):
-        for facets in facet_tables(pair).boundary:
-            w = facets.penalty if scaled else facets.weights
-            for c, val in enumerate(facets.value):
-                yield block(facets.axis, c, c), _weighted_products(w, val, val)
-
-    return (
-        pattern.data((block(d, ca, cb), g) for d, ca, cb, g in _boundary_g_blocks(pair)),
-        pattern.data(
-            (block(d, cb, ca), g.transpose(0, 2, 1))
-            for d, ca, cb, g in _boundary_g_blocks(pair)
-        ),
-        pattern.data(mass_blocks(scaled=False)),
-        pattern.data(mass_blocks(scaled=True)),
-    )
+        terms["G"] += [
+            term(d, d, 2.0 * sign, 1, kv_t[d].mass),
+            term(t, t, sign, 1, kv_t[t].mass),
+            term(t, d, sign, 0, gram_matrix(kv_t[t], kv_t[d], 0, 1)),
+        ]
+        scale = pair.mesh.h / np.diff(kv_n[0].unique_knots)[[0, -1]]
+        for c in (0, 1):
+            terms["P"].append(term(c, c, np.ones(2), 0, kv_t[c].mass))
+            terms["P_h"].append(term(c, c, scale, 0, kv_t[c].mass))
+    return terms
 
 
 def assemble_boundary_mass(pair: DivConformingPair) -> sp.csr_matrix:
     """Boundary mass P with u^T P u = ||u||^2 over the boundary facets."""
-    return jacobian_pattern(pair).csr(_boundary_unit_data(pair)[2])
+    pattern = jacobian_pattern(pair)
+    return pattern.csr(pattern.kron_data(_boundary_terms(pair)["P"]))
 
 
 def assemble_viscous_nitsche(
@@ -506,49 +495,57 @@ def assemble_viscous_nitsche(
     kept (free-slip walls where the normal trace is imposed strongly and the
     tangential traction vanishes). The penalty on each boundary facet is
     2 nu C_nit / h_n, h_n the boundary element's length normal to the facet,
-    so small boundary elements keep K coercive on graded meshes. K is data
-    arithmetic on `jacobian_pattern`; at nu = 1 without Nitsche terms it is
-    the memoized, read-only `assemble_strain` matrix itself.
+    so small boundary elements keep K coercive on graded meshes. K = nu S -
+    nu (G + G^T) + (2 nu C_nit / h) P_h (`_boundary_terms`) on
+    `jacobian_pattern`; at nu = 1 without Nitsche terms it is the memoized,
+    read-only `assemble_strain` matrix itself.
     """
     strain = assemble_strain(pair)
     if params.nu == 1.0 and not nitsche:
         return strain
     data = strain.data * params.nu
     if nitsche:
-        g, gt, _, p_h = _boundary_unit_data(pair)
+        terms = _boundary_terms(pair)
         coef = 2.0 * params.nu * params.c_nit / pair.mesh.h
-        data = data - params.nu * (g + gt) + coef * p_h
+        g = [(i, j, -params.nu * a_y, a_x) for i, j, a_y, a_x in terms["G"]]
+        jacobian_pattern(pair).kron_data(
+            g
+            + [(j, i, a_y.T, a_x.T) for i, j, a_y, a_x in g]
+            + [(i, j, coef * a_y, a_x) for i, j, a_y, a_x in terms["P_h"]],
+            out=data,
+        )
     return jacobian_pattern(pair).csr(data)
 
 
 def nitsche_load(pair: DivConformingPair, params: StabParams, u_d) -> np.ndarray:
-    """Dirichlet-data part of the load: -(2 nu n.grad_s v, uD) + (2 nu Cnit/h_n v, uD)."""
-    sides = facet_tables(pair).boundary
-    pts = np.concatenate([facets.points for facets in sides])
-    ud_all = np.array(u_d(pts[..., 0], pts[..., 1]))
+    """Dirichlet-data part of the load: -(2 nu n.grad_s v, uD) + (2 nu Cnit/h_n v, uD).
+
+    Per side and test component it is the outer product of end-point rows
+    with the tangential collocation's transpose applied to the weighted uD
+    at the side's Gauss points (k' + 2 per element). Component ca of
+    2 n . grad_s phi_a . uD is n_d (d_d phi_a uD_ca + [ca = d] grad phi_a . uD).
+    """
+    npts = bilinear_quad_points(pair)
     coef = 2.0 * params.c_nit / pair.mesh.h
+    axes = pair.q.kv_x, pair.q.kv_y  # the breakpoints of each axis
     g = np.zeros(pair.n_u)
-    lo = 0
-    for facets in sides:
-        # each side is summed on its own and then added: the two sides of a
-        # corner reach some of the same DOFs
-        side = np.zeros(pair.n_u)
-        ud = ud_all[:, lo : lo + len(facets.weights)]
-        lo += len(facets.weights)
-        d = facets.axis
-        wn = facets.weights * facets.normal
-        for ca in (0, 1):
-            grad = facets.grad[ca]
-            # 2 (n . grad_s phi_a) . uD = nd (d_d phi_a uD_ca + delta_{d,ca} grad phi_a . uD)
-            cons = np.einsum("fq,fql->fl", wn * ud[ca], grad[d])
-            if ca == d:
-                cons += np.einsum("fq,fql->fl", wn * ud[0], grad[0]) + np.einsum(
-                    "fq,fql->fl", wn * ud[1], grad[1]
-                )
-            pen = np.einsum("fq,fql->fl", facets.penalty * ud[ca], facets.value[ca])
-            local = params.nu * (coef * pen - cons)
-            np.add.at(side, facets.dofs[ca].reshape(-1), local.reshape(-1))
-        g += side
+    for d, t in ((0, 1), (1, 0)):
+        points, weights = quad_points_1d(axes[t], npts)
+        scale = pair.mesh.h / np.diff(axes[d].unique_knots)[[0, -1]]
+        for side, (x_n, n) in enumerate(zip(axes[d].domain, (-1.0, 1.0))):
+            xy = [points, points]
+            xy[d] = np.full_like(points, x_n)
+            wud = weights * np.array(u_d(*xy))  # (2, T)
+            for c, space in enumerate(pair.velocity_spaces):
+                kv_n, kv_t = (space.kv_x, space.kv_y)[d], (space.kv_x, space.kv_y)[t]
+                value, deriv = _collocation(kv_n, kv_n.domain, 1)[:, side]
+                tang, d_tang = _collocation(kv_t, points, 1)
+                normal = coef * scale[side] * value - (1 + (c == d)) * n * deriv
+                local = np.outer(tang.T @ wud[c], normal)
+                if c == d:
+                    local -= n * np.outer(d_tang.T @ wud[t], value)
+                grid = _tangential_first(pair.component_coeffs(g, c), d)
+                grid += params.nu * local
     return g
 
 
@@ -576,14 +573,9 @@ class _ConvectionKit:
         self.w = tab.weights
         self.val = [tab.basis(name, 0, 0) for name in names]
         self.grad = [(tab.basis(name, 1, 0), tab.basis(name, 0, 1)) for name in names]
-        points = gauss_rule(npts).points
-        self.cx, self.cy = [], []
-        for space in pair.velocity_spaces:
-            for kv, factors in ((space.kv_x, self.cx), (space.kv_y, self.cy)):
-                values, first = element_basis_1d(kv, points, 1)
-                rows = _dense_rows(first[:, None], values.transpose(2, 0, 1, 3), kv.n_basis)
-                factors.append(tuple(rows.reshape(2, -1, kv.n_basis)))
-        w_x, w_y = (quad_points_1d(kv, npts)[1] for kv in (pair.q.kv_x, pair.q.kv_y))
+        (px, w_x), (py, w_y) = (quad_points_1d(kv, npts) for kv in (pair.q.kv_x, pair.q.kv_y))
+        self.cx = [tuple(_collocation(s.kv_x, px, 1)) for s in pair.velocity_spaces]
+        self.cy = [tuple(_collocation(s.kv_y, py, 1)) for s in pair.velocity_spaces]
         self.neg_weights = -np.outer(w_y, w_x)
 
 
@@ -696,12 +688,6 @@ def convection_residual(pair: DivConformingPair, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tangential_first(grid: np.ndarray, axis: int) -> np.ndarray:
-    """A component's coefficient grid (n_y, n_x) indexed (tangential, normal)
-    for the facets normal to axis (a view)."""
-    return grid if axis == 0 else grid.T
-
-
 def facet_eta_values(
     pair: DivConformingPair, w_u: np.ndarray, params: StabParams
 ) -> list[np.ndarray]:
@@ -801,16 +787,13 @@ def assemble_load(
     """Load vector: body force plus the Dirichlet-data Nitsche terms."""
     rhs = np.zeros(pair.n_u)
     if f is not None:
-        tab = element_tables(pair, bilinear_quad_points(pair))
-        fx, fy = f(tab.points[:, :, 0], tab.points[:, :, 1])
-        for comp, name, fv in ((0, "vx", fx), (1, "vy", fy)):
-            vb = tab.basis(name, 0, 0)
-            dofs = tab.dofs(name) + pair.component_offset(comp)
-            np.add.at(
-                rhs,
-                dofs.ravel(),
-                np.einsum("eq,eql->el", tab.weights * fv, vb).ravel(),
-            )
+        # C_y^T (W * F_c) C_x at the k' + 2 Gauss points of every element
+        npts = bilinear_quad_points(pair)
+        (px, w_x), (py, w_y) = (quad_points_1d(kv, npts) for kv in (pair.q.kv_x, pair.q.kv_y))
+        f_values = f(*np.meshgrid(px, py))
+        for c, space in enumerate(pair.velocity_spaces):
+            c_x, c_y = _collocation(space.kv_x, px)[0], _collocation(space.kv_y, py)[0]
+            pair.component_coeffs(rhs, c)[...] = c_y.T @ (np.outer(w_y, w_x) * f_values[c]) @ c_x
     if nitsche and u_d is not None:
         rhs += nitsche_load(pair, params, u_d)
     return rhs
@@ -818,25 +801,20 @@ def assemble_load(
 
 @per_pair
 def _velocity_mass_data(pair: DivConformingPair) -> np.ndarray:
-    """Velocity mass M as a data array on the pair's `jacobian_pattern`.
-
-    k' + 2 Gauss points per direction integrate it exactly.
-    """
-    tab = element_tables(pair, bilinear_quad_points(pair))
-    pattern = jacobian_pattern(pair)
-    data = pattern.data(
-        (c, _weighted_products(tab.weights, v, v))
-        for c, v in enumerate(tab.basis(name, 0, 0) for name in ("vx", "vy"))
-    )
-    return _read_only(data)
+    """Velocity mass M as a data array on the pair's `jacobian_pattern`:
+    kron(M_y, M_x) per component, from the knot vectors' 1-D masses."""
+    terms = [(c, c, s.kv_y.mass, s.kv_x.mass) for c, s in enumerate(pair.velocity_spaces)]
+    return _read_only(jacobian_pattern(pair).kron_data(terms))
 
 
 @per_pair
 def assemble_velocity_mass(pair: DivConformingPair) -> sp.csr_matrix:
-    """Block-diagonal velocity mass matrix without the pattern's other entries."""
-    # eliminate_zeros works in place, so it must not reach the pattern's arrays
-    mass = jacobian_pattern(pair).csr(_velocity_mass_data(pair)).copy()
-    mass.eliminate_zeros()
+    """Block-diagonal velocity mass matrix, kron(M_y, M_x) per component,
+    without the pattern's other entries; its arrays are read-only."""
+    mass = sp.block_diag(
+        [sp.kron(s.kv_y.mass, s.kv_x.mass, format="csr") for s in pair.velocity_spaces],
+        format="csr",
+    )
     for array in (mass.data, mass.indices, mass.indptr):
         _read_only(array)
     return mass

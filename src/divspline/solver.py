@@ -115,7 +115,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import solve_triangular
 
 from .bspline import derivative_matrix
 from .forms import (
@@ -359,7 +358,9 @@ def _gmres(a: sp.spmatrix, lu, rhs: np.ndarray):
         g[j], g_next = c * g[j], -s * g[j]
         g.append(g_next)
         if abs(g_next) <= tol:
-            y = solve_triangular(tri[: j + 1, : j + 1], g[: j + 1])
+            y = np.zeros(j + 1)  # back-substitution in the triangle
+            for i in reversed(range(j + 1)):
+                y[i] = (g[i] - tri[i, i + 1 : j + 1] @ y[i + 1 :]) / tri[i, i]
             x = lu.solve(basis[: j + 1].T @ y)
             r = rhs - a @ x
             if (

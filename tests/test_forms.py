@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divspline.bspline import basis_integrals, open_knots
@@ -42,9 +42,9 @@ from divspline.space import (
 )
 from divspline.solver import FlowProblem, _SpatialOperator
 from util_fields import (
-    bincount_data,
-    bincount_nitsche_load,
     curl_state,
+    quadrature_boundary_operators,
+    quadrature_constant_operators,
     quadrature_convection,
     quadrature_skeleton,
     random_pairs,
@@ -157,7 +157,11 @@ def test_boundary_mass_analytic(pair44):
 def boundary_unit_matrices(pair):
     """G, G^T, P and the penalty mass P_h as matrices on the pair's Jacobian pattern."""
     pattern = forms.jacobian_pattern(pair)
-    return [pattern.csr(data) for data in forms._boundary_unit_data(pair)]
+    terms = forms._boundary_terms(pair)
+    transposed = [(j, i, a_y.T, a_x.T) for i, j, a_y, a_x in terms["G"]]
+    return [
+        pattern.csr(pattern.kron_data(t)) for t in (terms["G"], transposed, terms["P"], terms["P_h"])
+    ]
 
 
 def test_boundary_consistency_analytic(pair44):
@@ -227,24 +231,28 @@ def test_viscous_without_nitsche_is_pure_strain(pair44):
     assert max_abs(k - 0.5 * s) < 1e-14
 
 
-def test_coercivity_with_skeleton(pair44, pair33k2):
-    # A_h(u,u) + J(u;u,u) >= 1/2 |||u|||^2 on the strong-normal-trace kernel
-    for pair in (pair44, pair33k2):
-        params = params_for(pair, 0.01)
-        k = assemble_viscous_nitsche(pair, params)
-        s = assemble_strain(pair)
-        p = assemble_boundary_mass(pair)
-        coef = 2.0 * params.nu * params.c_nit / pair.mesh.h
-        rng = np.random.default_rng(7)
-        fixed = pair.normal_boundary_dofs.all
-        for _ in range(100):
-            u = rng.standard_normal(pair.n_u)
-            u[fixed] = 0.0
-            j = assemble_skeleton(pair, u, params)
-            ju = u @ (j @ u)
-            lhs = u @ (k @ u) + ju
-            norm2 = params.nu * (u @ (s @ u)) + coef * (u @ (p @ u)) + ju
-            assert lhs >= 0.5 * norm2 - 1e-12 * norm2
+@settings(max_examples=20, deadline=None)
+@given(pair=random_pairs(), seed=st.integers(0, 2**16))
+@example(pair=make_pair(4, 1), seed=7)
+@example(pair=make_pair(3, 2), seed=7)
+def test_coercivity_with_skeleton(pair, seed):
+    # A_h(u,u) + J(u;u,u) >= 1/2 |||u|||^2 on the strong-normal-trace kernel,
+    # on graded meshes too, where the Nitsche penalty is scaled per side
+    params = params_for(pair, 0.01)
+    k = assemble_viscous_nitsche(pair, params)
+    s = assemble_strain(pair)
+    p = assemble_boundary_mass(pair)
+    coef = 2.0 * params.nu * params.c_nit / pair.mesh.h
+    rng = np.random.default_rng(seed)
+    fixed = pair.normal_boundary_dofs.all
+    for _ in range(100):
+        u = rng.standard_normal(pair.n_u)
+        u[fixed] = 0.0
+        j = assemble_skeleton(pair, u, params)
+        ju = u @ (j @ u)
+        lhs = u @ (k @ u) + ju
+        norm2 = params.nu * (u @ (s @ u)) + coef * (u @ (p @ u)) + ju
+        assert lhs >= 0.5 * norm2 - 1e-12 * norm2
 
 
 def nitsche_coercivity_constant(pair):
@@ -679,29 +687,35 @@ def test_pattern_targets_are_slices_of_one_positions_array(pair33k2):
 
 @settings(max_examples=30, deadline=None)
 @given(pair=random_pairs())
-def test_scatter_matches_bincount_oracle_bit_for_bit(pair):
-    # the state-independent operators: np.add.at block by block adds in the
-    # order one bincount over the concatenated blocks does, from 0.0
+def test_constant_operators_match_quadrature_oracles(pair):
+    # the constant operators are Kronecker products of 1-D Gram matrices and
+    # end-point rows, and the loads 1-D contractions, so they match element
+    # and boundary-facet quadrature to roundoff, not bit for bit
     params = params_for(pair, 0.05)
+    f = lambda x, y: (np.sin(x + y), x * y)
     u_d = lambda x, y: (np.sin(3.0 * x + y), np.cos(x * y))
-    got = {
-        "S": assemble_strain(pair).data,
-        "K": assemble_viscous_nitsche(pair, params).data,
-        "M": forms._velocity_mass_data(pair),
-        "G, G^T, P, P_h": np.stack(forms._boundary_unit_data(pair)),
-        "Nitsche load": nitsche_load(pair, params, u_d),
-    }
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(forms.JacobianPattern, "data", bincount_data)
-        expect = {
-            "S": assemble_strain.__wrapped__(pair).data,
-            "K": assemble_viscous_nitsche(pair, params).data,
-            "M": forms._velocity_mass_data.__wrapped__(pair),
-            "G, G^T, P, P_h": np.stack(forms._boundary_unit_data(pair)),
-        }
-    expect["Nitsche load"] = bincount_nitsche_load(pair, params, u_d)
-    for name, array in got.items():
-        assert array.tobytes() == expect[name].tobytes(), name
+    s, m, body = quadrature_constant_operators(pair, f)
+    g, p, p_h, g_load = quadrature_boundary_operators(pair, params, u_d)
+    coef = 2.0 * params.nu * params.c_nit / pair.mesh.h
+    got_g, got_gt, got_p, got_p_h = boundary_unit_matrices(pair)
+    for name, got, expect in (
+        ("S", assemble_strain(pair), s),
+        ("K", assemble_viscous_nitsche(pair, params), params.nu * (s - g - g.T) + coef * p_h),
+        ("K without Nitsche terms", assemble_viscous_nitsche(pair, params, nitsche=False), params.nu * s),
+        ("M", assemble_velocity_mass(pair), m),
+        ("M on the pattern", forms.jacobian_pattern(pair).csr(forms._velocity_mass_data(pair)), m),
+        ("G", got_g, g),
+        ("G^T", got_gt, g.T),
+        ("P", got_p, p),
+        ("assemble_boundary_mass", assemble_boundary_mass(pair), p),
+        ("P_h", got_p_h, p_h),
+    ):
+        assert abs(got - expect).max() <= 1e-13 * abs(expect).max(), name
+    for name, got, expect in (
+        ("Nitsche load", nitsche_load(pair, params, u_d), g_load),
+        ("body-force load", assemble_load(pair, params, f=f, nitsche=False), body),
+    ):
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max(), name
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from divspline.bspline import make_open_uniform
+from divspline.bspline import make_open_uniform, open_knots
 from divspline.forms import (
     StabParams,
     assemble_convection,
@@ -37,7 +37,7 @@ from divspline.solver import (
     newton_steady,
     solve_steady,
 )
-from divspline.space import StateVector, pressure_mean_vector
+from divspline.space import StateVector, build_pair, pressure_mean_vector
 from divspline.cases import (
     CavityCase,
     ManufacturedCase,
@@ -264,8 +264,8 @@ def test_fused_jacobian_matches_dense_sum(pair, seed, nitsche, convection, skele
     pattern = forms.jacobian_pattern(pair)
     for mat in (n1, n2, jac, assemble_viscous_nitsche(pair, params, nitsche=nitsche)):
         assert _same_pattern(mat, pattern)
-    for data in forms._boundary_unit_data(pair):
-        assert data.shape == (pattern.nnz,)
+    for terms in forms._boundary_terms(pair).values():
+        assert pattern.kron_data(terms).shape == (pattern.nnz,)
     if skeleton:
         assert _same_pattern(j, n1)
     else:
@@ -390,8 +390,25 @@ def _streamfunction_system(op, u):
     return curl.T @ jac @ curl, -(curl.T @ r)
 
 
+def _refined_solve(a: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+    """Reference solution of a x = rhs: one LU solve and two steps of
+    iterative refinement with the residuals in long double. On graded pairs
+    a's condition number reaches 1e7, and a plain solve is then off by more
+    than 1e-10."""
+    lu = spla.splu(a.tocsc())
+    x = lu.solve(rhs)
+    dense = a.toarray().astype(np.longdouble)
+    for _ in range(2):
+        x = x + lu.solve((rhs - dense @ x.astype(np.longdouble)).astype(float))
+    return x
+
+
 @settings(max_examples=25, deadline=None)
 @given(pair=random_pairs(), seed=st.integers(0, 2**16))
+@example(  # condition number 1.1e7; spsolve's x is off by 1.3e-10 here
+    pair=build_pair(build_mesh(open_knots(1, [0.0, 0.0625, 0.125]), open_knots(1, [0.0, 1.0])), 3),
+    seed=0,
+)
 def test_lagged_lu_correction_matches_direct_solve(pair, seed):
     # the held LU comes from the stage Jacobian at another random state
     params = StabParams.create(pair.k_prime, nu=0.05)
@@ -407,7 +424,7 @@ def test_lagged_lu_correction_matches_direct_solve(pair, seed):
     a, rhs = _streamfunction_system(stage, u_b)
     x = lagged.solve(a, rhs)
     assert lagged.krylov_iterations > 0 and lagged.factorizations in (1, 2)
-    ref = spla.spsolve(a.tocsc(), rhs)
+    ref = _refined_solve(a, rhs)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 

@@ -93,25 +93,16 @@ def sorted_pattern(pair: DivConformingPair):
     """
     tab = element_tables(pair, pair.k_prime + 2)
     dofs = [tab.dofs(name) + pair.component_offset(c) for c, name in enumerate(("vx", "vy"))]
-    facets = forms.facet_tables(pair)
     blocks = [(dofs[i], dofs[j]) for i, j in ((0, 0), (1, 1), (0, 1), (1, 0))]
-    blocks += [(f.dofs[1 - f.axis],) * 2 for f in facets.interior]
-    blocks += [(f.dofs[i], f.dofs[j]) for f in facets.boundary for i in (0, 1) for j in (0, 1)]
+    for f in forms.facet_tables(pair).interior:
+        c = 1 - f.axis  # the tangential component
+        blocks.append((f.dofs[c] + pair.component_offset(c),) * 2)
     n = pair.n_u
     keys = [(r.astype(np.int64)[:, :, None] * n + c[:, None, :]).ravel() for r, c in blocks]
     unique, inverse = np.unique(np.concatenate(keys), return_inverse=True)
     ends = np.cumsum([len(k) for k in keys])
     indptr = np.searchsorted(unique // n, np.arange(n + 1))
     return indptr, unique % n, np.split(inverse, ends[:-1])
-
-
-def bincount_data(pattern: forms.JacobianPattern, blocks) -> np.ndarray:
-    """Oracle of `JacobianPattern.data`: the positions of the blocks and their
-    local arrays, each concatenated, summed with one `np.bincount`."""
-    blocks = list(blocks)
-    targets = np.concatenate([pattern._blocks[b] for b, _ in blocks])
-    values = np.concatenate([local.ravel() for _, local in blocks])
-    return np.bincount(targets, values, minlength=pattern.nnz)
 
 
 def _assembled(pair: DivConformingPair, blocks) -> sp.csr_matrix:
@@ -251,24 +242,124 @@ def quadrature_skeleton(pair: DivConformingPair, u: np.ndarray, params):
     return etas, _assembled(pair, blocks), residual
 
 
-def bincount_nitsche_load(pair: DivConformingPair, params, u_d) -> np.ndarray:
-    """Oracle of `nitsche_load`: one `np.bincount` per boundary side and
-    component, summed. (One bincount over every side would add the terms of
-    the DOFs two sides of a corner reach in another order.)"""
+def quadrature_constant_operators(pair: DivConformingPair, f):
+    """Oracle (S, M, body-force load) by element quadrature on `element_tables`.
+
+    k' + 2 Gauss points per direction integrate S and M exactly; the local
+    arrays are einsums over the points, summed with COO and `np.bincount`.
+    """
+    tab = element_tables(pair, pair.k_prime + 2)
+    names = ("vx", "vy")
+    dofs = [tab.dofs(name) + pair.component_offset(c) for c, name in enumerate(names)]
+    val = [tab.basis(name, 0, 0) for name in names]
+    dx = [tab.basis(name, 1, 0) for name in names]
+    dy = [tab.basis(name, 0, 1) for name in names]
+
+    def products(a, b):
+        return np.einsum("eq,eqa,eqb->eab", tab.weights, a, b)
+
+    # 2 int [2 e11(u) e11(v) + 2 e22 e22 + 4 e12 e12] per component block
+    k12 = products(dy[0], dx[1])
+    strain = _assembled(
+        pair,
+        [
+            (dofs[0], dofs[0], 2.0 * products(dx[0], dx[0]) + products(dy[0], dy[0])),
+            (dofs[1], dofs[1], 2.0 * products(dy[1], dy[1]) + products(dx[1], dx[1])),
+            (dofs[0], dofs[1], k12),
+            (dofs[1], dofs[0], k12.transpose(0, 2, 1)),
+        ],
+    )
+    mass = _assembled(pair, [(dofs[c], dofs[c], products(val[c], val[c])) for c in (0, 1)])
+    fv = f(tab.points[..., 0], tab.points[..., 1])
+    load = np.bincount(
+        np.concatenate([d.ravel() for d in dofs]),
+        np.concatenate(
+            [np.einsum("eq,eql->el", tab.weights * fv[c], val[c]).ravel() for c in (0, 1)]
+        ),
+        minlength=pair.n_u,
+    )
+    return strain, mass, load
+
+
+def boundary_facet_tables(pair: DivConformingPair, axis: int, comp: int):
+    """Oracle tables of one velocity component on the boundary facets normal
+    to axis, facet by facet from `element_basis_1d`.
+
+    Facet f = s * n_t + e lies on side s (0 at the low end of the normal
+    axis, 1 at the high end) and tangential element e, with k' + 2 Gauss
+    points. Returns dofs (F, L) over the boundary element's functions,
+    normal (F,) (the outward sign), weights and penalty (F, Q) (the weights
+    times h / h_n, h_n the boundary element's length normal to the facet),
+    points (F, Q, 2) and (F, Q, L) tables value, d_x and d_y.
+    """
+    space = pair.velocity_spaces[comp]
+    kv_n, kv_t = (space.kv_x, space.kv_y) if axis == 0 else (space.kv_y, space.kv_x)
+    rule = gauss_rule(pair.k_prime + 2)
+    normal, first_n = element_basis_1d(kv_n, (0.0, 1.0), 1)
+    tang, first_t = element_basis_1d(kv_t, rule.points, 1)
+    knots_n, knots_t = kv_n.unique_knots, kv_t.unique_knots
+    keys = ("dofs", "normal", "weights", "penalty", "points", "value", "d_x", "d_y")
+    out = {key: [] for key in keys}
+    for side, e_n in enumerate((0, kv_n.n_elements - 1)):
+        row = normal[e_n, side]  # (derivative, function) at the side
+        idx_n = first_n[e_n] + np.arange(kv_n.degree + 1)
+        h_n = knots_n[e_n + 1] - knots_n[e_n]
+        for e in range(kv_t.n_elements):
+            idx_t = first_t[e] + np.arange(kv_t.degree + 1)
+            t = tang[e]  # (Q, derivative, tangential functions)
+            if axis == 0:  # dof = idx_t * n_x + idx_n
+                dofs = idx_t[:, None] * space.n_x + idx_n[None, :]
+                table = lambda dn, dt: (t[:, dt, :, None] * row[dn][None, None, :]).reshape(len(t), -1)
+            else:  # dof = idx_n * n_x + idx_t
+                dofs = idx_n[:, None] * space.n_x + idx_t[None, :]
+                table = lambda dn, dt: (row[dn][None, :, None] * t[:, dt, None, :]).reshape(len(t), -1)
+            h_t = knots_t[e + 1] - knots_t[e]
+            points = np.empty((rule.npts, 2))
+            points[:, axis] = knots_n[-1 if side else 0]
+            points[:, 1 - axis] = knots_t[e] + h_t * rule.points
+            grad = (table(1, 0), table(0, 1))  # normal, tangential derivative
+            out["dofs"].append(dofs.ravel() + pair.component_offset(comp))
+            out["normal"].append(2.0 * side - 1.0)
+            out["weights"].append(h_t * rule.weights)
+            out["penalty"].append(h_t * rule.weights * pair.mesh.h / h_n)
+            out["points"].append(points)
+            out["value"].append(table(0, 0))
+            out["d_x"].append(grad[axis])
+            out["d_y"].append(grad[1 - axis])
+    return SimpleNamespace(**{key: np.array(out[key]) for key in keys})
+
+
+def quadrature_boundary_operators(pair: DivConformingPair, params, u_d):
+    """Oracle (G, P, P_h, Nitsche load) by quadrature on `boundary_facet_tables`.
+
+    G[a, b] = (2 n . grad_s phi_b, phi_a)_bnd, P the boundary mass, P_h the
+    penalty mass (P with each facet weighted by h / h_n) and the load
+    -(2 nu n . grad_s v, uD) + (2 nu C_nit / h_n v, uD); sums with COO and
+    `np.bincount`.
+    """
     coef = 2.0 * params.c_nit / pair.mesh.h
-    g = np.zeros(pair.n_u)
-    for facets in forms.facet_tables(pair).boundary:
-        ud = np.array(u_d(facets.points[..., 0], facets.points[..., 1]))
-        d = facets.axis
-        wn = facets.weights * facets.normal
-        for ca in (0, 1):
-            grad = facets.grad[ca]
-            cons = np.einsum("fq,fql->fl", wn * ud[ca], grad[d])
+    g, p, p_h, load = [], [], [], np.zeros(pair.n_u)
+    for d in (0, 1):
+        tables = [boundary_facet_tables(pair, d, c) for c in (0, 1)]
+        wn = tables[0].weights * tables[0].normal[:, None]
+        points = tables[0].points
+        ud = np.array(u_d(points[..., 0], points[..., 1]))
+        for ca, ta in enumerate(tables):
+            grad_a = (ta.d_x, ta.d_y)
+            for blocks, w in ((p, ta.weights), (p_h, ta.penalty)):
+                blocks.append((ta.dofs, ta.dofs, np.einsum("fq,fqa,fqb->fab", w, ta.value, ta.value)))
+            for cb, tb in enumerate(tables):
+                # component ca of 2 n . grad_s phi_b is n_d (d_d phi_b,ca + d_ca phi_b,d)
+                grad_b = (tb.d_x, tb.d_y)
+                derivs = ([d] if ca == cb else []) + ([ca] if cb == d else [])
+                for i in derivs:
+                    g.append((ta.dofs, tb.dofs, np.einsum("fq,fqa,fqb->fab", wn, ta.value, grad_b[i])))
+            # 2 (n . grad_s phi_a) . uD = n_d (d_d phi_a uD_ca + [ca = d] grad phi_a . uD)
+            cons = np.einsum("fq,fql->fl", wn * ud[ca], grad_a[d])
             if ca == d:
-                cons += np.einsum("fq,fql->fl", wn * ud[0], grad[0]) + np.einsum(
-                    "fq,fql->fl", wn * ud[1], grad[1]
-                )
-            pen = np.einsum("fq,fql->fl", facets.penalty * ud[ca], facets.value[ca])
+                cons += np.einsum("fq,fql->fl", wn * ud[0], grad_a[0])
+                cons += np.einsum("fq,fql->fl", wn * ud[1], grad_a[1])
+            pen = np.einsum("fq,fql->fl", ta.penalty * ud[ca], ta.value)
             local = params.nu * (coef * pen - cons)
-            g += np.bincount(facets.dofs[ca].ravel(), local.ravel(), minlength=pair.n_u)
-    return g
+            load += np.bincount(ta.dofs.ravel(), local.ravel(), minlength=pair.n_u)
+    return _assembled(pair, g), _assembled(pair, p), _assembled(pair, p_h), load
