@@ -12,7 +12,7 @@ knots are obtained by passing an explicit span index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -29,7 +29,37 @@ __all__ = [
     "collocation_matrix",
     "basis_integrals",
     "gram_matrix",
+    "QuadratureRule",
+    "gauss_rule",
 ]
+
+MAX_GAUSS_POINTS = 10
+
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Gauss-Legendre rule on the reference interval [0, 1]."""
+
+    points: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def npts(self) -> int:
+        return len(self.points)
+
+
+@cache
+def gauss_rule(npts: int) -> QuadratureRule:
+    """Gauss-Legendre nodes/weights on [0, 1], exact to degree 2*npts - 1.
+
+    One rule per size, shared by every caller: its arrays are read-only.
+    """
+    if not 1 <= npts <= MAX_GAUSS_POINTS:
+        raise ValueError(f"npts must be in [1, {MAX_GAUSS_POINTS}], got {npts}")
+    nodes, weights = np.polynomial.legendre.leggauss(npts)
+    points, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    points.flags.writeable = weights.flags.writeable = False
+    return QuadratureRule(points=points, weights=weights)
 
 
 def find_span(knots: np.ndarray, degree: int, x):
@@ -296,16 +326,22 @@ def derivative_matrix(kv: KnotVector):
     return diags([-scale, scale], [0, 1], shape=(n - 1, n), format="csr")
 
 
-def collocation_matrix(kv: KnotVector, pts: np.ndarray, deriv: int = 0):
-    """Sparse matrix C with C[q, i] = d-th derivative of basis i at pts[q]."""
-    from scipy.sparse import csr_matrix
+def _dense_rows(first, values: np.ndarray, n_basis: int) -> np.ndarray:
+    """values[..., j] of basis functions first + j as dense rows (..., n_basis).
 
-    pts = np.asarray(pts, dtype=float)
-    nq, k = len(pts), kv.degree
-    be = eval_nonzero_basis(kv, pts, max_deriv=deriv)
-    rows = np.repeat(np.arange(nq), k + 1)
-    cols = (be.first_index[:, None] + np.arange(k + 1)).ravel()
-    return csr_matrix((be.values[:, deriv].ravel(), (rows, cols)), shape=(nq, kv.n_basis))
+    first broadcasts against values.shape[:-1].
+    """
+    rows = np.zeros(values.shape[:-1] + (n_basis,))
+    cols = np.asarray(first)[..., None] + np.arange(values.shape[-1])
+    np.put_along_axis(rows, np.broadcast_to(cols, values.shape), values, axis=-1)
+    return rows
+
+
+def collocation_matrix(kv: KnotVector, pts, max_deriv: int = 0) -> np.ndarray:
+    """Dense collocation C[d, q, i] = d-th derivative of basis i at pts[q],
+    d = 0 .. max_deriv: shape (max_deriv + 1, len(pts), n_basis)."""
+    basis = eval_nonzero_basis(kv, pts, max_deriv)
+    return _dense_rows(basis.first_index, basis.values.transpose(1, 0, 2), kv.n_basis)
 
 
 def basis_integrals(kv: KnotVector) -> np.ndarray:
@@ -319,15 +355,16 @@ def gram_matrix(kv_a: KnotVector, kv_b: KnotVector, da: int = 0, db: int = 0) ->
     """Dense Gram matrix G[i, j] = integral of N_i^(da) N_j^(db), N_i of kv_a
     and N_j of kv_b, two knot vectors on the same breakpoints.
 
-    max(degree) + 1 Gauss points per element integrate every such product
-    exactly, and the element blocks are added into place with one np.add.at.
+    max(degree) + 1 Gauss points per element (`gauss_rule`) integrate every
+    such product exactly, and the element blocks are added into place with
+    one np.add.at.
     """
     uk = kv_a.unique_knots
     if not np.array_equal(uk, kv_b.unique_knots):
         raise ValueError("the knot vectors must have the same breakpoints")
-    nodes, weights = np.polynomial.legendre.leggauss(max(kv_a.degree, kv_b.degree) + 1)
-    half = 0.5 * np.diff(uk)[:, None]
-    x = uk[:-1, None] + half * (nodes + 1.0)
+    rule = gauss_rule(max(kv_a.degree, kv_b.degree) + 1)
+    h = np.diff(uk)[:, None]
+    x = uk[:-1, None] + h * rule.points
 
     def table(kv: KnotVector, d: int):  # (element, point, function) values and indices
         spans = kv.element_spans
@@ -335,7 +372,7 @@ def gram_matrix(kv_a: KnotVector, kv_b: KnotVector, da: int = 0, db: int = 0) ->
         return values, (spans - kv.degree)[:, None] + np.arange(kv.degree + 1)
 
     (va, ia), (vb, ib) = table(kv_a, da), table(kv_b, db)
-    local = np.matmul((va * (half * weights)[..., None]).transpose(0, 2, 1), vb)
+    local = np.matmul((va * (h * rule.weights)[..., None]).transpose(0, 2, 1), vb)
     gram = np.zeros((kv_a.n_basis, kv_b.n_basis))
     np.add.at(gram, (ia[:, :, None], ib[:, None, :]), local)
     return gram

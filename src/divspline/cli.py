@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bspline import collocation_matrix
+from .bspline import MAX_GAUSS_POINTS, collocation_matrix
 from .cases import (
     error_quad_points,
     run_cavity,
@@ -34,7 +34,6 @@ from .cases import (
     unit_square_pair,
 )
 from .forms import StabParams, convection_quad_points
-from .mesh import MAX_GAUSS_POINTS
 from .solver import TimeConfig
 from .space import DivConformingPair, StateVector, TensorSpace, divergence_coefficients
 
@@ -348,8 +347,8 @@ def write_csv(path, header, rows) -> None:
 
 
 def _grid_values(space: TensorSpace, grid: np.ndarray, xs, ys) -> np.ndarray:
-    cx = collocation_matrix(space.kv_x, xs).toarray()
-    cy = collocation_matrix(space.kv_y, ys).toarray()
+    cx = collocation_matrix(space.kv_x, xs)[0]
+    cy = collocation_matrix(space.kv_y, ys)[0]
     return cy @ grid @ cx.T
 
 

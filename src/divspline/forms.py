@@ -22,12 +22,15 @@ The constant operators are sums of Kronecker products of dense 1-D matrices
 (`bspline.gram_matrix`, exact with max(degree) + 1 Gauss points per
 element), G, P and P_h of end-point value and derivative rows crossed with
 Grams along the sides (`_boundary_terms`). The loads contract dense 1-D
-collocation at k' + 2 Gauss points per element (`_collocation`). N1, N2
-and J contract batched basis tables (`ElementTables`, `FacetTables`) over
-their quadrature points with one batched matmul (`_weighted_products`):
-convection with ceil(3(k' + 1) / 2) points, exact for its degree-(3k - 1)
-integrand, and the facets with k' + 2 (the rational eta factor is only
-approximately integrated). Matrices act on the full velocity DOF vector
+collocation (`bspline.collocation_matrix`) at k' + 2 Gauss points per
+element. N1 and N2 are summed by sum factorization (`_sum_factorized`;
+Antolin, Buffa, Calabro, Martinelli & Sangalli, CMAME 285 (2015)) from the
+1-D element rows of `element_tables` at ceil(3(k' + 1) / 2) points per
+direction, exact for the degree-(3k - 1) integrand: the x points are
+contracted first, then the y points, each as one batched matmul. J
+contracts per-facet basis tables (`FacetTables`) over k' + 2 points with
+one batched matmul (`_weighted_products`); the rational eta factor is only
+approximately integrated. Matrices act on the full velocity DOF vector
 [Vx block; Vy block]; the solver imposes the strong normal trace.
 
 Every velocity operator is a data array on the pair's one sparsity
@@ -44,7 +47,7 @@ on the pair reuse.
 Residuals need no matrices, and the per-state kernels work on dense 1-D
 factors of the tensor-product spaces instead of element tables:
 `convection_residual` gives N1(u) u from the collocation matrices of each
-velocity component at the convection points (`_ConvectionKit`), and
+velocity component at the convection points (`element_tables`), and
 `skeleton_residual` gives J(u) u from the one-sided value rows, jump rows
 and tangential collocation on the interior knot lines (`FacetTables`); each
 writes its components' slices of the output, with no gather and no scatter.
@@ -64,8 +67,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
-from .bspline import KnotVector, eval_nonzero_basis, gram_matrix
-from .mesh import gauss_rule
+from .bspline import _dense_rows, collocation_matrix, gauss_rule, gram_matrix
 from .space import (
     DivConformingPair,
     StateVector,
@@ -179,19 +181,22 @@ class JacobianPattern:
     """The one CSR sparsity pattern of a pair: every velocity operator is a
     data array on it, and a Jacobian is a sum of data arrays.
 
-    It is the union of six dense local blocks, block b pairing row DOFs
-    (E_b, L_b) with column DOFs (E_b, M_b): blocks 0-3 are the element
-    blocks of the velocity component pairs (0, 0), (1, 1), (0, 1) and
-    (1, 0), which hold K, M, N1 and N2; blocks 4 and 5 the interior-facet
+    It is the union of six dense local blocks. Blocks 0-3 are the element
+    blocks of the velocity component pairs (i, j) = (0, 0), (1, 1), (0, 1)
+    and (1, 0), which hold K, M, N1 and N2: row function (ly, lx) of
+    component i against column function (my, mx) of component j on element
+    (ey, ex), entries in the order (ey, ly, my, ex, lx, mx) in which
+    `_sum_factorized` makes them. Blocks 4 and 5 are the interior-facet
     blocks of the tangential component on the facets normal to x and to y,
-    which hold J (the normal component's (alpha'+1)-th normal derivative is
-    continuous, so its jump blocks are left out). K's boundary terms couple
-    functions of one boundary element and add no entries. Every entry of
-    every block has one position in the CSR data, stored once in block
-    order: `_blocks[b]` is block b's slice of one positions array. `data`
-    adds local arrays (E_b, L_b, M_b) one block at a time with `np.add.at`,
-    which allocates nothing for the read-only positions (a `np.bincount`
-    would copy them); `kron_data` adds Kronecker products of 1-D matrices.
+    which hold J, entries in (facet, row, column) order (the normal
+    component's (alpha'+1)-th normal derivative is continuous, so its jump
+    blocks are left out). K's boundary terms couple functions of one
+    boundary element and add no entries. Every entry of every block has one
+    position in the CSR data, stored once in block order: `_blocks[b]` is
+    block b's slice of one positions array. `data` adds local arrays one
+    block at a time with `np.add.at`, which allocates nothing for the
+    read-only positions (a `np.bincount` would copy them); `kron_data` adds
+    Kronecker products of 1-D matrices.
     The positions, `indices` and `indptr` are read-only, and every matrix
     `csr` builds shares the last two, so no matrix on the pattern can be
     changed in its structure.
@@ -216,14 +221,20 @@ class JacobianPattern:
         knot_vectors = [kv for s in spaces for kv in (s.kv_x, s.kv_y)]
         if any(kv.n_basis != kv.n_elements + kv.degree for kv in knot_vectors):
             raise ValueError("JacobianPattern requires interior knot multiplicity 1")
-        tab = element_tables(pair, bilinear_quad_points(pair))
+        tab = _convection_tables(pair)  # any rule: the DOFs are those of the elements
         self._offsets = [pair.component_offset(c) for c in (0, 1)]
         self._n_x = [s.n_x for s in spaces]
         # (row component, row DOFs, column component, column DOFs) per block,
-        # in component DOFs
-        dofs = [tab.dofs(name) for name in ("vx", "vy")]
-        blocks = [(i, dofs[i], j, dofs[j]) for i, j in ((0, 0), (1, 1), (0, 1), (1, 0))]
-        blocks += [(1 - f.axis, f.dofs[1 - f.axis]) * 2 for f in facet_tables(pair).interior]
+        # in component DOFs broadcast to the block's entry order
+        rows, cols = [], []
+        for c in (0, 1):
+            ix, iy = tab.dofs(c)
+            rows.append(iy[:, :, None, None, None, None] * self._n_x[c] + ix[:, :, None])
+            cols.append(iy[:, None, :, None, None, None] * self._n_x[c] + ix[:, None, :])
+        blocks = [(i, rows[i], j, cols[j]) for i, j in ((0, 0), (1, 1), (0, 1), (1, 0))]
+        for f in facet_tables(pair).interior:
+            dofs = f.dofs[1 - f.axis]
+            blocks.append((1 - f.axis, dofs[:, :, None], 1 - f.axis, dofs[:, None, :]))
         # _bands[i][j] = ((lo_x, len_x), (lo_y, len_y)) of component block (i, j)
         self._bands = [
             [
@@ -246,16 +257,14 @@ class JacobianPattern:
         self.nnz = int(indptr[-1])
         index_dtype = sp.get_index_dtype(maxval=max(n, self.nnz))
         indices = np.empty(self.nnz, dtype=index_dtype)
-        sizes = [rows.size * cols.shape[-1] for _, rows, _, cols in blocks]
-        ends = np.cumsum(sizes)
+        shapes = [np.broadcast_shapes(r.shape, c.shape) for _, r, _, c in blocks]
+        ends = np.cumsum([math.prod(shape) for shape in shapes])
         positions = np.empty(ends[-1], dtype=np.intp)
-        for b, (i, rows, j, cols) in enumerate(blocks):
-            # written in place: the (E, L, M) block is the only array of its size
-            out = positions[ends[b] - sizes[b] : ends[b]].reshape(
-                rows.shape + cols.shape[-1:]
-            )
-            self.positions(i, j, rows[:, :, None], cols[:, None, :], out=out)
-            indices[out] = (cols + self._offsets[j]).astype(index_dtype)[:, None, :]
+        for b, ((i, r, j, c), shape) in enumerate(zip(blocks, shapes)):
+            # written in place: the block is the only array of its size
+            out = positions[ends[b] - math.prod(shape) : ends[b]].reshape(shape)
+            self.positions(i, j, r, c, out=out)
+            indices[out] = (c + self._offsets[j]).astype(index_dtype)
         self._blocks = np.split(_read_only(positions), ends[:-1])
         self.indices = _read_only(indices)
         self.indptr = _read_only(indptr.astype(index_dtype))
@@ -274,13 +283,14 @@ class JacobianPattern:
         out += self._starts[j][rows + self._offsets[i]] - lo_y[r_y] * stride - lo_x[r_x]
         return out
 
-    def data(self, blocks) -> np.ndarray:
-        """Data array of the local blocks (b, local), local of block b's shape
-        (E_b, L_b, M_b), added in the given order from 0.0.
+    def data(self, blocks, out: np.ndarray | None = None) -> np.ndarray:
+        """Data array of the local blocks (b, local), local holding block b's
+        entries in its order, added in the given order into out (zeros when
+        None).
 
         `blocks` may be a generator, so that one local block is alive at a time.
         """
-        out = np.zeros(self.nnz)
+        out = np.zeros(self.nnz) if out is None else out
         for b, local in blocks:
             np.add.at(out, self._blocks[b], local.reshape(-1))
             del local  # freed before the generator makes the next block
@@ -313,13 +323,6 @@ def _weighted_products(w, a, b) -> np.ndarray:
     One batched matmul of the weighted (E, L, Q) transpose of a with b.
     """
     return np.matmul((a * w[..., None]).transpose(0, 2, 1), b)
-
-
-def _collocation(kv: KnotVector, points, max_deriv: int = 0) -> np.ndarray:
-    """Dense collocation rows of kv's basis functions and their first
-    max_deriv derivatives at points: (max_deriv + 1, len(points), n_basis)."""
-    basis = eval_nonzero_basis(kv, points, max_deriv)
-    return _dense_rows(basis.first_index, basis.values.transpose(1, 0, 2), kv.n_basis)
 
 
 @per_pair
@@ -360,17 +363,6 @@ def _on_facets(axis: int, normal: np.ndarray, tangential: np.ndarray, op=np.mult
     return out.reshape(-1, *out.shape[2:-2], out.shape[-2] * out.shape[-1])
 
 
-def _dense_rows(first, values: np.ndarray, n_basis: int) -> np.ndarray:
-    """values[..., j] of basis functions first + j as dense rows (..., n_basis).
-
-    first broadcasts against values.shape[:-1].
-    """
-    rows = np.zeros(values.shape[:-1] + (n_basis,))
-    cols = np.asarray(first)[..., None] + np.arange(values.shape[-1])
-    np.put_along_axis(rows, np.broadcast_to(cols, values.shape), values, axis=-1)
-    return rows
-
-
 def _tangential_first(grid: np.ndarray, axis: int) -> np.ndarray:
     """A component's coefficient grid (n_y, n_x) indexed (tangential, normal)
     for the facets normal to axis (a view)."""
@@ -407,7 +399,7 @@ class FacetTables:
         self.interior = []
         axes = pair.q.kv_x, pair.q.kv_y  # the breakpoints of each axis
         for axis in (0, 1):
-            points, weights = quad_points_1d(axes[1 - axis], rule.npts)
+            _, weights = quad_points_1d(axes[1 - axis], rule.npts)
             inner = SimpleNamespace(
                 axis=axis, line_weights=weights, dofs=[], jump=[],
                 weights=np.tile(weights.reshape(-1, rule.npts), (axes[axis].n_elements - 1, 1)),
@@ -432,7 +424,8 @@ class FacetTables:
                 minus = _dense_rows(first_n[1:], minus[:, [0, m]].transpose(1, 0, 2), n_n)
                 inner.line_value.append(plus[0])
                 inner.line_jump.append(plus[1] - minus[1])
-                inner.tang.append(_collocation(kv_t, points)[0])
+                n_t = kv_t.n_basis
+                inner.tang.append(_dense_rows(first_t[:, None], tang[:, :, 0], n_t).reshape(-1, n_t))
             self.interior.append(inner)
 
 
@@ -458,7 +451,7 @@ def _boundary_terms(pair: DivConformingPair) -> dict[str, list]:
     for d, t in ((0, 1), (1, 0)):
         kv_n = [(s.kv_x, s.kv_y)[d] for s in pair.velocity_spaces]
         kv_t = [(s.kv_x, s.kv_y)[t] for s in pair.velocity_spaces]
-        ends = [_collocation(kv, kv.domain, 1) for kv in kv_n]  # [derivative, side]
+        ends = [collocation_matrix(kv, kv.domain, 1) for kv in kv_n]  # [derivative, side]
 
         def term(i, j, weights, deriv, along):
             normal = (ends[i][0].T * weights) @ ends[j][deriv]
@@ -538,8 +531,8 @@ def nitsche_load(pair: DivConformingPair, params: StabParams, u_d) -> np.ndarray
             wud = weights * np.array(u_d(*xy))  # (2, T)
             for c, space in enumerate(pair.velocity_spaces):
                 kv_n, kv_t = (space.kv_x, space.kv_y)[d], (space.kv_x, space.kv_y)[t]
-                value, deriv = _collocation(kv_n, kv_n.domain, 1)[:, side]
-                tang, d_tang = _collocation(kv_t, points, 1)
+                value, deriv = collocation_matrix(kv_n, kv_n.domain, 1)[:, side]
+                tang, d_tang = collocation_matrix(kv_t, points, 1)
                 normal = coef * scale[side] * value - (1 + (c == d)) * n * deriv
                 local = np.outer(tang.T @ wud[c], normal)
                 if c == d:
@@ -553,33 +546,6 @@ def assemble_divergence(pair: DivConformingPair) -> sp.csr_matrix:
     """B with (B u)_q = (div u_h, psi_q): M_p D, as div u_h = D u lies in Q exactly."""
     m_p = sp.kron(mass_matrix_1d(pair.q.kv_y), mass_matrix_1d(pair.q.kv_x))
     return (m_p @ pair.divergence).tocsr()
-
-
-class _ConvectionKit:
-    """Static tables of convection at the convection Gauss points.
-
-    w, val and grad are the element tables N1 and N2 are assembled from. The
-    per-state kernels use dense 1-D factors instead: cx[c] = (C, C') holds
-    the values and first derivatives of component c's x basis at the points
-    of every x element, shape (nx nq, n_x), cy[c] likewise in y, and
-    neg_weights the tensor grid -(w_y (x) w_x), shape (ny nq, nx nq). A
-    component's values on that grid are C_y G C_x^T, G its coefficient grid.
-    """
-
-    def __init__(self, pair: DivConformingPair):
-        npts = convection_quad_points(pair.k_prime)
-        tab = element_tables(pair, npts)
-        names = ("vx", "vy")
-        self.w = tab.weights
-        self.val = [tab.basis(name, 0, 0) for name in names]
-        self.grad = [(tab.basis(name, 1, 0), tab.basis(name, 0, 1)) for name in names]
-        (px, w_x), (py, w_y) = (quad_points_1d(kv, npts) for kv in (pair.q.kv_x, pair.q.kv_y))
-        self.cx = [tuple(_collocation(s.kv_x, px, 1)) for s in pair.velocity_spaces]
-        self.cy = [tuple(_collocation(s.kv_y, py, 1)) for s in pair.velocity_spaces]
-        self.neg_weights = -np.outer(w_y, w_x)
-
-
-_convection_kit = per_pair(_ConvectionKit)
 
 
 class _LastState:
@@ -611,10 +577,15 @@ class _LastState:
 _last_state = per_pair(lambda pair, kernel: _LastState(kernel))
 
 
+def _convection_tables(pair: DivConformingPair):
+    """The 1-D `element_tables` at the convection Gauss points."""
+    return element_tables(pair, convection_quad_points(pair.k_prime))
+
+
 def _convection_point_values(pair: DivConformingPair, w_u: np.ndarray) -> list[np.ndarray]:
-    kit = _convection_kit(pair)
+    colloc = _convection_tables(pair).colloc
     return [
-        kit.cy[c][0] @ pair.component_coeffs(w_u, c) @ kit.cx[c][0].T for c in (0, 1)
+        colloc[c][1][0] @ pair.component_coeffs(w_u, c) @ colloc[c][0][0].T for c in (0, 1)
     ]
 
 
@@ -624,6 +595,27 @@ def _convection_values(pair: DivConformingPair, w_u: np.ndarray) -> list[np.ndar
     return _last_state(pair, _convection_point_values)(pair, w_u)
 
 
+def _sum_factorized(tab, w: np.ndarray, j: int, i: int, c: int) -> np.ndarray:
+    """Element blocks of -int w (d_c phi_a) phi_b, phi_a of component j and
+    phi_b of component i, w on the tables' tensor grid of points; in the
+    pattern's element-block order (ey, ly, my, ex, lx, mx).
+
+    Sum factorization (Antolin, Buffa, Calabro, Martinelli & Sangalli, CMAME
+    285 (2015)): the x points are contracted first, one matmul batched over
+    the x elements with the weighted products of the x rows, (lx mx) per
+    point, then the y points, one matmul batched over the y elements.
+    """
+    (xa, ya), (xb, yb) = tab.rows[j], tab.rows[i]
+    (nx, nq, _, lx), (ny, _, _, ly) = xa.shape, ya.shape
+    mx, my = xb.shape[-1], yb.shape[-1]
+    w_x = tab.weights_1d[0].reshape(nx, nq, 1, 1)
+    w_y = -tab.weights_1d[1].reshape(ny, nq, 1, 1)  # the forms' minus sign
+    p_x = (w_x * xa[:, :, 1 - c, :, None] * xb[:, :, 0, None, :]).reshape(nx, nq, lx * mx)
+    p_y = (w_y * ya[:, :, c, :, None] * yb[:, :, 0, None, :]).reshape(ny, nq, ly * my)
+    t = np.matmul(p_x.transpose(0, 2, 1), w.T.reshape(nx, nq, ny * nq))  # (nx, lx mx, ny nq)
+    return np.matmul(p_y.transpose(0, 2, 1), t.reshape(nx * lx * mx, ny, nq).transpose(1, 2, 0))
+
+
 def assemble_convection(
     pair: DivConformingPair, w_state: StateVector | np.ndarray
 ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -631,38 +623,25 @@ def assemble_convection(
 
     Returns (N1, N2) on the pair's `jacobian_pattern`, with N1 u acting as
     C(w; u, .) and N2 u as C(u; w, .); the Newton Jacobian of the convective
-    residual N1(w) w is N1 + N2 and the residual itself is N1 @ w.
+    residual N1(w) w is N1 + N2 and the residual itself is N1 @ w. Every
+    term is `_sum_factorized` from the 1-D element rows and w on the grid of
+    convection points. N2's block (j, i) is -(w_j d_i phi_a, phi_b), so its
+    diagonal block j is the i = j term of N1's block j, -(w . grad phi_a)
+    phi_b.
     """
     w_u = w_state.u if isinstance(w_state, StateVector) else w_state
-    kit = _convection_kit(pair)
+    tab = _convection_tables(pair)
     pattern = jacobian_pattern(pair)
-    nq = convection_quad_points(pair.k_prime)
-    # the grid values in (E, Q) order: E = ey nx + ex, Q = qy nq + qx
-    wq = [
-        grid.reshape(pair.mesh.ny, nq, pair.mesh.nx, nq)
-        .transpose(0, 2, 1, 3)
-        .reshape(kit.w.shape)
-        for grid in _convection_values(pair, w_u)
-    ]
-    neg_w = -kit.w  # the forms' minus sign, carried by the weights
-
-    def w_dot_grad(j):  # w . grad of component j's test functions, (E, Q, L)
-        return wq[0][..., None] * kit.grad[j][0] + wq[1][..., None] * kit.grad[j][1]
-
-    # block j, rows test comp j, cols trial comp j: -(w . grad phi_a) phi_b
-    n1 = pattern.csr(
-        pattern.data(
-            (j, _weighted_products(neg_w, w_dot_grad(j), kit.val[j])) for j in (0, 1)
-        )
-    )
-    # rows test comp j, cols trial comp i: -(phi_b w_j, d_i phi_a)
-    n2 = pattern.csr(
-        pattern.data(
-            (b, _weighted_products(neg_w * wq[j], kit.grad[j][i], kit.val[i]))
-            for b, (j, i) in enumerate(((0, 0), (1, 1), (0, 1), (1, 0)))
-        )
-    )
-    return n1, n2
+    w = _convection_values(pair, w_u)
+    n1, n2 = np.zeros(pattern.nnz), np.zeros(pattern.nnz)
+    for j in (0, 1):
+        local = _sum_factorized(tab, w[j], j, j, j)
+        pattern.data([(j, local)], out=n2)
+        local += _sum_factorized(tab, w[1 - j], j, j, 1 - j)
+        pattern.data([(j, local)], out=n1)
+    for b, (j, i) in ((2, (0, 1)), (3, (1, 0))):
+        pattern.data([(b, _sum_factorized(tab, w[j], j, i, i))], out=n2)
+    return pattern.csr(n1), pattern.csr(n2)
 
 
 def convection_residual(pair: DivConformingPair, u: np.ndarray) -> np.ndarray:
@@ -674,14 +653,16 @@ def convection_residual(pair: DivConformingPair, u: np.ndarray) -> np.ndarray:
 
         r_j = C_y,j^T (W U_j U_0) C'_x,j + C'_y,j^T (W U_j U_1) C_x,j,
 
-    (see `_ConvectionKit`), written into its slice of the output.
+    with (C, C') the collocation of `element_tables`, written into its slice
+    of the output.
     """
-    kit = _convection_kit(pair)
+    tab = _convection_tables(pair)
     uq = _convection_values(pair, u)
+    neg_weights = -np.outer(tab.weights_1d[1], tab.weights_1d[0])
     out = np.empty(pair.n_u)
     for j in (0, 1):
-        (c_x, dc_x), (c_y, dc_y) = kit.cx[j], kit.cy[j]
-        wu = kit.neg_weights * uq[j]
+        (c_x, dc_x), (c_y, dc_y) = tab.colloc[j]
+        wu = neg_weights * uq[j]
         r_j = pair.component_coeffs(out, j)  # a view of the output
         np.matmul(c_y.T @ (wu * uq[0]), dc_x, out=r_j)
         r_j += dc_y.T @ (wu * uq[1]) @ c_x
@@ -792,7 +773,7 @@ def assemble_load(
         (px, w_x), (py, w_y) = (quad_points_1d(kv, npts) for kv in (pair.q.kv_x, pair.q.kv_y))
         f_values = f(*np.meshgrid(px, py))
         for c, space in enumerate(pair.velocity_spaces):
-            c_x, c_y = _collocation(space.kv_x, px)[0], _collocation(space.kv_y, py)[0]
+            c_x, c_y = collocation_matrix(space.kv_x, px)[0], collocation_matrix(space.kv_y, py)[0]
             pair.component_coeffs(rhs, c)[...] = c_y.T @ (np.outer(w_y, w_x) * f_values[c]) @ c_x
     if nitsche and u_d is not None:
         rhs += nitsche_load(pair, params, u_d)

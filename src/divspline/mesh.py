@@ -1,4 +1,4 @@
-"""Cartesian parametric mesh: elements, facets, normals, Gauss quadrature.
+"""Cartesian parametric mesh: elements, facets, normals, facet quadrature.
 
 Elements are the axis-aligned boxes between consecutive unique knots of two
 open knot vectors. Facets are per-element edge segments; each interior facet
@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bspline import KnotVector
+from .bspline import KnotVector, QuadratureRule, gauss_rule
 
 __all__ = [
     "QuadratureRule",
@@ -23,28 +23,6 @@ __all__ = [
     "gauss_rule",
     "facet_quadrature",
 ]
-
-MAX_GAUSS_POINTS = 10
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre rule on the reference interval [0, 1]."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def npts(self) -> int:
-        return len(self.points)
-
-
-def gauss_rule(npts: int) -> QuadratureRule:
-    """Gauss-Legendre nodes/weights on [0, 1], exact to degree 2*npts - 1."""
-    if not 1 <= npts <= MAX_GAUSS_POINTS:
-        raise ValueError(f"npts must be in [1, {MAX_GAUSS_POINTS}], got {npts}")
-    nodes, weights = np.polynomial.legendre.leggauss(npts)
-    return QuadratureRule(points=0.5 * (nodes + 1.0), weights=0.5 * weights)
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,15 @@ import scipy.sparse as sp
 
 from .bspline import (
     KnotVector,
+    _dense_rows,
     basis_integrals,
     collocation_matrix,
     derivative_matrix,
     eval_nonzero_basis,
+    gauss_rule,
     open_knots,
 )
-from .mesh import CartesianMesh, Facet, gauss_rule
+from .mesh import CartesianMesh, Facet
 
 __all__ = [
     "TensorSpace",
@@ -334,8 +336,8 @@ def component_l2_projection(space: TensorSpace, f, npts: int) -> np.ndarray:
     """L2 projection of a scalar function onto a tensor space, flat coeffs."""
     px, wx = quad_points_1d(space.kv_x, npts)
     py, wy = quad_points_1d(space.kv_y, npts)
-    cx = collocation_matrix(space.kv_x, px)
-    cy = collocation_matrix(space.kv_y, py)
+    cx = collocation_matrix(space.kv_x, px)[0]
+    cy = collocation_matrix(space.kv_y, py)[0]
     vals = f(px[None, :], py[:, None])
     rhs = cy.T @ (wy[:, None] * vals * wx[None, :]) @ cx
     mx = mass_matrix_1d(space.kv_x)
@@ -388,89 +390,44 @@ def element_basis_1d(
 
 
 class ElementTables:
-    """Batched univariate basis tables at element Gauss points.
+    """Univariate tables of the velocity components at npts Gauss points per element.
 
-    For each space and derivative pair (dx, dy) the method `basis` returns an
-    array of shape (n_elements, npts**2, n_local) aligned with `dofs`,
-    `weights`, and `points`; the flat quadrature index is qy * npts + qx and
-    the flat local index is ly * (px + 1) + lx.
+    For component c and axis a (0 for x, 1 for y), rows[c][a] holds the
+    `element_basis_1d` values and first derivatives of the component's basis
+    along a, shape (n_elements_a, npts, 2, degree_a + 1), and colloc[c][a]
+    the same rows as a dense collocation at points_1d[a], the Gauss points of
+    every element along a with weights weights_1d[a]: shape (2, n_elements_a
+    npts, n_basis_a). A component's values on the tensor grid of points are
+    colloc[c][1][0] G colloc[c][0][0]^T, G its coefficient grid (n_y, n_x):
+    row ey npts + qy, column ex npts + qx.
     """
 
-    def __init__(self, pair: DivConformingPair, npts: int, max_deriv: int = 1):
-        self.npts = npts
-        self.max_deriv = max_deriv
-        mesh = pair.mesh
-        self.n_elements = mesh.n_elements
-        exs = np.arange(mesh.n_elements) % mesh.nx
-        eys = np.arange(mesh.n_elements) // mesh.nx
-
-        self._spaces = {"vx": pair.vx, "vy": pair.vy, "q": pair.q}
-        self._b1d: dict[tuple[int, int], np.ndarray] = {}
-        self._starts: dict[tuple[int, int], np.ndarray] = {}
-
-        px_, wx_ = quad_points_1d(pair.q.kv_x, npts)
-        py_, wy_ = quad_points_1d(pair.q.kv_y, npts)
-        ptx = px_.reshape(mesh.nx, npts)
-        pty = py_.reshape(mesh.ny, npts)
-        wtx = wx_.reshape(mesh.nx, npts)
-        wty = wy_.reshape(mesh.ny, npts)
-
-        # weights and points, flat index q2 = qy * npts + qx
-        self.weights = (wty[eys][:, :, None] * wtx[exs][:, None, :]).reshape(
-            self.n_elements, npts * npts
-        )
-        pts = np.empty((self.n_elements, npts * npts, 2))
-        pts[:, :, 0] = np.broadcast_to(
-            ptx[exs][:, None, :], (self.n_elements, npts, npts)
-        ).reshape(self.n_elements, -1)
-        pts[:, :, 1] = np.broadcast_to(
-            pty[eys][:, :, None], (self.n_elements, npts, npts)
-        ).reshape(self.n_elements, -1)
-        self.points = pts
-
+    def __init__(self, pair: DivConformingPair, npts: int):
         rule = gauss_rule(npts)
-        for name, space in self._spaces.items():
-            for axis, kv in ((0, space.kv_x), (1, space.kv_y)):
-                key = (id(kv), axis)
-                if key not in self._b1d:
-                    self._b1d[key], self._starts[key] = element_basis_1d(
-                        kv, rule.points, max_deriv
-                    )
-        self._exs, self._eys = exs, eys
-        self._cache: dict[tuple[str, int, int], np.ndarray] = {}
-        self._dof_cache: dict[str, np.ndarray] = {}
-
-    def basis(self, name: str, dx: int, dy: int) -> np.ndarray:
-        """(n_elements, npts^2, n_local) table of d^dx d^dy basis values."""
-        key = (name, dx, dy)
-        if key not in self._cache:
-            space = self._spaces[name]
-            bx = self._b1d[(id(space.kv_x), 0)][self._exs, :, dx, :]
-            by = self._b1d[(id(space.kv_y), 1)][self._eys, :, dy, :]
-            out = by[:, :, None, :, None] * bx[:, None, :, None, :]
-            self._cache[key] = out.reshape(self.n_elements, self.npts**2, -1)
-        return self._cache[key]
-
-    def dofs(self, name: str) -> np.ndarray:
-        """(n_elements, n_local) space-local DOF indices, same layout as basis."""
-        if name not in self._dof_cache:
-            space = self._spaces[name]
-            sx = self._starts[(id(space.kv_x), 0)][self._exs]
-            sy = self._starts[(id(space.kv_y), 1)][self._eys]
-            lx = np.arange(space.kv_x.degree + 1)
-            ly = np.arange(space.kv_y.degree + 1)
-            ix = sx[:, None, None] + lx[None, None, :]
-            iy = sy[:, None, None] + ly[None, :, None]
-            self._dof_cache[name] = (iy * space.n_x + ix).reshape(
-                self.n_elements, -1
+        self.points_1d, self.weights_1d = zip(
+            *(quad_points_1d(kv, npts) for kv in (pair.q.kv_x, pair.q.kv_y))
+        )
+        self.rows, self._first, self.colloc = [], [], []
+        for space in pair.velocity_spaces:
+            kvs = space.kv_x, space.kv_y
+            rows, first = zip(*(element_basis_1d(kv, rule.points, 1) for kv in kvs))
+            self.rows.append(rows)
+            self._first.append(first)
+            self.colloc.append(
+                [
+                    _dense_rows(f[:, None], r.transpose(2, 0, 1, 3), n).reshape(2, -1, n)
+                    for r, f, n in zip(rows, first, (space.n_x, space.n_y))
+                ]
             )
-        return self._dof_cache[name]
 
-    def field_values(self, name: str, coeffs_flat: np.ndarray, dx: int, dy: int) -> np.ndarray:
-        """(n_elements, npts^2) values of one scalar field's (dx, dy) derivative."""
-        tab = self.basis(name, dx, dy)
-        local = coeffs_flat[self.dofs(name)]
-        return np.einsum("eql,el->eq", tab, local)
+    def dofs(self, comp: int) -> tuple[np.ndarray, np.ndarray]:
+        """(ix, iy): the 1-D indices of component comp's functions on each
+        element along x, (n_x_el, px + 1), and along y, (n_y_el, py + 1);
+        function (ly, lx) of element (ey, ex) is DOF iy[ey, ly] n_x + ix[ex, lx]."""
+        return tuple(
+            first[:, None] + np.arange(rows.shape[-1])
+            for first, rows in zip(self._first[comp], self.rows[comp])
+        )
 
 
 def per_pair(build):

@@ -13,6 +13,7 @@ from divspline.bspline import (
     derivative_coefficients,
     derivative_matrix,
     eval_nonzero_basis,
+    gram_matrix,
     make_open_uniform,
     open_knots,
 )
@@ -170,8 +171,9 @@ def test_collocation_matrix_reproduces_eval():
     rng = np.random.default_rng(11)
     coeffs = rng.standard_normal(kv.n_basis)
     pts = np.array([0.0, 0.1, 0.25, 0.5, 0.99, 1.0])
-    c0 = collocation_matrix(kv, pts)
-    c1 = collocation_matrix(kv, pts, deriv=1)
+    c0, c1 = collocation_matrix(kv, pts, max_deriv=1)
+    assert c0.shape == (len(pts), kv.n_basis)
+    assert np.array_equal(collocation_matrix(kv, pts)[0], c0)
     vals = c0 @ coeffs
     for q, x in enumerate(pts):
         be = eval_nonzero_basis(kv, float(x), max_deriv=1)
@@ -179,6 +181,34 @@ def test_collocation_matrix_reproduces_eval():
         dref = coeffs[be.first_index : be.first_index + 3] @ be.values[1]
         assert abs(vals[q] - ref) < 1e-14
         assert abs((c1 @ coeffs)[q] - dref) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    bp=breakpoints(),
+    degrees=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    derivs=st.tuples(st.integers(0, 1), st.integers(0, 1)),
+)
+def test_gram_matrix_from_the_shared_rule_is_bit_identical(bp, degrees, derivs):
+    # the shared rule on [0, 1] is the Legendre rule scaled by 0.5, which is
+    # exact, so the Grams equal those from the Legendre nodes bit for bit
+    kv_a, kv_b = (open_knots(p, 2.0 * bp - 0.5) for p in degrees)
+    uk = kv_a.unique_knots
+    nodes, weights = np.polynomial.legendre.leggauss(max(degrees) + 1)
+    half = 0.5 * np.diff(uk)[:, None]
+    x = uk[:-1, None] + half * (nodes + 1.0)
+    expect = np.zeros((kv_a.n_basis, kv_b.n_basis))
+    for e in range(len(uk) - 1):
+        (va, fa), (vb, fb) = (
+            (
+                eval_nonzero_basis(kv, x[e], d, span=kv.element_spans[e]).values[:, d],
+                kv.element_spans[e] - kv.degree,
+            )
+            for kv, d in zip((kv_a, kv_b), derivs)
+        )
+        local = np.matmul((va * (half[e] * weights)[:, None]).T, vb)
+        expect[fa : fa + va.shape[1], fb : fb + vb.shape[1]] += local
+    assert np.array_equal(gram_matrix(kv_a, kv_b, *derivs), expect)
 
 
 def test_basis_integrals_against_quadrature():

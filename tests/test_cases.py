@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divspline.bspline import derivative_coefficients
 from divspline.cases import (
@@ -24,9 +26,10 @@ from divspline.cases import (
     unit_square_pair,
 )
 from divspline.forms import StabParams
+from divspline.mesh import gauss_rule
 from divspline.solver import FlowProblem, TimeConfig, TimeStepper
 from divspline.space import StateVector, interpolate_field, zero_state
-from util_fields import curl_state
+from util_fields import curl_state, quadrature_error_norms, random_pairs
 
 
 # ------------------------------------------------------- manufactured fields
@@ -206,6 +209,36 @@ def test_error_norms_interpolant_below_solver_error():
 
 
 # --------------------------------------------------------------- diagnostics
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=random_pairs(), seed=st.integers(0, 2**16))
+def test_error_norms_match_element_quadrature_oracle(pair, seed):
+    # C_y G C_x^T on the tensor grid of points against the 2-D element tables
+    state = StateVector(np.random.default_rng(seed).standard_normal(pair.n_u), np.zeros(pair.n_p))
+
+    def velocity(x, y):
+        return np.sin(3.0 * x) * y, np.cos(x - 2.0 * y)
+
+    def gradient(x, y):
+        s = np.sin(x - 2.0 * y)
+        return 3.0 * np.cos(3.0 * x) * y, np.sin(3.0 * x), -s, 2.0 * s
+
+    got = error_norms(pair, state, velocity, gradient)
+    expect = quadrature_error_norms(pair, state, velocity, gradient)
+    for name, g, e in zip(("L2", "H1"), got, expect):
+        assert abs(g - e) <= 1e-13 * e, name
+
+
+def test_gauss_rule_runs_once_per_size_in_a_cavity_run(monkeypatch):
+    # one memoized rule per size serves the Grams and every table
+    sizes = []
+    legendre = np.polynomial.legendre
+    real = legendre.leggauss
+    monkeypatch.setattr(legendre, "leggauss", lambda n: sizes.append(n) or real(n))
+    gauss_rule.cache_clear()
+    run_cavity(1, 16, 7500)
+    assert sizes and len(sizes) == len(set(sizes))
 
 
 def test_energy_zero_state():

@@ -616,8 +616,7 @@ def test_pattern_build_transient_within_twice_retained():
     # the positions are written in place, block by block: no sort keys
     pair = make_pair(32, 3)
     forms.facet_tables(pair)
-    tab = forms.element_tables(pair, forms.bilinear_quad_points(pair))
-    tab.dofs("vx"), tab.dofs("vy")
+    forms._convection_tables(pair)
     gc.collect()
     tracemalloc.start()
     try:
@@ -642,9 +641,10 @@ def test_newton_kernel_transient_is_outputs_plus_a_few_blocks(kernel):
     if kernel == "convection":
         build = lambda v: assemble_convection(pair, v)
         n_outputs = 2
-        grad = forms._convection_kit(pair).grad[0][0]  # (E, Q, L)
-        n_el, _, n_local = grad.shape
-        largest = max(grad.nbytes, n_el * n_local**2 * 8)
+        # the largest local (E, L, M) block: every component has (k' + 2)(k' + 1)
+        # functions on an element
+        n_local = (pair.k_prime + 2) * (pair.k_prime + 1)
+        largest = pair.mesh.n_elements * n_local**2 * 8
     else:
         build = lambda v: assemble_skeleton(pair, v, params)
         n_outputs = 1
@@ -661,6 +661,30 @@ def test_newton_kernel_transient_is_outputs_plus_a_few_blocks(kernel):
         tracemalloc.stop()
     assert out is not None
     assert peak <= n_outputs * nnz * 8 + 3 * largest
+
+
+def test_convection_retains_only_one_dimensional_tables():
+    # N1 and N2 are summed from 1-D element rows: the tables and one assembly
+    # keep those rows, their collocation and w on the grid of points, and no
+    # (E, Q, L) basis table; the pattern, built in between, is not counted
+    pair = make_pair(32, 3)
+    u = np.random.default_rng(5).standard_normal(pair.n_u)
+
+    def retained_by(build):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build()
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+
+    tables = retained_by(lambda: forms.element_tables(pair, forms.convection_quad_points(3)))
+    forms.jacobian_pattern(pair)
+    assembly = retained_by(lambda: assemble_convection(pair, u))
+    assert tables + assembly <= 2 * 2**20
 
 
 def test_pattern_rejects_interior_multiplicity_above_one(pair33k2):

@@ -76,6 +76,16 @@ def test_gauss_rule_basics():
         gauss_rule(11)
 
 
+def test_gauss_rule_is_one_read_only_rule_per_size():
+    import divspline
+    from divspline import bspline, mesh
+
+    assert divspline.gauss_rule is mesh.gauss_rule is bspline.gauss_rule
+    rule = gauss_rule(4)
+    assert gauss_rule(4) is rule
+    assert not rule.points.flags.writeable and not rule.weights.flags.writeable
+
+
 @pytest.mark.parametrize("npts", range(1, 11))
 def test_gauss_rule_exactness(npts):
     rule = gauss_rule(npts)

@@ -15,7 +15,6 @@ from divspline import forms, solver, space
 from divspline.forms import assemble_divergence
 from divspline.mesh import build_mesh, gauss_rule
 from divspline.space import (
-    ElementTables,
     StateVector,
     build_pair,
     classify_boundary_dofs,
@@ -32,7 +31,7 @@ from divspline.space import (
     quad_points_1d,
     zero_state,
 )
-from util_fields import curl_state, random_pairs
+from util_fields import ElementQuadrature, curl_state, random_pairs
 
 
 def _pair(n, k_prime, interval=(0.0, 1.0)):
@@ -271,7 +270,7 @@ def test_projection_convergence_order(k_prime):
     for n in (4, 8):
         pair = _pair(n, k_prime)
         state = interpolate_field(pair, u)
-        tab = ElementTables(pair, npts=k_prime + 3, max_deriv=0)
+        tab = ElementQuadrature(pair, k_prime + 3)
         err2 = 0.0
         for comp, name in enumerate(("vx", "vy")):
             grid = pair.component_coeffs(state.u, comp).ravel()
@@ -285,7 +284,7 @@ def test_projection_convergence_order(k_prime):
 
 def test_divergence_conformity_random_states():
     pair = _pair(4, 2)
-    tab = ElementTables(pair, npts=pair.k_prime + 2, max_deriv=1)
+    tab = ElementQuadrature(pair, pair.k_prime + 2)
     rng = np.random.default_rng(123)
     for trial in range(100):
         u = rng.standard_normal(pair.n_u)
@@ -300,7 +299,7 @@ def test_divergence_conformity_random_states():
 
 def test_exact_divergence_equals_l2_projection():
     pair = _pair(3, 1)
-    tab = ElementTables(pair, npts=pair.k_prime + 2, max_deriv=1)
+    tab = ElementQuadrature(pair, pair.k_prime + 2)
     rng = np.random.default_rng(7)
     mq = sp.kron(mass_matrix_1d(pair.q.kv_y), mass_matrix_1d(pair.q.kv_x)).tocsc()
     for _ in range(5):
@@ -333,15 +332,23 @@ def test_normal_component_continuity_random_states():
 def test_element_tables_match_pointwise_eval():
     pair = _pair(3, 2)
     state = _random_state(pair, seed=77)
-    tab = ElementTables(pair, npts=3, max_deriv=1)
+    oracle = ElementQuadrature(pair, 3)
+    grid = pair.component_coeffs(state.u, 0)
     for eid in (0, 4, 8):
         for q2 in (0, 5):
-            x = tab.points[eid, q2]
+            x = oracle.points[eid, q2]
             v = eval_velocity(pair, state, x)
-            u1 = tab.field_values("vx", pair.component_coeffs(state.u, 0).ravel(), 0, 0)
-            du1dy = tab.field_values("vx", pair.component_coeffs(state.u, 0).ravel(), 0, 1)
+            u1 = oracle.field_values("vx", grid.ravel(), 0, 0)
+            du1dy = oracle.field_values("vx", grid.ravel(), 0, 1)
             assert abs(u1[eid, q2] - v.value[0]) < 1e-12 * max(1.0, abs(v.value[0]))
             assert abs(du1dy[eid, q2] - v.gradient[1, 0]) < 1e-11 * max(1.0, abs(v.gradient[1, 0]))
+    # the 1-D tables' collocation gives the same values on the tensor grid
+    (c_x, _), (c_y, dc_y) = element_tables(pair, 3).colloc[0]
+    x, y = np.meshgrid(*element_tables(pair, 3).points_1d)
+    v = eval_velocity(pair, state, np.stack([x, y], axis=-1))
+    scale = max(1.0, np.abs(v.derivs).max())
+    assert np.abs(c_y @ grid @ c_x.T - v.value[..., 0]).max() < 1e-12 * scale
+    assert np.abs(dc_y @ grid @ c_x.T - v.gradient[..., 1, 0]).max() < 1e-11 * scale
 
 
 def test_pressure_mean_vector_is_exact():
@@ -353,8 +360,8 @@ def test_pressure_mean_vector_is_exact():
     pts_y, w_y = quad_points_1d(pair.q.kv_y, 4)
     from divspline.bspline import collocation_matrix
 
-    cx = collocation_matrix(pair.q.kv_x, pts_x)
-    cy = collocation_matrix(pair.q.kv_y, pts_y)
+    cx = collocation_matrix(pair.q.kv_x, pts_x)[0]
+    cy = collocation_matrix(pair.q.kv_y, pts_y)[0]
     grid = pair.q.to_grid(p)
     vals = cy @ grid @ cx.T
     integral = w_y @ vals @ w_x

@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 
 from divspline import forms
 from divspline.bspline import derivative_coefficients, open_knots
+from divspline.cases import error_quad_points
 from divspline.mesh import build_mesh, gauss_rule
 from divspline.space import (
     DivConformingPair,
     StateVector,
     build_pair,
     element_basis_1d,
-    element_tables,
+    per_pair,
+    quad_points_1d,
 )
 
 
@@ -64,12 +66,78 @@ def curl_state(
     )
 
 
+class ElementQuadrature:
+    """Oracle element tables: the 1-D `element_basis_1d` rows at npts Gauss
+    points per element, expanded to 2-D.
+
+    For the spaces "vx", "vy" and "q", basis(name, dx, dy) is the (n_elements,
+    npts**2, n_local) table of d^dx d^dy basis values, aligned with
+    dofs(name), weights (n_elements, npts**2) and points (n_elements,
+    npts**2, 2); element ey * nx + ex, flat quadrature index qy * npts + qx,
+    flat local index ly * (px + 1) + lx.
+    """
+
+    def __init__(self, pair: DivConformingPair, npts: int):
+        mesh = pair.mesh
+        self._eys, self._exs = np.divmod(np.arange(mesh.n_elements), mesh.nx)
+        self._spaces = {"vx": pair.vx, "vy": pair.vy, "q": pair.q}
+        rule = gauss_rule(npts)
+        self._b1d = {
+            name: [element_basis_1d(kv, rule.points, 1) for kv in (space.kv_x, space.kv_y)]
+            for name, space in self._spaces.items()
+        }
+        px, wx = (a.reshape(mesh.nx, npts)[self._exs] for a in quad_points_1d(pair.q.kv_x, npts))
+        py, wy = (a.reshape(mesh.ny, npts)[self._eys] for a in quad_points_1d(pair.q.kv_y, npts))
+        shape = (mesh.n_elements, npts * npts)
+        self.weights = (wy[:, :, None] * wx[:, None, :]).reshape(shape)
+        x, y = np.broadcast_arrays(px[:, None, :], py[:, :, None])
+        self.points = np.stack([x.reshape(shape), y.reshape(shape)], axis=-1)
+
+    def basis(self, name: str, dx: int, dy: int) -> np.ndarray:
+        (bx, _), (by, _) = self._b1d[name]
+        bx, by = bx[self._exs, :, dx, :], by[self._eys, :, dy, :]
+        out = by[:, :, None, :, None] * bx[:, None, :, None, :]
+        return out.reshape(len(out), out.shape[1] * out.shape[2], -1)
+
+    def dofs(self, name: str) -> np.ndarray:
+        (bx, sx), (by, sy) = self._b1d[name]
+        ix = sx[self._exs, None, None] + np.arange(bx.shape[-1])
+        iy = sy[self._eys, None, None] + np.arange(by.shape[-1])[:, None]
+        return (iy * self._spaces[name].n_x + ix).reshape(len(ix), -1)
+
+    def field_values(self, name: str, coeffs_flat: np.ndarray, dx: int, dy: int) -> np.ndarray:
+        """(n_elements, npts**2) values of one scalar field's (dx, dy) derivative."""
+        return np.einsum("eql,el->eq", self.basis(name, dx, dy), coeffs_flat[self.dofs(name)])
+
+
+element_quadrature = per_pair(ElementQuadrature)
+
+
+def quadrature_error_norms(pair: DivConformingPair, state: StateVector, velocity, gradient):
+    """Oracle (L2, H1-seminorm) velocity errors by element quadrature on
+    `element_quadrature` at `cases.error_quad_points` points."""
+    tab = element_quadrature(pair, error_quad_points(pair.k_prime))
+    x, y = tab.points[..., 0], tab.points[..., 1]
+    coeffs = [pair.component_coeffs(state.u, c).ravel() for c in (0, 1)]
+    names = ("vx", "vy")
+    values = [tab.field_values(n, c, 0, 0) - e for n, c, e in zip(names, coeffs, velocity(x, y))]
+    exact = iter(gradient(x, y))  # d u1/dx, d u1/dy, d u2/dx, d u2/dy
+    grads = [
+        tab.field_values(n, c, dx, 1 - dx) - next(exact)
+        for n, c in zip(names, coeffs)
+        for dx in (1, 0)
+    ]
+    return tuple(
+        np.sqrt(np.sum(tab.weights * sum(e * e for e in errors))) for errors in (values, grads)
+    )
+
+
 def quadrature_divergence(pair: DivConformingPair) -> sp.csr_matrix:
     """Oracle B with (B u)_q = (div u_h, psi_q) by element Gauss quadrature.
 
     k' + 2 points per direction integrate the polynomial integrand exactly.
     """
-    tab = element_tables(pair, pair.k_prime + 2)
+    tab = element_quadrature(pair, pair.k_prime + 2)
     qb = tab.basis("q", 0, 0)
     rows, cols, vals = [], [], []
     for name, comp, (dx, dy) in (("vx", 0, (1, 0)), ("vy", 1, (0, 1))):
@@ -87,18 +155,28 @@ def quadrature_divergence(pair: DivConformingPair) -> sp.csr_matrix:
 def sorted_pattern(pair: DivConformingPair):
     """Oracle Jacobian pattern: one `np.unique` over every local-block key.
 
-    The blocks are those of `forms.JacobianPattern`, in its order. Returns
-    (indptr, indices, positions), positions[b] the CSR data position of each
-    entry of block b in its (E, L, M) order.
+    The blocks are those of `forms.JacobianPattern`, in its order, and so are
+    their entries: (ey, ly, my, ex, lx, mx) in the element blocks, (facet,
+    row, column) in the facet blocks. Returns (indptr, indices, positions),
+    positions[b] the CSR data position of each entry of block b.
     """
-    tab = element_tables(pair, pair.k_prime + 2)
-    dofs = [tab.dofs(name) + pair.component_offset(c) for c, name in enumerate(("vx", "vy"))]
-    blocks = [(dofs[i], dofs[j]) for i, j in ((0, 0), (1, 1), (0, 1), (1, 0))]
+    tab = element_quadrature(pair, pair.k_prime + 2)
+    ny, nx = pair.mesh.ny, pair.mesh.nx
+    factored = []  # element DOFs (E, L) as (ey, ly, ex, lx)
+    for c, (name, space) in enumerate(zip(("vx", "vy"), pair.velocity_spaces)):
+        dofs = tab.dofs(name) + pair.component_offset(c)
+        shape = (ny, nx, space.kv_y.degree + 1, space.kv_x.degree + 1)
+        factored.append(dofs.reshape(shape).transpose(0, 2, 1, 3))
+    blocks = [
+        (factored[i][:, :, None, :, :, None], factored[j][:, None, :, :, None, :])
+        for i, j in ((0, 0), (1, 1), (0, 1), (1, 0))
+    ]
     for f in forms.facet_tables(pair).interior:
         c = 1 - f.axis  # the tangential component
-        blocks.append((f.dofs[c] + pair.component_offset(c),) * 2)
+        dofs = f.dofs[c] + pair.component_offset(c)
+        blocks.append((dofs[:, :, None], dofs[:, None, :]))
     n = pair.n_u
-    keys = [(r.astype(np.int64)[:, :, None] * n + c[:, None, :]).ravel() for r, c in blocks]
+    keys = [(r.astype(np.int64) * n + c).ravel() for r, c in blocks]
     unique, inverse = np.unique(np.concatenate(keys), return_inverse=True)
     ends = np.cumsum([len(k) for k in keys])
     indptr = np.searchsorted(unique // n, np.arange(n + 1))
@@ -119,12 +197,12 @@ def _assembled(pair: DivConformingPair, blocks) -> sp.csr_matrix:
 
 
 def quadrature_convection(pair: DivConformingPair, u: np.ndarray):
-    """Oracle (N1, N2, N1(u) u) by element quadrature on `element_tables`.
+    """Oracle (N1, N2, N1(u) u) by element quadrature on `element_quadrature`.
 
     w at the points is gathered from the element tables, every local array
     is an einsum over the points, and the sums are COO and `np.bincount`.
     """
-    tab = element_tables(pair, forms.convection_quad_points(pair.k_prime))
+    tab = element_quadrature(pair, forms.convection_quad_points(pair.k_prime))
     names = ("vx", "vy")
     val = [tab.basis(name, 0, 0) for name in names]
     grad = [(tab.basis(name, 1, 0), tab.basis(name, 0, 1)) for name in names]
@@ -243,12 +321,12 @@ def quadrature_skeleton(pair: DivConformingPair, u: np.ndarray, params):
 
 
 def quadrature_constant_operators(pair: DivConformingPair, f):
-    """Oracle (S, M, body-force load) by element quadrature on `element_tables`.
+    """Oracle (S, M, body-force load) by element quadrature on `element_quadrature`.
 
     k' + 2 Gauss points per direction integrate S and M exactly; the local
     arrays are einsums over the points, summed with COO and `np.bincount`.
     """
-    tab = element_tables(pair, pair.k_prime + 2)
+    tab = element_quadrature(pair, pair.k_prime + 2)
     names = ("vx", "vy")
     dofs = [tab.dofs(name) + pair.component_offset(c) for c, name in enumerate(names)]
     val = [tab.basis(name, 0, 0) for name in names]
