@@ -14,12 +14,11 @@ from .bspline import (
     KnotVector,
     basis_integrals,
     collocation_matrix,
-    derivative_coefficients,
     eval_nonzero_basis,
     make_open_uniform,
     open_knots,
 )
-from .mesh import CartesianMesh, build_mesh, facet_quadrature, gauss_rule
+from .mesh import CartesianMesh, build_mesh, gauss_rule
 from .space import (
     DivConformingPair,
     StateVector,
@@ -28,7 +27,6 @@ from .space import (
     classify_boundary_dofs,
     divergence_coefficients,
     eval_velocity,
-    interpolate_field,
     pressure_mean_vector,
     zero_state,
 )
@@ -75,13 +73,11 @@ __all__ = [
     "KnotVector",
     "basis_integrals",
     "collocation_matrix",
-    "derivative_coefficients",
     "eval_nonzero_basis",
     "make_open_uniform",
     "open_knots",
     "CartesianMesh",
     "build_mesh",
-    "facet_quadrature",
     "gauss_rule",
     "DivConformingPair",
     "StateVector",
@@ -90,7 +86,6 @@ __all__ = [
     "classify_boundary_dofs",
     "divergence_coefficients",
     "eval_velocity",
-    "interpolate_field",
     "pressure_mean_vector",
     "zero_state",
     "StabParams",

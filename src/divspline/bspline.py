@@ -24,7 +24,6 @@ __all__ = [
     "find_span",
     "basis_all_derivatives",
     "eval_nonzero_basis",
-    "derivative_coefficients",
     "derivative_matrix",
     "collocation_matrix",
     "basis_integrals",
@@ -42,10 +41,6 @@ class QuadratureRule:
 
     points: np.ndarray
     weights: np.ndarray
-
-    @property
-    def npts(self) -> int:
-        return len(self.points)
 
 
 @cache
@@ -300,24 +295,12 @@ def make_open_uniform(
     return open_knots(degree, np.linspace(a, b, num_elements + 1))
 
 
-def derivative_coefficients(kv: KnotVector, coeffs: np.ndarray) -> tuple[KnotVector, np.ndarray]:
-    """Coefficients of the derivative spline on the reduced knot vector.
-
-    For s(x) = sum_i c_i N_{i,k}, returns (kv', c') with s'(x) = sum c'_i N_{i,k-1}
-    over knots with the two end knots dropped.
-    """
-    k = kv.degree
-    c = np.asarray(coeffs, dtype=float)
-    denom = kv.knots[k + 1 : k + len(c)] - kv.knots[1:len(c)]
-    dc = k * (c[1:] - c[:-1]) / denom
-    return KnotVector(degree=k - 1, knots=kv.knots[1:-1]), dc
-
-
 def derivative_matrix(kv: KnotVector):
     """Sparse (n-1, n) matrix D mapping coefficients to derivative coefficients.
 
-    D @ c equals derivative_coefficients(kv, c)[1]; each row holds the two
-    entries -/+ k / (xi_{i+k+1} - xi_{i+1}).
+    For s(x) = sum_i c_i N_{i,k}, s'(x) = sum_i (D c)_i N_{i,k-1} over the
+    knots with the two end knots dropped; each row holds the two entries
+    -/+ k / (xi_{i+k+1} - xi_{i+1}).
     """
     from scipy.sparse import diags
 

@@ -137,10 +137,6 @@ class CavityCase:
 
     re: float
 
-    @property
-    def nu(self) -> float:
-        return 1.0 / self.re
-
     @staticmethod
     def lid_velocity(x, y):
         on_lid = np.asarray(y) >= 1.0 - 1e-12
@@ -213,8 +209,6 @@ class DiagnosticsRecord:
     eps_resolved: float
     eps_model: float
     div_max: float
-    l2_err: float | None = None
-    h1_err: float | None = None
 
 
 def max_divergence(pair: DivConformingPair, u: np.ndarray) -> float:

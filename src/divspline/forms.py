@@ -17,21 +17,24 @@ Re_h = |w| h / nu. The divergence form B(u, q) = (div u, q) closes the saddle
 system. eta is evaluated from the current iterate and frozen during
 linearization; the jump arguments are linearized exactly.
 
-The constant operators are sums of Kronecker products of dense 1-D matrices
-(Sangalli & Tani, SIAM J. Sci. Comput. 38 (2016)): S and M of Gram matrices
-(`bspline.gram_matrix`, exact with max(degree) + 1 Gauss points per
-element), G, P and P_h of end-point value and derivative rows crossed with
-Grams along the sides (`_boundary_terms`). The loads contract dense 1-D
-collocation (`bspline.collocation_matrix`) at k' + 2 Gauss points per
-element. N1 and N2 are summed by sum factorization (`_sum_factorized`;
-Antolin, Buffa, Calabro, Martinelli & Sangalli, CMAME 285 (2015)) from the
-1-D element rows of `element_tables` at ceil(3(k' + 1) / 2) points per
-direction, exact for the degree-(3k - 1) integrand: the x points are
-contracted first, then the y points, each as one batched matmul. J
-contracts per-facet basis tables (`FacetTables`) over k' + 2 points with
-one batched matmul (`_weighted_products`); the rational eta factor is only
-approximately integrated. Matrices act on the full velocity DOF vector
-[Vx block; Vy block]; the solver imposes the strong normal trace.
+The constant operators are sums of Kronecker products of dense 1-D
+matrices (Sangalli & Tani, SIAM J. Sci. Comput. 38 (2016)): S and M of
+Gram matrices (`bspline.gram_matrix`, exact with max(degree) + 1 Gauss
+points per element), G, P and P_h of end-point value and derivative rows
+crossed with Grams along the sides (`_boundary_terms`). The body-force
+and Nitsche loads contract the dense 1-D collocation of
+`element_tables(pair, k' + 2)` at k' + 2 Gauss points per element; the
+same table gives `FacetTables` every tangential factor, and at k' = 1 it
+is the convection table. N1 and N2 are summed by sum factorization
+(`_sum_factorized`; Antolin, Buffa, Calabro, Martinelli & Sangalli,
+CMAME 285 (2015)) from the 1-D element rows of `element_tables` at
+ceil(3(k' + 1) / 2) points per direction, exact for the degree-(3k - 1)
+integrand: the x points are contracted first, then the y points, each as
+one batched matmul. J contracts the tangential component's per-facet
+jump tables (`FacetTables`) over k' + 2 points with one batched matmul
+(`_weighted_products`); the rational eta factor is only approximately
+integrated. Matrices act on the full velocity DOF vector [Vx block; Vy
+block]; the solver imposes the strong normal trace.
 
 Every velocity operator is a data array on the pair's one sparsity
 pattern, a `JacobianPattern` of the element blocks of the velocity
@@ -67,7 +70,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
-from .bspline import _dense_rows, collocation_matrix, gauss_rule, gram_matrix
+from .bspline import _dense_rows, collocation_matrix, gram_matrix
 from .space import (
     DivConformingPair,
     StateVector,
@@ -75,7 +78,6 @@ from .space import (
     element_tables,
     mass_matrix_1d,
     per_pair,
-    quad_points_1d,
 )
 
 __all__ = [
@@ -90,7 +92,6 @@ __all__ = [
     "assemble_load",
     "assemble_velocity_mass",
     "assemble_strain",
-    "assemble_boundary_mass",
     "facet_tables",
     "jacobian_pattern",
     "convection_quad_points",
@@ -107,8 +108,12 @@ class StabParams:
     alpha_prime: int
 
     def __post_init__(self):
-        if min(self.nu, self.gamma, self.c_nit) < 0:
-            raise ValueError("parameters must be nonnegative")
+        if not (math.isfinite(self.nu) and self.nu > 0):
+            raise ValueError(f"nu must be finite and positive, got {self.nu}")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.gamma, self.c_nit)):
+            raise ValueError(
+                f"gamma and c_nit must be finite and nonnegative, got {self.gamma}, {self.c_nit}"
+            )
         if self.alpha_prime < 0:
             raise ValueError("alpha_prime must be >= 0")
 
@@ -233,8 +238,7 @@ class JacobianPattern:
             cols.append(iy[:, None, :, None, None, None] * self._n_x[c] + ix[:, None, :])
         blocks = [(i, rows[i], j, cols[j]) for i, j in ((0, 0), (1, 1), (0, 1), (1, 0))]
         for f in facet_tables(pair).interior:
-            dofs = f.dofs[1 - f.axis]
-            blocks.append((1 - f.axis, dofs[:, :, None], 1 - f.axis, dofs[:, None, :]))
+            blocks.append((1 - f.axis, f.dofs[:, :, None], 1 - f.axis, f.dofs[:, None, :]))
         # _bands[i][j] = ((lo_x, len_x), (lo_y, len_y)) of component block (i, j)
         self._bands = [
             [
@@ -375,57 +379,53 @@ class FacetTables:
     For the facets normal to `axis`, normal-direction rows come from
     `element_basis_1d` at the reference points {0, 1}: interior line i takes
     element i-1 at 1 (plus side) and element i at 0 (minus side), both on the
-    union of their supports. Tangential factors are evaluated at the Gauss
-    points of every tangential element. Per-facet tables have shape
-    (n_facets, nq, n_local); facets run line by line, tangential element
-    fastest.
+    union of their supports. Every tangential factor is read from
+    `element_tables(pair, k' + 2)`, the Gauss points of every tangential
+    element: tang[c] (T, n_tangential) is component c's collocation there (a
+    view of the table's), and line_weights (T,) its weights.
 
-    interior[axis]: weights and, per component c, dofs[c] (component DOFs)
-    and jump[c] (the (alpha'+1)-th normal derivative, plus side minus minus
-    side), the per-facet tables of the Jacobian's J. The per-state kernels
-    use the same rows as dense 1-D factors on the n - 1 interior knot lines:
-    line_value[c] (lines, n_normal; the plus side, as every component of a
-    supported pair is continuous across the facets), line_jump[c] (lines,
-    n_normal) and tang[c] (T, n_tangential), the collocation at the T
-    tangential quadrature points of all tangential elements, whose weights
-    are line_weights (T,). A component's values on the facet lines are then
+    interior[axis] holds, besides those, line_value[c] (lines, n_normal),
+    the dense value rows of component c on the n - 1 interior knot lines
+    (the plus side, as every component of a supported pair is continuous
+    across the facets). A component's values on the facet lines are then
     tang[c] G line_value[c]^T, shape (T, lines), with G its coefficient grid
-    indexed (tangential, normal).
+    indexed (tangential, normal). Only the tangential component c = 1 - axis
+    jumps (see `JacobianPattern`), and for it alone the tables hold the
+    (alpha'+1)-th normal derivative, plus side minus minus side: line_jump
+    (lines, n_normal) on the knot lines, and J's per-facet jump (n_facets,
+    nq, n_local) with its component DOFs dofs (n_facets, n_local); facets
+    run line by line, tangential element fastest.
     """
 
     def __init__(self, pair: DivConformingPair):
         m = pair.alpha_prime + 1
-        rule = gauss_rule(bilinear_quad_points(pair))
+        tab = element_tables(pair, bilinear_quad_points(pair))
         self.interior = []
-        axes = pair.q.kv_x, pair.q.kv_y  # the breakpoints of each axis
         for axis in (0, 1):
-            _, weights = quad_points_1d(axes[1 - axis], rule.npts)
+            t = 1 - axis  # the tangential axis, and the tangential component
             inner = SimpleNamespace(
-                axis=axis, line_weights=weights, dofs=[], jump=[],
-                weights=np.tile(weights.reshape(-1, rule.npts), (axes[axis].n_elements - 1, 1)),
-                line_value=[], line_jump=[], tang=[],
+                axis=axis, line_weights=tab.weights_1d[t], line_value=[],
+                tang=[tab.colloc[c][t][0] for c in (0, 1)],
             )
-            for space in pair.velocity_spaces:
-                kv_n, kv_t = (space.kv_x, space.kv_y) if axis == 0 else (space.kv_y, space.kv_x)
+            for c, space in enumerate(pair.velocity_spaces):
+                kv_n = (space.kv_x, space.kv_y)[axis]
                 rows, first_n = element_basis_1d(kv_n, (0.0, 1.0), m)
-                tang, first_t = element_basis_1d(kv_t, rule.points)
                 if np.any(np.diff(first_n) != 1):
                     raise ValueError("facet tables require interior multiplicity 1")
-                idx_n = first_n[:-1, None] + np.arange(kv_n.degree + 2)
-                idx_t = first_t[:, None] + np.arange(kv_t.degree + 1)
-                scale_n, scale_t = (1, space.n_x) if axis == 0 else (space.n_x, 1)
+                # one-sided rows, dense on kv_n
                 plus, minus = rows[:-1, 1], rows[1:, 0]
-                padded = np.pad(plus[:, m], ((0, 0), (0, 1))), np.pad(minus[:, m], ((0, 0), (1, 0)))
-                inner.jump.append(_on_facets(axis, padded[0] - padded[1], tang[:, :, 0]))
-                inner.dofs.append(_on_facets(axis, idx_n * scale_n, idx_t * scale_t, np.add))
-                # (value, m-th derivative) rows of each side, dense on kv_n
                 n_n = kv_n.n_basis
-                plus = _dense_rows(first_n[:-1], plus[:, [0, m]].transpose(1, 0, 2), n_n)
-                minus = _dense_rows(first_n[1:], minus[:, [0, m]].transpose(1, 0, 2), n_n)
-                inner.line_value.append(plus[0])
-                inner.line_jump.append(plus[1] - minus[1])
-                n_t = kv_t.n_basis
-                inner.tang.append(_dense_rows(first_t[:, None], tang[:, :, 0], n_t).reshape(-1, n_t))
+                inner.line_value.append(_dense_rows(first_n[:-1], plus[:, 0], n_n))
+                if c != t:
+                    continue
+                inner.line_jump = _dense_rows(first_n[:-1], plus[:, m], n_n) - _dense_rows(
+                    first_n[1:], minus[:, m], n_n
+                )
+                padded = np.pad(plus[:, m], ((0, 0), (0, 1))), np.pad(minus[:, m], ((0, 0), (1, 0)))
+                inner.jump = _on_facets(axis, padded[0] - padded[1], tab.rows[c][t][:, :, 0])
+                idx_n = first_n[:-1, None] + np.arange(kv_n.degree + 2)
+                scale_n, scale_t = (1, space.n_x) if axis == 0 else (space.n_x, 1)
+                inner.dofs = _on_facets(axis, idx_n * scale_n, tab.dofs(c)[t] * scale_t, np.add)
             self.interior.append(inner)
 
 
@@ -467,12 +467,6 @@ def _boundary_terms(pair: DivConformingPair) -> dict[str, list]:
             terms["P"].append(term(c, c, np.ones(2), 0, kv_t[c].mass))
             terms["P_h"].append(term(c, c, scale, 0, kv_t[c].mass))
     return terms
-
-
-def assemble_boundary_mass(pair: DivConformingPair) -> sp.csr_matrix:
-    """Boundary mass P with u^T P u = ||u||^2 over the boundary facets."""
-    pattern = jacobian_pattern(pair)
-    return pattern.csr(pattern.kron_data(_boundary_terms(pair)["P"]))
 
 
 def assemble_viscous_nitsche(
@@ -518,21 +512,22 @@ def nitsche_load(pair: DivConformingPair, params: StabParams, u_d) -> np.ndarray
     at the side's Gauss points (k' + 2 per element). Component ca of
     2 n . grad_s phi_a . uD is n_d (d_d phi_a uD_ca + [ca = d] grad phi_a . uD).
     """
-    npts = bilinear_quad_points(pair)
+    tab = element_tables(pair, bilinear_quad_points(pair))
     coef = 2.0 * params.c_nit / pair.mesh.h
     axes = pair.q.kv_x, pair.q.kv_y  # the breakpoints of each axis
     g = np.zeros(pair.n_u)
     for d, t in ((0, 1), (1, 0)):
-        points, weights = quad_points_1d(axes[t], npts)
+        points, weights = tab.points_1d[t], tab.weights_1d[t]
         scale = pair.mesh.h / np.diff(axes[d].unique_knots)[[0, -1]]
+        kv_n = [(s.kv_x, s.kv_y)[d] for s in pair.velocity_spaces]
+        ends = [collocation_matrix(kv, kv.domain, 1) for kv in kv_n]  # [derivative, side]
         for side, (x_n, n) in enumerate(zip(axes[d].domain, (-1.0, 1.0))):
             xy = [points, points]
             xy[d] = np.full_like(points, x_n)
             wud = weights * np.array(u_d(*xy))  # (2, T)
-            for c, space in enumerate(pair.velocity_spaces):
-                kv_n, kv_t = (space.kv_x, space.kv_y)[d], (space.kv_x, space.kv_y)[t]
-                value, deriv = collocation_matrix(kv_n, kv_n.domain, 1)[:, side]
-                tang, d_tang = collocation_matrix(kv_t, points, 1)
+            for c in (0, 1):
+                value, deriv = ends[c][:, side]
+                tang, d_tang = tab.colloc[c][t]
                 normal = coef * scale[side] * value - (1 + (c == d)) * n * deriv
                 local = np.outer(tang.T @ wud[c], normal)
                 if c == d:
@@ -719,10 +714,10 @@ def assemble_skeleton(
 
     def local_blocks():
         for facets, eta in zip(facet_tables(pair).interior, facet_eta_values(pair, w_u, params)):
-            jump = facets.jump[1 - facets.axis]
-            eta = eta.T.reshape(facets.weights.shape)  # lines to facets
+            jump = facets.jump
+            weighted = (eta.T * facets.line_weights).reshape(jump.shape[:2])  # lines to facets
             # block 4 + axis: the tangential jumps on the facets normal to axis
-            yield 4 + facets.axis, _weighted_products(facets.weights * eta, jump, jump)
+            yield 4 + facets.axis, _weighted_products(weighted, jump, jump)
 
     return pattern.csr(pattern.data(local_blocks()))
 
@@ -749,7 +744,7 @@ def skeleton_residual(
     for facets, eta in zip(facet_tables(pair).interior, facet_eta_values(pair, u, params)):
         a = facets.axis
         c = 1 - a
-        tang, jump = facets.tang[c], facets.line_jump[c]
+        tang, jump = facets.tang[c], facets.line_jump
         u_jump = tang @ _tangential_first(pair.component_coeffs(u, c), a) @ jump.T
         weighted = (facets.line_weights[:, None] * eta) * u_jump
         np.matmul(
@@ -769,11 +764,11 @@ def assemble_load(
     rhs = np.zeros(pair.n_u)
     if f is not None:
         # C_y^T (W * F_c) C_x at the k' + 2 Gauss points of every element
-        npts = bilinear_quad_points(pair)
-        (px, w_x), (py, w_y) = (quad_points_1d(kv, npts) for kv in (pair.q.kv_x, pair.q.kv_y))
-        f_values = f(*np.meshgrid(px, py))
-        for c, space in enumerate(pair.velocity_spaces):
-            c_x, c_y = collocation_matrix(space.kv_x, px)[0], collocation_matrix(space.kv_y, py)[0]
+        tab = element_tables(pair, bilinear_quad_points(pair))
+        w_x, w_y = tab.weights_1d
+        f_values = f(*np.meshgrid(*tab.points_1d))
+        for c in (0, 1):
+            (c_x, _), (c_y, _) = tab.colloc[c]
             pair.component_coeffs(rhs, c)[...] = c_y.T @ (np.outer(w_y, w_x) * f_values[c]) @ c_x
     if nitsche and u_d is not None:
         rhs += nitsche_load(pair, params, u_d)

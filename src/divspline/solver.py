@@ -152,6 +152,10 @@ __all__ = [
 ]
 
 
+# the line search's step-length factor, down to DAMPING**8
+DAMPING = 0.5
+
+
 class SingularSystemError(RuntimeError):
     """Sparse factorization failed or produced a non-finite solution."""
 
@@ -166,7 +170,7 @@ class NewtonConfig:
 
     A Newton solve stops once its saddle residual is at most abs_tol or
     rel_tol times its initial value; the line search multiplies the step
-    length by damping, down to damping^8. solve_steady passes through the
+    length by DAMPING, down to DAMPING^8. solve_steady passes through the
     continuation_re values below its target Re, and those steps stop at
     sqrt(rel_tol) of their initial residual (or abs_tol) instead.
     """
@@ -174,14 +178,11 @@ class NewtonConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_iter: int = 50
-    damping: float = 0.5
     continuation_re: tuple = (100.0, 400.0, 1000.0, 2500.0, 5000.0, 7500.0, 10000.0)
 
     def __post_init__(self):
         if min(self.abs_tol, self.rel_tol) <= 0:
             raise ValueError("tolerances must be positive")
-        if not 0 < self.damping < 1:
-            raise ValueError("damping must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,6 @@ class TimeConfig:
     dt: float
     t_end: float
     rho_inf: float = 0.5
-    newton: NewtonConfig = NewtonConfig()
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -656,11 +656,11 @@ def _newton(
             r_t = op.residual(u_t)
             norm_t = ps.residual_norm(r_t, u_t, p_t)
             decreased = norm_t < norm
-            if decreased or s <= config.damping**8:
+            if decreased or s <= DAMPING**8:
                 stalled += not decreased
                 u, p, r_u, norm = u_t, p_t, r_t, norm_t
                 break
-            s *= config.damping
+            s *= DAMPING
     raise ConvergenceError(
         f"{context}: residual {norm:.3e} (target {config.abs_tol:.1e}) "
         f"after {config.max_iter} iterations, {stalled} of them line-search "
@@ -814,7 +814,7 @@ class TimeStepper:
                 op,
                 u_start,
                 self.state.p,
-                cfg.newton,
+                NewtonConfig(),
                 context=f"time step to t={t_new:g}",
                 lagged=self.spatial.lagged,
             )

@@ -26,13 +26,12 @@ from .bspline import (
     KnotVector,
     _dense_rows,
     basis_integrals,
-    collocation_matrix,
     derivative_matrix,
     eval_nonzero_basis,
     gauss_rule,
     open_knots,
 )
-from .mesh import CartesianMesh, Facet
+from .mesh import CartesianMesh
 
 __all__ = [
     "TensorSpace",
@@ -41,10 +40,8 @@ __all__ = [
     "NormalBoundaryDofs",
     "build_pair",
     "eval_velocity",
-    "facet_normal_derivative_jump",
     "classify_boundary_dofs",
     "curl_matrix",
-    "interpolate_field",
     "divergence_coefficients",
     "ElementTables",
     "element_basis_1d",
@@ -72,10 +69,6 @@ class TensorSpace:
     @property
     def n_dofs(self) -> int:
         return self.n_x * self.n_y
-
-    @property
-    def degrees(self) -> tuple[int, int]:
-        return self.kv_x.degree, self.kv_y.degree
 
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """View a flat coefficient vector as (n_y, n_x)."""
@@ -201,11 +194,6 @@ class VelocityDerivatives:
     def value(self) -> np.ndarray:
         return self.derivs[..., 0, 0, :]
 
-    @property
-    def gradient(self) -> np.ndarray:
-        """grad[..., i, j] = d u_j / d x_i."""
-        return np.stack([self.derivs[..., 1, 0, :], self.derivs[..., 0, 1, :]], axis=-2)
-
 
 def eval_velocity(
     pair: DivConformingPair, state: StateVector, x: np.ndarray, deriv_order: int = 1
@@ -225,53 +213,6 @@ def eval_velocity(
         block = pair.component_coeffs(state.u, comp)[rows, cols]
         out[..., comp] = bx.values @ np.swapaxes(block, -1, -2) @ np.swapaxes(by.values, -1, -2)
     return VelocityDerivatives(derivs=out)
-
-
-def facet_normal_derivative_jump(
-    pair: DivConformingPair,
-    state: StateVector,
-    facet: Facet,
-    qp: np.ndarray,
-    order: int | None = None,
-) -> np.ndarray:
-    """Jump of the order-th pure normal derivative of u_h across a facet.
-
-    qp holds one point (shape (2,)) or an array of points (shape (..., 2))
-    on the facet. Returns [[d^m u / d n^m]](qp) = plus side minus minus
-    side, with the point axes leading and the two components last, taking
-    one-sided limits from the polynomial pieces of the two neighboring
-    elements. Per component the tangential basis is evaluated once for all
-    points and the normal rows once for both sides.
-    """
-    if facet.is_boundary:
-        raise ValueError("jump is defined on interior facets only")
-    if order is None:
-        order = pair.alpha_prime + 1
-    axis = facet.axis
-    nx = pair.mesh.nx
-    sign = facet.normal[axis] ** order
-    qp = np.asarray(qp, dtype=float)
-    sides = np.array([facet.plus_element, facet.minus_element])
-    e_n = sides % nx if axis == 0 else sides // nx
-    jump = np.empty(qp.shape[:-1] + (2,))
-    for comp, space in enumerate(pair.velocity_spaces):
-        kv_n = space.kv_x if axis == 0 else space.kv_y
-        kv_t = space.kv_y if axis == 0 else space.kv_x
-        bn = eval_nonzero_basis(
-            kv_n, facet.coordinate, max_deriv=order, span=kv_n.element_spans[e_n]
-        )
-        bt = eval_nonzero_basis(kv_t, qp[..., 1 - axis])
-        grid = pair.component_coeffs(state.u, comp)
-        # coefficients indexed [tangential, normal]
-        grid = grid if axis == 0 else grid.T
-        rows = bt.first_index[..., None, None] + np.arange(kv_t.degree + 1)[:, None]
-        one_sided = []
-        for side in (0, 1):
-            cols = bn.first_index[side] + np.arange(kv_n.degree + 1)
-            block = grid[rows, cols]
-            one_sided.append((bt.values[..., :1, :] @ block @ bn.values[side, order])[..., 0])
-        jump[..., comp] = one_sided[0] - one_sided[1]
-    return sign * jump
 
 
 def classify_boundary_dofs(pair: DivConformingPair) -> NormalBoundaryDofs:
@@ -330,33 +271,6 @@ def mass_matrix_1d(kv: KnotVector) -> sp.csr_matrix:
     """Univariate mass matrix, integrated exactly: the knot vector's memoized
     dense `mass`, stored sparse."""
     return sp.csr_matrix(kv.mass)
-
-
-def component_l2_projection(space: TensorSpace, f, npts: int) -> np.ndarray:
-    """L2 projection of a scalar function onto a tensor space, flat coeffs."""
-    px, wx = quad_points_1d(space.kv_x, npts)
-    py, wy = quad_points_1d(space.kv_y, npts)
-    cx = collocation_matrix(space.kv_x, px)[0]
-    cy = collocation_matrix(space.kv_y, py)[0]
-    vals = f(px[None, :], py[:, None])
-    rhs = cy.T @ (wy[:, None] * vals * wx[None, :]) @ cx
-    mx = mass_matrix_1d(space.kv_x)
-    my = mass_matrix_1d(space.kv_y)
-    m2d = sp.kron(my, mx).tocsc()
-    return sp.linalg.spsolve(m2d, rhs.ravel())
-
-
-def interpolate_field(pair: DivConformingPair, u) -> StateVector:
-    """Component-wise L2 projection of an analytic velocity field.
-
-    u maps broadcastable arrays (x, y) to the pair (u1, u2). The result is
-    generally not discretely divergence-free; solvers that need solenoidal
-    initial data project onto the streamfunction (curl_matrix) instead.
-    """
-    npts = pair.k_prime + 3
-    c1 = component_l2_projection(pair.vx, lambda x, y: u(x, y)[0], npts)
-    c2 = component_l2_projection(pair.vy, lambda x, y: u(x, y)[1], npts)
-    return StateVector(u=np.concatenate([c1, c2]), p=np.zeros(pair.n_p))
 
 
 def divergence_coefficients(pair: DivConformingPair, u: np.ndarray) -> np.ndarray:

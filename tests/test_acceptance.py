@@ -16,7 +16,6 @@ import pytest
 from divspline.bspline import collocation_matrix, make_open_uniform, open_knots
 from divspline.forms import (
     StabParams,
-    assemble_boundary_mass,
     assemble_convection,
     assemble_load,
     assemble_skeleton,
@@ -24,9 +23,9 @@ from divspline.forms import (
     assemble_velocity_mass,
     assemble_viscous_nitsche,
 )
-from divspline.mesh import facet_quadrature, gauss_rule
+from divspline.mesh import gauss_rule
 from divspline.solver import ConvergenceError, FlowProblem, NewtonConfig, solve_steady
-from divspline.space import StateVector, eval_velocity, facet_normal_derivative_jump
+from divspline.space import StateVector, eval_velocity
 from divspline.cases import (
     CavityCase,
     ManufacturedCase,
@@ -37,6 +36,12 @@ from divspline.cases import (
     run_reynolds_robustness,
     run_taylor_green_2d,
     unit_square_pair,
+)
+from util_fields import (
+    assemble_boundary_mass,
+    facet_normal_derivative_jump,
+    facet_quadrature,
+    interior_facets,
 )
 
 # Frozen benchmark errors, manufactured solution at Re=10, h = 1/4..1/32.
@@ -207,7 +212,7 @@ def test_normal_component_jump_vanishes():
     for k_prime, n_states in ((1, 100), (2, 30)):
         pair = unit_square_pair(8, k_prime)
         rule = gauss_rule(2)
-        facets = [(f, facet_quadrature(f, rule)[0]) for f in pair.mesh.interior_facets]
+        facets = [(f, facet_quadrature(f, rule)[0]) for f in interior_facets(pair.mesh)]
         worst = 0.0
         for _ in range(n_states):
             state = StateVector(
@@ -233,7 +238,7 @@ def test_facet_contribution_zero_without_tangential_dofs():
     pair = unit_square_pair(4, 1)
     rng = np.random.default_rng(8)
     u = rng.standard_normal(pair.n_u)
-    facet = next(f for f in pair.mesh.interior_facets if f.axis == 0)
+    facet = next(f for f in interior_facets(pair.mesh) if f.axis == 0)
     rule = gauss_rule(3)
     state = StateVector(u=u.copy(), p=np.zeros(pair.n_p))
     before = _facet_jump_energy(pair, state, facet, rule)

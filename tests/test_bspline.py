@@ -10,14 +10,13 @@ from divspline.bspline import (
     KnotVector,
     basis_integrals,
     collocation_matrix,
-    derivative_coefficients,
     derivative_matrix,
     eval_nonzero_basis,
     gram_matrix,
     make_open_uniform,
     open_knots,
 )
-from util_fields import breakpoints
+from util_fields import breakpoints, derivative_coefficients
 
 
 def test_open_uniform_degree1_two_elements():

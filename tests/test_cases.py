@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divspline.bspline import derivative_coefficients
 from divspline.cases import (
     CavityCase,
     ManufacturedCase,
@@ -28,8 +27,14 @@ from divspline.cases import (
 from divspline.forms import StabParams
 from divspline.mesh import gauss_rule
 from divspline.solver import FlowProblem, TimeConfig, TimeStepper
-from divspline.space import StateVector, interpolate_field, zero_state
-from util_fields import curl_state, quadrature_error_norms, random_pairs
+from divspline.space import StateVector, zero_state
+from util_fields import (
+    curl_state,
+    derivative_coefficients,
+    interpolate_field,
+    quadrature_error_norms,
+    random_pairs,
+)
 
 
 # ------------------------------------------------------- manufactured fields

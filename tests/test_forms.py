@@ -13,7 +13,6 @@ from divspline.bspline import basis_integrals, open_knots
 import divspline.forms as forms
 from divspline.forms import (
     StabParams,
-    assemble_boundary_mass,
     assemble_convection,
     assemble_divergence,
     assemble_load,
@@ -29,26 +28,33 @@ from divspline.forms import (
     nitsche_load,
     skeleton_residual,
 )
-from divspline.mesh import build_mesh, facet_quadrature, gauss_rule
+from divspline.mesh import build_mesh, gauss_rule
 from divspline.bspline import make_open_uniform
 from divspline.space import (
     StateVector,
     TensorSpace,
     build_pair,
     eval_velocity,
-    facet_normal_derivative_jump,
-    interpolate_field,
     pressure_mean_vector,
 )
 from divspline.solver import FlowProblem, _SpatialOperator
 from util_fields import (
+    assemble_boundary_mass,
+    boundary_facets,
     curl_state,
+    element_boxes,
+    facet_normal_derivative_jump,
+    facet_quadrature,
+    interior_facet_tables,
+    interior_facets,
+    interpolate_field,
     quadrature_boundary_operators,
     quadrature_constant_operators,
     quadrature_convection,
     quadrature_skeleton,
     random_pairs,
     sorted_pattern,
+    velocity_gradient,
 )
 
 
@@ -107,6 +113,34 @@ def test_stab_params_rejects_negative():
         StabParams(nu=-1.0, gamma=0.1, c_nit=10.0, alpha_prime=0)
     with pytest.raises(ValueError):
         StabParams(nu=1.0, gamma=0.1, c_nit=10.0, alpha_prime=-1)
+
+
+@pytest.mark.parametrize(
+    "nu,gamma,c_nit",
+    [
+        (0.0, 1e-2, 10.0),
+        (-0.0, 1e-2, 10.0),
+        (np.nan, 1e-2, 10.0),
+        (np.inf, 1e-2, 10.0),
+        (1.0, np.nan, 10.0),
+        (1.0, np.inf, 10.0),
+        (1.0, -1e-3, 10.0),
+        (1.0, 1e-2, np.nan),
+        (1.0, 1e-2, np.inf),
+        (1.0, 1e-2, -1.0),
+    ],
+)
+def test_stab_params_rejects_zero_viscosity_and_nonfinite_values(nu, gamma, c_nit):
+    # eta divides by nu: nu = 0 or NaN would make eta NaN wherever |u| = 0
+    with pytest.raises(ValueError):
+        StabParams(nu=nu, gamma=gamma, c_nit=c_nit, alpha_prime=0)
+    with pytest.raises(ValueError):
+        StabParams.create(1, nu=nu, gamma=gamma, c_nit=c_nit)
+
+
+def test_stab_params_accept_zero_penalties():
+    params = StabParams(nu=1e-300, gamma=0.0, c_nit=0.0, alpha_prime=0)
+    assert compute_eta(0.0, 0.0, 0.1, params) == 0.0
 
 
 def test_eta_hand_values():
@@ -187,15 +221,16 @@ def test_boundary_terms_match_pointwise_quadrature(pair, seed):
     rule = gauss_rule(pair.k_prime + 2)
     sums = np.zeros(4)
     sizes = np.zeros(4)
-    for facet in pair.mesh.boundary_facets:
+    boxes = element_boxes(pair.mesh)
+    for facet in boundary_facets(pair.mesh):
         pts, wts = facet_quadrature(facet, rule)
         n = np.array(facet.normal)
-        box = pair.mesh.element_boxes[facet.plus_element]
+        box = boxes[facet.plus_element]
         scale = pair.mesh.h / (box[2 * facet.axis + 1] - box[2 * facet.axis])
         for x, w in zip(pts, wts):
             uq = eval_velocity(pair, u, x, deriv_order=1).value
             dv = eval_velocity(pair, v, x, deriv_order=1)
-            grad = dv.gradient
+            grad = velocity_gradient(dv)
             traction = n @ grad + grad @ n  # 2 n . grad_s v
             ud = np.array(u_d(x[0], x[1]))
             terms = w * np.array(
@@ -454,9 +489,10 @@ def test_skeleton_ignores_normal_component():
 def test_normal_component_jump_table_is_zero_on_uniform_knots(k_prime):
     # the normal component's (alpha'+1)-th normal derivative is continuous
     for n, interval in ((2, (0.0, 1.0)), (5, (0.0, 2.0 * np.pi)), (3, (-1.0, 3.0))):
-        for facets in facet_tables(make_pair(n, k_prime, interval)).interior:
-            assert np.all(facets.jump[facets.axis] == 0.0)
-            assert np.abs(facets.jump[1 - facets.axis]).max() > 0.0
+        pair = make_pair(n, k_prime, interval)
+        for axis in (0, 1):
+            assert np.all(interior_facet_tables(pair, axis, axis).jump == 0.0)
+            assert np.abs(interior_facet_tables(pair, axis, 1 - axis).jump).max() > 0.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -464,10 +500,11 @@ def test_normal_component_jump_table_is_zero_on_uniform_knots(k_prime):
 def test_normal_component_jump_table_is_roundoff_on_graded_knots(pair):
     # graded knots leave roundoff in the normal component's table, which is
     # why the skeleton takes the tangential table by construction
-    for facets in facet_tables(pair).interior:
-        if len(facets.weights):
-            scale = np.abs(facets.jump[1 - facets.axis]).max()
-            assert np.abs(facets.jump[facets.axis]).max() <= 1e-13 * scale
+    for axis in (0, 1):
+        normal, tangential = (interior_facet_tables(pair, axis, c) for c in (axis, 1 - axis))
+        if len(normal.weights):
+            scale = np.abs(tangential.jump).max()
+            assert np.abs(normal.jump).max() <= 1e-13 * scale
 
 
 @settings(max_examples=20, deadline=None)
@@ -502,7 +539,7 @@ def test_skeleton_matches_pointwise_quadrature(pair44, pair33k2, graded_pair_k2)
         quad_form = st.u @ (j @ st.u)
         rule = gauss_rule(pair.k_prime + 2)
         total = 0.0
-        for facet in pair.mesh.interior_facets:
+        for facet in interior_facets(pair.mesh):
             pts, wts = facet_quadrature(facet, rule)
             for q in range(len(wts)):
                 val = eval_velocity(pair, st, pts[q], deriv_order=0).value
@@ -644,11 +681,11 @@ def test_newton_kernel_transient_is_outputs_plus_a_few_blocks(kernel):
         # the largest local (E, L, M) block: every component has (k' + 2)(k' + 1)
         # functions on an element
         n_local = (pair.k_prime + 2) * (pair.k_prime + 1)
-        largest = pair.mesh.n_elements * n_local**2 * 8
+        largest = pair.mesh.nx * pair.mesh.ny * n_local**2 * 8
     else:
         build = lambda v: assemble_skeleton(pair, v, params)
         n_outputs = 1
-        jumps = [f.jump[1 - f.axis] for f in facet_tables(pair).interior]
+        jumps = [f.jump for f in facet_tables(pair).interior]
         largest = max(max(j.nbytes, len(j) * j.shape[-1] ** 2 * 8) for j in jumps)
     build(u_warm)  # tables and pattern
     gc.collect()
@@ -687,12 +724,60 @@ def test_convection_retains_only_one_dimensional_tables():
     assert tables + assembly <= 2 * 2**20
 
 
-def test_pattern_rejects_interior_multiplicity_above_one(pair33k2):
+@settings(max_examples=20, deadline=None)
+@given(pair=random_pairs())
+def test_facet_tables_match_facet_by_facet_oracle_bit_for_bit(pair):
+    # only the tangential component's jump table and DOFs are kept
+    for facets in facet_tables(pair).interior:
+        c = 1 - facets.axis
+        oracle = interior_facet_tables(pair, facets.axis, c)
+        lines = len(facets.line_jump)  # interior knot lines
+        assert np.array_equal(facets.jump, oracle.jump)
+        assert np.array_equal(facets.dofs + pair.component_offset(c), oracle.dofs)
+        weights = np.tile(facets.line_weights, (lines, 1)).reshape(oracle.weights.shape)
+        assert np.array_equal(weights, oracle.weights)
+
+
+def test_facet_tables_read_tangential_factors_from_the_element_tables(pair33k2):
+    # the loads and the facet tables share one k' + 2 point table
+    pair = pair33k2
+    tab = forms.element_tables(pair, pair.k_prime + 2)
+    for facets in facet_tables(pair).interior:
+        t = 1 - facets.axis
+        assert np.shares_memory(facets.line_weights, tab.weights_1d[t])
+        for c in (0, 1):
+            assert np.shares_memory(facets.tang[c], tab.colloc[c][t])
+
+
+def test_facet_tables_retain_only_tangential_jump_tables():
+    # with the shared k' + 2 point element table built, the facet tables hold
+    # the normal-direction line rows and the tangential component's jump
+    # tables and DOFs (2.3 MiB at (3,32)); the normal component's were 2.2 MiB more
+    pair = make_pair(32, 3)
+    forms.element_tables(pair, pair.k_prime + 2)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tables = forms.FacetTables(pair)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert tables.interior
+    assert retained <= 2.65 * 2**20
+
+
+@pytest.mark.parametrize("build", [forms.JacobianPattern, forms.FacetTables], ids=lambda b: b.__name__)
+def test_pattern_rejects_interior_multiplicity_above_one(pair33k2, build):
+    # both build on 1-D bands that need interior knot multiplicity 1; the
+    # doubled knots are vx's normal direction on one facet orientation and
+    # its tangential direction on the other
     kv = pair33k2.vx.kv_x
     doubled = open_knots(kv.degree, kv.unique_knots, interior_multiplicity=2)
     pair = dataclasses.replace(pair33k2, vx=TensorSpace(kv_x=doubled, kv_y=pair33k2.vx.kv_y))
     with pytest.raises(ValueError, match="multiplicity"):
-        forms.JacobianPattern(pair)
+        build(pair)
 
 
 def test_pattern_targets_are_slices_of_one_positions_array(pair33k2):

@@ -680,8 +680,6 @@ def test_newton_config_validation():
     with pytest.raises(ValueError):
         NewtonConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
-        NewtonConfig(damping=1.0)
-    with pytest.raises(ValueError):
         TimeConfig(dt=-0.1, t_end=1.0)
     with pytest.raises(ValueError):
         TimeConfig(dt=0.1, t_end=1.0, rho_inf=1.5)

@@ -1,6 +1,7 @@
 """Shared helpers for building reference states in tests."""
 from __future__ import annotations
 
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,14 +9,16 @@ import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from divspline import forms
-from divspline.bspline import derivative_coefficients, open_knots
+from divspline.bspline import KnotVector, collocation_matrix, eval_nonzero_basis, open_knots
 from divspline.cases import error_quad_points
 from divspline.mesh import build_mesh, gauss_rule
 from divspline.space import (
     DivConformingPair,
     StateVector,
+    TensorSpace,
     build_pair,
     element_basis_1d,
+    mass_matrix_1d,
     per_pair,
     quad_points_1d,
 )
@@ -79,7 +82,7 @@ class ElementQuadrature:
 
     def __init__(self, pair: DivConformingPair, npts: int):
         mesh = pair.mesh
-        self._eys, self._exs = np.divmod(np.arange(mesh.n_elements), mesh.nx)
+        self._eys, self._exs = np.divmod(np.arange(mesh.nx * mesh.ny), mesh.nx)
         self._spaces = {"vx": pair.vx, "vy": pair.vy, "q": pair.q}
         rule = gauss_rule(npts)
         self._b1d = {
@@ -88,7 +91,7 @@ class ElementQuadrature:
         }
         px, wx = (a.reshape(mesh.nx, npts)[self._exs] for a in quad_points_1d(pair.q.kv_x, npts))
         py, wy = (a.reshape(mesh.ny, npts)[self._eys] for a in quad_points_1d(pair.q.kv_y, npts))
-        shape = (mesh.n_elements, npts * npts)
+        shape = (mesh.nx * mesh.ny, npts * npts)
         self.weights = (wy[:, :, None] * wx[:, None, :]).reshape(shape)
         x, y = np.broadcast_arrays(px[:, None, :], py[:, :, None])
         self.points = np.stack([x.reshape(shape), y.reshape(shape)], axis=-1)
@@ -173,7 +176,7 @@ def sorted_pattern(pair: DivConformingPair):
     ]
     for f in forms.facet_tables(pair).interior:
         c = 1 - f.axis  # the tangential component
-        dofs = f.dofs[c] + pair.component_offset(c)
+        dofs = f.dofs + pair.component_offset(c)
         blocks.append((dofs[:, :, None], dofs[:, None, :]))
     n = pair.n_u
     keys = [(r.astype(np.int64) * n + c).ravel() for r, c in blocks]
@@ -281,12 +284,12 @@ def interior_facet_tables(pair: DivConformingPair, axis: int, comp: int):
             out["jump"].append(table(before[m] - after[m]))
     n_facets = (kv_n.n_elements - 1) * kv_t.n_elements
     n_local = width * (kv_t.degree + 1)
-    shapes = {"dofs": (n_local,), "weights": (rule.npts,)}
+    shapes = {"dofs": (n_local,), "weights": (len(rule.points),)}
     return SimpleNamespace(
         **{
             key: np.reshape(
                 np.array(rows, dtype=np.intp if key == "dofs" else float),
-                (n_facets, *shapes.get(key, (rule.npts, n_local))),
+                (n_facets, *shapes.get(key, (len(rule.points), n_local))),
             )
             for key, rows in out.items()
         }
@@ -392,7 +395,7 @@ def boundary_facet_tables(pair: DivConformingPair, axis: int, comp: int):
                 dofs = idx_n[:, None] * space.n_x + idx_t[None, :]
                 table = lambda dn, dt: (row[dn][None, :, None] * t[:, dt, None, :]).reshape(len(t), -1)
             h_t = knots_t[e + 1] - knots_t[e]
-            points = np.empty((rule.npts, 2))
+            points = np.empty((len(rule.points), 2))
             points[:, axis] = knots_n[-1 if side else 0]
             points[:, 1 - axis] = knots_t[e] + h_t * rule.points
             grad = (table(1, 0), table(0, 1))  # normal, tangential derivative
@@ -441,3 +444,164 @@ def quadrature_boundary_operators(pair: DivConformingPair, params, u_d):
             local = params.nu * (coef * pen - cons)
             load += np.bincount(ta.dofs.ravel(), local.ravel(), minlength=pair.n_u)
     return _assembled(pair, g), _assembled(pair, p), _assembled(pair, p_h), load
+
+
+# ------------------------------------------------ facets, projections, traces
+# Element- and facet-level views of the mesh and fields that only tests use:
+# the package works on 1-D breakpoints and tables instead.
+
+
+@dataclass(frozen=True)
+class Facet:
+    """One facet segment of the mesh skeleton.
+
+    axis is the direction of the facet normal (0 for vertical facets, 1 for
+    horizontal ones); coordinate is the position along that axis and span the
+    segment in the other axis. Each interior facet stores its two neighbors
+    with the convention n = n+ = -n-, the plus side being the element with
+    the smaller index along the axis; minus_element is None on the boundary,
+    where the normal points out of the domain. Element ids are ey * nx + ex.
+    """
+
+    axis: int
+    coordinate: float
+    span: tuple[float, float]
+    plus_element: int
+    minus_element: int | None
+    normal: tuple[float, float]
+
+    @property
+    def is_boundary(self) -> bool:
+        return self.minus_element is None
+
+
+def element_boxes(mesh) -> np.ndarray:
+    """(nx ny, 4) array of [x0, x1, y0, y1], element id = ey * nx + ex."""
+    ux, uy = mesh.unique_knots_x, mesh.unique_knots_y
+    x0, y0 = np.meshgrid(ux[:-1], uy[:-1])
+    x1, y1 = np.meshgrid(ux[1:], uy[1:])
+    return np.stack([a.ravel() for a in (x0, x1, y0, y1)], axis=1)
+
+
+def interior_facets(mesh) -> tuple[Facet, ...]:
+    """Vertical facets (normal +e_x, plus side left) line by line, then
+    horizontal ones (normal +e_y, plus side below) column by column."""
+    ux, uy, nx = mesh.unique_knots_x, mesh.unique_knots_y, mesh.nx
+    vertical = [
+        Facet(0, float(ux[i]), (float(uy[ey]), float(uy[ey + 1])), ey * nx + i - 1, ey * nx + i, (1.0, 0.0))
+        for i in range(1, mesh.nx)
+        for ey in range(mesh.ny)
+    ]
+    horizontal = [
+        Facet(1, float(uy[j]), (float(ux[ex]), float(ux[ex + 1])), (j - 1) * nx + ex, j * nx + ex, (0.0, 1.0))
+        for ex in range(mesh.nx)
+        for j in range(1, mesh.ny)
+    ]
+    return tuple(vertical + horizontal)
+
+
+def boundary_facets(mesh) -> tuple[Facet, ...]:
+    """Left/right facets per row, then bottom/top facets per column."""
+    ux, uy, nx, ny = mesh.unique_knots_x, mesh.unique_knots_y, mesh.nx, mesh.ny
+    a1, b1, a2, b2 = mesh.domain_extent
+    facets = []
+    for ey in range(ny):
+        yspan = (float(uy[ey]), float(uy[ey + 1]))
+        facets.append(Facet(0, a1, yspan, ey * nx, None, (-1.0, 0.0)))
+        facets.append(Facet(0, b1, yspan, ey * nx + nx - 1, None, (1.0, 0.0)))
+    for ex in range(nx):
+        xspan = (float(ux[ex]), float(ux[ex + 1]))
+        facets.append(Facet(1, a2, xspan, ex, None, (0.0, -1.0)))
+        facets.append(Facet(1, b2, xspan, (ny - 1) * nx + ex, None, (0.0, 1.0)))
+    return tuple(facets)
+
+
+def facet_quadrature(facet: Facet, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Physical quadrature points (n, 2) and weights on a facet segment."""
+    s0, s1 = facet.span
+    pts = np.empty((len(rule.points), 2))
+    pts[:, facet.axis] = facet.coordinate
+    pts[:, 1 - facet.axis] = s0 + (s1 - s0) * rule.points
+    return pts, (s1 - s0) * rule.weights
+
+
+def velocity_gradient(v) -> np.ndarray:
+    """grad[..., i, j] = d u_j / d x_i from `space.eval_velocity`'s derivatives."""
+    return np.stack([v.derivs[..., 1, 0, :], v.derivs[..., 0, 1, :]], axis=-2)
+
+
+def facet_normal_derivative_jump(
+    pair: DivConformingPair, state: StateVector, facet: Facet, qp, order: int | None = None
+) -> np.ndarray:
+    """Jump of the order-th pure normal derivative of u_h across a facet.
+
+    qp holds one point (shape (2,)) or an array of points (shape (..., 2))
+    on the facet. Returns [[d^m u / d n^m]](qp) = plus side minus minus
+    side, point axes leading and the two components last, from one-sided
+    limits of the polynomial pieces of the two neighboring elements.
+    """
+    if facet.is_boundary:
+        raise ValueError("jump is defined on interior facets only")
+    if order is None:
+        order = pair.alpha_prime + 1
+    axis = facet.axis
+    sign = facet.normal[axis] ** order
+    qp = np.asarray(qp, dtype=float)
+    sides = np.array([facet.plus_element, facet.minus_element])
+    e_n = sides % pair.mesh.nx if axis == 0 else sides // pair.mesh.nx
+    jump = np.empty(qp.shape[:-1] + (2,))
+    for comp, space in enumerate(pair.velocity_spaces):
+        kv_n, kv_t = (space.kv_x, space.kv_y) if axis == 0 else (space.kv_y, space.kv_x)
+        bn = eval_nonzero_basis(kv_n, facet.coordinate, max_deriv=order, span=kv_n.element_spans[e_n])
+        bt = eval_nonzero_basis(kv_t, qp[..., 1 - axis])
+        grid = pair.component_coeffs(state.u, comp)
+        grid = grid if axis == 0 else grid.T  # indexed [tangential, normal]
+        rows = bt.first_index[..., None, None] + np.arange(kv_t.degree + 1)[:, None]
+        one_sided = []
+        for side in (0, 1):
+            block = grid[rows, bn.first_index[side] + np.arange(kv_n.degree + 1)]
+            one_sided.append((bt.values[..., :1, :] @ block @ bn.values[side, order])[..., 0])
+        jump[..., comp] = one_sided[0] - one_sided[1]
+    return sign * jump
+
+
+def component_l2_projection(space: TensorSpace, f, npts: int) -> np.ndarray:
+    """L2 projection of a scalar function onto a tensor space, flat coeffs."""
+    px, wx = quad_points_1d(space.kv_x, npts)
+    py, wy = quad_points_1d(space.kv_y, npts)
+    cx = collocation_matrix(space.kv_x, px)[0]
+    cy = collocation_matrix(space.kv_y, py)[0]
+    rhs = cy.T @ (wy[:, None] * f(px[None, :], py[:, None]) * wx[None, :]) @ cx
+    m2d = sp.kron(mass_matrix_1d(space.kv_y), mass_matrix_1d(space.kv_x)).tocsc()
+    return sp.linalg.spsolve(m2d, rhs.ravel())
+
+
+def interpolate_field(pair: DivConformingPair, u) -> StateVector:
+    """Component-wise L2 projection of an analytic velocity field.
+
+    u maps broadcastable arrays (x, y) to the pair (u1, u2). The result is
+    generally not discretely divergence-free.
+    """
+    npts = pair.k_prime + 3
+    c1 = component_l2_projection(pair.vx, lambda x, y: u(x, y)[0], npts)
+    c2 = component_l2_projection(pair.vy, lambda x, y: u(x, y)[1], npts)
+    return StateVector(u=np.concatenate([c1, c2]), p=np.zeros(pair.n_p))
+
+
+def derivative_coefficients(kv: KnotVector, coeffs: np.ndarray) -> tuple[KnotVector, np.ndarray]:
+    """Coefficients of the derivative spline on the reduced knot vector.
+
+    For s(x) = sum_i c_i N_{i,k}, returns (kv', c') with s'(x) = sum c'_i
+    N_{i,k-1} over the knots with the two end knots dropped.
+    """
+    k = kv.degree
+    c = np.asarray(coeffs, dtype=float)
+    denom = kv.knots[k + 1 : k + len(c)] - kv.knots[1 : len(c)]
+    return KnotVector(degree=k - 1, knots=kv.knots[1:-1]), k * (c[1:] - c[:-1]) / denom
+
+
+def assemble_boundary_mass(pair: DivConformingPair) -> sp.csr_matrix:
+    """Boundary mass P with u^T P u = ||u||^2 over the boundary facets, on
+    the pair's Jacobian pattern from `forms._boundary_terms`."""
+    pattern = forms.jacobian_pattern(pair)
+    return pattern.csr(pattern.kron_data(forms._boundary_terms(pair)["P"]))
