@@ -311,7 +311,10 @@ def run_convergence_study(
     gamma: float | None = None,
     c_nit: float | None = None,
 ) -> list[ConvergenceRow]:
-    """Manufactured-solution refinement sweep; orders from successive rows."""
+    """Manufactured-solution refinement sweep; orders from successive rows,
+    log(e_prev / e) / log(n / n_prev), so the meshes must increase strictly."""
+    if any(b <= a for a, b in zip(meshes, meshes[1:])):
+        raise ValueError(f"convergence meshes must increase strictly, got {tuple(meshes)}")
     case = ManufacturedCase(re=re)
     rows: list[ConvergenceRow] = []
     for n in meshes:
@@ -322,8 +325,9 @@ def run_convergence_study(
             raise ConvergenceError(f"mesh {n}x{n}: {exc}") from exc
         l2, h1 = error_norms(pair, result.state, case.velocity, case.velocity_gradient)
         if rows:
-            l2_order = math.log2(rows[-1].l2 / l2)
-            h1_order = math.log2(rows[-1].h1 / h1)
+            refinement = math.log2(n / rows[-1].n)  # exactly 1 when n doubles
+            l2_order = math.log2(rows[-1].l2 / l2) / refinement
+            h1_order = math.log2(rows[-1].h1 / h1) / refinement
         else:
             l2_order = h1_order = math.nan
         rows.append(

@@ -242,6 +242,8 @@ def parse_config(source=None, overrides=None) -> CaseConfig:
         raise ConfigError("key 're' entries must be positive")
     if command != "convergence" and len(mesh) != 1:
         raise ConfigError(f"command '{command}' takes a single 'mesh' resolution")
+    if any(b <= a for a, b in zip(mesh, mesh[1:])):
+        raise ConfigError("key 'mesh' entries of a convergence sweep must increase strictly")
     if command != "robustness" and len(re) != 1:
         raise ConfigError(f"command '{command}' takes a single 're' value")
 

@@ -30,22 +30,23 @@ is the convection table. N1 and N2 are summed by sum factorization
 CMAME 285 (2015)) from the 1-D element rows of `element_tables` at
 ceil(3(k' + 1) / 2) points per direction, exact for the degree-(3k - 1)
 integrand: the x points are contracted first, then the y points, each as
-one batched matmul. J contracts the tangential component's per-facet
-jump tables (`FacetTables`) over k' + 2 points with one batched matmul
-(`_weighted_products`); the rational eta factor is only approximately
-integrated. Matrices act on the full velocity DOF vector [Vx block; Vy
-block]; the solver imposes the strong normal trace.
+one batched matmul, and each contraction is folded straight into band rows
+(row-wise formation; Calabro, Sangalli & Tani, CMAME 316 (2017)). J is
+separable on each facet (`assemble_skeleton`): the eta-weighted tangential
+products of every knot line, crossed with the lines' fixed normal-jump
+products (`FacetTables`) by one matmul; the rational eta factor is only
+approximately integrated. Matrices act on the full velocity DOF vector [Vx
+block; Vy block]; the solver imposes the strong normal trace.
 
 Every velocity operator is a data array on the pair's one sparsity
-pattern, a `JacobianPattern` of the element blocks of the velocity
-component pairs and the tangential interior-facet blocks: a Kronecker term
-is written at the positions of the pattern's closed-form formula, a local
-block is added with one `np.add.at`. K with its Nitsche terms is arithmetic
-on those arrays, and the solver forms each Jacobian by adding data arrays
-and building one CSR. Every CSR on the pattern shares its read-only
-indices, and the memoized data arrays of K's strain part and of M are
-read-only too, so no caller can change an operator that later operators
-on the pair reuse.
+pattern, a `JacobianPattern`, summed in its band storage by slices and
+outer products (a Kronecker term as the outer product of its factors' 1-D
+band storages) and gathered into the data array once. K with its Nitsche
+terms is arithmetic on those arrays, and the solver forms each Jacobian by
+adding data arrays and building one CSR. Every CSR on the pattern shares
+its read-only indices, and the memoized data arrays of K's strain part and
+of M are read-only too, so no caller can change an operator that later
+operators on the pair reuse.
 
 Residuals need no matrices, and the per-state kernels work on dense 1-D
 factors of the tensor-product spaces instead of element tables:
@@ -164,153 +165,179 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _band(n_el: int, p_row: int, p_col: int, widen: bool = False):
-    """1-D band of a space of degree p_row against one of degree p_col: row a
-    couples columns lo[a] .. lo[a] + length[a] - 1; returns (lo, length).
+def _band(n_el: int, p_row: int, p_col: int, widen: bool = False) -> tuple[int, int]:
+    """1-D band of a space of degree p_row against one of degree p_col, as
+    (P, W): row a couples the columns a - P + d, d = 0 .. W - 1, that lie in
+    the column space, 0 .. n_el + p_col - 1.
 
     Interior knots have multiplicity 1, so element e carries basis functions
-    e .. e + p, and row a meets the elements max(a - p_row, 0) .. min(a,
-    n_el - 1). With `widen` (one space, p_row = p_col = p, n_el >= 2) the
-    band is the union with the interior-facet jump blocks: facet i between
-    elements i-1 and i couples functions i-1 .. i+p, so row a reaches
-    max(a - p - 1, 0) .. min(a, n_el - 2) + p + 1, a superset of its
-    element band.
+    e .. e + p, and row a meets the elements a - p_row .. a: columns a -
+    p_row .. a + p_col. With `widen` (one space, p_row = p_col = p, n_el >=
+    2) the band is the union with the interior-facet jump blocks: facet i
+    between elements i-1 and i couples functions i-1 .. i+p, so row a
+    reaches a - p - 1 .. a + p + 1, a superset of its element band.
     """
     w = int(widen and n_el > 1)
-    a = np.arange(n_el + p_row)
-    lo = np.maximum(a - p_row - w, 0)
-    return lo, np.minimum(a, n_el - 1 - w) + p_col + w + 1 - lo
+    return p_row + w, p_row + p_col + 2 * w + 1
+
+
+def _banded(a: np.ndarray, p: int, w: int) -> np.ndarray:
+    """Band storage (rows, w) of a dense 1-D matrix a in the band (p, w) of
+    `_band`: entry [r, d] is a[r, r - p + d], zero where that column is
+    outside a. Nonzeros of a outside the band are dropped."""
+    rows = np.arange(len(a))[:, None]
+    return np.pad(a, ((0, 0), (p, w)))[rows, rows + np.arange(w)]
+
+
+def _row_runs(band: np.ndarray) -> list[slice]:
+    """The runs of consecutive rows of band that hold a nonzero: one for a
+    Gram matrix, one at each end for a boundary term's normal factor."""
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], band.any(axis=1), [0]]).astype(int)))
+    return [slice(a, b) for a, b in zip(edges[::2], edges[1::2])]
+
+
+_GATHER_CHUNK = 8192
 
 
 class JacobianPattern:
     """The one CSR sparsity pattern of a pair: every velocity operator is a
     data array on it, and a Jacobian is a sum of data arrays.
 
-    It is the union of six dense local blocks. Blocks 0-3 are the element
-    blocks of the velocity component pairs (i, j) = (0, 0), (1, 1), (0, 1)
-    and (1, 0), which hold K, M, N1 and N2: row function (ly, lx) of
-    component i against column function (my, mx) of component j on element
-    (ey, ex), entries in the order (ey, ly, my, ex, lx, mx) in which
-    `_sum_factorized` makes them. Blocks 4 and 5 are the interior-facet
-    blocks of the tangential component on the facets normal to x and to y,
-    which hold J, entries in (facet, row, column) order (the normal
-    component's (alpha'+1)-th normal derivative is continuous, so its jump
-    blocks are left out). K's boundary terms couple functions of one
-    boundary element and add no entries. Every entry of every block has one
-    position in the CSR data, stored once in block order: `_blocks[b]` is
-    block b's slice of one positions array. `data` adds local arrays one
-    block at a time with `np.add.at`, which allocates nothing for the
-    read-only positions (a `np.bincount` would copy them); `kron_data` adds
-    Kronecker products of 1-D matrices.
-    The positions, `indices` and `indptr` are read-only, and every matrix
-    `csr` builds shares the last two, so no matrix on the pattern can be
-    changed in its structure.
-
-    The pattern is found by arithmetic, without a sort. Each component block
-    (i, j) is the Kronecker product of a y band and an x band (`_band`):
-    element bands, except that vx's jump blocks (facets normal to y) widen
+    Each component block (i, j), rows of velocity component i against
+    columns of component j, is the Kronecker product of a y band and an x
+    band, bands[i][j] = ((P_y, W_y), (P_x, W_x)) (`_band`): element bands,
+    except that vx's interior-facet jump blocks (facets normal to y) widen
     block (0, 0)'s y band and vy's (facets normal to x) widen block (1, 1)'s
-    x band. A CSR row r of component i holds block (i, 0) and then block
-    (i, 1), each in (c_y, c_x) order, so entry (r, c), c = (c_y, c_x) in
-    component j, sits at (`positions`)
+    x band. These hold K, M, N1, N2 and J: the normal component's
+    (alpha'+1)-th normal derivative is continuous, so it has no jump blocks,
+    and K's boundary terms couple functions of one boundary element. The
+    bands need interior knot multiplicity 1; other knot vectors raise
+    ValueError.
 
-        indptr[r] + [j = 1] len_i0(r) + (c_y - lo_y(r_y)) len_x(r_x) + (c_x - lo_x(r_x)),
-
-    with len_i0(r) the length of block (i, 0)'s part of row r and (lo, len)
-    the bands of block (i, j). The bands need interior knot multiplicity 1;
-    other knot vectors raise ValueError.
+    Operators are summed in band storage (`buffer`): block (i, j) is a
+    zeroed (R_y, W_y, R_x, W_x) array, (R_y, R_x) component i's basis
+    sizes, whose entry (r_y, d_y, r_x, d_x) couples row (r_y, r_x) with column
+    (r_y - P_y + d_y, r_x - P_x + d_x). A contribution goes in by slices and
+    outer products, never by per-entry indices; entries whose column lies
+    outside the space stay zero and are never read. `gather` takes the
+    buffer's other entries into a data array in CSR order: a row r of
+    component i holds block (i, 0) and then block (i, 1), each in (c_y,
+    c_x) order. The gather index (one integer an entry), `indices` and
+    `indptr` are read-only, and every matrix `csr` builds shares the last
+    two, so no matrix on the pattern can be changed in its structure.
     """
 
     def __init__(self, pair: DivConformingPair):
-        mesh, spaces = pair.mesh, pair.velocity_spaces
+        spaces = pair.velocity_spaces
         knot_vectors = [kv for s in spaces for kv in (s.kv_x, s.kv_y)]
         if any(kv.n_basis != kv.n_elements + kv.degree for kv in knot_vectors):
             raise ValueError("JacobianPattern requires interior knot multiplicity 1")
-        tab = _convection_tables(pair)  # any rule: the DOFs are those of the elements
-        self._offsets = [pair.component_offset(c) for c in (0, 1)]
-        self._n_x = [s.n_x for s in spaces]
-        # (row component, row DOFs, column component, column DOFs) per block,
-        # in component DOFs broadcast to the block's entry order
-        rows, cols = [], []
-        for c in (0, 1):
-            ix, iy = tab.dofs(c)
-            rows.append(iy[:, :, None, None, None, None] * self._n_x[c] + ix[:, :, None])
-            cols.append(iy[:, None, :, None, None, None] * self._n_x[c] + ix[:, None, :])
-        blocks = [(i, rows[i], j, cols[j]) for i, j in ((0, 0), (1, 1), (0, 1), (1, 0))]
-        for f in facet_tables(pair).interior:
-            blocks.append((1 - f.axis, f.dofs[:, :, None], 1 - f.axis, f.dofs[:, None, :]))
-        # _bands[i][j] = ((lo_x, len_x), (lo_y, len_y)) of component block (i, j)
-        self._bands = [
+        kvs = [(s.kv_y, s.kv_x) for s in spaces]  # buffer order: y, then x
+        self.bands = [
             [
-                (
-                    _band(mesh.nx, si.kv_x.degree, sj.kv_x.degree, widen=i == j == 1),
-                    _band(mesh.ny, si.kv_y.degree, sj.kv_y.degree, widen=i == j == 0),
+                tuple(
+                    _band(a.n_elements, a.degree, b.degree, widen=i == j == axis)
+                    for axis, (a, b) in enumerate(zip(kvs[i], kvs[j]))
                 )
-                for j, sj in enumerate(spaces)
+                for j in (0, 1)
             ]
-            for i, si in enumerate(spaces)
+            for i in (0, 1)
         ]
-        # row lengths of each component block, rows in DOF order
-        lengths = [[np.outer(by[1], bx[1]).ravel() for bx, by in self._bands[i]] for i in (0, 1)]
+        # _layout[i][j] = (start, shape) of block (i, j) in the flat buffer
+        self._layout, self._size = [[], []], 0
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            (_, w_y), (_, w_x) = self.bands[i][j]
+            shape = (kvs[i][0].n_basis, w_y, kvs[i][1].n_basis, w_x)
+            self._layout[i].append((self._size, shape))
+            self._size += math.prod(shape)
         n = pair.n_u
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.concatenate([a + b for a, b in lengths]), out=indptr[1:])
-        # first position of block (i, j) in row r: _starts[j][r]
-        self._starts = (indptr[:-1], indptr[:-1] + np.concatenate([a for a, _ in lengths]))
+        index_dtype = sp.get_index_dtype(maxval=max(n, self._size))
+
+        def entries(i: int, key: str) -> np.ndarray:
+            """A value per buffer entry of blocks (i, 0) and (i, 1), side by
+            side, (rows of component i, W_y W_x of (i, 0) + that of (i, 1)):
+            "mask", whether its column lies in the space; "position", its
+            place in the flat buffer; "column", its global column. Each block
+            is the outer sum (for "mask", the outer and) of a y and an x
+            factor, (R, W) each, written in place."""
+            r_y, r_x = (kv.n_basis for kv in kvs[i])
+            widths = [shape[1] * shape[3] for _, shape in self._layout[i]]
+            out = np.empty((r_y, r_x, sum(widths)), dtype=bool if key == "mask" else index_dtype)
+            for j, (start, (_, w_y, _, w_x)) in enumerate(self._layout[i]):
+                cols = [
+                    np.arange(r, dtype=index_dtype)[:, None] - p + np.arange(w, dtype=index_dtype)
+                    for r, (p, w) in zip((r_y, r_x), self.bands[i][j])
+                ]
+                op = np.add
+                if key == "mask":
+                    y, x = ((c >= 0) & (c < kv.n_basis) for c, kv in zip(cols, kvs[j]))
+                    op = np.logical_and
+                elif key == "position":
+                    y, x = (
+                        np.arange(r * w, dtype=index_dtype).reshape(r, w)
+                        for r, w in ((r_y, w_y), (r_x, w_x))
+                    )
+                    y = y * (r_x * w_x) + start
+                else:
+                    y, x = cols[0] * kvs[j][1].n_basis + pair.component_offset(j), cols[1]
+                block = out[:, :, sum(widths[:j]) : sum(widths[: j + 1])]
+                op(y[:, None, :, None], x[None, :, None, :], out=block.reshape(r_y, r_x, w_y, w_x))
+            return out.reshape(r_y * r_x, -1)
+
+        masks = [entries(i, "mask") for i in (0, 1)]
+        indptr = np.zeros(n + 1, dtype=index_dtype)
+        np.cumsum(np.concatenate([m.sum(axis=1) for m in masks]), out=indptr[1:])
         self.shape = (n, n)
         self.nnz = int(indptr[-1])
-        index_dtype = sp.get_index_dtype(maxval=max(n, self.nnz))
-        indices = np.empty(self.nnz, dtype=index_dtype)
-        shapes = [np.broadcast_shapes(r.shape, c.shape) for _, r, _, c in blocks]
-        ends = np.cumsum([math.prod(shape) for shape in shapes])
-        positions = np.empty(ends[-1], dtype=np.intp)
-        for b, ((i, r, j, c), shape) in enumerate(zip(blocks, shapes)):
-            # written in place: the block is the only array of its size
-            out = positions[ends[b] - math.prod(shape) : ends[b]].reshape(shape)
-            self.positions(i, j, r, c, out=out)
-            indices[out] = (c + self._offsets[j]).astype(index_dtype)
-        self._blocks = np.split(_read_only(positions), ends[:-1])
+        self._gather, indices = np.empty(self.nnz, index_dtype), np.empty(self.nnz, index_dtype)
+        ends = (0, int(indptr[spaces[0].n_dofs]), self.nnz)
+        for out, key in ((self._gather, "position"), (indices, "column")):
+            for i in (0, 1):
+                out[ends[i] : ends[i + 1]] = entries(i, key)[masks[i]]
+        _read_only(self._gather)
         self.indices = _read_only(indices)
-        self.indptr = _read_only(indptr.astype(index_dtype))
+        self.indptr = _read_only(indptr)
 
-    def positions(self, i: int, j: int, rows, cols, out=None) -> np.ndarray:
-        """CSR data positions of the entries (rows, cols) of component block
-        (i, j), rows and cols in component DOFs and broadcast together;
-        written into out when given. Each entry must lie in the block's
-        bands, or its position is another entry's."""
-        (lo_x, len_x), (lo_y, _) = self._bands[i][j]
-        r_y, r_x = np.divmod(rows, self._n_x[i])
-        c_y, c_x = np.divmod(cols, self._n_x[j])
-        stride = len_x[r_x]
-        out = np.multiply(c_y, stride, out=out)
-        out += c_x
-        out += self._starts[j][rows + self._offsets[i]] - lo_y[r_y] * stride - lo_x[r_x]
-        return out
+    def buffer(self) -> tuple[np.ndarray, list[list[np.ndarray]]]:
+        """A zeroed flat band buffer and its block views: blocks[i][j] of
+        component block (i, j), shape (R_y, W_y, R_x, W_x)."""
+        flat = np.zeros(self._size)
+        blocks = [
+            [flat[s : s + math.prod(shape)].reshape(shape) for s, shape in row]
+            for row in self._layout
+        ]
+        return flat, blocks
 
-    def data(self, blocks, out: np.ndarray | None = None) -> np.ndarray:
-        """Data array of the local blocks (b, local), local holding block b's
-        entries in its order, added in the given order into out (zeros when
-        None).
+    def gather(self, flat: np.ndarray) -> np.ndarray:
+        """The data array of a band buffer: its stored entries in CSR order.
 
-        `blocks` may be a generator, so that one local block is alive at a time.
+        np.take casts an index that is not intp to an intp copy, so the index
+        is taken in chunks of _GATHER_CHUNK, each cast copy 64 KiB; mode
+        "clip" (every position is in range) lets it write to out unbuffered.
         """
-        out = np.zeros(self.nnz) if out is None else out
-        for b, local in blocks:
-            np.add.at(out, self._blocks[b], local.reshape(-1))
-            del local  # freed before the generator makes the next block
+        out = np.empty(self.nnz)
+        for s in range(0, self.nnz, _GATHER_CHUNK):
+            chunk = slice(s, s + _GATHER_CHUNK)
+            np.take(flat, self._gather[chunk], out=out[chunk], mode="clip")
         return out
 
     def kron_data(self, terms, out: np.ndarray | None = None) -> np.ndarray:
         """Data array of the Kronecker terms (i, j, a_y, a_x), each the block
         kron(a_y, a_x) of rows of component i and columns of component j, a_y
-        and a_x dense 1-D matrices with their nonzeros in the block's bands;
-        added in order into out (zeros when None), one indexed add a term."""
-        out = np.zeros(self.nnz) if out is None else out
+        and a_x dense 1-D matrices with their nonzeros in the block's bands:
+        the outer product of their band storages, added into the buffer;
+        added into out when given."""
+        flat, blocks = self.buffer()
         for i, j, a_y, a_x in terms:
-            (r_y, c_y), (r_x, c_x) = np.nonzero(a_y), np.nonzero(a_x)
-            rows = r_y[:, None] * a_x.shape[0] + r_x
-            cols = c_y[:, None] * a_x.shape[1] + c_x
-            out[self.positions(i, j, rows, cols)] += np.outer(a_y[r_y, c_y], a_x[r_x, c_x])
+            (p_y, w_y), (p_x, w_x) = self.bands[i][j]
+            b_y, b_x = _banded(a_y, p_y, w_y), _banded(a_x, p_x, w_x)
+            for s_y in _row_runs(b_y):
+                for s_x in _row_runs(b_x):
+                    blocks[i][j][s_y, :, s_x] += np.multiply.outer(b_y[s_y], b_x[s_x])
+        data = self.gather(flat)
+        if out is None:
+            return data
+        out += data
         return out
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
@@ -321,24 +348,13 @@ class JacobianPattern:
 jacobian_pattern = per_pair(JacobianPattern)
 
 
-def _weighted_products(w, a, b) -> np.ndarray:
-    """Local blocks sum_q w[e, q] a[e, q, l] b[e, q, m], shape (E, L, M).
-
-    One batched matmul of the weighted (E, L, Q) transpose of a with b.
-    """
-    return np.matmul((a * w[..., None]).transpose(0, 2, 1), b)
-
-
-@per_pair
-def assemble_strain(pair: DivConformingPair) -> sp.csr_matrix:
-    """Unit-viscosity volume strain matrix S with u^T S u = 2 ||grad_s u||^2.
-
-    2 int [2 e11(u) e11(v) + 2 e22 e22 + 4 e12 e12], expanded per component
-    block, is a sum of Kronecker products of 1-D Gram matrices.
-    """
+def _strain_terms(pair: DivConformingPair) -> list:
+    """Kronecker terms (i, j, a_y, a_x) (see `JacobianPattern.kron_data`) of
+    the unit-viscosity strain matrix S: 2 int [2 e11(u) e11(v) + 2 e22 e22 +
+    4 e12 e12], expanded per component block, in 1-D Gram matrices."""
     (x0, y0), (x1, y1) = ((s.kv_x, s.kv_y) for s in pair.velocity_spaces)
     k12 = gram_matrix(y0, y1, 1, 0), gram_matrix(x0, x1, 0, 1)  # int d_y phi_a d_x phi_b
-    terms = [
+    return [
         (0, 0, y0.mass, 2.0 * gram_matrix(x0, x0, 1, 1)),
         (0, 0, gram_matrix(y0, y0, 1, 1), x0.mass),
         (1, 1, 2.0 * gram_matrix(y1, y1, 1, 1), x1.mass),
@@ -346,25 +362,14 @@ def assemble_strain(pair: DivConformingPair) -> sp.csr_matrix:
         (0, 1, *k12),
         (1, 0, k12[0].T, k12[1].T),
     ]
+
+
+@per_pair
+def assemble_strain(pair: DivConformingPair) -> sp.csr_matrix:
+    """Unit-viscosity volume strain matrix S with u^T S u = 2 ||grad_s u||^2,
+    a sum of Kronecker products of 1-D Gram matrices (`_strain_terms`)."""
     pattern = jacobian_pattern(pair)
-    return pattern.csr(_read_only(pattern.kron_data(terms)))
-
-
-def _on_facets(axis: int, normal: np.ndarray, tangential: np.ndarray, op=np.multiply):
-    """Cross per-line normal factors (L, ln) with per-tangential-element
-    factors (T, ..., lt) into per-facet arrays (L * T, ..., ln * lt).
-
-    Facets run line by line, tangential element fastest; the flat local index
-    follows DOF order (x fastest), so the normal index is the fast one for
-    axis 0.
-    """
-    t = tangential[None]
-    n = normal.reshape(len(normal), *([1] * (tangential.ndim - 1)), normal.shape[-1])
-    if axis == 0:
-        out = op(t[..., :, None], n[..., None, :])
-    else:
-        out = op(n[..., :, None], t[..., None, :])
-    return out.reshape(-1, *out.shape[2:-2], out.shape[-2] * out.shape[-1])
+    return pattern.csr(_read_only(pattern.kron_data(_strain_terms(pair))))
 
 
 def _tangential_first(grid: np.ndarray, axis: int) -> np.ndarray:
@@ -391,10 +396,12 @@ class FacetTables:
     tang[c] G line_value[c]^T, shape (T, lines), with G its coefficient grid
     indexed (tangential, normal). Only the tangential component c = 1 - axis
     jumps (see `JacobianPattern`), and for it alone the tables hold the
-    (alpha'+1)-th normal derivative, plus side minus minus side: line_jump
-    (lines, n_normal) on the knot lines, and J's per-facet jump (n_facets,
-    nq, n_local) with its component DOFs dofs (n_facets, n_local); facets
-    run line by line, tangential element fastest.
+    (alpha'+1)-th normal derivative, plus side minus minus side, on the knot
+    lines: line_jump (lines, n_normal) dense, and jump_products (lines, R_n
+    W_n), each line's outer product of its jump row with itself in the band
+    storage (`_band`, widened) of the pattern's normal direction, which
+    `assemble_skeleton` crosses with the products of tang_rows (T_el, nq,
+    L_t), the component's element rows along the tangential axis (a view).
     """
 
     def __init__(self, pair: DivConformingPair):
@@ -405,7 +412,7 @@ class FacetTables:
             t = 1 - axis  # the tangential axis, and the tangential component
             inner = SimpleNamespace(
                 axis=axis, line_weights=tab.weights_1d[t], line_value=[],
-                tang=[tab.colloc[c][t][0] for c in (0, 1)],
+                tang=[tab.colloc[c][t][0] for c in (0, 1)], tang_rows=tab.rows[t][t][:, :, 0],
             )
             for c, space in enumerate(pair.velocity_spaces):
                 kv_n = (space.kv_x, space.kv_y)[axis]
@@ -421,11 +428,18 @@ class FacetTables:
                 inner.line_jump = _dense_rows(first_n[:-1], plus[:, m], n_n) - _dense_rows(
                     first_n[1:], minus[:, m], n_n
                 )
-                padded = np.pad(plus[:, m], ((0, 0), (0, 1))), np.pad(minus[:, m], ((0, 0), (1, 0)))
-                inner.jump = _on_facets(axis, padded[0] - padded[1], tab.rows[c][t][:, :, 0])
-                idx_n = first_n[:-1, None] + np.arange(kv_n.degree + 2)
-                scale_n, scale_t = (1, space.n_x) if axis == 0 else (space.n_x, 1)
-                inner.dofs = _on_facets(axis, idx_n * scale_n, tab.dofs(c)[t] * scale_t, np.add)
+                # line i couples functions first_n[i] .. first_n[i] + degree + 1
+                jump = np.pad(plus[:, m], ((0, 0), (0, 1))) - np.pad(minus[:, m], ((0, 0), (1, 0)))
+                p_n, w_n = _band(kv_n.n_elements, kv_n.degree, kv_n.degree, widen=True)
+                lines, width = jump.shape
+                products = np.zeros((lines, n_n, w_n))
+                l = np.arange(width)
+                products[
+                    np.arange(lines)[:, None, None],
+                    first_n[:-1, None, None] + l[:, None],
+                    p_n + l[None, :] - l[:, None],
+                ] = jump[:, :, None] * jump[:, None, :]
+                inner.jump_products = products.reshape(lines, n_n * w_n)
             self.interior.append(inner)
 
 
@@ -590,25 +604,42 @@ def _convection_values(pair: DivConformingPair, w_u: np.ndarray) -> list[np.ndar
     return _last_state(pair, _convection_point_values)(pair, w_u)
 
 
-def _sum_factorized(tab, w: np.ndarray, j: int, i: int, c: int) -> np.ndarray:
-    """Element blocks of -int w (d_c phi_a) phi_b, phi_a of component j and
-    phi_b of component i, w on the tables' tensor grid of points; in the
-    pattern's element-block order (ey, ly, my, ex, lx, mx).
+def _fold(out: np.ndarray, local: np.ndarray, p: int) -> None:
+    """Add local (E, L, M, ...) element products, row function e + l
+    against column function e + m, into out (R, W, ...) in the band (p, W)
+    (`_band`): one slice-add per l, entry (e + l, m - l + p)."""
+    n_el, n_rows, n_cols = local.shape[:3]
+    for l in range(n_rows):
+        out[l : l + n_el, p - l : p - l + n_cols] += local[:, l]
+
+
+def _sum_factorized(tab, w: np.ndarray, j: int, i: int, c: int, band, out: np.ndarray) -> None:
+    """Add -int w (d_c phi_a) phi_b, phi_a of component j and phi_b of
+    component i, w on the tables' tensor grid of points, into out, the band
+    storage (R_y, W_y, R_x, W_x) of component block (j, i) with bands band
+    = ((P_y, W_y), (P_x, W_x)) (`JacobianPattern.buffer`).
 
     Sum factorization (Antolin, Buffa, Calabro, Martinelli & Sangalli, CMAME
     285 (2015)): the x points are contracted first, one matmul batched over
     the x elements with the weighted products of the x rows, (lx mx) per
-    point, then the y points, one matmul batched over the y elements.
+    point, and the element products are folded into x band rows (`_fold`);
+    then the y points, one matmul batched over the y elements, folded into
+    y band rows. No element block is formed.
     """
     (xa, ya), (xb, yb) = tab.rows[j], tab.rows[i]
     (nx, nq, _, lx), (ny, _, _, ly) = xa.shape, ya.shape
     mx, my = xb.shape[-1], yb.shape[-1]
+    (off_y, _), (off_x, width_x) = band
+    r_x = out.shape[2]
     w_x = tab.weights_1d[0].reshape(nx, nq, 1, 1)
     w_y = -tab.weights_1d[1].reshape(ny, nq, 1, 1)  # the forms' minus sign
     p_x = (w_x * xa[:, :, 1 - c, :, None] * xb[:, :, 0, None, :]).reshape(nx, nq, lx * mx)
     p_y = (w_y * ya[:, :, c, :, None] * yb[:, :, 0, None, :]).reshape(ny, nq, ly * my)
     t = np.matmul(p_x.transpose(0, 2, 1), w.T.reshape(nx, nq, ny * nq))  # (nx, lx mx, ny nq)
-    return np.matmul(p_y.transpose(0, 2, 1), t.reshape(nx * lx * mx, ny, nq).transpose(1, 2, 0))
+    t_band = np.zeros((r_x, width_x, ny * nq))
+    _fold(t_band, t.reshape(nx, lx, mx, -1), off_x)
+    s = np.matmul(p_y.transpose(0, 2, 1), t_band.reshape(r_x * width_x, ny, nq).transpose(1, 2, 0))
+    _fold(out, s.reshape(ny, ly, my, r_x, width_x), off_y)
 
 
 def assemble_convection(
@@ -620,23 +651,24 @@ def assemble_convection(
     C(w; u, .) and N2 u as C(u; w, .); the Newton Jacobian of the convective
     residual N1(w) w is N1 + N2 and the residual itself is N1 @ w. Every
     term is `_sum_factorized` from the 1-D element rows and w on the grid of
-    convection points. N2's block (j, i) is -(w_j d_i phi_a, phi_b), so its
-    diagonal block j is the i = j term of N1's block j, -(w . grad phi_a)
-    phi_b.
+    convection points into one band buffer. N2's block (j, i) is -(w_j d_i
+    phi_a, phi_b), so its diagonal block j is the i = j term of N1's block
+    j, -(w . grad phi_a) phi_b: the buffer gives N2, then, with its
+    off-diagonal blocks zeroed and the other terms added, N1.
     """
     w_u = w_state.u if isinstance(w_state, StateVector) else w_state
     tab = _convection_tables(pair)
     pattern = jacobian_pattern(pair)
     w = _convection_values(pair, w_u)
-    n1, n2 = np.zeros(pattern.nnz), np.zeros(pattern.nnz)
+    flat, blocks = pattern.buffer()
     for j in (0, 1):
-        local = _sum_factorized(tab, w[j], j, j, j)
-        pattern.data([(j, local)], out=n2)
-        local += _sum_factorized(tab, w[1 - j], j, j, 1 - j)
-        pattern.data([(j, local)], out=n1)
-    for b, (j, i) in ((2, (0, 1)), (3, (1, 0))):
-        pattern.data([(b, _sum_factorized(tab, w[j], j, i, i))], out=n2)
-    return pattern.csr(n1), pattern.csr(n2)
+        for i in (0, 1):
+            _sum_factorized(tab, w[j], j, i, i, pattern.bands[j][i], blocks[j][i])
+    n2 = pattern.gather(flat)
+    for j in (0, 1):
+        blocks[j][1 - j][...] = 0.0
+        _sum_factorized(tab, w[1 - j], j, j, 1 - j, pattern.bands[j][j], blocks[j][j])
+    return pattern.csr(pattern.gather(flat)), pattern.csr(n2)
 
 
 def convection_residual(pair: DivConformingPair, u: np.ndarray) -> np.ndarray:
@@ -701,25 +733,41 @@ def assemble_skeleton(
 ) -> sp.csr_matrix:
     """Skeleton penalty operator J(w) (symmetric positive semidefinite).
 
-    Only the tangential component jumps (see `JacobianPattern`), so J is
-    built from the tangential jump table of each facet orientation, on the
-    pair's `jacobian_pattern`. gamma = 0 returns a matrix with no stored
-    entries.
+    Only the tangential component c jumps (see `JacobianPattern`), and on a
+    facet its block is separable: (sum_q w eta t t^T) (x) (n n^T), t the
+    tangential rows and n the normal jump row. For each facet orientation
+    the tangential products are weighted by eta on every line at once (one
+    matmul batched over the tangential elements) and folded into the
+    tangential band (`_fold`), giving an (R_t W_t, lines) table; one matmul
+    with the lines' fixed jump_products (`FacetTables`) sums the facets
+    into block (c, c) of the band buffer. gamma = 0 returns a matrix with
+    no stored entries.
     """
     n = pair.n_u
     if params.gamma == 0.0:
         return sp.csr_matrix((n, n))
     w_u = w_state.u if isinstance(w_state, StateVector) else w_state
     pattern = jacobian_pattern(pair)
-
-    def local_blocks():
-        for facets, eta in zip(facet_tables(pair).interior, facet_eta_values(pair, w_u, params)):
-            jump = facets.jump
-            weighted = (eta.T * facets.line_weights).reshape(jump.shape[:2])  # lines to facets
-            # block 4 + axis: the tangential jumps on the facets normal to axis
-            yield 4 + facets.axis, _weighted_products(weighted, jump, jump)
-
-    return pattern.csr(pattern.data(local_blocks()))
+    flat, blocks = pattern.buffer()
+    for facets, eta in zip(facet_tables(pair).interior, facet_eta_values(pair, w_u, params)):
+        a, c = facets.axis, 1 - facets.axis
+        rows = facets.tang_rows
+        n_el, nq, l_t = rows.shape
+        products = (rows[..., :, None] * rows[..., None, :]).reshape(n_el, nq, l_t * l_t)
+        weighted = (facets.line_weights[:, None] * eta).reshape(n_el, nq, -1)
+        local = np.matmul(products.transpose(0, 2, 1), weighted)  # (n_el, l_t l_t, lines)
+        block = blocks[c][c]
+        p_t, w_t = pattern.bands[c][c][a]  # the tangential band: y for a = 0
+        r_t = block.shape[2 * a]
+        tangential = np.zeros((r_t, w_t, local.shape[-1]))
+        _fold(tangential, local.reshape(n_el, l_t, l_t, -1), p_t)
+        tangential = tangential.reshape(r_t * w_t, -1)
+        out = block.reshape(block.shape[0] * block.shape[1], -1)
+        if a == 0:  # (R_y W_y, R_x W_x) = tangential x normal
+            np.matmul(tangential, facets.jump_products, out=out)
+        else:
+            np.matmul(facets.jump_products.T, tangential.T, out=out)
+    return pattern.csr(pattern.gather(flat))
 
 
 def skeleton_residual(

@@ -321,27 +321,17 @@ class ElementTables:
         self.points_1d, self.weights_1d = zip(
             *(quad_points_1d(kv, npts) for kv in (pair.q.kv_x, pair.q.kv_y))
         )
-        self.rows, self._first, self.colloc = [], [], []
+        self.rows, self.colloc = [], []
         for space in pair.velocity_spaces:
             kvs = space.kv_x, space.kv_y
             rows, first = zip(*(element_basis_1d(kv, rule.points, 1) for kv in kvs))
             self.rows.append(rows)
-            self._first.append(first)
             self.colloc.append(
                 [
                     _dense_rows(f[:, None], r.transpose(2, 0, 1, 3), n).reshape(2, -1, n)
                     for r, f, n in zip(rows, first, (space.n_x, space.n_y))
                 ]
             )
-
-    def dofs(self, comp: int) -> tuple[np.ndarray, np.ndarray]:
-        """(ix, iy): the 1-D indices of component comp's functions on each
-        element along x, (n_x_el, px + 1), and along y, (n_y_el, py + 1);
-        function (ly, lx) of element (ey, ex) is DOF iy[ey, ly] n_x + ix[ex, lx]."""
-        return tuple(
-            first[:, None] + np.arange(rows.shape[-1])
-            for first, rows in zip(self._first[comp], self.rows[comp])
-        )
 
 
 def per_pair(build):

@@ -257,6 +257,30 @@ def test_convergence_four_row_sweep(tmp_path):
         assert not math.isnan(row[2]) and not math.isnan(row[4])
 
 
+def test_convergence_orders_use_the_mesh_ratio(tmp_path):
+    # 4, 6, 8 is not a doubling list: the orders divide by log2(n / n_prev),
+    # so they read the k' = 1 rates (about 2 in L2, 1 in H1), not 1.09 and 0.78
+    assert main(["--command", "convergence", "--kprime", "1", "--mesh", "4,6,8",
+                 "--out", str(tmp_path)]) == 0
+    _, rows = _read_csv(tmp_path / "convergence.csv")
+    (_, l2a, _, h1a, _), (_, l2b, order_b, h1b, h1_order_b), (_, l2c, order_c, h1c, _) = rows
+    assert order_b == pytest.approx(math.log(l2a / l2b) / math.log(6 / 4), rel=1e-12)
+    assert order_c == pytest.approx(math.log(l2b / l2c) / math.log(8 / 6), rel=1e-12)
+    assert h1_order_b == pytest.approx(math.log(h1a / h1b) / math.log(6 / 4), rel=1e-12)
+    assert 1.8 < order_b < order_c < 2.0
+    assert 0.9 < h1_order_b < 1.0
+
+
+def test_convergence_meshes_must_increase(tmp_path):
+    for mesh in ("8,8", "8,4", "4,8,8"):
+        assert main(["--command", "convergence", "--kprime", "1", "--mesh", mesh,
+                     "--out", str(tmp_path)]) == 2
+        with pytest.raises(ConfigError, match="'mesh'"):
+            parse_config({"command": "convergence", "mesh": mesh})
+    with pytest.raises(ValueError, match="increase"):
+        run_convergence_study(1, meshes=(8, 8))
+
+
 def test_pressure_robustness_default_mesh(tmp_path):
     # defaults: k'=1, 16x16 mesh; the irrotational shift must be invisible
     assert main(["--command", "pressure-robustness", "--out", str(tmp_path)]) == 0

@@ -48,6 +48,7 @@ from util_fields import (
     interior_facet_tables,
     interior_facets,
     interpolate_field,
+    oracle_operator_data,
     quadrature_boundary_operators,
     quadrature_constant_operators,
     quadrature_convection,
@@ -623,14 +624,10 @@ def test_velocity_mass_stores_no_explicit_zeros():
 
 def assert_pattern_matches_sort(pair):
     pattern = forms.JacobianPattern(pair)
-    indptr, indices, blocks = sorted_pattern(pair)
+    indptr, indices, _ = sorted_pattern(pair)
     assert pattern.nnz == len(indices)
     assert np.array_equal(pattern.indptr, indptr)
     assert np.array_equal(pattern.indices, indices)
-    assert len(pattern._blocks) == len(blocks)
-    for got, expect in zip(pattern._blocks, blocks):
-        assert got.dtype == np.intp
-        assert np.array_equal(got, expect)
 
 
 @settings(max_examples=40, deadline=None)
@@ -650,7 +647,9 @@ def test_pattern_matches_sorted_block_keys(k_prime, nx, ny):
 
 
 def test_pattern_build_transient_within_twice_retained():
-    # the positions are written in place, block by block: no sort keys
+    # the pattern keeps its gather index, indices and indptr, one integer an
+    # entry each (no per-entry positions: 23.25 MiB at (3,32)), and builds
+    # them from 1-D bands without sort keys
     pair = make_pair(32, 3)
     forms.facet_tables(pair)
     forms._convection_tables(pair)
@@ -662,14 +661,15 @@ def test_pattern_build_transient_within_twice_retained():
         retained, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert retained >= pattern._blocks[0].base.nbytes + pattern.indices.nbytes
+    assert retained >= pattern._gather.nbytes + pattern.indices.nbytes
+    assert retained <= 3.0 * 2**20
     assert peak <= 2 * retained
 
 
 @pytest.mark.parametrize("kernel", ["convection", "skeleton"])
 def test_newton_kernel_transient_is_outputs_plus_a_few_blocks(kernel):
-    # the local blocks are made and added one at a time, and np.add.at copies
-    # none of the read-only positions: no block list, no joined targets
+    # the operators are summed in one band buffer, a few temporaries at a
+    # time, and gathered into the outputs: no element or facet block list
     pair = make_pair(16, 3)
     params = params_for(pair, 1e-3)
     rng = np.random.default_rng(4)
@@ -685,7 +685,7 @@ def test_newton_kernel_transient_is_outputs_plus_a_few_blocks(kernel):
     else:
         build = lambda v: assemble_skeleton(pair, v, params)
         n_outputs = 1
-        jumps = [f.jump for f in facet_tables(pair).interior]
+        jumps = [interior_facet_tables(pair, axis, 1 - axis).jump for axis in (0, 1)]
         largest = max(max(j.nbytes, len(j) * j.shape[-1] ** 2 * 8) for j in jumps)
     build(u_warm)  # tables and pattern
     gc.collect()
@@ -727,15 +727,35 @@ def test_convection_retains_only_one_dimensional_tables():
 @settings(max_examples=20, deadline=None)
 @given(pair=random_pairs())
 def test_facet_tables_match_facet_by_facet_oracle_bit_for_bit(pair):
-    # only the tangential component's jump table and DOFs are kept
+    # the tangential component's jump on a facet is its tangential
+    # collocation times its line's jump row, and the jump products are each
+    # line's outer product of that row with itself, in band storage
     for facets in facet_tables(pair).interior:
-        c = 1 - facets.axis
-        oracle = interior_facet_tables(pair, facets.axis, c)
-        lines = len(facets.line_jump)  # interior knot lines
-        assert np.array_equal(facets.jump, oracle.jump)
-        assert np.array_equal(facets.dofs + pair.component_offset(c), oracle.dofs)
+        a, c = facets.axis, 1 - facets.axis
+        oracle = interior_facet_tables(pair, a, c)
+        lines, n_n = facets.line_jump.shape  # interior knot lines
+        n_t = facets.tang[c].shape[1]
+        # (lines, T, n_t, n_n), indexed (tangential, normal) like the grid
+        jump = facets.tang[c][None, :, :, None] * facets.line_jump[:, None, None, :]
+        grid = jump if a == 0 else jump.swapaxes(2, 3)  # to (n_y, n_x)
+        dense = grid.reshape(oracle.weights.shape + (n_t * n_n,))
+        local = oracle.dofs - pair.component_offset(c)
+        got = np.take_along_axis(dense, local[:, None, :], axis=2)
+        assert np.array_equal(got, oracle.jump)
+        assert np.count_nonzero(dense) == np.count_nonzero(got)  # none outside the facet's DOFs
         weights = np.tile(facets.line_weights, (lines, 1)).reshape(oracle.weights.shape)
         assert np.array_equal(weights, oracle.weights)
+        n_el = lines + 1  # normal elements
+        p_n, w_n = forms._band(n_el, n_n - n_el, n_n - n_el, widen=True)
+        band = facets.jump_products.reshape(lines, n_n, w_n)
+        rows = np.arange(n_n)[:, None]
+        cols = rows - p_n + np.arange(w_n)
+        inside = (cols >= 0) & (cols < n_n)
+        products = np.zeros((lines, n_n, n_n))
+        products[:, np.broadcast_to(rows, cols.shape)[inside], cols[inside]] = band[:, inside]
+        expect = facets.line_jump[:, :, None] * facets.line_jump[:, None, :]
+        assert np.array_equal(products, expect)
+        assert np.count_nonzero(band) == np.count_nonzero(products)  # none outside the space
 
 
 def test_facet_tables_read_tangential_factors_from_the_element_tables(pair33k2):
@@ -751,8 +771,8 @@ def test_facet_tables_read_tangential_factors_from_the_element_tables(pair33k2):
 
 def test_facet_tables_retain_only_tangential_jump_tables():
     # with the shared k' + 2 point element table built, the facet tables hold
-    # the normal-direction line rows and the tangential component's jump
-    # tables and DOFs (2.3 MiB at (3,32)); the normal component's were 2.2 MiB more
+    # the normal-direction line rows and the tangential component's line
+    # jump products; the per-facet jump tables and DOFs were 2.3 MiB at (3,32)
     pair = make_pair(32, 3)
     forms.element_tables(pair, pair.k_prime + 2)
     gc.collect()
@@ -765,7 +785,7 @@ def test_facet_tables_retain_only_tangential_jump_tables():
     finally:
         tracemalloc.stop()
     assert tables.interior
-    assert retained <= 2.65 * 2**20
+    assert retained <= 0.5 * 2**20
 
 
 @pytest.mark.parametrize("build", [forms.JacobianPattern, forms.FacetTables], ids=lambda b: b.__name__)
@@ -780,18 +800,39 @@ def test_pattern_rejects_interior_multiplicity_above_one(pair33k2, build):
         build(pair)
 
 
-def test_pattern_targets_are_slices_of_one_positions_array(pair33k2):
-    # the scatter targets of the blocks tile one read-only array, in block order
-    pattern = forms.jacobian_pattern(pair33k2)
-    positions = pattern._blocks[0].base
-    assert positions is not None and not positions.flags.writeable
-    start = positions.ctypes.data
-    for block in pattern._blocks:
-        assert block.base is positions
-        assert not block.flags.writeable
-        assert block.ctypes.data == start
-        start += block.nbytes
-    assert start == positions.ctypes.data + positions.nbytes
+@settings(max_examples=30, deadline=None)
+@given(
+    pair=random_pairs(),
+    seed=st.integers(0, 2**16),
+    nu=st.sampled_from([1.0, 1e-2, 1e-4]),
+)
+def test_band_operators_match_oracle_scatter(pair, seed, nu):
+    # every operator summed in band storage and gathered equals the same
+    # terms and element or facet blocks added with np.add.at at the sorted
+    # pattern's positions, to roundoff (the summation order differs)
+    u = np.random.default_rng(seed).standard_normal(pair.n_u)
+    params = StabParams.create(pair.k_prime, nu=nu)
+    pattern = forms.jacobian_pattern(pair)
+    n1, n2 = assemble_convection(pair, u)
+    oracle = oracle_operator_data(pair, u, params)
+    for name, got in (
+        ("K", assemble_viscous_nitsche(pair, params)),
+        ("K without Nitsche terms", assemble_viscous_nitsche(pair, params, nitsche=False)),
+        ("M", pattern.csr(forms._velocity_mass_data(pair))),
+        ("N1", n1),
+        ("N2", n2),
+        ("J", assemble_skeleton(pair, u, params)),
+    ):
+        expect = oracle[name]
+        assert np.array_equal(got.indices, pattern.indices), name
+        assert np.abs(got.data - expect).max() <= 1e-13 * np.abs(expect).max(), name
+    # no 1-D Kronecker factor has a nonzero outside its block's band
+    terms = forms._boundary_terms(pair)
+    masses = [(c, c, s.kv_y.mass, s.kv_x.mass) for c, s in enumerate(pair.velocity_spaces)]
+    for i, j, a_y, a_x in forms._strain_terms(pair) + sum(terms.values(), []) + masses:
+        for a, (p, w) in zip((a_y, a_x), pattern.bands[i][j]):
+            rows, cols = np.nonzero(a)
+            assert np.all((cols - rows + p >= 0) & (cols - rows + p < w))
 
 
 @settings(max_examples=30, deadline=None)

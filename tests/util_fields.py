@@ -158,9 +158,11 @@ def quadrature_divergence(pair: DivConformingPair) -> sp.csr_matrix:
 def sorted_pattern(pair: DivConformingPair):
     """Oracle Jacobian pattern: one `np.unique` over every local-block key.
 
-    The blocks are those of `forms.JacobianPattern`, in its order, and so are
-    their entries: (ey, ly, my, ex, lx, mx) in the element blocks, (facet,
-    row, column) in the facet blocks. Returns (indptr, indices, positions),
+    The blocks are the element blocks of the velocity component pairs (i,
+    j) = (0, 0), (1, 1), (0, 1) and (1, 0), entries in (ey, ly, my, ex, lx,
+    mx) order, and the tangential component's interior-facet blocks
+    (`interior_facet_tables`) on the facets normal to x and to y, entries in
+    (facet, row, column) order. Returns (indptr, indices, positions),
     positions[b] the CSR data position of each entry of block b.
     """
     tab = element_quadrature(pair, pair.k_prime + 2)
@@ -174,9 +176,8 @@ def sorted_pattern(pair: DivConformingPair):
         (factored[i][:, :, None, :, :, None], factored[j][:, None, :, :, None, :])
         for i, j in ((0, 0), (1, 1), (0, 1), (1, 0))
     ]
-    for f in forms.facet_tables(pair).interior:
-        c = 1 - f.axis  # the tangential component
-        dofs = f.dofs + pair.component_offset(c)
+    for axis in (0, 1):
+        dofs = interior_facet_tables(pair, axis, 1 - axis).dofs  # the tangential component's
         blocks.append((dofs[:, :, None], dofs[:, None, :]))
     n = pair.n_u
     keys = [(r.astype(np.int64) * n + c).ravel() for r, c in blocks]
@@ -184,6 +185,83 @@ def sorted_pattern(pair: DivConformingPair):
     ends = np.cumsum([len(k) for k in keys])
     indptr = np.searchsorted(unique // n, np.arange(n + 1))
     return indptr, unique % n, np.split(inverse, ends[:-1])
+
+
+def scatter_oracle(pair: DivConformingPair, blocks=(), terms=()) -> np.ndarray:
+    """Oracle data array on the Jacobian pattern, by `np.add.at` onto the
+    positions of `sorted_pattern`.
+
+    blocks holds (b, local), local block b's values in its entry order;
+    terms holds Kronecker terms (i, j, a_y, a_x) as in
+    `forms.JacobianPattern.kron_data`, each nonzero of kron(a_y, a_x) found
+    in the sorted (row, column) keys.
+    """
+    indptr, indices, positions = sorted_pattern(pair)
+    n = pair.n_u
+    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n + indices
+    out = np.zeros(len(indices))
+    for b, local in blocks:
+        np.add.at(out, positions[b], local.ravel())
+    for i, j, a_y, a_x in terms:
+        block = sp.coo_matrix(np.kron(a_y, a_x))
+        rows = block.row.astype(np.int64) + pair.component_offset(i)
+        at = np.searchsorted(keys, rows * n + block.col + pair.component_offset(j))
+        assert np.array_equal(keys[at], rows * n + block.col + pair.component_offset(j))
+        np.add.at(out, at, block.data)
+    return out
+
+
+def sum_factorized_blocks(tab, w: np.ndarray, j: int, i: int, c: int) -> np.ndarray:
+    """Oracle element blocks of -int w (d_c phi_a) phi_b, phi_a of component
+    j and phi_b of component i, w on the 1-D tables' tensor grid of points,
+    in `sorted_pattern`'s element-block order (ey, ly, my, ex, lx, mx): the
+    x points contracted first, then the y points, each one batched matmul."""
+    (xa, ya), (xb, yb) = tab.rows[j], tab.rows[i]
+    (nx, nq, _, lx), (ny, _, _, ly) = xa.shape, ya.shape
+    mx, my = xb.shape[-1], yb.shape[-1]
+    w_x = tab.weights_1d[0].reshape(nx, nq, 1, 1)
+    w_y = -tab.weights_1d[1].reshape(ny, nq, 1, 1)
+    p_x = (w_x * xa[:, :, 1 - c, :, None] * xb[:, :, 0, None, :]).reshape(nx, nq, lx * mx)
+    p_y = (w_y * ya[:, :, c, :, None] * yb[:, :, 0, None, :]).reshape(ny, nq, ly * my)
+    t = np.matmul(p_x.transpose(0, 2, 1), w.T.reshape(nx, nq, ny * nq))  # (nx, lx mx, ny nq)
+    return np.matmul(p_y.transpose(0, 2, 1), t.reshape(nx * lx * mx, ny, nq).transpose(1, 2, 0))
+
+
+def oracle_operator_data(pair: DivConformingPair, u: np.ndarray, params) -> dict:
+    """Data arrays of K (with and without Nitsche terms), M, N1, N2 and J at
+    u by `scatter_oracle`: the Kronecker terms of `forms._strain_terms`,
+    `forms._boundary_terms` and the 1-D masses; `sum_factorized_blocks` for
+    N1 and N2; J's facet blocks from `interior_facet_tables` weighted by
+    `forms.facet_eta_values`."""
+    nu = params.nu
+    strain = [(i, j, nu * a_y, a_x) for i, j, a_y, a_x in forms._strain_terms(pair)]
+    bnd = forms._boundary_terms(pair)
+    coef = 2.0 * nu * params.c_nit / pair.mesh.h
+    g = [(i, j, -nu * a_y, a_x) for i, j, a_y, a_x in bnd["G"]]
+    nitsche = (
+        g + [(j, i, a_y.T, a_x.T) for i, j, a_y, a_x in g]
+        + [(i, j, coef * a_y, a_x) for i, j, a_y, a_x in bnd["P_h"]]
+    )
+    masses = [(c, c, s.kv_y.mass, s.kv_x.mass) for c, s in enumerate(pair.velocity_spaces)]
+    tab = forms._convection_tables(pair)
+    w = forms._convection_values(pair, u)
+    n2 = [(j, sum_factorized_blocks(tab, w[j], j, j, j)) for j in (0, 1)]
+    n1 = [(j, local + sum_factorized_blocks(tab, w[1 - j], j, j, 1 - j)) for j, local in n2]
+    for b, (j, i) in ((2, (0, 1)), (3, (1, 0))):
+        n2.append((b, sum_factorized_blocks(tab, w[j], j, i, i)))
+    j_blocks = []
+    for axis, eta in enumerate(forms.facet_eta_values(pair, u, params)):
+        t = interior_facet_tables(pair, axis, 1 - axis)
+        weighted = t.weights * eta.T.reshape(t.weights.shape)  # lines to facets
+        j_blocks.append((4 + axis, np.einsum("fq,fqa,fqb->fab", weighted, t.jump, t.jump)))
+    return {
+        "K": scatter_oracle(pair, terms=strain + nitsche),
+        "K without Nitsche terms": scatter_oracle(pair, terms=strain),
+        "M": scatter_oracle(pair, terms=masses),
+        "N1": scatter_oracle(pair, blocks=n1),
+        "N2": scatter_oracle(pair, blocks=n2),
+        "J": scatter_oracle(pair, blocks=j_blocks),
+    }
 
 
 def _assembled(pair: DivConformingPair, blocks) -> sp.csr_matrix:
