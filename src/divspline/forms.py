@@ -42,11 +42,15 @@ Every velocity operator is a data array on the pair's one sparsity
 pattern, a `JacobianPattern`, summed in its band storage by slices and
 outer products (a Kronecker term as the outer product of its factors' 1-D
 band storages) and gathered into the data array once. K with its Nitsche
-terms is arithmetic on those arrays, and the solver forms each Jacobian by
-adding data arrays and building one CSR. Every CSR on the pattern shares
-its read-only indices, and the memoized data arrays of K's strain part and
-of M are read-only too, so no caller can change an operator that later
-operators on the pair reuse.
+terms is arithmetic on those arrays. The solver's Newton matrix is A =
+C^T J C on the streamfunction (`StreamfunctionPattern`): the Newton path
+sums N1 + N2 + J into one band buffer (`assemble_convection` and
+`assemble_skeleton` with out) and reduces it to A's data without gathering
+J, and the constant parts are Kronecker terms reduced to 1-D
+(`streamfunction_terms`). Every CSR on a pattern shares its read-only
+indices, and the memoized data arrays of K's strain part and of M are
+read-only too, so no caller can change an operator that later operators
+on the pair reuse.
 
 Residuals need no matrices, and the per-state kernels work on dense 1-D
 factors of the tensor-product spaces instead of element tables:
@@ -56,11 +60,11 @@ velocity component at the convection points (`element_tables`), and
 and tangential collocation on the interior knot lines (`FacetTables`); each
 writes its components' slices of the output, with no gather and no scatter.
 The solver's line search and the energy diagnostics use only these; the
-matrices are built only for a Newton step's Jacobian. The iterate-dependent
-values a residual and a Jacobian share (eta on the facet lines, w on the
-grid of convection points) are kept per pair for the last state they were
-computed at, so the Jacobian at a state whose residual was just evaluated
-recomputes neither.
+operators are assembled only for a Newton step's linearization. The
+iterate-dependent values a residual and a Jacobian share (eta on the facet
+lines, w on the grid of convection points) are kept per pair for the last
+state they were computed at, so the Jacobian at a state whose residual was
+just evaluated recomputes neither.
 """
 from __future__ import annotations
 
@@ -70,11 +74,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bspline import _dense_rows, collocation_matrix, gram_matrix
 from .space import (
     DivConformingPair,
     StateVector,
+    curl_factors,
     element_basis_1d,
     element_tables,
     mass_matrix_1d,
@@ -95,6 +101,8 @@ __all__ = [
     "assemble_strain",
     "facet_tables",
     "jacobian_pattern",
+    "streamfunction_pattern",
+    "streamfunction_terms",
     "convection_quad_points",
 ]
 
@@ -185,18 +193,41 @@ def _banded(a: np.ndarray, p: int, w: int) -> np.ndarray:
     """Band storage (rows, w) of a dense 1-D matrix a in the band (p, w) of
     `_band`: entry [r, d] is a[r, r - p + d], zero where that column is
     outside a. Nonzeros of a outside the band are dropped."""
-    rows = np.arange(len(a))[:, None]
-    return np.pad(a, ((0, 0), (p, w)))[rows, rows + np.arange(w)]
+    n, m = a.shape
+    padded = np.zeros((n, m + p + w))
+    padded[:, p : p + m] = a
+    rows = np.arange(n)[:, None]
+    return padded[rows, rows + np.arange(w)]
+
+
+def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each run of consecutive True entries of a 1-D mask."""
+    padded = np.zeros(len(mask) + 2, dtype=bool)
+    padded[1:-1] = mask
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    return list(zip(edges[::2], edges[1::2]))
 
 
 def _row_runs(band: np.ndarray) -> list[slice]:
     """The runs of consecutive rows of band that hold a nonzero: one for a
     Gram matrix, one at each end for a boundary term's normal factor."""
-    edges = np.flatnonzero(np.diff(np.concatenate([[0], band.any(axis=1), [0]]).astype(int)))
-    return [slice(a, b) for a, b in zip(edges[::2], edges[1::2])]
+    return [slice(a, b) for a, b in _runs(band.any(axis=1))]
 
 
 _GATHER_CHUNK = 8192
+
+
+def _gather(flat: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = flat[index] for an int32 index, written into out.
+
+    np.take casts an index that is not intp to an intp copy, so the index is
+    taken in chunks of _GATHER_CHUNK, each cast copy 64 KiB; mode "clip"
+    (every position is in range) lets it write to out unbuffered.
+    """
+    for s in range(0, len(index), _GATHER_CHUNK):
+        chunk = slice(s, s + _GATHER_CHUNK)
+        np.take(flat, index[chunk], out=out[chunk], mode="clip")
+    return out
 
 
 class JacobianPattern:
@@ -233,6 +264,7 @@ class JacobianPattern:
         if any(kv.n_basis != kv.n_elements + kv.degree for kv in knot_vectors):
             raise ValueError("JacobianPattern requires interior knot multiplicity 1")
         kvs = [(s.kv_y, s.kv_x) for s in spaces]  # buffer order: y, then x
+        self._grids = [(s.n_y, s.n_x) for s in spaces]
         self.bands = [
             [
                 tuple(
@@ -309,35 +341,57 @@ class JacobianPattern:
         return flat, blocks
 
     def gather(self, flat: np.ndarray) -> np.ndarray:
-        """The data array of a band buffer: its stored entries in CSR order.
-
-        np.take casts an index that is not intp to an intp copy, so the index
-        is taken in chunks of _GATHER_CHUNK, each cast copy 64 KiB; mode
-        "clip" (every position is in range) lets it write to out unbuffered.
-        """
-        out = np.empty(self.nnz)
-        for s in range(0, self.nnz, _GATHER_CHUNK):
-            chunk = slice(s, s + _GATHER_CHUNK)
-            np.take(flat, self._gather[chunk], out=out[chunk], mode="clip")
-        return out
+        """The data array of a band buffer: its stored entries in CSR order."""
+        return _gather(flat, self._gather, np.empty(self.nnz))
 
     def kron_data(self, terms, out: np.ndarray | None = None) -> np.ndarray:
         """Data array of the Kronecker terms (i, j, a_y, a_x), each the block
         kron(a_y, a_x) of rows of component i and columns of component j, a_y
         and a_x dense 1-D matrices with their nonzeros in the block's bands:
-        the outer product of their band storages, added into the buffer;
-        added into out when given."""
+        the outer product of their band storages, added into the buffer on
+        the runs of rows where both factors hold a nonzero (`_row_runs`).
+        Without out the buffer is gathered whole. Given out, the buffer is
+        added into it on the rows the terms reach alone, one slice of the
+        data array per run of consecutive CSR rows: a boundary term reaches
+        a frame of rows two wide."""
         flat, blocks = self.buffer()
+        reached = [np.zeros(grid, dtype=bool) for grid in self._grids]
         for i, j, a_y, a_x in terms:
             (p_y, w_y), (p_x, w_x) = self.bands[i][j]
             b_y, b_x = _banded(a_y, p_y, w_y), _banded(a_x, p_x, w_x)
             for s_y in _row_runs(b_y):
                 for s_x in _row_runs(b_x):
                     blocks[i][j][s_y, :, s_x] += np.multiply.outer(b_y[s_y], b_x[s_x])
-        data = self.gather(flat)
+                    reached[i][s_y, s_x] = True
         if out is None:
-            return data
-        out += data
+            return self.gather(flat)
+        for start, stop in _runs(np.concatenate([r.ravel() for r in reached])):
+            lo, hi = self.indptr[start], self.indptr[stop]
+            out[lo:hi] += _gather(flat, self._gather[lo:hi], np.empty(hi - lo))
+        return out
+
+    def product(self, blocks: list[list[np.ndarray]], v: np.ndarray) -> np.ndarray:
+        """J v for the operator J held in the band buffer's blocks.
+
+        Row (r_y, r_x) of block (i, j) meets the (W_y, W_x) window of
+        component j's coefficient grid at (r_y - P_y, r_x - P_x), so each
+        block is one contraction with the sliding windows of the zero-padded
+        grid; the entries outside the space are zero in the buffer.
+        """
+        out = np.zeros(self.shape[0])
+        (r_0y, r_0x), _ = self._grids
+        starts = (0, r_0y * r_0x)
+        for i in (0, 1):
+            r_y, r_x = self._grids[i]
+            out_i = out[starts[i] : starts[i] + r_y * r_x].reshape(r_y, r_x)
+            for j in (0, 1):
+                (p_y, w_y), (p_x, w_x) = self.bands[i][j]
+                n_y, n_x = self._grids[j]
+                grid = v[starts[j] : starts[j] + n_y * n_x].reshape(n_y, n_x)
+                padded = np.zeros((max(r_y + w_y - 1, p_y + n_y), max(r_x + w_x - 1, p_x + n_x)))
+                padded[p_y : p_y + n_y, p_x : p_x + n_x] = grid
+                windows = sliding_window_view(padded, (w_y, w_x))[:r_y, :r_x]
+                out_i += np.einsum("ydxe,yxde->yx", blocks[i][j], windows)
         return out
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
@@ -346,6 +400,166 @@ class JacobianPattern:
 
 
 jacobian_pattern = per_pair(JacobianPattern)
+
+
+def streamfunction_terms(pair: DivConformingPair, terms) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The 1-D factors (Y_i^T a_y Y_j, X_i^T a_x X_j) of C_i^T kron(a_y, a_x) C_j
+    for each Kronecker term (i, j, a_y, a_x) of a velocity operator (see
+    `JacobianPattern.kron_data`), C_c = Y_c (x) X_c the `curl_factors`."""
+    factors = curl_factors(pair)
+    return [
+        tuple(f_i.T @ a @ f_j for f_i, a, f_j in zip(factors[i], (a_y, a_x), factors[j]))
+        for i, j, a_y, a_x in terms
+    ]
+
+
+def _shifts(factor: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(s, diagonal) for each s with factor[a + s, a] nonzero for some a:
+    diagonal[a] = factor[a + s, a], zero past the factor's last row."""
+    n_rows, n = factor.shape
+    out = []
+    for s in range(n_rows - n + 1):
+        diagonal = np.zeros(n)
+        m = min(n, n_rows - s)
+        diagonal[:m] = factor[np.arange(m) + s, np.arange(m)]
+        if diagonal.any():
+            out.append((s, diagonal))
+    return out
+
+
+def _reduction_matrix(band, psi_band, y_i: np.ndarray, y_j: np.ndarray) -> sp.csr_matrix:
+    """The matrix taking the flat band storage (R W) of a 1-D operator B in
+    band = (P, W) to that of Y_i^T B Y_j, (N' W') in psi_band = (P', W'):
+
+        (Y_i^T B Y_j)[a, e] = sum_(s, t) w_st[a, e] B[a + s, e + P - P' + t - s],
+
+    w_st[a, e] = Y_i[a + s, a] Y_j[b + t, b], b = a - P' + e, for the at
+    most two shifts s of Y_i's columns and two t of Y_j's (`_shifts`); zero
+    weights, where b or the source entry is outside its range, are left out."""
+    (p, w), (p_psi, w_psi) = band, psi_band
+    n_rows, n = y_i.shape
+    a, e = np.arange(n)[:, None], np.arange(w_psi)
+    b = a - p_psi + e
+    rows, cols, values = [], [], []
+    for s, diagonal_i in _shifts(y_i):
+        for t, diagonal_j in _shifts(y_j):
+            d = e + p - p_psi + t - s
+            weight = diagonal_i[:, None] * np.where((b >= 0) & (b < n), diagonal_j[b % n], 0.0)
+            weight[:, (d < 0) | (d >= w)] = 0.0
+            a_nz, e_nz = np.nonzero(weight)
+            rows.append(a_nz * w_psi + e_nz)
+            cols.append((a_nz + s) * w + d[e_nz])
+            values.append(weight[a_nz, e_nz])
+    return sp.csr_matrix(
+        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n * w_psi, n_rows * w),
+    )
+
+
+class StreamfunctionPattern:
+    """The CSR pattern of A = C^T J C on the interior streamfunction
+    coefficients, and the reduction of a `JacobianPattern` band buffer to A.
+
+    C's component blocks are C_c = Y_c (x) X_c (`curl_factors`), so block
+    (i, j) of A is the 1-D reduction of block (i, j) of J along y, by Y_i and
+    Y_j, and then along x, by X_i and X_j. Along one axis, with the block's
+    velocity band (P, W) and the psi band (P', W'), the reduction of the
+    band storage is a fixed sparse matrix with at most four entries a row
+    (`_reduction_matrix`: column a of each factor holds its nonzeros at rows
+    a and a + 1). So a block, stored (R_y W_y, R_x W_x), is reduced by one
+    sparse product along y, a transpose, and one sparse product along x,
+    giving its part of the psi band in x-major storage (N_x', W_x', N_y',
+    W_y'): entry (a_x, e_x, a_y, e_y) couples row (a_y, a_x) with column
+    (a_y - P_y' + e_y, a_x - P_x' + e_x). The psi bands, bands = ((P_y',
+    W_y'), (P_x', W_x')), are the unions of the blocks' reduced bands: W' =
+    7, 9, 11 at k' = 1, 2, 3.
+
+    The in-range band holds more entries than C^T J C: `indices` and
+    `indptr` are those of the structural product |C|^T |J| |C|, built once,
+    and `gather` takes A's data from the band by one int32 index. All three
+    are read-only and shared by every matrix `csr` builds.
+    """
+
+    def __init__(self, pair: DivConformingPair):
+        velocity = jacobian_pattern(pair)
+        factors = curl_factors(pair)
+        n_y, n_x = factors[0][0].shape[1], factors[0][1].shape[1]
+        self.shape = (n_y * n_x, n_y * n_x)
+        blocks = [(i, j) for i in (0, 1) for j in (0, 1)]
+        self.bands = []
+        for axis in (0, 1):
+            low = high = 0
+            for i, j in blocks:
+                p, w = velocity.bands[i][j][axis]
+                for s, _ in _shifts(factors[i][axis]):
+                    for t, _ in _shifts(factors[j][axis]):
+                        low, high = max(low, p + t - s), max(high, w - 1 - p + s - t)
+            self.bands.append((low, low + high + 1))
+        (p_y, w_y), (p_x, w_x) = self.bands
+        self._band_shape = (n_x, w_x, n_y, w_y)
+        self._reductions = [
+            (i, j) + tuple(
+                _reduction_matrix(
+                    velocity.bands[i][j][axis], self.bands[axis], factors[i][axis], factors[j][axis]
+                )
+                for axis in (0, 1)
+            )
+            for i, j in blocks
+        ]
+        # the structural product, every entry positive
+        curl = abs(pair.curl)
+        product = (curl.T @ velocity.csr(np.ones(velocity.nnz)) @ curl).tocsr()
+        product.sort_indices()
+        self.indptr = _read_only(product.indptr.astype(np.int32))
+        self.indices = _read_only(product.indices.astype(np.int32))
+        self.nnz = len(self.indices)
+        rows = np.repeat(np.arange(self.shape[0], dtype=np.int32), np.diff(self.indptr))
+        (a_y, a_x), (b_y, b_x) = (np.divmod(k, n_x) for k in (rows, self.indices))
+        e_y, e_x = b_y - a_y + p_y, b_x - a_x + p_x
+        if not np.all((e_y >= 0) & (e_y < w_y) & (e_x >= 0) & (e_x < w_x)):
+            raise AssertionError("C^T J C reaches outside the psi band")
+        self._gather = _read_only(((a_x * w_x + e_x) * n_y + a_y) * w_y + e_y)
+
+    def gather(self, flat: np.ndarray) -> np.ndarray:
+        """A's data array from a flat psi band: its entries in CSR order."""
+        return _gather(flat, self._gather, np.empty(self.nnz))
+
+    def reduce(self, blocks: list[list[np.ndarray]]) -> np.ndarray:
+        """The data array of C^T J C, J in a `JacobianPattern` buffer's blocks.
+
+        The blocks' parts are summed into the first one; at most a part, the
+        transposed y product and the sum are held at once."""
+        band = None
+        for i, j, along_y, along_x in self._reductions:
+            block = blocks[i][j]
+            r_y, w_y, r_x, w_x = block.shape
+            part = along_x @ np.ascontiguousarray((along_y @ block.reshape(r_y * w_y, r_x * w_x)).T)
+            if band is None:
+                band = part
+            else:
+                band += part
+            del part
+        return self.gather(band.ravel())
+
+    def kron_data(self, terms) -> np.ndarray:
+        """Data array of the Kronecker terms (a_y, a_x) on the psi pattern,
+        each in the psi band (`streamfunction_terms`): the outer products of
+        their band storages on the runs of rows that hold a nonzero."""
+        band = np.zeros(self._band_shape)
+        (p_y, w_y), (p_x, w_x) = self.bands
+        for a_y, a_x in terms:
+            b_y, b_x = _banded(a_y, p_y, w_y), _banded(a_x, p_x, w_x)
+            for s_x in _row_runs(b_x):
+                for s_y in _row_runs(b_y):
+                    band[s_x, :, s_y] += np.multiply.outer(b_x[s_x], b_y[s_y])
+        return self.gather(band.ravel())
+
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        """The matrix with the given data array on this pattern's shared indices."""
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
+streamfunction_pattern = per_pair(StreamfunctionPattern)
 
 
 def _strain_terms(pair: DivConformingPair) -> list:
@@ -483,6 +697,26 @@ def _boundary_terms(pair: DivConformingPair) -> dict[str, list]:
     return terms
 
 
+def _nitsche_terms(pair: DivConformingPair, params: StabParams) -> list:
+    """Kronecker terms (i, j, a_y, a_x) of K's boundary part, -nu (G + G^T)
+    + (2 nu C_nit / h) P_h (`_boundary_terms`)."""
+    terms = _boundary_terms(pair)
+    coef = 2.0 * params.nu * params.c_nit / pair.mesh.h
+    g = [(i, j, -params.nu * a_y, a_x) for i, j, a_y, a_x in terms["G"]]
+    return (
+        g
+        + [(j, i, a_y.T, a_x.T) for i, j, a_y, a_x in g]
+        + [(i, j, coef * a_y, a_x) for i, j, a_y, a_x in terms["P_h"]]
+    )
+
+
+def _viscous_terms(pair: DivConformingPair, params: StabParams, nitsche: bool) -> list:
+    """Kronecker terms (i, j, a_y, a_x) of K (`assemble_viscous_nitsche`):
+    nu S and, when nitsche is set, the boundary terms."""
+    terms = [(i, j, params.nu * a_y, a_x) for i, j, a_y, a_x in _strain_terms(pair)]
+    return terms + (_nitsche_terms(pair, params) if nitsche else [])
+
+
 def assemble_viscous_nitsche(
     pair: DivConformingPair,
     params: StabParams,
@@ -497,24 +731,18 @@ def assemble_viscous_nitsche(
     tangential traction vanishes). The penalty on each boundary facet is
     2 nu C_nit / h_n, h_n the boundary element's length normal to the facet,
     so small boundary elements keep K coercive on graded meshes. K = nu S -
-    nu (G + G^T) + (2 nu C_nit / h) P_h (`_boundary_terms`) on
-    `jacobian_pattern`; at nu = 1 without Nitsche terms it is the memoized,
-    read-only `assemble_strain` matrix itself.
+    nu (G + G^T) + (2 nu C_nit / h) P_h (`_viscous_terms`) on
+    `jacobian_pattern`: the boundary terms are added into nu S's data on
+    the rows they reach alone (`JacobianPattern.kron_data`). At nu = 1
+    without Nitsche terms it is the memoized, read-only `assemble_strain`
+    matrix itself.
     """
     strain = assemble_strain(pair)
     if params.nu == 1.0 and not nitsche:
         return strain
     data = strain.data * params.nu
     if nitsche:
-        terms = _boundary_terms(pair)
-        coef = 2.0 * params.nu * params.c_nit / pair.mesh.h
-        g = [(i, j, -params.nu * a_y, a_x) for i, j, a_y, a_x in terms["G"]]
-        jacobian_pattern(pair).kron_data(
-            g
-            + [(j, i, a_y.T, a_x.T) for i, j, a_y, a_x in g]
-            + [(i, j, coef * a_y, a_x) for i, j, a_y, a_x in terms["P_h"]],
-            out=data,
-        )
+        jacobian_pattern(pair).kron_data(_nitsche_terms(pair, params), out=data)
     return jacobian_pattern(pair).csr(data)
 
 
@@ -643,8 +871,10 @@ def _sum_factorized(tab, w: np.ndarray, j: int, i: int, c: int, band, out: np.nd
 
 
 def assemble_convection(
-    pair: DivConformingPair, w_state: StateVector | np.ndarray
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    pair: DivConformingPair,
+    w_state: StateVector | np.ndarray,
+    out: list[list[np.ndarray]] | None = None,
+) -> tuple[sp.csr_matrix, sp.csr_matrix] | None:
     """Convection C(w; u, v) = -(w x u, grad v) and its state-derivative block.
 
     Returns (N1, N2) on the pair's `jacobian_pattern`, with N1 u acting as
@@ -655,11 +885,24 @@ def assemble_convection(
     phi_a, phi_b), so its diagonal block j is the i = j term of N1's block
     j, -(w . grad phi_a) phi_b: the buffer gives N2, then, with its
     off-diagonal blocks zeroed and the other terms added, N1.
+
+    Given out, the blocks of a `JacobianPattern.buffer`, N1 + N2 is added
+    into them and nothing is gathered or returned: N2's four blocks with the
+    diagonal ones doubled (by doubled weights, which doubles them exactly),
+    then N1's other terms.
     """
     w_u = w_state.u if isinstance(w_state, StateVector) else w_state
     tab = _convection_tables(pair)
     pattern = jacobian_pattern(pair)
     w = _convection_values(pair, w_u)
+    if out is not None:
+        for j in (0, 1):
+            for i in (0, 1):
+                w_n2 = 2.0 * w[j] if i == j else w[j]
+                _sum_factorized(tab, w_n2, j, i, i, pattern.bands[j][i], out[j][i])
+        for j in (0, 1):
+            _sum_factorized(tab, w[1 - j], j, j, 1 - j, pattern.bands[j][j], out[j][j])
+        return None
     flat, blocks = pattern.buffer()
     for j in (0, 1):
         for i in (0, 1):
@@ -729,8 +972,11 @@ def _facet_eta(
 
 
 def assemble_skeleton(
-    pair: DivConformingPair, w_state: StateVector | np.ndarray, params: StabParams
-) -> sp.csr_matrix:
+    pair: DivConformingPair,
+    w_state: StateVector | np.ndarray,
+    params: StabParams,
+    out: list[list[np.ndarray]] | None = None,
+) -> sp.csr_matrix | None:
     """Skeleton penalty operator J(w) (symmetric positive semidefinite).
 
     Only the tangential component c jumps (see `JacobianPattern`), and on a
@@ -741,14 +987,15 @@ def assemble_skeleton(
     tangential band (`_fold`), giving an (R_t W_t, lines) table; one matmul
     with the lines' fixed jump_products (`FacetTables`) sums the facets
     into block (c, c) of the band buffer. gamma = 0 returns a matrix with
-    no stored entries.
+    no stored entries. Given out, the blocks of a `JacobianPattern.buffer`,
+    J is added into them and nothing is gathered or returned.
     """
     n = pair.n_u
     if params.gamma == 0.0:
-        return sp.csr_matrix((n, n))
+        return None if out is not None else sp.csr_matrix((n, n))
     w_u = w_state.u if isinstance(w_state, StateVector) else w_state
     pattern = jacobian_pattern(pair)
-    flat, blocks = pattern.buffer()
+    flat, blocks = pattern.buffer() if out is None else (None, out)
     for facets, eta in zip(facet_tables(pair).interior, facet_eta_values(pair, w_u, params)):
         a, c = facets.axis, 1 - facets.axis
         rows = facets.tang_rows
@@ -762,12 +1009,16 @@ def assemble_skeleton(
         tangential = np.zeros((r_t, w_t, local.shape[-1]))
         _fold(tangential, local.reshape(n_el, l_t, l_t, -1), p_t)
         tangential = tangential.reshape(r_t * w_t, -1)
-        out = block.reshape(block.shape[0] * block.shape[1], -1)
-        if a == 0:  # (R_y W_y, R_x W_x) = tangential x normal
-            np.matmul(tangential, facets.jump_products, out=out)
+        target = block.reshape(block.shape[0] * block.shape[1], -1)
+        # (R_y W_y, R_x W_x) = tangential x normal
+        factors = (
+            (tangential, facets.jump_products) if a == 0 else (facets.jump_products.T, tangential.T)
+        )
+        if out is None:
+            np.matmul(*factors, out=target)
         else:
-            np.matmul(facets.jump_products.T, tangential.T, out=out)
-    return pattern.csr(pattern.gather(flat))
+            target += np.matmul(*factors)
+    return None if out is not None else pattern.csr(pattern.gather(flat))
 
 
 def skeleton_residual(
@@ -823,12 +1074,10 @@ def assemble_load(
     return rhs
 
 
-@per_pair
-def _velocity_mass_data(pair: DivConformingPair) -> np.ndarray:
-    """Velocity mass M as a data array on the pair's `jacobian_pattern`:
-    kron(M_y, M_x) per component, from the knot vectors' 1-D masses."""
-    terms = [(c, c, s.kv_y.mass, s.kv_x.mass) for c, s in enumerate(pair.velocity_spaces)]
-    return _read_only(jacobian_pattern(pair).kron_data(terms))
+def _mass_terms(pair: DivConformingPair) -> list:
+    """Kronecker terms (c, c, M_y, M_x) of the velocity mass, from the knot
+    vectors' 1-D masses."""
+    return [(c, c, s.kv_y.mass, s.kv_x.mass) for c, s in enumerate(pair.velocity_spaces)]
 
 
 @per_pair
@@ -836,7 +1085,7 @@ def assemble_velocity_mass(pair: DivConformingPair) -> sp.csr_matrix:
     """Block-diagonal velocity mass matrix, kron(M_y, M_x) per component,
     without the pattern's other entries; its arrays are read-only."""
     mass = sp.block_diag(
-        [sp.kron(s.kv_y.mass, s.kv_x.mass, format="csr") for s in pair.velocity_spaces],
+        [sp.kron(m_y, m_x, format="csr") for _, _, m_y, m_x in _mass_terms(pair)],
         format="csr",
     )
     for array in (mass.data, mass.indices, mass.indptr):

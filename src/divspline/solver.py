@@ -9,18 +9,26 @@ correction solves
     C^T J C dpsi = -C^T r,   du = C dpsi,
 
 with J the momentum Jacobian and r the momentum residual over all velocity
-DOFs. J = K + N1 + N2 + J_h (plus c_mass M in a time step) is one CSR on
-the pair's `forms.jacobian_pattern`, on which every term is assembled as a
-data array: the constant terms once, and each linearization adds the data
-arrays of the re-assembled terms. Residuals are formed without matrices
-(forms.convection_residual and forms.skeleton_residual): the initial
-residual, every line-search trial and TimeStepper.initialize evaluate only
-the residual, and Newton builds one Jacobian per step, at the current
-iterate, only once it has decided to take another step. The square matrix
-C^T J C has no pressure block, no mean-constraint border and no normal-DOF
-elimination; the pressure gradient drops out since B C = 0. Strong
-normal-trace Dirichlet conditions (u . n = 0 on the box boundary) hold by
-construction; tangential conditions enter weakly through the operator.
+DOFs. J = K + N1 + N2 + J_h (plus c_mass M in a time step), and only
+A = C^T J C is formed, as a CSR on the pair's `forms.streamfunction_pattern`
+(Evans & Hughes, JCP 241 (2013), on the streamfunction view of
+divergence-conforming B-splines). C's component blocks are Kronecker
+products of 1-D factors, so the constant terms C^T K C and C^T M C are sums
+of Kronecker products of 1-D matrices, formed once; each linearization sums
+N1 + N2 + J_h into one band buffer on the pair's `forms.jacobian_pattern`
+and reduces it to A's data by 1-D sparse products (row-wise formation after
+Calabro, Sangalli & Tani, CMAME 316 (2017)). No velocity Jacobian is
+gathered: the one product with J that Newton needs, J du in the pressure
+recovery, is read from the same buffer. Residuals are formed without
+matrices (forms.convection_residual and forms.skeleton_residual): the
+initial residual, every line-search trial and TimeStepper.initialize
+evaluate only the residual, and Newton builds one linearization per step,
+at the current iterate, only once it has decided to take another step. The
+square matrix A has no pressure block, no mean-constraint border and no
+normal-DOF elimination; the pressure gradient drops out since B C = 0.
+Strong normal-trace Dirichlet conditions (u . n = 0 on the box boundary)
+hold by construction; tangential conditions enter weakly through the
+operator.
 
 The pressure is recovered on the pressure space. B = M_p D, with M_p the
 pressure mass matrix and D = pair.divergence the exact map from u to div u_h
@@ -46,12 +54,12 @@ residual [(r - B^T p)_f, B u, m . p]. Corrections C dpsi keep B u fixed, so
 Newton first removes the divergent part of its starting velocity with the
 same modal solve. The initial L2 projection of a time stepper solves
 C^T M C = K_y (x) M_x + M_y (x) K_x the same way (_streamfunction_mass), so
-the streamfunction Jacobian is the only matrix a run factorizes.
+the streamfunction matrix A is the only matrix a run factorizes.
 
 That factorization goes through this module's spla.splu in SuperLU's
 symmetric mode: the MMD_AT_PLUS_A column ordering (minimum degree on
 A^T + A) and diagonal pivots unless one is below _PIVOT_THRESHOLD of its
-column's largest entry. C^T J C is structurally symmetric, so the ordering
+column's largest entry. A is structurally symmetric, so the ordering
 applies to rows and columns alike and partial pivoting does not undo it; at
 Re=7500 on the 16x16 cavity this roughly halves the fill of the
 streamfunction LU. The pressure modes are computed once per pair.
@@ -63,7 +71,7 @@ TimeStepper shares it across all its steps and each newton_steady call has
 its own (on solve_steady's ladder the next step's predictor uses it last).
 A Newton correction first runs at most _KRYLOV_LIMIT iterations of
 GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986); one restart
-cycle, _gmres) on C^T J C dpsi = -C^T r, with the held LU applied on the
+cycle, _gmres) on A dpsi = -C^T r, with the held LU applied on the
 right. Right preconditioning minimizes the true residual, so the GMRES
 estimate is the quantity checked: once it is at most _KRYLOV_RTOL times
 the right-hand side's norm, the iterate is kept if it is finite, its
@@ -128,7 +136,10 @@ from .forms import (
     convection_residual,
     jacobian_pattern,
     skeleton_residual,
-    _velocity_mass_data,
+    streamfunction_pattern,
+    streamfunction_terms,
+    _mass_terms,
+    _viscous_terms,
 )
 from .space import (
     DivConformingPair,
@@ -496,43 +507,51 @@ def _streamfunction_mass(pair: DivConformingPair) -> _KroneckerSum:
     """C^T M C on the interior streamfunction coefficients, as a Kronecker sum.
 
     u = C psi = (d psi/dy, -d psi/dx) and both velocity masses are tensor
-    products of 1-D masses, so C^T M C = K_y (x) M_x + M_y (x) K_x: M_x is
-    the mass of psi's x knot vector (that of vx) without its two end
-    functions, K_x = D_x'^T M(vy.kv_x) D_x' with D_x' the derivative matrix
-    of psi's x knot vector without its two end columns, and K_y, M_y
-    likewise in y.
+    products of 1-D masses, so C_c^T kron(M_y, M_x) C_c is a Kronecker
+    product of 1-D factors (`streamfunction_terms`) and C^T M C = K_y (x)
+    M_x + M_y (x) K_x: M_x is the mass of psi's x knot vector (that of vx)
+    without its two end functions, K_x = D_x'^T M(vy.kv_x) D_x' with D_x'
+    the derivative matrix of psi's x knot vector without its two end
+    columns, and K_y, M_y likewise in y.
     """
-
-    def factors(kv_psi, kv_derivative):
-        d = derivative_matrix(kv_psi).toarray()[:, 1:-1]
-        return d.T @ kv_derivative.mass @ d, kv_psi.mass[1:-1, 1:-1]
-
-    k_x, m_x = factors(pair.vx.kv_x, pair.vy.kv_x)
-    k_y, m_y = factors(pair.vy.kv_y, pair.vx.kv_y)
+    (k_y, m_x), (m_y, k_x) = streamfunction_terms(pair, _mass_terms(pair))
     return _KroneckerSum(k_y, k_x, m_y, m_x)
 
 
-class _SpatialOperator:
-    """Steady residual and frozen-eta Jacobian over all velocity DOFs.
+class _Linearization(NamedTuple):
+    """A Newton linearization: matrix is A = C^T J C on the pair's
+    `streamfunction_pattern`, and product(v) gives J v for a velocity v."""
 
-    residual(u) assembles no matrix; jacobian(u) builds the CSR. K and the
-    Nitsche load are linear in nu, and the body force does not depend on
-    it, so they are assembled once at nu = 1 (k_unit, dirichlet, body) and
-    scaled by params.nu; at_nu gives the operator at another viscosity on
-    the same arrays. Jacobians live on the pair's `jacobian_pattern`, where
-    K_unit is assembled too: each jacobian call adds the data of N1, N2 and
-    J (add_nonlinear_data) to nu K_unit's and builds one CSR. lagged
-    holds the last streamfunction LU of the Newton solves on this operator
-    (and on stage operators built from it).
+    matrix: sp.csr_matrix
+    product: Callable[[np.ndarray], np.ndarray]
+
+
+class _SpatialOperator:
+    """Steady residual and frozen-eta linearization over all velocity DOFs.
+
+    residual(u) assembles no matrix. K and the Nitsche load are linear in
+    nu, and the body force does not depend on it, so they are assembled once
+    at nu = 1 (k_unit, dirichlet, body) and scaled by params.nu; at_nu gives
+    the operator at another viscosity on the same arrays. k_unit, for the
+    products, stores only K's nonzeros; k_unit_psi is C^T K_unit C as data
+    on the pair's `streamfunction_pattern`, from K's Kronecker terms. Each
+    linearization sums N1 + N2 + J at u into one `JacobianPattern` band
+    buffer (`nonlinear`) and reduces it to the streamfunction, so no
+    velocity Jacobian is gathered. lagged holds the last streamfunction LU
+    of the Newton solves on this operator (and on stage operators built
+    from it).
     """
 
     def __init__(self, problem: FlowProblem):
         pair, unit = problem.pair, problem.params.with_nu(1.0)
         self.pair = pair
         self.convection = problem.convection
-        self.pattern = jacobian_pattern(pair)
-        self.k_unit = assemble_viscous_nitsche(pair, unit, nitsche=problem.nitsche)
-        self.k_unit_data = self.k_unit.data
+        self.psi = streamfunction_pattern(pair)
+        self.k_unit = assemble_viscous_nitsche(pair, unit, nitsche=problem.nitsche).copy()
+        self.k_unit.eliminate_zeros()
+        self.k_unit_psi = self.psi.kron_data(
+            streamfunction_terms(pair, _viscous_terms(pair, unit, problem.nitsche))
+        )
         self.body = assemble_load(pair, unit, f=problem.f, nitsche=False)
         self.dirichlet = assemble_load(
             pair, unit, u_d=problem.u_d, nitsche=problem.nitsche
@@ -559,20 +578,28 @@ class _SpatialOperator:
             r += skeleton_residual(self.pair, u, self.params)
         return r
 
-    def add_nonlinear_data(self, u: np.ndarray, jac_data: np.ndarray) -> None:
-        """Add the data of N1 + N2 + J at u to jac_data (on the pattern)."""
-        if self.convection:
-            n1, n2 = assemble_convection(self.pair, u)
-            jac_data += n1.data
-            jac_data += n2.data
-        if self.params.gamma > 0.0:
-            jac_data += assemble_skeleton(self.pair, u, self.params).data
+    def nonlinear(self, u: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """C^T (N1 + N2 + J) C at u as data on the streamfunction pattern, and
+        the product v -> (N1 + N2 + J) v.
 
-    def jacobian(self, u: np.ndarray) -> sp.csr_matrix:
-        """Frozen-eta Jacobian nu K + N1 + N2 + J of the residual at u."""
-        jac_data = self.params.nu * self.k_unit_data
-        self.add_nonlinear_data(u, jac_data)
-        return self.pattern.csr(jac_data)
+        One band buffer holds N2 (its diagonal blocks doubled), then N1's
+        other terms, then J; the data is reduced from it
+        (`StreamfunctionPattern.reduce`), and the product reads it
+        (`JacobianPattern.product`)."""
+        pattern = jacobian_pattern(self.pair)
+        _, blocks = pattern.buffer()
+        if self.convection:
+            assemble_convection(self.pair, u, out=blocks)
+        if self.params.gamma > 0.0:
+            assemble_skeleton(self.pair, u, self.params, out=blocks)
+        return self.psi.reduce(blocks), lambda v: pattern.product(blocks, v)
+
+    def linearize(self, u: np.ndarray) -> _Linearization:
+        """A = C^T (nu K + N1 + N2 + J) C at u, frozen eta, and J v."""
+        data, product = self.nonlinear(u)
+        data += self.params.nu * self.k_unit_psi
+        nu, k = self.params.nu, self.k_unit
+        return _Linearization(self.psi.csr(data), lambda v: nu * (k @ v) + product(v))
 
     def nu_derivative(self, u: np.ndarray) -> np.ndarray:
         """d residual / d nu at u from the terms linear in nu: K_unit u - dirichlet.
@@ -582,27 +609,39 @@ class _SpatialOperator:
         return self.k_unit @ u - self.dirichlet
 
 
-class _StageOperator:
-    """Generalized-alpha stage residual and Jacobian as functions of u_{n+1}.
+def _mass_coefficient(cfg: TimeConfig) -> float:
+    """c_mass = alpha_m / (gamma_t dt), the mass matrix's weight in the stage."""
+    return cfg.alpha_m / (cfg.gamma_t * cfg.dt)
 
-    mass is the velocity mass matrix for products and mass_data its data
-    array on the spatial operator's pattern; the constant part
-    c_mass M + alpha_f K of the Jacobian data is formed once per step.
+
+class _StageOperator:
+    """Generalized-alpha stage residual and linearization as functions of u_{n+1}.
+
+    mass is the velocity mass matrix, for products, and base the constant
+    part c_mass C^T M C + alpha_f nu C^T K_unit C of the streamfunction
+    matrix as data on its pattern (`stage_base`), formed once per stepper.
     """
 
-    def __init__(self, spatial, mass, mass_data, u_n, udot_n, cfg: TimeConfig):
+    def __init__(self, spatial, mass, base, u_n, udot_n, cfg: TimeConfig):
         self.pair = spatial.pair
         self.spatial = spatial
         self.mass = mass
+        self.base = base
         self.u_n = u_n
         self.alpha_f = cfg.alpha_f
-        self.c_mass = cfg.alpha_m / (cfg.gamma_t * cfg.dt)
-        self.base = (
-            self.c_mass * mass_data
-            + (self.alpha_f * spatial.params.nu) * spatial.k_unit_data
-        )
+        self.c_mass = _mass_coefficient(cfg)
         # M udot_am = c_mass M u_new + M [ (1 - alpha_m/gamma_t) udot_n - c_mass u_n ]
         self.hist = mass @ ((1.0 - cfg.alpha_m / cfg.gamma_t) * udot_n - self.c_mass * u_n)
+
+    @staticmethod
+    def stage_base(spatial: _SpatialOperator, cfg: TimeConfig) -> np.ndarray:
+        """c_mass C^T M C + alpha_f nu C^T K_unit C on the streamfunction
+        pattern, C^T M C from the mass's Kronecker terms."""
+        pair = spatial.pair
+        base = spatial.psi.kron_data(streamfunction_terms(pair, _mass_terms(pair)))
+        base *= _mass_coefficient(cfg)
+        base += (cfg.alpha_f * spatial.params.nu) * spatial.k_unit_psi
+        return base
 
     def _alpha_f_state(self, u_new: np.ndarray) -> np.ndarray:
         return self.u_n + self.alpha_f * (u_new - self.u_n)
@@ -611,12 +650,19 @@ class _StageOperator:
         r_sp = self.spatial.residual(self._alpha_f_state(u_new))
         return self.c_mass * (self.mass @ u_new) + self.hist + r_sp
 
-    def jacobian(self, u_new: np.ndarray) -> sp.csr_matrix:
-        jac_data = np.zeros_like(self.base)
-        self.spatial.add_nonlinear_data(self._alpha_f_state(u_new), jac_data)
-        jac_data *= self.alpha_f
-        jac_data += self.base
-        return self.spatial.pattern.csr(jac_data)
+    def linearize(self, u_new: np.ndarray) -> _Linearization:
+        """A = base + alpha_f C^T (N1 + N2 + J) C at the alpha_f state, and
+        J v = c_mass M v + alpha_f (nu K v + (N1 + N2 + J) v)."""
+        data, product = self.spatial.nonlinear(self._alpha_f_state(u_new))
+        data *= self.alpha_f
+        data += self.base
+        c_mass, mass, alpha_f = self.c_mass, self.mass, self.alpha_f
+        nu, k = self.spatial.params.nu, self.spatial.k_unit
+
+        def apply(v):
+            return c_mass * (mass @ v) + alpha_f * (nu * (k @ v) + product(v))
+
+        return _Linearization(self.spatial.psi.csr(data), apply)
 
 
 def _newton(
@@ -646,9 +692,10 @@ def _newton(
             )
         if it == config.max_iter:
             break
-        jac = op.jacobian(u)
-        du = curl @ lagged.solve(curl_t @ (jac @ curl), -(curl_t @ r_u))
-        dp = ps.pressure(r_u + jac @ du) - p
+        linearization = op.linearize(u)
+        du = curl @ lagged.solve(linearization.matrix, -(curl_t @ r_u))
+        dp = ps.pressure(r_u + linearization.product(du)) - p
+        del linearization
         s = 1.0
         while True:
             u_t = u + s * du
@@ -769,8 +816,9 @@ class TimeStepper:
     acceleration C a solves C^T M C a = -C^T r at t0, and the initial
     pressure is recovered from M udot + r. Each step runs the streamfunction
     Newton on the stage residual, and every step reuses the spatial
-    operator's lagged LU. M is held as a matrix (mass) and as data on the
-    Jacobian pattern (mass_data).
+    operator's lagged LU. M is held as a matrix (mass), for products; the
+    stage's streamfunction matrix starts from a constant part formed once
+    (`_StageOperator.stage_base`).
     """
 
     def __init__(self, problem: FlowProblem, cfg: TimeConfig):
@@ -778,7 +826,7 @@ class TimeStepper:
         self.cfg = cfg
         self.spatial = _SpatialOperator(problem)
         self.mass = assemble_velocity_mass(problem.pair)
-        self.mass_data = _velocity_mass_data(problem.pair)
+        self.stage_base = _StageOperator.stage_base(self.spatial, cfg)
         self.state: StateVector | None = None
         self.udot: np.ndarray | None = None
 
@@ -804,7 +852,7 @@ class TimeStepper:
         cfg = self.cfg
         t_new = self.state.time + cfg.dt
         op = _StageOperator(
-            self.spatial, self.mass, self.mass_data, self.state.u, self.udot, cfg
+            self.spatial, self.mass, self.stage_base, self.state.u, self.udot, cfg
         )
         # same-order predictor: udot is divergence-free with zero normal
         # trace, so the start state satisfies the constraints exactly

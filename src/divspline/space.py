@@ -42,6 +42,7 @@ __all__ = [
     "eval_velocity",
     "classify_boundary_dofs",
     "curl_matrix",
+    "curl_factors",
     "divergence_coefficients",
     "ElementTables",
     "element_basis_1d",
@@ -235,6 +236,24 @@ def classify_boundary_dofs(pair: DivConformingPair) -> NormalBoundaryDofs:
     )
 
 
+def curl_factors(pair: DivConformingPair) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Dense 1-D factors ((Y_0, X_0), (Y_1, X_1)) of the curl map's component
+    blocks, C_c = Y_c (x) X_c (see `curl_matrix`).
+
+    With D_x' the derivative matrix of psi's x knot vector (that of vx)
+    without its two end columns and I_x' the identity without them, and
+    likewise in y, C_0 = D_y' (x) I_x' and C_1 = I_y' (x) (-D_x'). Column a
+    of every factor holds at most two nonzeros, at rows a and a + 1.
+    """
+    factors = []
+    for kv in (pair.vx.kv_x, pair.vy.kv_y):
+        factors.append(
+            (derivative_matrix(kv).toarray()[:, 1:-1], np.eye(kv.n_basis)[:, 1:-1])
+        )
+    (d_x, eye_x), (d_y, eye_y) = factors
+    return (d_y, eye_x), (eye_y, -d_x)
+
+
 def curl_matrix(pair: DivConformingPair) -> sp.csr_matrix:
     """Curl map C from interior streamfunction coefficients to velocity coefficients.
 
@@ -244,16 +263,11 @@ def curl_matrix(pair: DivConformingPair) -> sp.csr_matrix:
     is an exact sequence, hence the columns of C span exactly the discretely
     divergence-free velocities with u . n = 0 on the boundary; the rows of
     the normal-trace DOFs are empty. Columns follow the lexicographic order
-    (iy - 1) * (n_x - 2) + (ix - 1) over interior psi indices.
+    (iy - 1) * (n_x - 2) + (ix - 1) over interior psi indices. Its component
+    blocks are Kronecker products of the `curl_factors`.
     """
-    k = pair.k_prime + 1
-    kv_x = open_knots(k, pair.mesh.unique_knots_x)
-    kv_y = open_knots(k, pair.mesh.unique_knots_y)
-    inner_x = sp.eye(kv_x.n_basis, format="csr")[:, 1:-1]
-    inner_y = sp.eye(kv_y.n_basis, format="csr")[:, 1:-1]
-    c1 = sp.kron(derivative_matrix(kv_y) @ inner_y, inner_x)
-    c2 = -sp.kron(inner_y, derivative_matrix(kv_x) @ inner_x)
-    return sp.vstack([c1, c2], format="csr")
+    blocks = [sp.kron(sp.csr_matrix(y), sp.csr_matrix(x)) for y, x in curl_factors(pair)]
+    return sp.vstack(blocks, format="csr")
 
 
 def quad_points_1d(kv: KnotVector, npts: int) -> tuple[np.ndarray, np.ndarray]:

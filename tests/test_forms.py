@@ -818,7 +818,7 @@ def test_band_operators_match_oracle_scatter(pair, seed, nu):
     for name, got in (
         ("K", assemble_viscous_nitsche(pair, params)),
         ("K without Nitsche terms", assemble_viscous_nitsche(pair, params, nitsche=False)),
-        ("M", pattern.csr(forms._velocity_mass_data(pair))),
+        ("M", pattern.csr(pattern.kron_data(forms._mass_terms(pair)))),
         ("N1", n1),
         ("N2", n2),
         ("J", assemble_skeleton(pair, u, params)),
@@ -828,11 +828,25 @@ def test_band_operators_match_oracle_scatter(pair, seed, nu):
         assert np.abs(got.data - expect).max() <= 1e-13 * np.abs(expect).max(), name
     # no 1-D Kronecker factor has a nonzero outside its block's band
     terms = forms._boundary_terms(pair)
-    masses = [(c, c, s.kv_y.mass, s.kv_x.mass) for c, s in enumerate(pair.velocity_spaces)]
+    masses = forms._mass_terms(pair)
     for i, j, a_y, a_x in forms._strain_terms(pair) + sum(terms.values(), []) + masses:
         for a, (p, w) in zip((a_y, a_x), pattern.bands[i][j]):
             rows, cols = np.nonzero(a)
             assert np.all((cols - rows + p >= 0) & (cols - rows + p < w))
+
+
+@settings(max_examples=20, deadline=None)
+@given(pair=random_pairs(), nu=st.sampled_from([1.0, 1e-2, 1e-4]))
+def test_nitsche_terms_added_on_reached_rows_match_whole_gather(pair, nu):
+    # the boundary terms reach a frame of rows two wide, and K adds only
+    # those rows of their band buffer into nu S's data: the same data as
+    # the whole buffer gathered and added
+    params = StabParams.create(pair.k_prime, nu=nu)
+    pattern = forms.jacobian_pattern(pair)
+    terms = forms._nitsche_terms(pair, params)
+    expect = assemble_strain(pair).data * nu + pattern.kron_data(terms)
+    got = assemble_viscous_nitsche(pair, params)
+    assert np.abs(got.data - expect).max() <= 1e-15 * np.abs(expect).max()
 
 
 @settings(max_examples=30, deadline=None)
@@ -846,6 +860,7 @@ def test_constant_operators_match_quadrature_oracles(pair):
     u_d = lambda x, y: (np.sin(3.0 * x + y), np.cos(x * y))
     s, m, body = quadrature_constant_operators(pair, f)
     g, p, p_h, g_load = quadrature_boundary_operators(pair, params, u_d)
+    pattern = forms.jacobian_pattern(pair)
     coef = 2.0 * params.nu * params.c_nit / pair.mesh.h
     got_g, got_gt, got_p, got_p_h = boundary_unit_matrices(pair)
     for name, got, expect in (
@@ -853,7 +868,7 @@ def test_constant_operators_match_quadrature_oracles(pair):
         ("K", assemble_viscous_nitsche(pair, params), params.nu * (s - g - g.T) + coef * p_h),
         ("K without Nitsche terms", assemble_viscous_nitsche(pair, params, nitsche=False), params.nu * s),
         ("M", assemble_velocity_mass(pair), m),
-        ("M on the pattern", forms.jacobian_pattern(pair).csr(forms._velocity_mass_data(pair)), m),
+        ("M on the pattern", pattern.csr(pattern.kron_data(forms._mass_terms(pair))), m),
         ("G", got_g, g),
         ("G^T", got_gt, g.T),
         ("P", got_p, p),
@@ -903,24 +918,30 @@ def test_per_state_kernels_match_quadrature_oracles(pair, seed, nu):
 
 
 def test_pattern_matrices_share_read_only_indices(pair33k2):
+    # every velocity operator shares the Jacobian pattern's indices, and
+    # every streamfunction matrix those of the streamfunction pattern
     pair = pair33k2
     params = params_for(pair, 0.05)
     u = curl_state(pair, seed=3).u
     n1, n2 = assemble_convection(pair, u)
     op = _SpatialOperator(FlowProblem(pair, params, u_d=lambda x, y: (x, 0 * y)))
-    pattern = forms.jacobian_pattern(pair)
-    matrices = (
-        assemble_strain(pair),
-        assemble_viscous_nitsche(pair, params),
-        n1,
-        n2,
-        assemble_skeleton(pair, u, params),
-        op.jacobian(u),
-    )
-    for mat in matrices:
-        for got, shared in ((mat.indices, pattern.indices), (mat.indptr, pattern.indptr)):
-            assert np.shares_memory(got, shared)
-            assert not got.flags.writeable
+    for pattern, matrices in (
+        (
+            forms.jacobian_pattern(pair),
+            (
+                assemble_strain(pair),
+                assemble_viscous_nitsche(pair, params),
+                n1,
+                n2,
+                assemble_skeleton(pair, u, params),
+            ),
+        ),
+        (forms.streamfunction_pattern(pair), (op.linearize(u).matrix,)),
+    ):
+        for mat in matrices:
+            for got, shared in ((mat.indices, pattern.indices), (mat.indptr, pattern.indptr)):
+                assert np.shares_memory(got, shared)
+                assert not got.flags.writeable
 
 
 def test_shared_operators_reject_in_place_changes():
@@ -934,10 +955,13 @@ def test_shared_operators_reject_in_place_changes():
         strain.eliminate_zeros()
     with pytest.raises(ValueError):
         assemble_viscous_nitsche(pair, params).eliminate_zeros()
-    assert not forms._velocity_mass_data(pair).flags.writeable
+    assert not assemble_velocity_mass(pair).data.flags.writeable
     op = _SpatialOperator(FlowProblem(pair, params, nitsche=False))
     assert np.array_equal(assemble_strain(pair).data, before)
-    # K_unit is assembled at nu = 1: without Nitsche terms it is S itself
-    assert np.array_equal(op.k_unit.data, before)
-    assert np.shares_memory(op.k_unit.data, assemble_strain(pair).data)
-    assert not op.k_unit.data.flags.writeable
+    # K_unit is assembled at nu = 1: without Nitsche terms it is S without
+    # its explicit zeros, in arrays of its own
+    assert np.array_equal(op.k_unit.toarray(), strain.toarray())
+    assert op.k_unit.nnz == np.count_nonzero(before) < strain.nnz
+    assert not np.shares_memory(op.k_unit.data, strain.data)
+    psi = forms.streamfunction_pattern(pair)
+    assert not any(a.flags.writeable for a in (psi.indices, psi.indptr, psi._gather))

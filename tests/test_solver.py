@@ -1,5 +1,7 @@
 """Tests for the streamfunction Newton solve, pressure recovery, and time stepping."""
+import gc
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -184,8 +186,9 @@ class _NeverDecreasingOperator:
     def residual(self, u):
         return (1.0 + np.linalg.norm(u)) * self.g
 
-    def jacobian(self, u):
-        return sp.identity(self.pair.n_u, format="csr")
+    def linearize(self, u):
+        curl = self.pair.curl
+        return solver._Linearization((curl.T @ curl).tocsr(), lambda v: v)
 
 
 def test_newton_counts_line_search_stalls(pair8):
@@ -244,8 +247,10 @@ def _same_pattern(a, b):
     skeleton=st.booleans(),
 )
 def test_fused_jacobian_matches_dense_sum(pair, seed, nitsche, convection, skeleton):
-    # every operator is assembled on the one Jacobian pattern, jacobian adds
-    # their data arrays and residual assembles no matrix; the references sum
+    # one band buffer holds N1 + N2 + J and is reduced to the streamfunction:
+    # A matches curl_t @ (J @ curl) and the product J v matches J @ v for the
+    # J summed from the public assemble_* matrices, for the spatial and the
+    # stage operator; residual assembles no matrix, the reference sums
     # dense arrays
     params = StabParams.create(pair.k_prime, nu=0.05, gamma=None if skeleton else 0.0)
     f = lambda x, y: (np.sin(x + y), x * y)
@@ -253,46 +258,133 @@ def test_fused_jacobian_matches_dense_sum(pair, seed, nitsche, convection, skele
     problem = FlowProblem(pair, params, f=f, u_d=u_d, nitsche=nitsche, convection=convection)
     op = _SpatialOperator(problem)
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal(pair.n_u)
-    r, jac = op.residual(u), op.jacobian(u)
+    u, v = rng.standard_normal(pair.n_u), rng.standard_normal(pair.n_u)
+    curl, curl_t = pair.curl, pair.curl_transpose
+    psi = forms.streamfunction_pattern(pair)
 
-    zero = np.zeros((pair.n_u, pair.n_u))
+    def jacobian(w):
+        jac = assemble_viscous_nitsche(pair, params, nitsche=nitsche)
+        if convection:
+            jac = jac + sum(assemble_convection(pair, w))
+        if skeleton:
+            jac = jac + assemble_skeleton(pair, w, params)
+        return jac
+
+    def assert_matches(linearization, jac):
+        a, expect = linearization.matrix, curl_t @ (jac @ curl)
+        assert _same_pattern(a, psi) and a.nnz == psi.nnz
+        assert abs(a - expect).max() <= 1e-13 * abs(expect).max()
+        jv = jac @ v
+        assert np.abs(linearization.product(v) - jv).max() <= 1e-13 * np.abs(jv).max()
+
+    jac = jacobian(u)
+    assert_matches(op.linearize(u), jac)
+    if not skeleton:
+        assert assemble_skeleton(pair, u, params).nnz == 0
     k = assemble_viscous_nitsche(pair, params, nitsche=nitsche).toarray()
     load = assemble_load(pair, params, f=f, u_d=u_d, nitsche=nitsche)
-    n1, n2 = assemble_convection(pair, u)
-    j = assemble_skeleton(pair, u, params)
-    pattern = forms.jacobian_pattern(pair)
-    for mat in (n1, n2, jac, assemble_viscous_nitsche(pair, params, nitsche=nitsche)):
-        assert _same_pattern(mat, pattern)
-    for terms in forms._boundary_terms(pair).values():
-        assert pattern.kron_data(terms).shape == (pattern.nnz,)
-    if skeleton:
-        assert _same_pattern(j, n1)
-    else:
-        assert j.nnz == 0
-    n1d, n2d = (n1.toarray(), n2.toarray()) if convection else (zero, zero)
-    jd = j.toarray()
-    dense_jac = k + n1d + n2d + jd
-    assert np.abs(jac.toarray() - dense_jac).max() <= 1e-13 * np.abs(dense_jac).max()
-    r_scale = (np.abs(k) + np.abs(n1d) + np.abs(jd)) @ np.abs(u) + np.abs(load)
-    assert np.all(np.abs(r - ((k + n1d + jd) @ u - load)) <= 1e-13 * r_scale.max())
+    n1 = assemble_convection(pair, u)[0].toarray() if convection else 0.0 * k
+    jd = assemble_skeleton(pair, u, params).toarray()
+    r_scale = (np.abs(k) + np.abs(n1) + np.abs(jd)) @ np.abs(u) + np.abs(load)
+    assert np.all(np.abs(op.residual(u) - ((k + n1 + jd) @ u - load)) <= 1e-13 * r_scale.max())
 
     # the stage Jacobian is c_mass M + alpha_f J_sp at the alpha_f state
     cfg = TimeConfig(dt=0.1, t_end=1.0)
     stepper = TimeStepper(problem, cfg)
-    mass, mass_data = stepper.mass, stepper.mass_data
-    assert mass_data.shape == (pattern.nnz,)
-    assert np.array_equal(pattern.csr(mass_data).toarray(), mass.toarray())
+    mass = stepper.mass
     u_n, udot_n, u_new = (rng.standard_normal(pair.n_u) for _ in range(3))
-    stage = _StageOperator(op, mass, mass_data, u_n, udot_n, cfg)
-    r_st, jac_st = stage.residual(u_new), stage.jacobian(u_new)
+    stage = _StageOperator(op, mass, stepper.stage_base, u_n, udot_n, cfg)
     u_af = u_n + cfg.alpha_f * (u_new - u_n)
-    r_sp, jac_sp = op.residual(u_af), op.jacobian(u_af)
-    assert _same_pattern(jac_st, jac_sp)
-    dense_st = stage.c_mass * mass.toarray() + cfg.alpha_f * jac_sp.toarray()
-    assert np.abs(jac_st.toarray() - dense_st).max() <= 1e-13 * np.abs(dense_st).max()
+    assert_matches(stage.linearize(u_new), stage.c_mass * mass + cfg.alpha_f * jacobian(u_af))
+    r_st, r_sp = stage.residual(u_new), op.residual(u_af)
     expect = stage.c_mass * (mass @ u_new) + stage.hist + r_sp
     assert np.abs(r_st - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("n,nnz", [(16, 9_324), (24, 22_572)])
+def test_streamfunction_pattern_is_the_structural_product(n, nnz):
+    # A keeps the pattern of the sparse product C^T J C at a generic state
+    # (SuperLU's ordering sees the same matrix), held in the psi band
+    pair = unit_square_pair(n, 1)
+    psi = forms.streamfunction_pattern(pair)
+    assert psi.nnz == nnz and psi.bands == [(3, 7), (3, 7)]
+    u = curl_state(pair, seed=1).u
+    op = _SpatialOperator(_cavity_problem(pair, 1000.0))
+    jac = assemble_viscous_nitsche(pair, op.params) + sum(assemble_convection(pair, u))
+    jac = jac + assemble_skeleton(pair, u, op.params)
+    expect = pair.curl_transpose @ (jac @ pair.curl)
+    assert expect.nnz == nnz
+    assert _same_pattern(expect.sorted_indices(), psi)
+    for k_prime, width in ((2, 9), (3, 11)):
+        assert forms.streamfunction_pattern(unit_square_pair(4, k_prime)).bands == [(width // 2, width)] * 2
+
+
+def test_k_unit_stores_no_explicit_zeros(pair8):
+    # K on the Jacobian pattern stores zeros where only J reaches; the
+    # operator keeps its nonzeros alone, and the residual does not change
+    problem = _cavity_problem(pair8, 1000.0)
+    op = _SpatialOperator(problem)
+    k = assemble_viscous_nitsche(pair8, problem.params.with_nu(1.0))
+    assert op.k_unit.nnz == np.count_nonzero(op.k_unit.data) == np.count_nonzero(k.data) < k.nnz
+    u = curl_state(pair8, seed=2).u
+    expect = problem.params.nu * (k @ u) - op.load
+    expect += forms.convection_residual(pair8, u) + forms.skeleton_residual(pair8, u, op.params)
+    assert np.abs(op.residual(u) - expect).max() <= 1e-15 * np.abs(expect).max()
+
+
+def test_newton_builds_no_velocity_matrix(monkeypatch):
+    # a Newton iteration reduces the band buffer to A and applies J from it:
+    # no CSR on the Jacobian pattern is built inside _newton
+    built, inside = [], []
+    real_csr, real_newton = forms.JacobianPattern.csr, solver._newton
+
+    def counted_csr(self, data):
+        built.append(bool(inside))
+        return real_csr(self, data)
+
+    def flagged_newton(*args, **kwargs):
+        inside.append(1)
+        try:
+            return real_newton(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(forms.JacobianPattern, "csr", counted_csr)
+    monkeypatch.setattr(solver, "_newton", flagged_newton)
+    _vortex_steps([], n_steps=3)
+    solve_steady(_cavity_problem(unit_square_pair(6, 2), 1000.0), re=1000.0)
+    assert built and not any(built)
+
+
+@pytest.mark.parametrize(
+    "make_pair,bound_mb",
+    [(lambda: taylor_green_pair(24, 1), 1.2), (lambda: unit_square_pair(32, 3), 7.0)],
+    ids=["taylor-green-24-k1", "unit-square-32-k3"],
+)
+def test_stage_linearization_transient(make_pair, bound_mb):
+    # one band buffer for N1 + N2 + J, reduced block by block to the psi
+    # band: the whole linearization, its returned matrix and product
+    # included, peaks at a few velocity-pattern arrays (2.05 and 13.07 MB
+    # with the velocity Jacobian CSR and two sparse products)
+    pair = make_pair()
+    problem = FlowProblem(pair, StabParams.create(pair.k_prime, nu=1e-2), nitsche=False)
+    stepper = TimeStepper(problem, TimeConfig(dt=1e-2, t_end=1e-2))
+    rng = np.random.default_rng(3)
+    u_n, udot_n, u_warm, u = (rng.standard_normal(pair.n_u) for _ in range(4))
+    stage = _StageOperator(stepper.spatial, stepper.mass, stepper.stage_base, u_n, udot_n, stepper.cfg)
+    stage.residual(u_warm)
+    stage.linearize(u_warm)  # tables and patterns
+    stage.residual(u)  # eta and w at the points, as in a Newton iteration
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        linearization = stage.linearize(u)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert linearization.matrix.nnz == forms.streamfunction_pattern(pair).nnz
+    assert peak <= bound_mb * 2**20
 
 
 class _CountingNumpy:
@@ -366,28 +458,31 @@ def test_newton_step_kernels_neither_concatenate_nor_bincount(monkeypatch, k_pri
 @pytest.mark.parametrize("nu", [1.0, 1e-2, 1.0 / 7500.0])
 def test_nu_scaled_operator_matches_assembly(pair8, nu):
     # K and the loads are assembled at nu = 1 and scaled; without convection
-    # and skeleton the Jacobian is K and the residual K u - load
+    # and skeleton the linearization is C^T K C with the product K v, and
+    # the residual K u - load
     f = lambda x, y: (np.sin(x + y), x * y)
     params = StabParams.create(1, nu=0.05, gamma=0.0)
     problem = FlowProblem(pair8, params, f=f, u_d=CavityCase.lid_velocity, convection=False)
     op = _SpatialOperator(problem).at_nu(nu)
     u = np.random.default_rng(7).standard_normal(pair8.n_u)
-    r, jac = op.residual(u), op.jacobian(u)
-    k = assemble_viscous_nitsche(pair8, params.with_nu(nu)).toarray()
+    r, linearization = op.residual(u), op.linearize(u)
+    k = assemble_viscous_nitsche(pair8, params.with_nu(nu))
     load = assemble_load(pair8, params.with_nu(nu), f=f, u_d=CavityCase.lid_velocity)
-    assert np.abs(jac.toarray() - k).max() <= 1e-14 * np.abs(k).max()
+    a = (pair8.curl.T @ k @ pair8.curl).toarray()
+    assert np.abs(linearization.matrix.toarray() - a).max() <= 1e-14 * np.abs(a).max()
+    ku = k @ u
+    assert np.abs(linearization.product(u) - ku).max() <= 1e-14 * np.abs(ku).max()
     assert np.abs(op.load - load).max() <= 1e-14 * np.abs(load).max()
-    scale = (np.abs(k) @ np.abs(u) + np.abs(load)).max()
-    assert np.abs(r - (k @ u - load)).max() <= 1e-14 * scale
+    scale = (abs(k) @ np.abs(u) + np.abs(load)).max()
+    assert np.abs(r - (ku - load)).max() <= 1e-14 * scale
 
 
 # ------------------------------------------------------------- lagged LU
 
 
 def _streamfunction_system(op, u):
-    r, jac = op.residual(u), op.jacobian(u)
-    curl = op.pair.curl
-    return curl.T @ jac @ curl, -(curl.T @ r)
+    r, linearization = op.residual(u), op.linearize(u)
+    return linearization.matrix, -(op.pair.curl.T @ r)
 
 
 def _refined_solve(a: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
@@ -418,7 +513,7 @@ def test_lagged_lu_correction_matches_direct_solve(pair, seed):
     rng = np.random.default_rng(seed)
     u_n, udot_n, u_a, u_b = (rng.standard_normal(pair.n_u) for _ in range(4))
     cfg = TimeConfig(dt=0.01, t_end=1.0)
-    stage = _StageOperator(op, mass, forms._velocity_mass_data(pair), u_n, udot_n, cfg)
+    stage = _StageOperator(op, mass, _StageOperator.stage_base(op, cfg), u_n, udot_n, cfg)
     lagged = _LaggedLU()
     lagged.solve(*_streamfunction_system(stage, u_a))
     a, rhs = _streamfunction_system(stage, u_b)
