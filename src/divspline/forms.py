@@ -38,19 +38,20 @@ products (`FacetTables`) by one matmul; the rational eta factor is only
 approximately integrated. Matrices act on the full velocity DOF vector [Vx
 block; Vy block]; the solver imposes the strong normal trace.
 
-Every velocity operator is a data array on the pair's one sparsity
-pattern, a `JacobianPattern`, summed in its band storage by slices and
-outer products (a Kronecker term as the outer product of its factors' 1-D
-band storages) and gathered into the data array once. K with its Nitsche
-terms is arithmetic on those arrays. The solver's Newton matrix is A =
-C^T J C on the streamfunction (`StreamfunctionPattern`): the Newton path
-sums N1 + N2 + J into one band buffer (`assemble_convection` and
-`assemble_skeleton` with out) and reduces it to A's data without gathering
-J, and the constant parts are Kronecker terms reduced to 1-D
-(`streamfunction_terms`). Every CSR on a pattern shares its read-only
-indices, and the memoized data arrays of K's strain part and of M are
-read-only too, so no caller can change an operator that later operators
-on the pair reuse.
+Every velocity operator is summed in the band storage of the pair's one
+sparsity pattern, a `JacobianPattern`, by slices and outer products (a
+Kronecker term as the outer product of its factors' 1-D band storages,
+`JacobianPattern.kron_buffer`), and a gather makes the buffer a data
+array on the pattern. K with its Nitsche terms is arithmetic on those
+arrays. The solver's Newton matrix is A = C^T J C on the streamfunction
+(`StreamfunctionPattern`), and every operator reaches it through one
+route, `StreamfunctionPattern.reduce` of a band buffer, with no velocity
+data array gathered: the constant parts from the buffers of their
+Kronecker terms, once, and the Newton path from one buffer summing N1 +
+N2 + J (`assemble_convection` and `assemble_skeleton` with out). Every
+CSR on a pattern shares its read-only indices, and the memoized data
+arrays of K's strain part and of M are read-only too, so no caller can
+change an operator that later operators on the pair reuse.
 
 Residuals need no matrices, and the per-state kernels work on dense 1-D
 factors of the tensor-product spaces instead of element tables:
@@ -102,7 +103,6 @@ __all__ = [
     "facet_tables",
     "jacobian_pattern",
     "streamfunction_pattern",
-    "streamfunction_terms",
     "convection_quad_points",
 ]
 
@@ -200,18 +200,13 @@ def _banded(a: np.ndarray, p: int, w: int) -> np.ndarray:
     return padded[rows, rows + np.arange(w)]
 
 
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """(start, stop) of each run of consecutive True entries of a 1-D mask."""
-    padded = np.zeros(len(mask) + 2, dtype=bool)
-    padded[1:-1] = mask
-    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
-    return list(zip(edges[::2], edges[1::2]))
-
-
 def _row_runs(band: np.ndarray) -> list[slice]:
     """The runs of consecutive rows of band that hold a nonzero: one for a
     Gram matrix, one at each end for a boundary term's normal factor."""
-    return [slice(a, b) for a, b in _runs(band.any(axis=1))]
+    padded = np.zeros(len(band) + 2, dtype=bool)
+    padded[1:-1] = band.any(axis=1)
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    return [slice(a, b) for a, b in zip(edges[::2], edges[1::2])]
 
 
 _GATHER_CHUNK = 8192
@@ -344,31 +339,25 @@ class JacobianPattern:
         """The data array of a band buffer: its stored entries in CSR order."""
         return _gather(flat, self._gather, np.empty(self.nnz))
 
-    def kron_data(self, terms, out: np.ndarray | None = None) -> np.ndarray:
-        """Data array of the Kronecker terms (i, j, a_y, a_x), each the block
-        kron(a_y, a_x) of rows of component i and columns of component j, a_y
-        and a_x dense 1-D matrices with their nonzeros in the block's bands:
-        the outer product of their band storages, added into the buffer on
-        the runs of rows where both factors hold a nonzero (`_row_runs`).
-        Without out the buffer is gathered whole. Given out, the buffer is
-        added into it on the rows the terms reach alone, one slice of the
-        data array per run of consecutive CSR rows: a boundary term reaches
-        a frame of rows two wide."""
+    def kron_buffer(self, terms) -> tuple[np.ndarray, list[list[np.ndarray]]]:
+        """A band buffer (`buffer`) holding the Kronecker terms (i, j, a_y,
+        a_x), each the block kron(a_y, a_x) of rows of component i and
+        columns of component j, a_y and a_x dense 1-D matrices with their
+        nonzeros in the block's bands: the outer product of their band
+        storages, added on the runs of rows where both factors hold a
+        nonzero (`_row_runs`)."""
         flat, blocks = self.buffer()
-        reached = [np.zeros(grid, dtype=bool) for grid in self._grids]
         for i, j, a_y, a_x in terms:
             (p_y, w_y), (p_x, w_x) = self.bands[i][j]
             b_y, b_x = _banded(a_y, p_y, w_y), _banded(a_x, p_x, w_x)
             for s_y in _row_runs(b_y):
                 for s_x in _row_runs(b_x):
                     blocks[i][j][s_y, :, s_x] += np.multiply.outer(b_y[s_y], b_x[s_x])
-                    reached[i][s_y, s_x] = True
-        if out is None:
-            return self.gather(flat)
-        for start, stop in _runs(np.concatenate([r.ravel() for r in reached])):
-            lo, hi = self.indptr[start], self.indptr[stop]
-            out[lo:hi] += _gather(flat, self._gather[lo:hi], np.empty(hi - lo))
-        return out
+        return flat, blocks
+
+    def kron_data(self, terms) -> np.ndarray:
+        """The data array of the Kronecker terms (`kron_buffer`)."""
+        return self.gather(self.kron_buffer(terms)[0])
 
     def product(self, blocks: list[list[np.ndarray]], v: np.ndarray) -> np.ndarray:
         """J v for the operator J held in the band buffer's blocks.
@@ -400,17 +389,6 @@ class JacobianPattern:
 
 
 jacobian_pattern = per_pair(JacobianPattern)
-
-
-def streamfunction_terms(pair: DivConformingPair, terms) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The 1-D factors (Y_i^T a_y Y_j, X_i^T a_x X_j) of C_i^T kron(a_y, a_x) C_j
-    for each Kronecker term (i, j, a_y, a_x) of a velocity operator (see
-    `JacobianPattern.kron_data`), C_c = Y_c (x) X_c the `curl_factors`."""
-    factors = curl_factors(pair)
-    return [
-        tuple(f_i.T @ a @ f_j for f_i, a, f_j in zip(factors[i], (a_y, a_x), factors[j]))
-        for i, j, a_y, a_x in terms
-    ]
 
 
 def _shifts(factor: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -496,7 +474,6 @@ class StreamfunctionPattern:
                         low, high = max(low, p + t - s), max(high, w - 1 - p + s - t)
             self.bands.append((low, low + high + 1))
         (p_y, w_y), (p_x, w_x) = self.bands
-        self._band_shape = (n_x, w_x, n_y, w_y)
         self._reductions = [
             (i, j) + tuple(
                 _reduction_matrix(
@@ -541,19 +518,6 @@ class StreamfunctionPattern:
             del part
         return self.gather(band.ravel())
 
-    def kron_data(self, terms) -> np.ndarray:
-        """Data array of the Kronecker terms (a_y, a_x) on the psi pattern,
-        each in the psi band (`streamfunction_terms`): the outer products of
-        their band storages on the runs of rows that hold a nonzero."""
-        band = np.zeros(self._band_shape)
-        (p_y, w_y), (p_x, w_x) = self.bands
-        for a_y, a_x in terms:
-            b_y, b_x = _banded(a_y, p_y, w_y), _banded(a_x, p_x, w_x)
-            for s_x in _row_runs(b_x):
-                for s_y in _row_runs(b_y):
-                    band[s_x, :, s_y] += np.multiply.outer(b_x[s_x], b_y[s_y])
-        return self.gather(band.ravel())
-
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
         """The matrix with the given data array on this pattern's shared indices."""
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
@@ -563,7 +527,7 @@ streamfunction_pattern = per_pair(StreamfunctionPattern)
 
 
 def _strain_terms(pair: DivConformingPair) -> list:
-    """Kronecker terms (i, j, a_y, a_x) (see `JacobianPattern.kron_data`) of
+    """Kronecker terms (i, j, a_y, a_x) (see `JacobianPattern.kron_buffer`) of
     the unit-viscosity strain matrix S: 2 int [2 e11(u) e11(v) + 2 e22 e22 +
     4 e12 e12], expanded per component block, in 1-D Gram matrices."""
     (x0, y0), (x1, y1) = ((s.kv_x, s.kv_y) for s in pair.velocity_spaces)
@@ -661,7 +625,7 @@ facet_tables = per_pair(FacetTables)
 
 
 def _boundary_terms(pair: DivConformingPair) -> dict[str, list]:
-    """Kronecker terms (i, j, a_y, a_x) (see `JacobianPattern.kron_data`) of
+    """Kronecker terms (i, j, a_y, a_x) (see `JacobianPattern.kron_buffer`) of
     the boundary operators: G[a, b] = (2 n . grad_s phi_b, phi_a)_bnd, the
     boundary mass P and the penalty mass P_h, P with each side scaled by
     h / h_n, h_n its boundary elements' length normal to it.
@@ -732,18 +696,18 @@ def assemble_viscous_nitsche(
     2 nu C_nit / h_n, h_n the boundary element's length normal to the facet,
     so small boundary elements keep K coercive on graded meshes. K = nu S -
     nu (G + G^T) + (2 nu C_nit / h) P_h (`_viscous_terms`) on
-    `jacobian_pattern`: the boundary terms are added into nu S's data on
-    the rows they reach alone (`JacobianPattern.kron_data`). At nu = 1
-    without Nitsche terms it is the memoized, read-only `assemble_strain`
-    matrix itself.
+    `jacobian_pattern`: nu S's data plus that of the boundary terms
+    (`JacobianPattern.kron_data`). At nu = 1 without Nitsche terms it is
+    the memoized, read-only `assemble_strain` matrix itself.
     """
     strain = assemble_strain(pair)
     if params.nu == 1.0 and not nitsche:
         return strain
+    pattern = jacobian_pattern(pair)
     data = strain.data * params.nu
     if nitsche:
-        jacobian_pattern(pair).kron_data(_nitsche_terms(pair, params), out=data)
-    return jacobian_pattern(pair).csr(data)
+        data += pattern.kron_data(_nitsche_terms(pair, params))
+    return pattern.csr(data)
 
 
 def nitsche_load(pair: DivConformingPair, params: StabParams, u_d) -> np.ndarray:

@@ -13,12 +13,13 @@ DOFs. J = K + N1 + N2 + J_h (plus c_mass M in a time step), and only
 A = C^T J C is formed, as a CSR on the pair's `forms.streamfunction_pattern`
 (Evans & Hughes, JCP 241 (2013), on the streamfunction view of
 divergence-conforming B-splines). C's component blocks are Kronecker
-products of 1-D factors, so the constant terms C^T K C and C^T M C are sums
-of Kronecker products of 1-D matrices, formed once; each linearization sums
-N1 + N2 + J_h into one band buffer on the pair's `forms.jacobian_pattern`
-and reduces it to A's data by 1-D sparse products (row-wise formation after
-Calabro, Sangalli & Tani, CMAME 316 (2017)). No velocity Jacobian is
-gathered: the one product with J that Newton needs, J du in the pressure
+products of 1-D factors, so a band buffer on the pair's
+`forms.jacobian_pattern` is reduced to A's data by 1-D sparse products
+(row-wise formation after Calabro, Sangalli & Tani, CMAME 316 (2017)), and
+every part of A takes that one route: the constant terms C^T K C and
+C^T M C from the buffers of their Kronecker terms, formed once, and each
+linearization from one buffer summing N1 + N2 + J_h. No velocity Jacobian
+is gathered: the one product with J that Newton needs, J du in the pressure
 recovery, is read from the same buffer. Residuals are formed without
 matrices (forms.convection_residual and forms.skeleton_residual): the
 initial residual, every line-search trial and TimeStepper.initialize
@@ -137,13 +138,13 @@ from .forms import (
     jacobian_pattern,
     skeleton_residual,
     streamfunction_pattern,
-    streamfunction_terms,
     _mass_terms,
     _viscous_terms,
 )
 from .space import (
     DivConformingPair,
     StateVector,
+    curl_factors,
     per_pair,
     pressure_mean_vector,
     zero_state,
@@ -507,14 +508,17 @@ def _streamfunction_mass(pair: DivConformingPair) -> _KroneckerSum:
     """C^T M C on the interior streamfunction coefficients, as a Kronecker sum.
 
     u = C psi = (d psi/dy, -d psi/dx) and both velocity masses are tensor
-    products of 1-D masses, so C_c^T kron(M_y, M_x) C_c is a Kronecker
-    product of 1-D factors (`streamfunction_terms`) and C^T M C = K_y (x)
-    M_x + M_y (x) K_x: M_x is the mass of psi's x knot vector (that of vx)
-    without its two end functions, K_x = D_x'^T M(vy.kv_x) D_x' with D_x'
-    the derivative matrix of psi's x knot vector without its two end
-    columns, and K_y, M_y likewise in y.
+    products of 1-D masses, so with C_c = Y_c (x) X_c (`curl_factors`)
+    C_c^T kron(M_y, M_x) C_c = (Y_c^T M_y Y_c) (x) (X_c^T M_x X_c) and
+    C^T M C = K_y (x) M_x + M_y (x) K_x: M_x is the mass of psi's x knot
+    vector (that of vx) without its two end functions, K_x = D_x'^T
+    M(vy.kv_x) D_x' with D_x' the derivative matrix of psi's x knot vector
+    without its two end columns, and K_y, M_y likewise in y.
     """
-    (k_y, m_x), (m_y, k_x) = streamfunction_terms(pair, _mass_terms(pair))
+    (y_0, x_0), (y_1, x_1) = curl_factors(pair)
+    vx, vy = pair.velocity_spaces
+    k_y, m_x = y_0.T @ vx.kv_y.mass @ y_0, x_0.T @ vx.kv_x.mass @ x_0
+    m_y, k_x = y_1.T @ vy.kv_y.mass @ y_1, x_1.T @ vy.kv_x.mass @ x_1
     return _KroneckerSum(k_y, k_x, m_y, m_x)
 
 
@@ -534,12 +538,13 @@ class _SpatialOperator:
     at nu = 1 (k_unit, dirichlet, body) and scaled by params.nu; at_nu gives
     the operator at another viscosity on the same arrays. k_unit, for the
     products, stores only K's nonzeros; k_unit_psi is C^T K_unit C as data
-    on the pair's `streamfunction_pattern`, from K's Kronecker terms. Each
-    linearization sums N1 + N2 + J at u into one `JacobianPattern` band
-    buffer (`nonlinear`) and reduces it to the streamfunction, so no
-    velocity Jacobian is gathered. lagged holds the last streamfunction LU
-    of the Newton solves on this operator (and on stage operators built
-    from it).
+    on the pair's `streamfunction_pattern`. Every streamfunction matrix is
+    reduced from a `JacobianPattern` band buffer
+    (`StreamfunctionPattern.reduce`): k_unit_psi from the buffer of K's
+    Kronecker terms, once, and each linearization from one buffer summing
+    N1 + N2 + J at u (`nonlinear`), so no velocity Jacobian is gathered.
+    lagged holds the last streamfunction LU of the Newton solves on this
+    operator (and on stage operators built from it).
     """
 
     def __init__(self, problem: FlowProblem):
@@ -549,9 +554,8 @@ class _SpatialOperator:
         self.psi = streamfunction_pattern(pair)
         self.k_unit = assemble_viscous_nitsche(pair, unit, nitsche=problem.nitsche).copy()
         self.k_unit.eliminate_zeros()
-        self.k_unit_psi = self.psi.kron_data(
-            streamfunction_terms(pair, _viscous_terms(pair, unit, problem.nitsche))
-        )
+        terms = _viscous_terms(pair, unit, problem.nitsche)
+        self.k_unit_psi = self.psi.reduce(jacobian_pattern(pair).kron_buffer(terms)[1])
         self.body = assemble_load(pair, unit, f=problem.f, nitsche=False)
         self.dirichlet = assemble_load(
             pair, unit, u_d=problem.u_d, nitsche=problem.nitsche
@@ -636,9 +640,9 @@ class _StageOperator:
     @staticmethod
     def stage_base(spatial: _SpatialOperator, cfg: TimeConfig) -> np.ndarray:
         """c_mass C^T M C + alpha_f nu C^T K_unit C on the streamfunction
-        pattern, C^T M C from the mass's Kronecker terms."""
+        pattern, C^T M C reduced from the band buffer of M's Kronecker terms."""
         pair = spatial.pair
-        base = spatial.psi.kron_data(streamfunction_terms(pair, _mass_terms(pair)))
+        base = spatial.psi.reduce(jacobian_pattern(pair).kron_buffer(_mass_terms(pair))[1])
         base *= _mass_coefficient(cfg)
         base += (cfg.alpha_f * spatial.params.nu) * spatial.k_unit_psi
         return base

@@ -134,6 +134,29 @@ def test_reynolds_robustness(reynolds_tables, k_prime):
     assert max(l2) / min(l2) <= 2.0
 
 
+@pytest.mark.parametrize("k_prime", [1, 2, 3])
+def test_reynolds_robustness_past_re_1000(reynolds_tables, k_prime):
+    # the Re 1e4 and 2e4 solves, each on the default ladder, keep the L2
+    # error within 2x of criterion 3's Re <= 1000 errors
+    rows = run_reynolds_robustness(k_prime, n=16, re_list=(1e4, 2e4))
+    l2 = [row.l2 for row in reynolds_tables[k_prime] + rows]
+    assert max(l2) / min(l2) <= 2.0
+    assert max(row.div_max for row in rows) < 1e-10
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the default ladder steps from Re 1e4 straight to 4e4, and Newton converges "
+    "there to a state far from the manufactured solution (L2 1.65e-2 to 1.85e-2)",
+)
+@pytest.mark.parametrize("k_prime", [1, 2, 3])
+def test_reynolds_robustness_at_re_4e4(reynolds_tables, k_prime):
+    (row,) = run_reynolds_robustness(k_prime, n=16, re_list=(4e4,))
+    l2 = [r.l2 for r in reynolds_tables[k_prime]] + [row.l2]
+    assert max(l2) / min(l2) <= 2.0
+
+
 # ----------------------------------------------------------------- criterion 4
 
 

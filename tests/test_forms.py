@@ -835,20 +835,6 @@ def test_band_operators_match_oracle_scatter(pair, seed, nu):
             assert np.all((cols - rows + p >= 0) & (cols - rows + p < w))
 
 
-@settings(max_examples=20, deadline=None)
-@given(pair=random_pairs(), nu=st.sampled_from([1.0, 1e-2, 1e-4]))
-def test_nitsche_terms_added_on_reached_rows_match_whole_gather(pair, nu):
-    # the boundary terms reach a frame of rows two wide, and K adds only
-    # those rows of their band buffer into nu S's data: the same data as
-    # the whole buffer gathered and added
-    params = StabParams.create(pair.k_prime, nu=nu)
-    pattern = forms.jacobian_pattern(pair)
-    terms = forms._nitsche_terms(pair, params)
-    expect = assemble_strain(pair).data * nu + pattern.kron_data(terms)
-    got = assemble_viscous_nitsche(pair, params)
-    assert np.abs(got.data - expect).max() <= 1e-15 * np.abs(expect).max()
-
-
 @settings(max_examples=30, deadline=None)
 @given(pair=random_pairs())
 def test_constant_operators_match_quadrature_oracles(pair):

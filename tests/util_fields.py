@@ -193,7 +193,7 @@ def scatter_oracle(pair: DivConformingPair, blocks=(), terms=()) -> np.ndarray:
 
     blocks holds (b, local), local block b's values in its entry order;
     terms holds Kronecker terms (i, j, a_y, a_x) as in
-    `forms.JacobianPattern.kron_data`, each nonzero of kron(a_y, a_x) found
+    `forms.JacobianPattern.kron_buffer`, each nonzero of kron(a_y, a_x) found
     in the sorted (row, column) keys.
     """
     indptr, indices, positions = sorted_pattern(pair)
