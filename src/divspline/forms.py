@@ -41,17 +41,16 @@ block; Vy block]; the solver imposes the strong normal trace.
 Every velocity operator is summed in the band storage of the pair's one
 sparsity pattern, a `JacobianPattern`, by slices and outer products (a
 Kronecker term as the outer product of its factors' 1-D band storages,
-`JacobianPattern.kron_buffer`), and a gather makes the buffer a data
-array on the pattern. K with its Nitsche terms is arithmetic on those
-arrays. The solver's Newton matrix is A = C^T J C on the streamfunction
-(`StreamfunctionPattern`), and every operator reaches it through one
-route, `StreamfunctionPattern.reduce` of a band buffer, with no velocity
-data array gathered: the constant parts from the buffers of their
-Kronecker terms, once, and the Newton path from one buffer summing N1 +
-N2 + J (`assemble_convection` and `assemble_skeleton` with out). Every
-CSR on a pattern shares its read-only indices, and the memoized data
-arrays of K's strain part and of M are read-only too, so no caller can
-change an operator that later operators on the pair reuse.
+`JacobianPattern.kron_data`), and a gather makes the buffer a data array
+on the pattern; `scatter` is its inverse. Only this module knows the
+Kronecker terms of K and M. The solver's Newton matrix is A = C^T J C on
+the streamfunction (`StreamfunctionPattern`, whose pattern is crossed from
+the 1-D reductions along y and x), and every operator reaches it through
+`StreamfunctionPattern.reduce` of a band buffer: K and M as the solver
+holds them, scattered once, and the Newton path from one buffer summing
+N1 + N2 + J (`assemble_convection` and `assemble_skeleton` with out).
+Every CSR on a pattern shares its read-only indices, and the memoized data
+arrays of K's strain part and of M are read-only too.
 
 Residuals need no matrices, and the per-state kernels work on dense 1-D
 factors of the tensor-product spaces instead of element tables:
@@ -339,13 +338,26 @@ class JacobianPattern:
         """The data array of a band buffer: its stored entries in CSR order."""
         return _gather(flat, self._gather, np.empty(self.nnz))
 
-    def kron_buffer(self, terms) -> tuple[np.ndarray, list[list[np.ndarray]]]:
-        """A band buffer (`buffer`) holding the Kronecker terms (i, j, a_y,
-        a_x), each the block kron(a_y, a_x) of rows of component i and
-        columns of component j, a_y and a_x dense 1-D matrices with their
-        nonzeros in the block's bands: the outer product of their band
-        storages, added on the runs of rows where both factors hold a
-        nonzero (`_row_runs`)."""
+    def scatter(self, matrix: sp.csr_matrix) -> tuple[np.ndarray, list[list[np.ndarray]]]:
+        """The band buffer (`buffer`) of a CSR matrix whose stored entries all
+        lie on the pattern, the inverse of `gather`: the matrix sampled at each
+        (row, column) of the pattern, put in place by the gather index. A
+        nonzero off the pattern raises ValueError."""
+        rows = np.repeat(np.arange(self.shape[0], dtype=self.indices.dtype), np.diff(self.indptr))
+        data = np.asarray(matrix[rows, self.indices]).ravel()
+        if np.count_nonzero(data) != np.count_nonzero(matrix.data):
+            raise ValueError("a nonzero of the matrix lies off the pattern")
+        flat, blocks = self.buffer()
+        flat[self._gather] = data
+        return flat, blocks
+
+    def kron_data(self, terms) -> np.ndarray:
+        """The data array of the Kronecker terms (i, j, a_y, a_x), each the
+        block kron(a_y, a_x) of rows of component i and columns of component
+        j, a_y and a_x dense 1-D matrices with their nonzeros in the block's
+        bands: the outer product of their band storages, added into a band
+        buffer on the runs of rows where both factors hold a nonzero
+        (`_row_runs`), and gathered."""
         flat, blocks = self.buffer()
         for i, j, a_y, a_x in terms:
             (p_y, w_y), (p_x, w_x) = self.bands[i][j]
@@ -353,11 +365,7 @@ class JacobianPattern:
             for s_y in _row_runs(b_y):
                 for s_x in _row_runs(b_x):
                     blocks[i][j][s_y, :, s_x] += np.multiply.outer(b_y[s_y], b_x[s_x])
-        return flat, blocks
-
-    def kron_data(self, terms) -> np.ndarray:
-        """The data array of the Kronecker terms (`kron_buffer`)."""
-        return self.gather(self.kron_buffer(terms)[0])
+        return self.gather(flat)
 
     def product(self, blocks: list[list[np.ndarray]], v: np.ndarray) -> np.ndarray:
         """J v for the operator J held in the band buffer's blocks.
@@ -413,7 +421,9 @@ def _reduction_matrix(band, psi_band, y_i: np.ndarray, y_j: np.ndarray) -> sp.cs
 
     w_st[a, e] = Y_i[a + s, a] Y_j[b + t, b], b = a - P' + e, for the at
     most two shifts s of Y_i's columns and two t of Y_j's (`_shifts`); zero
-    weights, where b or the source entry is outside its range, are left out."""
+    weights, where b or the source entry is outside its range, are left out;
+    so row a W' + e stores an entry exactly where |Y_i|^T |B| |Y_j| is
+    nonzero for B full in its band (a kept source column, b + t, is in range)."""
     (p, w), (p_psi, w_psi) = band, psi_band
     n_rows, n = y_i.shape
     a, e = np.arange(n)[:, None], np.arange(w_psi)
@@ -452,10 +462,11 @@ class StreamfunctionPattern:
     W_y'), (P_x', W_x')), are the unions of the blocks' reduced bands: W' =
     7, 9, 11 at k' = 1, 2, 3.
 
-    The in-range band holds more entries than C^T J C: `indices` and
-    `indptr` are those of the structural product |C|^T |J| |C|, built once,
-    and `gather` takes A's data from the band by one int32 index. All three
-    are read-only and shared by every matrix `csr` builds.
+    `indptr` and `indices` are those of the structural product |C|^T |J|
+    |C|, J full on the velocity pattern: the union over the blocks of the
+    Kronecker product of the rows their y and x reductions store. `gather`
+    takes A's data from the band by one int32 index. All three are read-only
+    and shared by every matrix `csr` builds.
     """
 
     def __init__(self, pair: DivConformingPair):
@@ -474,28 +485,28 @@ class StreamfunctionPattern:
                         low, high = max(low, p + t - s), max(high, w - 1 - p + s - t)
             self.bands.append((low, low + high + 1))
         (p_y, w_y), (p_x, w_x) = self.bands
-        self._reductions = [
-            (i, j) + tuple(
-                _reduction_matrix(
-                    velocity.bands[i][j][axis], self.bands[axis], factors[i][axis], factors[j][axis]
-                )
-                for axis in (0, 1)
-            )
-            for i, j in blocks
-        ]
-        # the structural product, every entry positive
-        curl = abs(pair.curl)
-        product = (curl.T @ velocity.csr(np.ones(velocity.nnz)) @ curl).tocsr()
-        product.sort_indices()
-        self.indptr = _read_only(product.indptr.astype(np.int32))
-        self.indices = _read_only(product.indices.astype(np.int32))
-        self.nnz = len(self.indices)
-        rows = np.repeat(np.arange(self.shape[0], dtype=np.int32), np.diff(self.indptr))
-        (a_y, a_x), (b_y, b_x) = (np.divmod(k, n_x) for k in (rows, self.indices))
-        e_y, e_x = b_y - a_y + p_y, b_x - a_x + p_x
-        if not np.all((e_y >= 0) & (e_y < w_y) & (e_x >= 0) & (e_x < w_x)):
-            raise AssertionError("C^T J C reaches outside the psi band")
-        self._gather = _read_only(((a_x * w_x + e_x) * n_y + a_y) * w_y + e_y)
+        # inside[a_y, a_x, e_y, e_x]: whether the structural product holds the
+        # psi band entry, in CSR order (rows, then columns ascending)
+        inside = np.zeros((n_y, n_x, w_y, w_x), dtype=bool)
+        self._reductions = []
+        for i, j in blocks:
+            along = [
+                _reduction_matrix(band, psi_band, factors[i][axis], factors[j][axis])
+                for axis, (band, psi_band) in enumerate(zip(velocity.bands[i][j], self.bands))
+            ]
+            self._reductions.append((i, j, *along))
+            s_y, s_x = (np.diff(r.indptr).reshape(n, -1) > 0 for r, n in zip(along, (n_y, n_x)))
+            inside |= s_y[:, None, :, None] & s_x[None, :, None, :]
+        self.indptr = _read_only(np.append(0, np.cumsum(inside.sum(axis=(2, 3)))).astype(np.int32))
+        self.nnz = int(self.indptr[-1])
+        (a_y, e_y), (a_x, e_x) = (
+            np.indices(s, np.int32, sparse=True) for s in ((n_y, w_y), (n_x, w_x))
+        )
+        columns = (a_y - p_y + e_y)[:, None, :, None] * n_x + (a_x - p_x + e_x)[None, :, None, :]
+        self.indices = _read_only(columns[inside])
+        # positions in the x-major band of `reduce`, (a_x, e_x, a_y, e_y)
+        y_part, x_part = (a_y * w_y + e_y)[:, None, :, None], (a_x * w_x + e_x)[None, :, None, :]
+        self._gather = _read_only((x_part * (n_y * w_y) + y_part)[inside])
 
     def gather(self, flat: np.ndarray) -> np.ndarray:
         """A's data array from a flat psi band: its entries in CSR order."""
@@ -527,7 +538,7 @@ streamfunction_pattern = per_pair(StreamfunctionPattern)
 
 
 def _strain_terms(pair: DivConformingPair) -> list:
-    """Kronecker terms (i, j, a_y, a_x) (see `JacobianPattern.kron_buffer`) of
+    """Kronecker terms (i, j, a_y, a_x) (see `JacobianPattern.kron_data`) of
     the unit-viscosity strain matrix S: 2 int [2 e11(u) e11(v) + 2 e22 e22 +
     4 e12 e12], expanded per component block, in 1-D Gram matrices."""
     (x0, y0), (x1, y1) = ((s.kv_x, s.kv_y) for s in pair.velocity_spaces)
@@ -625,7 +636,7 @@ facet_tables = per_pair(FacetTables)
 
 
 def _boundary_terms(pair: DivConformingPair) -> dict[str, list]:
-    """Kronecker terms (i, j, a_y, a_x) (see `JacobianPattern.kron_buffer`) of
+    """Kronecker terms (i, j, a_y, a_x) (see `JacobianPattern.kron_data`) of
     the boundary operators: G[a, b] = (2 n . grad_s phi_b, phi_a)_bnd, the
     boundary mass P and the penalty mass P_h, P with each side scaled by
     h / h_n, h_n its boundary elements' length normal to it.
@@ -674,13 +685,6 @@ def _nitsche_terms(pair: DivConformingPair, params: StabParams) -> list:
     )
 
 
-def _viscous_terms(pair: DivConformingPair, params: StabParams, nitsche: bool) -> list:
-    """Kronecker terms (i, j, a_y, a_x) of K (`assemble_viscous_nitsche`):
-    nu S and, when nitsche is set, the boundary terms."""
-    terms = [(i, j, params.nu * a_y, a_x) for i, j, a_y, a_x in _strain_terms(pair)]
-    return terms + (_nitsche_terms(pair, params) if nitsche else [])
-
-
 def assemble_viscous_nitsche(
     pair: DivConformingPair,
     params: StabParams,
@@ -695,10 +699,10 @@ def assemble_viscous_nitsche(
     tangential traction vanishes). The penalty on each boundary facet is
     2 nu C_nit / h_n, h_n the boundary element's length normal to the facet,
     so small boundary elements keep K coercive on graded meshes. K = nu S -
-    nu (G + G^T) + (2 nu C_nit / h) P_h (`_viscous_terms`) on
-    `jacobian_pattern`: nu S's data plus that of the boundary terms
-    (`JacobianPattern.kron_data`). At nu = 1 without Nitsche terms it is
-    the memoized, read-only `assemble_strain` matrix itself.
+    nu (G + G^T) + (2 nu C_nit / h) P_h on `jacobian_pattern`: nu S's data
+    plus that of the boundary terms (`_nitsche_terms`,
+    `JacobianPattern.kron_data`). At nu = 1 without Nitsche terms it is the
+    memoized, read-only `assemble_strain` matrix itself.
     """
     strain = assemble_strain(pair)
     if params.nu == 1.0 and not nitsche:

@@ -16,12 +16,12 @@ divergence-conforming B-splines). C's component blocks are Kronecker
 products of 1-D factors, so a band buffer on the pair's
 `forms.jacobian_pattern` is reduced to A's data by 1-D sparse products
 (row-wise formation after Calabro, Sangalli & Tani, CMAME 316 (2017)), and
-every part of A takes that one route: the constant terms C^T K C and
-C^T M C from the buffers of their Kronecker terms, formed once, and each
-linearization from one buffer summing N1 + N2 + J_h. No velocity Jacobian
-is gathered: the one product with J that Newton needs, J du in the pressure
-recovery, is read from the same buffer. Residuals are formed without
-matrices (forms.convection_residual and forms.skeleton_residual): the
+every part of A takes that one route: C^T K C and C^T M C from the K and M
+the operators hold for their products, scattered into a buffer once, and
+each linearization from one buffer summing N1 + N2 + J_h. No velocity
+Jacobian is gathered: J du in the pressure recovery, the one product with
+J that Newton needs, is read from the same buffer. Residuals are formed
+without matrices (forms.convection_residual and forms.skeleton_residual): the
 initial residual, every line-search trial and TimeStepper.initialize
 evaluate only the residual, and Newton builds one linearization per step,
 at the current iterate, only once it has decided to take another step. The
@@ -125,7 +125,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .bspline import derivative_matrix
 from .forms import (
     StabParams,
     assemble_convection,
@@ -138,8 +137,6 @@ from .forms import (
     jacobian_pattern,
     skeleton_residual,
     streamfunction_pattern,
-    _mass_terms,
-    _viscous_terms,
 )
 from .space import (
     DivConformingPair,
@@ -464,8 +461,9 @@ class _PressureSpace:
     Zeroing the normal-trace columns of D = [I (x) D_x, D_y (x) I] gives
     D_f D_f^T = I (x) A_x + A_y (x) I, A_x = D_x' D_x'^T with D_x' = D_x
     without its two end columns, and A_y likewise: tridiagonal, each with
-    one zero eigenvalue. The kernel M_p 1 of D_f D_f^T is dropped, and
-    p = M_p^-1 q with M_p = M_y (x) M_x is folded into the modes.
+    one zero eigenvalue (D_y' = Y_0 and D_x' = -X_1 of `curl_factors`). The
+    kernel M_p 1 of D_f D_f^T is dropped, and p = M_p^-1 q with M_p =
+    M_y (x) M_x is folded into the modes.
     """
 
     def __init__(self, pair: DivConformingPair):
@@ -476,9 +474,8 @@ class _PressureSpace:
         keep = np.ones(pair.n_u)
         keep[self.normal] = 0.0
         self.d_f = self.d @ sp.diags(keep)
-        d_x, d_y = (
-            derivative_matrix(kv).toarray()[:, 1:-1] for kv in (pair.vx.kv_x, pair.vy.kv_y)
-        )
+        (d_y, _), (_, minus_d_x) = curl_factors(pair)
+        d_x = -minus_d_x
         self._modes = _KroneckerSum(d_y @ d_y.T, d_x @ d_x.T, singular=True)
         self._to_pressure = (
             np.linalg.solve(pair.q.kv_y.mass, self._modes.v_y),
@@ -540,9 +537,9 @@ class _SpatialOperator:
     products, stores only K's nonzeros; k_unit_psi is C^T K_unit C as data
     on the pair's `streamfunction_pattern`. Every streamfunction matrix is
     reduced from a `JacobianPattern` band buffer
-    (`StreamfunctionPattern.reduce`): k_unit_psi from the buffer of K's
-    Kronecker terms, once, and each linearization from one buffer summing
-    N1 + N2 + J at u (`nonlinear`), so no velocity Jacobian is gathered.
+    (`StreamfunctionPattern.reduce`): k_unit_psi from K scattered into one
+    (`JacobianPattern.scatter`), once, and each linearization from one
+    buffer summing N1 + N2 + J at u (`nonlinear`).
     lagged holds the last streamfunction LU of the Newton solves on this
     operator (and on stage operators built from it).
     """
@@ -554,8 +551,7 @@ class _SpatialOperator:
         self.psi = streamfunction_pattern(pair)
         self.k_unit = assemble_viscous_nitsche(pair, unit, nitsche=problem.nitsche).copy()
         self.k_unit.eliminate_zeros()
-        terms = _viscous_terms(pair, unit, problem.nitsche)
-        self.k_unit_psi = self.psi.reduce(jacobian_pattern(pair).kron_buffer(terms)[1])
+        self.k_unit_psi = self.psi.reduce(jacobian_pattern(pair).scatter(self.k_unit)[1])
         self.body = assemble_load(pair, unit, f=problem.f, nitsche=False)
         self.dirichlet = assemble_load(
             pair, unit, u_d=problem.u_d, nitsche=problem.nitsche
@@ -640,9 +636,9 @@ class _StageOperator:
     @staticmethod
     def stage_base(spatial: _SpatialOperator, cfg: TimeConfig) -> np.ndarray:
         """c_mass C^T M C + alpha_f nu C^T K_unit C on the streamfunction
-        pattern, C^T M C reduced from the band buffer of M's Kronecker terms."""
+        pattern, M the memoized velocity mass that `TimeStepper.mass` holds."""
         pair = spatial.pair
-        base = spatial.psi.reduce(jacobian_pattern(pair).kron_buffer(_mass_terms(pair))[1])
+        base = spatial.psi.reduce(jacobian_pattern(pair).scatter(assemble_velocity_mass(pair))[1])
         base *= _mass_coefficient(cfg)
         base += (cfg.alpha_f * spatial.params.nu) * spatial.k_unit_psi
         return base

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -55,6 +56,7 @@ from util_fields import (
     quadrature_skeleton,
     random_pairs,
     sorted_pattern,
+    structural_product_pattern,
     velocity_gradient,
 )
 
@@ -644,6 +646,72 @@ def test_pattern_matches_sorted_block_keys(k_prime, nx, ny):
     kx = make_open_uniform(k_prime + 1, nx)
     ky = make_open_uniform(k_prime + 1, ny)
     assert_pattern_matches_sort(build_pair(build_mesh(kx, ky), k_prime))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=random_pairs())
+@example(pair=make_pair(8, 3))
+def test_streamfunction_pattern_matches_structural_product(pair):
+    # the pattern crossed from 1-D structures is the sparse triple product
+    # |C|^T |J| |C|, entry for entry, and every entry lies in the psi bands
+    psi = forms.streamfunction_pattern(pair)
+    indptr, indices, gather, inside = structural_product_pattern(pair)
+    assert inside.all()
+    for got, expect in ((psi.indptr, indptr), (psi.indices, indices), (psi._gather, gather)):
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)
+    assert psi.nnz == len(indices)
+
+
+def test_streamfunction_pattern_build_transient_within_thrice_retained():
+    # the structure is crossed from 1-D products in psi band storage, with
+    # no velocity CSR of ones and no sparse triple product (8.1x its
+    # retained arrays at (3,32))
+    pair = make_pair(32, 3)
+    forms.jacobian_pattern(pair)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        psi = forms.StreamfunctionPattern(pair)
+        retained, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert retained >= psi._gather.nbytes + psi.indices.nbytes
+    assert peak <= 3 * retained
+
+
+@settings(max_examples=25, deadline=None)
+@given(pair=random_pairs())
+def test_scatter_inverts_gather(pair):
+    # the band buffer of a matrix on the pattern gathers back to its data,
+    # and a copy without its explicit zeros gives the same buffer; the mass,
+    # with entries on part of the pattern, gives the buffer of its Kronecker
+    # terms
+    pattern = forms.jacobian_pattern(pair)
+    params = params_for(pair, 0.3)
+    for mat in (assemble_strain(pair), assemble_viscous_nitsche(pair, params)):
+        flat, blocks = pattern.scatter(mat)
+        assert np.array_equal(pattern.gather(flat), mat.data)
+        sparse = mat.copy()
+        sparse.eliminate_zeros()
+        assert np.array_equal(pattern.scatter(sparse)[0], flat)
+        assert [[b.shape for b in row] for row in blocks] == [
+            [b.shape for b in row] for row in pattern.buffer()[1]
+        ]
+    mass = assemble_velocity_mass(pair)
+    flat, _ = pattern.scatter(mass)
+    assert np.array_equal(pattern.gather(flat), pattern.kron_data(forms._mass_terms(pair)))
+    assert abs(pattern.csr(pattern.gather(flat)) - mass).max() == 0.0
+
+
+def test_scatter_rejects_entries_off_the_pattern(pair44):
+    pattern = forms.jacobian_pattern(pair44)
+    n = pair44.n_u
+    on = pattern.csr(np.ones(pattern.nnz))
+    off = sp.csr_matrix(([1.0], ([0], [n - 1])), shape=(n, n))  # vx corner to vy corner
+    assert np.array_equal(pattern.gather(pattern.scatter(on)[0]), on.data)
+    with pytest.raises(ValueError, match="off the pattern"):
+        pattern.scatter((on + off).tocsr())
 
 
 def test_pattern_build_transient_within_twice_retained():

@@ -187,13 +187,38 @@ def sorted_pattern(pair: DivConformingPair):
     return indptr, unique % n, np.split(inverse, ends[:-1])
 
 
+def structural_product_pattern(pair: DivConformingPair):
+    """Oracle streamfunction pattern: the sparse triple product |C|^T |J| |C|,
+    J with ones on every entry of the velocity `forms.jacobian_pattern`.
+
+    Returns (indptr, indices, gather, inside) in int32: gather places each
+    entry (a_y, a_x) x (b_y, b_x) in the x-major psi band of
+    `forms.StreamfunctionPattern.reduce`, entry ((a_x W_x' + e_x) N_y' + a_y)
+    W_y' + e_y with e = b - a + P', and inside marks the entries that lie in
+    the pattern's psi bands.
+    """
+    velocity = forms.jacobian_pattern(pair)
+    psi = forms.streamfunction_pattern(pair)
+    curl = abs(pair.curl)
+    product = (curl.T @ velocity.csr(np.ones(velocity.nnz)) @ curl).tocsr()
+    product.sort_indices()
+    indptr, indices = (a.astype(np.int32) for a in (product.indptr, product.indices))
+    n_y, n_x = pair.vx.n_y - 1, pair.vy.n_x - 1  # interior psi coefficients a direction
+    rows = np.repeat(np.arange(psi.shape[0], dtype=np.int32), np.diff(indptr))
+    (a_y, a_x), (b_y, b_x) = (np.divmod(k, n_x) for k in (rows, indices))
+    (p_y, w_y), (p_x, w_x) = psi.bands
+    e_y, e_x = b_y - a_y + p_y, b_x - a_x + p_x
+    inside = (e_y >= 0) & (e_y < w_y) & (e_x >= 0) & (e_x < w_x)
+    return indptr, indices, ((a_x * w_x + e_x) * n_y + a_y) * w_y + e_y, inside
+
+
 def scatter_oracle(pair: DivConformingPair, blocks=(), terms=()) -> np.ndarray:
     """Oracle data array on the Jacobian pattern, by `np.add.at` onto the
     positions of `sorted_pattern`.
 
     blocks holds (b, local), local block b's values in its entry order;
     terms holds Kronecker terms (i, j, a_y, a_x) as in
-    `forms.JacobianPattern.kron_buffer`, each nonzero of kron(a_y, a_x) found
+    `forms.JacobianPattern.kron_data`, each nonzero of kron(a_y, a_x) found
     in the sorted (row, column) keys.
     """
     indptr, indices, positions = sorted_pattern(pair)
