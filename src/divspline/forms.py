@@ -41,16 +41,16 @@ block; Vy block]; the solver imposes the strong normal trace.
 Every velocity operator is summed in the band storage of the pair's one
 sparsity pattern, a `JacobianPattern`, by slices and outer products (a
 Kronecker term as the outer product of its factors' 1-D band storages,
-`JacobianPattern.kron_data`), and a gather makes the buffer a data array
-on the pattern; `scatter` is its inverse. Only this module knows the
-Kronecker terms of K and M. The solver's Newton matrix is A = C^T J C on
-the streamfunction (`StreamfunctionPattern`, whose pattern is crossed from
-the 1-D reductions along y and x), and every operator reaches it through
-`StreamfunctionPattern.reduce` of a band buffer: K and M as the solver
-holds them, scattered once, and the Newton path from one buffer summing
-N1 + N2 + J (`assemble_convection` and `assemble_skeleton` with out).
-Every CSR on a pattern shares its read-only indices, and the memoized data
-arrays of K's strain part and of M are read-only too.
+`JacobianPattern.add_kron`), and a gather makes the buffer a data array
+on the pattern; `put` is its inverse for a matrix on the pattern. Only
+this module knows the Kronecker terms of K and M. The solver's Newton
+matrix is A = C^T J C on the streamfunction (`StreamfunctionPattern`,
+whose pattern is crossed from the 1-D reductions along y and x), reduced
+from one band buffer that holds the whole J: K's band storage, put once,
+scaled, with M (`add_velocity_mass`), N1 + N2 (`assemble_convection`) and
+J (`assemble_skeleton`) added by out. Every CSR on a pattern shares its
+read-only indices, and the memoized data arrays of K's strain part and of
+M are read-only too.
 
 Residuals need no matrices, and the per-state kernels work on dense 1-D
 factors of the tensor-product spaces instead of element tables:
@@ -98,6 +98,7 @@ __all__ = [
     "skeleton_residual",
     "assemble_load",
     "assemble_velocity_mass",
+    "add_velocity_mass",
     "assemble_strain",
     "facet_tables",
     "jacobian_pattern",
@@ -247,9 +248,10 @@ class JacobianPattern:
     outside the space stay zero and are never read. `gather` takes the
     buffer's other entries into a data array in CSR order: a row r of
     component i holds block (i, 0) and then block (i, 1), each in (c_y,
-    c_x) order. The gather index (one integer an entry), `indices` and
-    `indptr` are read-only, and every matrix `csr` builds shares the last
-    two, so no matrix on the pattern can be changed in its structure.
+    c_x) order; `put` writes a data array back in place. The gather index
+    (one integer an entry), `indices` and `indptr` are read-only, and every
+    matrix `csr` builds shares the last two, so no matrix on the pattern can
+    be changed in its structure.
     """
 
     def __init__(self, pair: DivConformingPair):
@@ -338,33 +340,37 @@ class JacobianPattern:
         """The data array of a band buffer: its stored entries in CSR order."""
         return _gather(flat, self._gather, np.empty(self.nnz))
 
-    def scatter(self, matrix: sp.csr_matrix) -> tuple[np.ndarray, list[list[np.ndarray]]]:
-        """The band buffer (`buffer`) of a CSR matrix whose stored entries all
-        lie on the pattern, the inverse of `gather`: the matrix sampled at each
-        (row, column) of the pattern, put in place by the gather index. A
-        nonzero off the pattern raises ValueError."""
-        rows = np.repeat(np.arange(self.shape[0], dtype=self.indices.dtype), np.diff(self.indptr))
-        data = np.asarray(matrix[rows, self.indices]).ravel()
-        if np.count_nonzero(data) != np.count_nonzero(matrix.data):
-            raise ValueError("a nonzero of the matrix lies off the pattern")
-        flat, blocks = self.buffer()
-        flat[self._gather] = data
-        return flat, blocks
+    def put(self, matrix: sp.csr_matrix) -> np.ndarray:
+        """The flat band buffer of a CSR matrix on this pattern's own indices,
+        the inverse of `gather`: its data put in place by the gather index. A
+        matrix with other indices (fewer entries, or other columns) raises
+        ValueError."""
+        if not (
+            np.array_equal(matrix.indptr, self.indptr)
+            and np.array_equal(matrix.indices, self.indices)
+        ):
+            raise ValueError("the matrix does not have the pattern's indices")
+        flat, _ = self.buffer()
+        flat[self._gather] = matrix.data
+        return flat
 
-    def kron_data(self, terms) -> np.ndarray:
-        """The data array of the Kronecker terms (i, j, a_y, a_x), each the
-        block kron(a_y, a_x) of rows of component i and columns of component
-        j, a_y and a_x dense 1-D matrices with their nonzeros in the block's
-        bands: the outer product of their band storages, added into a band
-        buffer on the runs of rows where both factors hold a nonzero
-        (`_row_runs`), and gathered."""
-        flat, blocks = self.buffer()
+    def add_kron(self, blocks: list[list[np.ndarray]], terms) -> None:
+        """Add the Kronecker terms (i, j, a_y, a_x) into a band buffer's blocks:
+        each is the block kron(a_y, a_x) of rows of component i and columns
+        of component j, a_y and a_x dense 1-D matrices with their nonzeros in
+        the block's bands, added as the outer product of their band storages
+        on the runs of rows where both factors hold a nonzero (`_row_runs`)."""
         for i, j, a_y, a_x in terms:
             (p_y, w_y), (p_x, w_x) = self.bands[i][j]
             b_y, b_x = _banded(a_y, p_y, w_y), _banded(a_x, p_x, w_x)
             for s_y in _row_runs(b_y):
                 for s_x in _row_runs(b_x):
                     blocks[i][j][s_y, :, s_x] += np.multiply.outer(b_y[s_y], b_x[s_x])
+
+    def kron_data(self, terms) -> np.ndarray:
+        """The data array of the Kronecker terms (`add_kron`)."""
+        flat, blocks = self.buffer()
+        self.add_kron(blocks, terms)
         return self.gather(flat)
 
     def product(self, blocks: list[list[np.ndarray]], v: np.ndarray) -> np.ndarray:
@@ -538,7 +544,7 @@ streamfunction_pattern = per_pair(StreamfunctionPattern)
 
 
 def _strain_terms(pair: DivConformingPair) -> list:
-    """Kronecker terms (i, j, a_y, a_x) (see `JacobianPattern.kron_data`) of
+    """Kronecker terms (i, j, a_y, a_x) (see `JacobianPattern.add_kron`) of
     the unit-viscosity strain matrix S: 2 int [2 e11(u) e11(v) + 2 e22 e22 +
     4 e12 e12], expanded per component block, in 1-D Gram matrices."""
     (x0, y0), (x1, y1) = ((s.kv_x, s.kv_y) for s in pair.velocity_spaces)
@@ -636,7 +642,7 @@ facet_tables = per_pair(FacetTables)
 
 
 def _boundary_terms(pair: DivConformingPair) -> dict[str, list]:
-    """Kronecker terms (i, j, a_y, a_x) (see `JacobianPattern.kron_data`) of
+    """Kronecker terms (i, j, a_y, a_x) (see `JacobianPattern.add_kron`) of
     the boundary operators: G[a, b] = (2 n . grad_s phi_b, phi_a)_bnd, the
     boundary mass P and the penalty mass P_h, P with each side scaled by
     h / h_n, h_n its boundary elements' length normal to it.
@@ -701,7 +707,7 @@ def assemble_viscous_nitsche(
     so small boundary elements keep K coercive on graded meshes. K = nu S -
     nu (G + G^T) + (2 nu C_nit / h) P_h on `jacobian_pattern`: nu S's data
     plus that of the boundary terms (`_nitsche_terms`,
-    `JacobianPattern.kron_data`). At nu = 1 without Nitsche terms it is the
+    `JacobianPattern.add_kron`). At nu = 1 without Nitsche terms it is the
     memoized, read-only `assemble_strain` matrix itself.
     """
     strain = assemble_strain(pair)
@@ -1046,6 +1052,13 @@ def _mass_terms(pair: DivConformingPair) -> list:
     """Kronecker terms (c, c, M_y, M_x) of the velocity mass, from the knot
     vectors' 1-D masses."""
     return [(c, c, s.kv_y.mass, s.kv_x.mass) for c, s in enumerate(pair.velocity_spaces)]
+
+
+def add_velocity_mass(pair: DivConformingPair, weight: float, out: list[list[np.ndarray]]) -> None:
+    """Add weight M into out, the blocks of a `JacobianPattern.buffer`, by
+    M's Kronecker terms (`JacobianPattern.add_kron`)."""
+    terms = [(i, j, weight * m_y, m_x) for i, j, m_y, m_x in _mass_terms(pair)]
+    jacobian_pattern(pair).add_kron(out, terms)
 
 
 @per_pair

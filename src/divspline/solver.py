@@ -15,12 +15,12 @@ A = C^T J C is formed, as a CSR on the pair's `forms.streamfunction_pattern`
 divergence-conforming B-splines). C's component blocks are Kronecker
 products of 1-D factors, so a band buffer on the pair's
 `forms.jacobian_pattern` is reduced to A's data by 1-D sparse products
-(row-wise formation after Calabro, Sangalli & Tani, CMAME 316 (2017)), and
-every part of A takes that one route: C^T K C and C^T M C from the K and M
-the operators hold for their products, scattered into a buffer once, and
-each linearization from one buffer summing N1 + N2 + J_h. No velocity
-Jacobian is gathered: J du in the pressure recovery, the one product with
-J that Newton needs, is read from the same buffer. Residuals are formed
+(row-wise formation after Calabro, Sangalli & Tani, CMAME 316 (2017)).
+Each linearization fills one such buffer with the whole J: nu times K's
+band storage, which the spatial operator holds, then c_mass M, N1 + N2
+and J_h added into it, and A is its one reduction. No velocity Jacobian
+is gathered: J du in the pressure recovery, the one product with J that
+Newton needs, is read from the same buffer. Residuals are formed
 without matrices (forms.convection_residual and forms.skeleton_residual): the
 initial residual, every line-search trial and TimeStepper.initialize
 evaluate only the residual, and Newton builds one linearization per step,
@@ -127,6 +127,7 @@ import scipy.sparse.linalg as spla
 
 from .forms import (
     StabParams,
+    add_velocity_mass,
     assemble_convection,
     assemble_divergence,
     assemble_load,
@@ -534,14 +535,11 @@ class _SpatialOperator:
     nu, and the body force does not depend on it, so they are assembled once
     at nu = 1 (k_unit, dirichlet, body) and scaled by params.nu; at_nu gives
     the operator at another viscosity on the same arrays. k_unit, for the
-    products, stores only K's nonzeros; k_unit_psi is C^T K_unit C as data
-    on the pair's `streamfunction_pattern`. Every streamfunction matrix is
-    reduced from a `JacobianPattern` band buffer
-    (`StreamfunctionPattern.reduce`): k_unit_psi from K scattered into one
-    (`JacobianPattern.scatter`), once, and each linearization from one
-    buffer summing N1 + N2 + J at u (`nonlinear`).
-    lagged holds the last streamfunction LU of the Newton solves on this
-    operator (and on stage operators built from it).
+    residuals, stores only K's nonzeros; k_band is K_unit in the band
+    storage of the pair's `jacobian_pattern` (`JacobianPattern.put`),
+    read-only, from which every linearization starts. lagged holds the last
+    streamfunction LU of the Newton solves on this operator (and on stage
+    operators built from it).
     """
 
     def __init__(self, problem: FlowProblem):
@@ -549,9 +547,11 @@ class _SpatialOperator:
         self.pair = pair
         self.convection = problem.convection
         self.psi = streamfunction_pattern(pair)
-        self.k_unit = assemble_viscous_nitsche(pair, unit, nitsche=problem.nitsche).copy()
+        k_unit = assemble_viscous_nitsche(pair, unit, nitsche=problem.nitsche)
+        self.k_band = jacobian_pattern(pair).put(k_unit)
+        self.k_band.flags.writeable = False
+        self.k_unit = k_unit.copy()
         self.k_unit.eliminate_zeros()
-        self.k_unit_psi = self.psi.reduce(jacobian_pattern(pair).scatter(self.k_unit)[1])
         self.body = assemble_load(pair, unit, f=problem.f, nitsche=False)
         self.dirichlet = assemble_load(
             pair, unit, u_d=problem.u_d, nitsche=problem.nitsche
@@ -578,28 +578,27 @@ class _SpatialOperator:
             r += skeleton_residual(self.pair, u, self.params)
         return r
 
-    def nonlinear(self, u: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        """C^T (N1 + N2 + J) C at u as data on the streamfunction pattern, and
-        the product v -> (N1 + N2 + J) v.
+    def linearize(self, u: np.ndarray, mass: float = 0.0, scale: float = 1.0) -> _Linearization:
+        """A = scale C^T (nu K + mass M + N1 + N2 + J) C at u, frozen eta,
+        and J v for the same scaled J.
 
-        One band buffer holds N2 (its diagonal blocks doubled), then N1's
-        other terms, then J; the data is reduced from it
-        (`StreamfunctionPattern.reduce`), and the product reads it
-        (`JacobianPattern.product`)."""
+        One band buffer starts as nu k_band and takes mass M
+        (`add_velocity_mass`), N2 with its diagonal blocks doubled and N1's
+        other terms (`assemble_convection`), then J (`assemble_skeleton`);
+        A is reduced from it (`StreamfunctionPattern.reduce`), and the
+        product reads it (`JacobianPattern.product`)."""
         pattern = jacobian_pattern(self.pair)
-        _, blocks = pattern.buffer()
+        flat, blocks = pattern.buffer()
+        np.multiply(self.params.nu, self.k_band, out=flat)
+        if mass:
+            add_velocity_mass(self.pair, mass, out=blocks)
         if self.convection:
             assemble_convection(self.pair, u, out=blocks)
         if self.params.gamma > 0.0:
             assemble_skeleton(self.pair, u, self.params, out=blocks)
-        return self.psi.reduce(blocks), lambda v: pattern.product(blocks, v)
-
-    def linearize(self, u: np.ndarray) -> _Linearization:
-        """A = C^T (nu K + N1 + N2 + J) C at u, frozen eta, and J v."""
-        data, product = self.nonlinear(u)
-        data += self.params.nu * self.k_unit_psi
-        nu, k = self.params.nu, self.k_unit
-        return _Linearization(self.psi.csr(data), lambda v: nu * (k @ v) + product(v))
+        data = self.psi.reduce(blocks)
+        data *= scale
+        return _Linearization(self.psi.csr(data), lambda v: scale * pattern.product(blocks, v))
 
     def nu_derivative(self, u: np.ndarray) -> np.ndarray:
         """d residual / d nu at u from the terms linear in nu: K_unit u - dirichlet.
@@ -609,39 +608,23 @@ class _SpatialOperator:
         return self.k_unit @ u - self.dirichlet
 
 
-def _mass_coefficient(cfg: TimeConfig) -> float:
-    """c_mass = alpha_m / (gamma_t dt), the mass matrix's weight in the stage."""
-    return cfg.alpha_m / (cfg.gamma_t * cfg.dt)
-
-
 class _StageOperator:
     """Generalized-alpha stage residual and linearization as functions of u_{n+1}.
 
-    mass is the velocity mass matrix, for products, and base the constant
-    part c_mass C^T M C + alpha_f nu C^T K_unit C of the streamfunction
-    matrix as data on its pattern (`stage_base`), formed once per stepper.
+    mass is the velocity mass matrix, for the residual; the linearization
+    is the spatial operator's at the alpha_f state, with the mass term in
+    its buffer.
     """
 
-    def __init__(self, spatial, mass, base, u_n, udot_n, cfg: TimeConfig):
+    def __init__(self, spatial, mass, u_n, udot_n, cfg: TimeConfig):
         self.pair = spatial.pair
         self.spatial = spatial
         self.mass = mass
-        self.base = base
         self.u_n = u_n
         self.alpha_f = cfg.alpha_f
-        self.c_mass = _mass_coefficient(cfg)
+        self.c_mass = cfg.alpha_m / (cfg.gamma_t * cfg.dt)  # the mass matrix's weight
         # M udot_am = c_mass M u_new + M [ (1 - alpha_m/gamma_t) udot_n - c_mass u_n ]
         self.hist = mass @ ((1.0 - cfg.alpha_m / cfg.gamma_t) * udot_n - self.c_mass * u_n)
-
-    @staticmethod
-    def stage_base(spatial: _SpatialOperator, cfg: TimeConfig) -> np.ndarray:
-        """c_mass C^T M C + alpha_f nu C^T K_unit C on the streamfunction
-        pattern, M the memoized velocity mass that `TimeStepper.mass` holds."""
-        pair = spatial.pair
-        base = spatial.psi.reduce(jacobian_pattern(pair).scatter(assemble_velocity_mass(pair))[1])
-        base *= _mass_coefficient(cfg)
-        base += (cfg.alpha_f * spatial.params.nu) * spatial.k_unit_psi
-        return base
 
     def _alpha_f_state(self, u_new: np.ndarray) -> np.ndarray:
         return self.u_n + self.alpha_f * (u_new - self.u_n)
@@ -651,18 +634,12 @@ class _StageOperator:
         return self.c_mass * (self.mass @ u_new) + self.hist + r_sp
 
     def linearize(self, u_new: np.ndarray) -> _Linearization:
-        """A = base + alpha_f C^T (N1 + N2 + J) C at the alpha_f state, and
-        J v = c_mass M v + alpha_f (nu K v + (N1 + N2 + J) v)."""
-        data, product = self.spatial.nonlinear(self._alpha_f_state(u_new))
-        data *= self.alpha_f
-        data += self.base
-        c_mass, mass, alpha_f = self.c_mass, self.mass, self.alpha_f
-        nu, k = self.spatial.params.nu, self.spatial.k_unit
-
-        def apply(v):
-            return c_mass * (mass @ v) + alpha_f * (nu * (k @ v) + product(v))
-
-        return _Linearization(self.spatial.psi.csr(data), apply)
+        """A = C^T J C and J v for the stage Jacobian J = c_mass M + alpha_f
+        J_sp at the alpha_f state: alpha_f times the spatial linearization
+        with c_mass / alpha_f M in its buffer."""
+        return self.spatial.linearize(
+            self._alpha_f_state(u_new), self.c_mass / self.alpha_f, self.alpha_f
+        )
 
 
 def _newton(
@@ -816,9 +793,8 @@ class TimeStepper:
     acceleration C a solves C^T M C a = -C^T r at t0, and the initial
     pressure is recovered from M udot + r. Each step runs the streamfunction
     Newton on the stage residual, and every step reuses the spatial
-    operator's lagged LU. M is held as a matrix (mass), for products; the
-    stage's streamfunction matrix starts from a constant part formed once
-    (`_StageOperator.stage_base`).
+    operator's lagged LU. M is held as a matrix (mass), for products;
+    each stage linearization adds M's Kronecker terms into its band buffer.
     """
 
     def __init__(self, problem: FlowProblem, cfg: TimeConfig):
@@ -826,7 +802,6 @@ class TimeStepper:
         self.cfg = cfg
         self.spatial = _SpatialOperator(problem)
         self.mass = assemble_velocity_mass(problem.pair)
-        self.stage_base = _StageOperator.stage_base(self.spatial, cfg)
         self.state: StateVector | None = None
         self.udot: np.ndarray | None = None
 
@@ -851,9 +826,7 @@ class TimeStepper:
             raise RuntimeError("call initialize() before stepping")
         cfg = self.cfg
         t_new = self.state.time + cfg.dt
-        op = _StageOperator(
-            self.spatial, self.mass, self.stage_base, self.state.u, self.udot, cfg
-        )
+        op = _StageOperator(self.spatial, self.mass, self.state.u, self.udot, cfg)
         # same-order predictor: udot is divergence-free with zero normal
         # trace, so the start state satisfies the constraints exactly
         u_start = self.state.u + cfg.dt * self.udot

@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -682,36 +681,29 @@ def test_streamfunction_pattern_build_transient_within_thrice_retained():
 
 @settings(max_examples=25, deadline=None)
 @given(pair=random_pairs())
-def test_scatter_inverts_gather(pair):
-    # the band buffer of a matrix on the pattern gathers back to its data,
-    # and a copy without its explicit zeros gives the same buffer; the mass,
-    # with entries on part of the pattern, gives the buffer of its Kronecker
-    # terms
+def test_put_inverts_gather(pair):
+    # the band buffer of a matrix on the pattern's own indices gathers back
+    # to its data bit for bit
     pattern = forms.jacobian_pattern(pair)
     params = params_for(pair, 0.3)
-    for mat in (assemble_strain(pair), assemble_viscous_nitsche(pair, params)):
-        flat, blocks = pattern.scatter(mat)
-        assert np.array_equal(pattern.gather(flat), mat.data)
-        sparse = mat.copy()
-        sparse.eliminate_zeros()
-        assert np.array_equal(pattern.scatter(sparse)[0], flat)
-        assert [[b.shape for b in row] for row in blocks] == [
-            [b.shape for b in row] for row in pattern.buffer()[1]
-        ]
-    mass = assemble_velocity_mass(pair)
-    flat, _ = pattern.scatter(mass)
-    assert np.array_equal(pattern.gather(flat), pattern.kron_data(forms._mass_terms(pair)))
-    assert abs(pattern.csr(pattern.gather(flat)) - mass).max() == 0.0
+    for mat in (
+        assemble_strain(pair),
+        assemble_viscous_nitsche(pair, params),
+        assemble_viscous_nitsche(pair, params, nitsche=False),
+    ):
+        assert np.array_equal(pattern.gather(pattern.put(mat)), mat.data)
 
 
-def test_scatter_rejects_entries_off_the_pattern(pair44):
+def test_put_rejects_other_indices(pair44):
+    # only a matrix on the pattern's own indices has a band buffer by put:
+    # the mass, on part of the pattern, and K without its explicit zeros
+    # are refused, not sampled
     pattern = forms.jacobian_pattern(pair44)
-    n = pair44.n_u
-    on = pattern.csr(np.ones(pattern.nnz))
-    off = sp.csr_matrix(([1.0], ([0], [n - 1])), shape=(n, n))  # vx corner to vy corner
-    assert np.array_equal(pattern.gather(pattern.scatter(on)[0]), on.data)
-    with pytest.raises(ValueError, match="off the pattern"):
-        pattern.scatter((on + off).tocsr())
+    k = assemble_viscous_nitsche(pair44, params_for(pair44, 0.3)).copy()
+    k.eliminate_zeros()
+    for mat in (assemble_velocity_mass(pair44), k):
+        with pytest.raises(ValueError, match="indices"):
+            pattern.put(mat)
 
 
 def test_pattern_build_transient_within_twice_retained():

@@ -245,13 +245,15 @@ def _same_pattern(a, b):
     nitsche=st.booleans(),
     convection=st.booleans(),
     skeleton=st.booleans(),
+    rho_inf=st.sampled_from([0.0, 0.5, 1.0]),
 )
-def test_fused_jacobian_matches_dense_sum(pair, seed, nitsche, convection, skeleton):
-    # one band buffer holds N1 + N2 + J and is reduced to the streamfunction:
+def test_fused_jacobian_matches_dense_sum(pair, seed, nitsche, convection, skeleton, rho_inf):
+    # one band buffer holds the whole J and is reduced to the streamfunction:
     # A matches curl_t @ (J @ curl) and the product J v matches J @ v for the
     # J summed from the public assemble_* matrices, for the spatial and the
-    # stage operator; residual assembles no matrix, the reference sums
-    # dense arrays
+    # stage operator (c_mass / alpha_f M in the buffer, alpha_f = 1 at
+    # rho_inf = 0 and 1/2 at rho_inf = 1); residual assembles no matrix, the
+    # reference sums dense arrays
     params = StabParams.create(pair.k_prime, nu=0.05, gamma=None if skeleton else 0.0)
     f = lambda x, y: (np.sin(x + y), x * y)
     u_d = lambda x, y: (np.cos(x) * y, x - y)
@@ -289,11 +291,11 @@ def test_fused_jacobian_matches_dense_sum(pair, seed, nitsche, convection, skele
     assert np.all(np.abs(op.residual(u) - ((k + n1 + jd) @ u - load)) <= 1e-13 * r_scale.max())
 
     # the stage Jacobian is c_mass M + alpha_f J_sp at the alpha_f state
-    cfg = TimeConfig(dt=0.1, t_end=1.0)
+    cfg = TimeConfig(dt=0.1, t_end=1.0, rho_inf=rho_inf)
     stepper = TimeStepper(problem, cfg)
     mass = stepper.mass
     u_n, udot_n, u_new = (rng.standard_normal(pair.n_u) for _ in range(3))
-    stage = _StageOperator(op, mass, stepper.stage_base, u_n, udot_n, cfg)
+    stage = _StageOperator(op, mass, u_n, udot_n, cfg)
     u_af = u_n + cfg.alpha_f * (u_new - u_n)
     assert_matches(stage.linearize(u_new), stage.c_mass * mass + cfg.alpha_f * jacobian(u_af))
     r_st, r_sp = stage.residual(u_new), op.residual(u_af)
@@ -356,6 +358,31 @@ def test_newton_builds_no_velocity_matrix(monkeypatch):
     assert built and not any(built)
 
 
+def test_one_reduction_per_linearization(monkeypatch):
+    # K and M reach A inside the linearization's one band buffer: building
+    # the spatial operator or a stepper reduces nothing to the streamfunction,
+    # and a spatial and a stage linearization reduce once each
+    calls = []
+    real_reduce = forms.StreamfunctionPattern.reduce
+
+    def counted_reduce(self, blocks):
+        calls.append(1)
+        return real_reduce(self, blocks)
+
+    monkeypatch.setattr(forms.StreamfunctionPattern, "reduce", counted_reduce)
+    pair = unit_square_pair(4, 2)
+    problem = _cavity_problem(pair, 1000.0)
+    op = _SpatialOperator(problem)
+    stepper = TimeStepper(replace(problem, nitsche=False), TimeConfig(dt=1e-2, t_end=1e-2))
+    assert len(calls) == 0
+    rng = np.random.default_rng(4)
+    u, u_n, udot_n = (rng.standard_normal(pair.n_u) for _ in range(3))
+    op.linearize(u)
+    assert len(calls) == 1
+    _StageOperator(stepper.spatial, stepper.mass, u_n, udot_n, stepper.cfg).linearize(u)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize(
     "make_pair,bound_mb",
     [(lambda: taylor_green_pair(24, 1), 1.2), (lambda: unit_square_pair(32, 3), 7.0)],
@@ -371,7 +398,7 @@ def test_stage_linearization_transient(make_pair, bound_mb):
     stepper = TimeStepper(problem, TimeConfig(dt=1e-2, t_end=1e-2))
     rng = np.random.default_rng(3)
     u_n, udot_n, u_warm, u = (rng.standard_normal(pair.n_u) for _ in range(4))
-    stage = _StageOperator(stepper.spatial, stepper.mass, stepper.stage_base, u_n, udot_n, stepper.cfg)
+    stage = _StageOperator(stepper.spatial, stepper.mass, u_n, udot_n, stepper.cfg)
     stage.residual(u_warm)
     stage.linearize(u_warm)  # tables and patterns
     stage.residual(u)  # eta and w at the points, as in a Newton iteration
@@ -513,7 +540,7 @@ def test_lagged_lu_correction_matches_direct_solve(pair, seed):
     rng = np.random.default_rng(seed)
     u_n, udot_n, u_a, u_b = (rng.standard_normal(pair.n_u) for _ in range(4))
     cfg = TimeConfig(dt=0.01, t_end=1.0)
-    stage = _StageOperator(op, mass, _StageOperator.stage_base(op, cfg), u_n, udot_n, cfg)
+    stage = _StageOperator(op, mass, u_n, udot_n, cfg)
     lagged = _LaggedLU()
     lagged.solve(*_streamfunction_system(stage, u_a))
     a, rhs = _streamfunction_system(stage, u_b)
