@@ -38,19 +38,18 @@ products (`FacetTables`) by one matmul; the rational eta factor is only
 approximately integrated. Matrices act on the full velocity DOF vector [Vx
 block; Vy block]; the solver imposes the strong normal trace.
 
-Every velocity operator is summed in the band storage of the pair's one
-sparsity pattern, a `JacobianPattern`, by slices and outer products (a
-Kronecker term as the outer product of its factors' 1-D band storages,
-`JacobianPattern.add_kron`), and a gather makes the buffer a data array
-on the pattern; `put` is its inverse for a matrix on the pattern. Only
-this module knows the Kronecker terms of K and M. The solver's Newton
-matrix is A = C^T J C on the streamfunction (`StreamfunctionPattern`,
-whose pattern is crossed from the 1-D reductions along y and x), reduced
-from one band buffer that holds the whole J: K's band storage, put once,
-scaled, with M (`add_velocity_mass`), N1 + N2 (`assemble_convection`) and
-J (`assemble_skeleton`) added by out. Every CSR on a pattern shares its
-read-only indices, and the memoized data arrays of K's strain part and of
-M are read-only too.
+Every velocity operator is summed in a band buffer, one flat array in the
+band storage of the pair's one sparsity pattern, a `JacobianPattern`, by
+slices and outer products (a Kronecker term as the outer product of its
+factors' 1-D band storages, `JacobianPattern.add_kron`), and a gather makes
+the buffer a data array on the pattern. Only this module knows the
+Kronecker terms of K and M. The solver's Newton matrix is A = C^T J C on
+the streamfunction (`StreamfunctionPattern`, whose pattern is crossed from
+the 1-D reductions along y and x), reduced from one band buffer that holds
+the whole J: K (`assemble_viscous_nitsche`), M (`add_velocity_mass`), N1 +
+N2 (`assemble_convection`) and J (`assemble_skeleton`), each added into it
+by out. Every CSR on a pattern shares its read-only indices, and the
+memoized data arrays of K's strain part and of M are read-only too.
 
 Residuals need no matrices, and the per-state kernels work on dense 1-D
 factors of the tensor-product spaces instead of element tables:
@@ -240,18 +239,19 @@ class JacobianPattern:
     bands need interior knot multiplicity 1; other knot vectors raise
     ValueError.
 
-    Operators are summed in band storage (`buffer`): block (i, j) is a
-    zeroed (R_y, W_y, R_x, W_x) array, (R_y, R_x) component i's basis
-    sizes, whose entry (r_y, d_y, r_x, d_x) couples row (r_y, r_x) with column
-    (r_y - P_y + d_y, r_x - P_x + d_x). A contribution goes in by slices and
-    outer products, never by per-entry indices; entries whose column lies
-    outside the space stay zero and are never read. `gather` takes the
-    buffer's other entries into a data array in CSR order: a row r of
-    component i holds block (i, 0) and then block (i, 1), each in (c_y,
-    c_x) order; `put` writes a data array back in place. The gather index
-    (one integer an entry), `indices` and `indptr` are read-only, and every
-    matrix `csr` builds shares the last two, so no matrix on the pattern can
-    be changed in its structure.
+    Operators are summed in a band buffer, one flat array (`buffer`) that
+    every method and adder takes as it is. Its block (i, j) (`blocks`) is an
+    (R_y, W_y, R_x, W_x) view, (R_y, R_x) component i's basis sizes, whose
+    entry (r_y, d_y, r_x, d_x) couples row (r_y, r_x) with column (r_y - P_y
+    + d_y, r_x - P_x + d_x). A contribution goes in by slices and outer
+    products, or, as data on the pattern, through the gather index; entries
+    whose column lies outside the space stay zero and are never read.
+    `gather` takes the buffer's other entries into a data array in CSR
+    order: a row r of component i holds block (i, 0) and then block (i, 1),
+    each in (c_y, c_x) order. The gather index (one integer an entry),
+    `indices` and `indptr` are read-only, and every matrix `csr` builds
+    shares the last two, so no matrix on the pattern can be changed in its
+    structure.
     """
 
     def __init__(self, pair: DivConformingPair):
@@ -326,40 +326,29 @@ class JacobianPattern:
         self.indices = _read_only(indices)
         self.indptr = _read_only(indptr)
 
-    def buffer(self) -> tuple[np.ndarray, list[list[np.ndarray]]]:
-        """A zeroed flat band buffer and its block views: blocks[i][j] of
-        component block (i, j), shape (R_y, W_y, R_x, W_x)."""
-        flat = np.zeros(self._size)
-        blocks = [
+    def buffer(self) -> np.ndarray:
+        """A zeroed flat band buffer."""
+        return np.zeros(self._size)
+
+    def blocks(self, flat: np.ndarray) -> list[list[np.ndarray]]:
+        """The block views of a flat band buffer: blocks[i][j] of component
+        block (i, j), shape (R_y, W_y, R_x, W_x)."""
+        return [
             [flat[s : s + math.prod(shape)].reshape(shape) for s, shape in row]
             for row in self._layout
         ]
-        return flat, blocks
 
     def gather(self, flat: np.ndarray) -> np.ndarray:
         """The data array of a band buffer: its stored entries in CSR order."""
         return _gather(flat, self._gather, np.empty(self.nnz))
 
-    def put(self, matrix: sp.csr_matrix) -> np.ndarray:
-        """The flat band buffer of a CSR matrix on this pattern's own indices,
-        the inverse of `gather`: its data put in place by the gather index. A
-        matrix with other indices (fewer entries, or other columns) raises
-        ValueError."""
-        if not (
-            np.array_equal(matrix.indptr, self.indptr)
-            and np.array_equal(matrix.indices, self.indices)
-        ):
-            raise ValueError("the matrix does not have the pattern's indices")
-        flat, _ = self.buffer()
-        flat[self._gather] = matrix.data
-        return flat
-
-    def add_kron(self, blocks: list[list[np.ndarray]], terms) -> None:
-        """Add the Kronecker terms (i, j, a_y, a_x) into a band buffer's blocks:
-        each is the block kron(a_y, a_x) of rows of component i and columns
-        of component j, a_y and a_x dense 1-D matrices with their nonzeros in
+    def add_kron(self, flat: np.ndarray, terms) -> None:
+        """Add the Kronecker terms (i, j, a_y, a_x) into a band buffer: each
+        is the block kron(a_y, a_x) of rows of component i and columns of
+        component j, a_y and a_x dense 1-D matrices with their nonzeros in
         the block's bands, added as the outer product of their band storages
         on the runs of rows where both factors hold a nonzero (`_row_runs`)."""
+        blocks = self.blocks(flat)
         for i, j, a_y, a_x in terms:
             (p_y, w_y), (p_x, w_x) = self.bands[i][j]
             b_y, b_x = _banded(a_y, p_y, w_y), _banded(a_x, p_x, w_x)
@@ -369,18 +358,19 @@ class JacobianPattern:
 
     def kron_data(self, terms) -> np.ndarray:
         """The data array of the Kronecker terms (`add_kron`)."""
-        flat, blocks = self.buffer()
-        self.add_kron(blocks, terms)
+        flat = self.buffer()
+        self.add_kron(flat, terms)
         return self.gather(flat)
 
-    def product(self, blocks: list[list[np.ndarray]], v: np.ndarray) -> np.ndarray:
-        """J v for the operator J held in the band buffer's blocks.
+    def product(self, flat: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """J v for the operator J held in the band buffer flat.
 
         Row (r_y, r_x) of block (i, j) meets the (W_y, W_x) window of
         component j's coefficient grid at (r_y - P_y, r_x - P_x), so each
         block is one contraction with the sliding windows of the zero-padded
         grid; the entries outside the space are zero in the buffer.
         """
+        blocks = self.blocks(flat)
         out = np.zeros(self.shape[0])
         (r_0y, r_0x), _ = self._grids
         starts = (0, r_0y * r_0x)
@@ -510,6 +500,7 @@ class StreamfunctionPattern:
         )
         columns = (a_y - p_y + e_y)[:, None, :, None] * n_x + (a_x - p_x + e_x)[None, :, None, :]
         self.indices = _read_only(columns[inside])
+        self._velocity = velocity
         # positions in the x-major band of `reduce`, (a_x, e_x, a_y, e_y)
         y_part, x_part = (a_y * w_y + e_y)[:, None, :, None], (a_x * w_x + e_x)[None, :, None, :]
         self._gather = _read_only((x_part * (n_y * w_y) + y_part)[inside])
@@ -518,11 +509,12 @@ class StreamfunctionPattern:
         """A's data array from a flat psi band: its entries in CSR order."""
         return _gather(flat, self._gather, np.empty(self.nnz))
 
-    def reduce(self, blocks: list[list[np.ndarray]]) -> np.ndarray:
-        """The data array of C^T J C, J in a `JacobianPattern` buffer's blocks.
+    def reduce(self, flat: np.ndarray) -> np.ndarray:
+        """The data array of C^T J C, J in a `JacobianPattern` band buffer.
 
         The blocks' parts are summed into the first one; at most a part, the
         transposed y product and the sum are held at once."""
+        blocks = self._velocity.blocks(flat)
         band = None
         for i, j, along_y, along_x in self._reductions:
             block = blocks[i][j]
@@ -623,18 +615,10 @@ class FacetTables:
                 inner.line_jump = _dense_rows(first_n[:-1], plus[:, m], n_n) - _dense_rows(
                     first_n[1:], minus[:, m], n_n
                 )
-                # line i couples functions first_n[i] .. first_n[i] + degree + 1
-                jump = np.pad(plus[:, m], ((0, 0), (0, 1))) - np.pad(minus[:, m], ((0, 0), (1, 0)))
                 p_n, w_n = _band(kv_n.n_elements, kv_n.degree, kv_n.degree, widen=True)
-                lines, width = jump.shape
-                products = np.zeros((lines, n_n, w_n))
-                l = np.arange(width)
-                products[
-                    np.arange(lines)[:, None, None],
-                    first_n[:-1, None, None] + l[:, None],
-                    p_n + l[None, :] - l[:, None],
-                ] = jump[:, :, None] * jump[:, None, :]
-                inner.jump_products = products.reshape(lines, n_n * w_n)
+                inner.jump_products = np.empty((len(inner.line_jump), n_n * w_n))
+                for products, jump in zip(inner.jump_products, inner.line_jump):
+                    products[:] = _banded(np.outer(jump, jump), p_n, w_n).ravel()
             self.interior.append(inner)
 
 
@@ -695,7 +679,8 @@ def assemble_viscous_nitsche(
     pair: DivConformingPair,
     params: StabParams,
     nitsche: bool = True,
-) -> sp.csr_matrix:
+    out: np.ndarray | None = None,
+) -> sp.csr_matrix | None:
     """Viscous operator K with weak tangential Dirichlet terms.
 
     K implements (2 nu grad_s u, grad_s v) plus, when nitsche is set, the
@@ -704,20 +689,21 @@ def assemble_viscous_nitsche(
     kept (free-slip walls where the normal trace is imposed strongly and the
     tangential traction vanishes). The penalty on each boundary facet is
     2 nu C_nit / h_n, h_n the boundary element's length normal to the facet,
-    so small boundary elements keep K coercive on graded meshes. K = nu S -
-    nu (G + G^T) + (2 nu C_nit / h) P_h on `jacobian_pattern`: nu S's data
-    plus that of the boundary terms (`_nitsche_terms`,
-    `JacobianPattern.add_kron`). At nu = 1 without Nitsche terms it is the
-    memoized, read-only `assemble_strain` matrix itself.
+    so small boundary elements keep K coercive on graded meshes.
+
+    K = nu S - nu (G + G^T) + (2 nu C_nit / h) P_h on `jacobian_pattern`,
+    summed in a band buffer: nu times the data of the memoized
+    `assemble_strain` through the pattern's gather index, then the boundary
+    terms (`_nitsche_terms`) by `JacobianPattern.add_kron`. Given out, a
+    `JacobianPattern.buffer`, K is added into it and nothing is gathered or
+    returned.
     """
-    strain = assemble_strain(pair)
-    if params.nu == 1.0 and not nitsche:
-        return strain
     pattern = jacobian_pattern(pair)
-    data = strain.data * params.nu
+    flat = pattern.buffer() if out is None else out
+    flat[pattern._gather] += params.nu * assemble_strain(pair).data
     if nitsche:
-        data += pattern.kron_data(_nitsche_terms(pair, params))
-    return pattern.csr(data)
+        pattern.add_kron(flat, _nitsche_terms(pair, params))
+    return None if out is not None else pattern.csr(pattern.gather(flat))
 
 
 def nitsche_load(pair: DivConformingPair, params: StabParams, u_d) -> np.ndarray:
@@ -819,7 +805,7 @@ def _sum_factorized(tab, w: np.ndarray, j: int, i: int, c: int, band, out: np.nd
     """Add -int w (d_c phi_a) phi_b, phi_a of component j and phi_b of
     component i, w on the tables' tensor grid of points, into out, the band
     storage (R_y, W_y, R_x, W_x) of component block (j, i) with bands band
-    = ((P_y, W_y), (P_x, W_x)) (`JacobianPattern.buffer`).
+    = ((P_y, W_y), (P_x, W_x)) (`JacobianPattern.blocks`).
 
     Sum factorization (Antolin, Buffa, Calabro, Martinelli & Sangalli, CMAME
     285 (2015)): the x points are contracted first, one matmul batched over
@@ -847,7 +833,7 @@ def _sum_factorized(tab, w: np.ndarray, j: int, i: int, c: int, band, out: np.nd
 def assemble_convection(
     pair: DivConformingPair,
     w_state: StateVector | np.ndarray,
-    out: list[list[np.ndarray]] | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[sp.csr_matrix, sp.csr_matrix] | None:
     """Convection C(w; u, v) = -(w x u, grad v) and its state-derivative block.
 
@@ -860,24 +846,25 @@ def assemble_convection(
     j, -(w . grad phi_a) phi_b: the buffer gives N2, then, with its
     off-diagonal blocks zeroed and the other terms added, N1.
 
-    Given out, the blocks of a `JacobianPattern.buffer`, N1 + N2 is added
-    into them and nothing is gathered or returned: N2's four blocks with the
-    diagonal ones doubled (by doubled weights, which doubles them exactly),
-    then N1's other terms.
+    Given out, a `JacobianPattern.buffer`, N1 + N2 is added into it and
+    nothing is gathered or returned: N2's four blocks with the diagonal ones
+    doubled (by doubled weights, which doubles them exactly), then N1's
+    other terms.
     """
     w_u = w_state.u if isinstance(w_state, StateVector) else w_state
     tab = _convection_tables(pair)
     pattern = jacobian_pattern(pair)
     w = _convection_values(pair, w_u)
+    flat = pattern.buffer() if out is None else out
+    blocks = pattern.blocks(flat)
     if out is not None:
         for j in (0, 1):
             for i in (0, 1):
                 w_n2 = 2.0 * w[j] if i == j else w[j]
-                _sum_factorized(tab, w_n2, j, i, i, pattern.bands[j][i], out[j][i])
+                _sum_factorized(tab, w_n2, j, i, i, pattern.bands[j][i], blocks[j][i])
         for j in (0, 1):
-            _sum_factorized(tab, w[1 - j], j, j, 1 - j, pattern.bands[j][j], out[j][j])
+            _sum_factorized(tab, w[1 - j], j, j, 1 - j, pattern.bands[j][j], blocks[j][j])
         return None
-    flat, blocks = pattern.buffer()
     for j in (0, 1):
         for i in (0, 1):
             _sum_factorized(tab, w[j], j, i, i, pattern.bands[j][i], blocks[j][i])
@@ -949,7 +936,7 @@ def assemble_skeleton(
     pair: DivConformingPair,
     w_state: StateVector | np.ndarray,
     params: StabParams,
-    out: list[list[np.ndarray]] | None = None,
+    out: np.ndarray | None = None,
 ) -> sp.csr_matrix | None:
     """Skeleton penalty operator J(w) (symmetric positive semidefinite).
 
@@ -961,15 +948,16 @@ def assemble_skeleton(
     tangential band (`_fold`), giving an (R_t W_t, lines) table; one matmul
     with the lines' fixed jump_products (`FacetTables`) sums the facets
     into block (c, c) of the band buffer. gamma = 0 returns a matrix with
-    no stored entries. Given out, the blocks of a `JacobianPattern.buffer`,
-    J is added into them and nothing is gathered or returned.
+    no stored entries. Given out, a `JacobianPattern.buffer`, J is added
+    into it and nothing is gathered or returned.
     """
     n = pair.n_u
     if params.gamma == 0.0:
         return None if out is not None else sp.csr_matrix((n, n))
     w_u = w_state.u if isinstance(w_state, StateVector) else w_state
     pattern = jacobian_pattern(pair)
-    flat, blocks = pattern.buffer() if out is None else (None, out)
+    flat = pattern.buffer() if out is None else out
+    blocks = pattern.blocks(flat)
     for facets, eta in zip(facet_tables(pair).interior, facet_eta_values(pair, w_u, params)):
         a, c = facets.axis, 1 - facets.axis
         rows = facets.tang_rows
@@ -988,10 +976,7 @@ def assemble_skeleton(
         factors = (
             (tangential, facets.jump_products) if a == 0 else (facets.jump_products.T, tangential.T)
         )
-        if out is None:
-            np.matmul(*factors, out=target)
-        else:
-            target += np.matmul(*factors)
+        target += np.matmul(*factors)
     return None if out is not None else pattern.csr(pattern.gather(flat))
 
 
@@ -1054,9 +1039,9 @@ def _mass_terms(pair: DivConformingPair) -> list:
     return [(c, c, s.kv_y.mass, s.kv_x.mass) for c, s in enumerate(pair.velocity_spaces)]
 
 
-def add_velocity_mass(pair: DivConformingPair, weight: float, out: list[list[np.ndarray]]) -> None:
-    """Add weight M into out, the blocks of a `JacobianPattern.buffer`, by
-    M's Kronecker terms (`JacobianPattern.add_kron`)."""
+def add_velocity_mass(pair: DivConformingPair, weight: float, out: np.ndarray) -> None:
+    """Add weight M into out, a `JacobianPattern.buffer`, by M's Kronecker
+    terms (`JacobianPattern.add_kron`)."""
     terms = [(i, j, weight * m_y, m_x) for i, j, m_y, m_x in _mass_terms(pair)]
     jacobian_pattern(pair).add_kron(out, terms)
 

@@ -17,8 +17,9 @@ products of 1-D factors, so a band buffer on the pair's
 `forms.jacobian_pattern` is reduced to A's data by 1-D sparse products
 (row-wise formation after Calabro, Sangalli & Tani, CMAME 316 (2017)).
 Each linearization fills one such buffer with the whole J: nu times K's
-band storage, which the spatial operator holds, then c_mass M, N1 + N2
-and J_h added into it, and A is its one reduction. No velocity Jacobian
+band buffer, which the spatial operator fills once by
+`forms.assemble_viscous_nitsche` and holds, then c_mass M, N1 + N2 and J_h
+added into it, and A is its one reduction. No velocity Jacobian
 is gathered: J du in the pressure recovery, the one product with J that
 Newton needs, is read from the same buffer. Residuals are formed
 without matrices (forms.convection_residual and forms.skeleton_residual): the
@@ -534,12 +535,12 @@ class _SpatialOperator:
     residual(u) assembles no matrix. K and the Nitsche load are linear in
     nu, and the body force does not depend on it, so they are assembled once
     at nu = 1 (k_unit, dirichlet, body) and scaled by params.nu; at_nu gives
-    the operator at another viscosity on the same arrays. k_unit, for the
-    residuals, stores only K's nonzeros; k_band is K_unit in the band
-    storage of the pair's `jacobian_pattern` (`JacobianPattern.put`),
-    read-only, from which every linearization starts. lagged holds the last
-    streamfunction LU of the Newton solves on this operator (and on stage
-    operators built from it).
+    the operator at another viscosity on the same arrays. k_band is K_unit
+    in a band buffer of the pair's `jacobian_pattern`, filled by one
+    `assemble_viscous_nitsche` into it and read-only; every linearization
+    starts from it. k_unit, for the residuals, is its gather with the zeros
+    removed. lagged holds the last streamfunction LU of the Newton solves
+    on this operator (and on stage operators built from it).
     """
 
     def __init__(self, problem: FlowProblem):
@@ -547,10 +548,12 @@ class _SpatialOperator:
         self.pair = pair
         self.convection = problem.convection
         self.psi = streamfunction_pattern(pair)
-        k_unit = assemble_viscous_nitsche(pair, unit, nitsche=problem.nitsche)
-        self.k_band = jacobian_pattern(pair).put(k_unit)
+        pattern = jacobian_pattern(pair)
+        self.k_band = pattern.buffer()
+        assemble_viscous_nitsche(pair, unit, nitsche=problem.nitsche, out=self.k_band)
         self.k_band.flags.writeable = False
-        self.k_unit = k_unit.copy()
+        # indices of its own, so that its zeros can be removed
+        self.k_unit = pattern.csr(pattern.gather(self.k_band)).copy()
         self.k_unit.eliminate_zeros()
         self.body = assemble_load(pair, unit, f=problem.f, nitsche=False)
         self.dirichlet = assemble_load(
@@ -587,18 +590,17 @@ class _SpatialOperator:
         other terms (`assemble_convection`), then J (`assemble_skeleton`);
         A is reduced from it (`StreamfunctionPattern.reduce`), and the
         product reads it (`JacobianPattern.product`)."""
-        pattern = jacobian_pattern(self.pair)
-        flat, blocks = pattern.buffer()
-        np.multiply(self.params.nu, self.k_band, out=flat)
+        flat = self.params.nu * self.k_band
         if mass:
-            add_velocity_mass(self.pair, mass, out=blocks)
+            add_velocity_mass(self.pair, mass, out=flat)
         if self.convection:
-            assemble_convection(self.pair, u, out=blocks)
+            assemble_convection(self.pair, u, out=flat)
         if self.params.gamma > 0.0:
-            assemble_skeleton(self.pair, u, self.params, out=blocks)
-        data = self.psi.reduce(blocks)
+            assemble_skeleton(self.pair, u, self.params, out=flat)
+        data = self.psi.reduce(flat)
         data *= scale
-        return _Linearization(self.psi.csr(data), lambda v: scale * pattern.product(blocks, v))
+        pattern = jacobian_pattern(self.pair)
+        return _Linearization(self.psi.csr(data), lambda v: scale * pattern.product(flat, v))
 
     def nu_derivative(self, u: np.ndarray) -> np.ndarray:
         """d residual / d nu at u from the terms linear in nu: K_unit u - dirichlet.

@@ -681,29 +681,61 @@ def test_streamfunction_pattern_build_transient_within_thrice_retained():
 
 @settings(max_examples=25, deadline=None)
 @given(pair=random_pairs())
-def test_put_inverts_gather(pair):
-    # the band buffer of a matrix on the pattern's own indices gathers back
-    # to its data bit for bit
+def test_k_band_gathers_to_assembled_k(pair):
+    # the spatial operator's K band buffer is filled by the same assembly as
+    # K's CSR, so its gather is K's data bit for bit; it is read-only
     pattern = forms.jacobian_pattern(pair)
-    params = params_for(pair, 0.3)
-    for mat in (
-        assemble_strain(pair),
-        assemble_viscous_nitsche(pair, params),
-        assemble_viscous_nitsche(pair, params, nitsche=False),
-    ):
-        assert np.array_equal(pattern.gather(pattern.put(mat)), mat.data)
+    unit = params_for(pair, 0.3).with_nu(1.0)
+    for nitsche in (True, False):
+        op = _SpatialOperator(FlowProblem(pair, unit, nitsche=nitsche))
+        k = assemble_viscous_nitsche(pair, unit, nitsche)
+        assert np.array_equal(pattern.gather(op.k_band), k.data)
+        assert not op.k_band.flags.writeable
 
 
-def test_put_rejects_other_indices(pair44):
-    # only a matrix on the pattern's own indices has a band buffer by put:
-    # the mass, on part of the pattern, and K without its explicit zeros
-    # are refused, not sampled
-    pattern = forms.jacobian_pattern(pair44)
-    k = assemble_viscous_nitsche(pair44, params_for(pair44, 0.3)).copy()
-    k.eliminate_zeros()
-    for mat in (assemble_velocity_mass(pair44), k):
-        with pytest.raises(ValueError, match="indices"):
-            pattern.put(mat)
+# name: (add the operator into the buffer out, the operator as a matrix)
+OUT_ADDERS = {
+    "mass": (
+        lambda pair, u, params, out: forms.add_velocity_mass(pair, 0.7, out=out),
+        lambda pair, u, params: 0.7 * assemble_velocity_mass(pair),
+    ),
+    "convection": (
+        lambda pair, u, params, out: assemble_convection(pair, u, out=out),
+        lambda pair, u, params: sum(assemble_convection(pair, u)),  # N1 + N2
+    ),
+    "skeleton": (
+        lambda pair, u, params, out: assemble_skeleton(pair, u, params, out=out),
+        lambda pair, u, params: assemble_skeleton(pair, u, params),
+    ),
+    "viscous_nitsche": (
+        lambda pair, u, params, out: assemble_viscous_nitsche(pair, params, out=out),
+        lambda pair, u, params: assemble_viscous_nitsche(pair, params),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(OUT_ADDERS))
+@settings(max_examples=10, deadline=None)
+@given(pair=random_pairs(), seed=st.integers(0, 2**16))
+def test_out_adds_into_a_filled_buffer(name, pair, seed):
+    # every adder with out adds its operator to what the buffer holds (+=,
+    # not =), and nothing else: the gathered difference is the operator
+    add, matrix = OUT_ADDERS[name]
+    pattern = forms.jacobian_pattern(pair)
+    params = params_for(pair, 1e-2)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(pair.n_u)
+    expect = matrix(pair, u, params)
+    scale = max_abs(expect)
+    before = scale * rng.standard_normal(pattern.buffer().size)
+    after = before.copy()
+    assert add(pair, u, params, after) is None
+    got = pattern.csr(pattern.gather(after) - pattern.gather(before))
+    assert max_abs(got - expect) <= 1e-14 * scale
+    if name == "skeleton":
+        after = before.copy()
+        add(pair, u, dataclasses.replace(params, gamma=0.0), after)
+        assert np.array_equal(after, before)
 
 
 def test_pattern_build_transient_within_twice_retained():
