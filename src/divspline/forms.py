@@ -48,8 +48,10 @@ the streamfunction (`StreamfunctionPattern`, whose pattern is crossed from
 the 1-D reductions along y and x), reduced from one band buffer that holds
 the whole J: K (`assemble_viscous_nitsche`), M (`add_velocity_mass`), N1 +
 N2 (`assemble_convection`) and J (`assemble_skeleton`), each added into it
-by out. Every CSR on a pattern shares its read-only indices, and the
-memoized data arrays of K's strain part and of M are read-only too.
+by out; N1 and N2 have one adder (`_add_convection`). Both patterns are
+one CSR pattern on a band buffer (`_BandCSR`), and every CSR on a pattern
+shares its read-only indices; the memoized data arrays of K's strain part
+and of M are read-only too.
 
 Residuals need no matrices, and the per-state kernels work on dense 1-D
 factors of the tensor-product spaces instead of element tables:
@@ -82,7 +84,6 @@ from .space import (
     curl_factors,
     element_basis_1d,
     element_tables,
-    mass_matrix_1d,
     per_pair,
 )
 
@@ -208,23 +209,46 @@ def _row_runs(band: np.ndarray) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges[::2], edges[1::2])]
 
 
-_GATHER_CHUNK = 8192
+class _BandCSR:
+    """A square CSR pattern whose data array is gathered from a flat band
+    buffer: read-only indptr, indices and gather index _gather (the buffer
+    position of each stored entry, in CSR order), and shape and nnz read
+    from indptr. Every matrix `csr` builds shares indptr and indices, so no
+    matrix on the pattern can be changed in its structure."""
+
+    _GATHER_CHUNK = 8192
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, gather: np.ndarray):
+        self.indptr = _read_only(indptr)
+        self.indices = _read_only(indices)
+        self._gather = _read_only(gather)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.indptr) - 1,) * 2
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def gather(self, flat: np.ndarray) -> np.ndarray:
+        """The data array of a band buffer: its stored entries in CSR order.
+
+        np.take casts an index that is not intp to an intp copy, so the int32
+        index is taken in chunks of _GATHER_CHUNK, each cast copy 64 KiB; mode
+        "clip" (every position is in range) lets it write unbuffered."""
+        out = np.empty(self.nnz)
+        for s in range(0, self.nnz, self._GATHER_CHUNK):
+            chunk = slice(s, s + self._GATHER_CHUNK)
+            np.take(flat, self._gather[chunk], out=out[chunk], mode="clip")
+        return out
+
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        """The matrix with the given data array on this pattern's shared indices."""
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
-def _gather(flat: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = flat[index] for an int32 index, written into out.
-
-    np.take casts an index that is not intp to an intp copy, so the index is
-    taken in chunks of _GATHER_CHUNK, each cast copy 64 KiB; mode "clip"
-    (every position is in range) lets it write to out unbuffered.
-    """
-    for s in range(0, len(index), _GATHER_CHUNK):
-        chunk = slice(s, s + _GATHER_CHUNK)
-        np.take(flat, index[chunk], out=out[chunk], mode="clip")
-    return out
-
-
-class JacobianPattern:
+class JacobianPattern(_BandCSR):
     """The one CSR sparsity pattern of a pair: every velocity operator is a
     data array on it, and a Jacobian is a sum of data arrays.
 
@@ -247,11 +271,8 @@ class JacobianPattern:
     products, or, as data on the pattern, through the gather index; entries
     whose column lies outside the space stay zero and are never read.
     `gather` takes the buffer's other entries into a data array in CSR
-    order: a row r of component i holds block (i, 0) and then block (i, 1),
-    each in (c_y, c_x) order. The gather index (one integer an entry),
-    `indices` and `indptr` are read-only, and every matrix `csr` builds
-    shares the last two, so no matrix on the pattern can be changed in its
-    structure.
+    order (`_BandCSR`): a row r of component i holds block (i, 0) and then
+    block (i, 1), each in (c_y, c_x) order.
     """
 
     def __init__(self, pair: DivConformingPair):
@@ -315,16 +336,12 @@ class JacobianPattern:
         masks = [entries(i, "mask") for i in (0, 1)]
         indptr = np.zeros(n + 1, dtype=index_dtype)
         np.cumsum(np.concatenate([m.sum(axis=1) for m in masks]), out=indptr[1:])
-        self.shape = (n, n)
-        self.nnz = int(indptr[-1])
-        self._gather, indices = np.empty(self.nnz, index_dtype), np.empty(self.nnz, index_dtype)
-        ends = (0, int(indptr[spaces[0].n_dofs]), self.nnz)
-        for out, key in ((self._gather, "position"), (indices, "column")):
+        gather, indices = np.empty(indptr[-1], index_dtype), np.empty(indptr[-1], index_dtype)
+        ends = (0, int(indptr[spaces[0].n_dofs]), int(indptr[-1]))
+        for out, key in ((gather, "position"), (indices, "column")):
             for i in (0, 1):
                 out[ends[i] : ends[i + 1]] = entries(i, key)[masks[i]]
-        _read_only(self._gather)
-        self.indices = _read_only(indices)
-        self.indptr = _read_only(indptr)
+        super().__init__(indptr, indices, gather)
 
     def buffer(self) -> np.ndarray:
         """A zeroed flat band buffer."""
@@ -337,10 +354,6 @@ class JacobianPattern:
             [flat[s : s + math.prod(shape)].reshape(shape) for s, shape in row]
             for row in self._layout
         ]
-
-    def gather(self, flat: np.ndarray) -> np.ndarray:
-        """The data array of a band buffer: its stored entries in CSR order."""
-        return _gather(flat, self._gather, np.empty(self.nnz))
 
     def add_kron(self, flat: np.ndarray, terms) -> None:
         """Add the Kronecker terms (i, j, a_y, a_x) into a band buffer: each
@@ -386,10 +399,6 @@ class JacobianPattern:
                 windows = sliding_window_view(padded, (w_y, w_x))[:r_y, :r_x]
                 out_i += np.einsum("ydxe,yxde->yx", blocks[i][j], windows)
         return out
-
-    def csr(self, data: np.ndarray) -> sp.csr_matrix:
-        """The matrix with the given data array on this pattern's shared indices."""
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
 jacobian_pattern = per_pair(JacobianPattern)
@@ -440,7 +449,7 @@ def _reduction_matrix(band, psi_band, y_i: np.ndarray, y_j: np.ndarray) -> sp.cs
     )
 
 
-class StreamfunctionPattern:
+class StreamfunctionPattern(_BandCSR):
     """The CSR pattern of A = C^T J C on the interior streamfunction
     coefficients, and the reduction of a `JacobianPattern` band buffer to A.
 
@@ -460,16 +469,13 @@ class StreamfunctionPattern:
 
     `indptr` and `indices` are those of the structural product |C|^T |J|
     |C|, J full on the velocity pattern: the union over the blocks of the
-    Kronecker product of the rows their y and x reductions store. `gather`
-    takes A's data from the band by one int32 index. All three are read-only
-    and shared by every matrix `csr` builds.
+    Kronecker product of the rows their y and x reductions store.
     """
 
     def __init__(self, pair: DivConformingPair):
         velocity = jacobian_pattern(pair)
         factors = curl_factors(pair)
         n_y, n_x = factors[0][0].shape[1], factors[0][1].shape[1]
-        self.shape = (n_y * n_x, n_y * n_x)
         blocks = [(i, j) for i in (0, 1) for j in (0, 1)]
         self.bands = []
         for axis in (0, 1):
@@ -493,21 +499,15 @@ class StreamfunctionPattern:
             self._reductions.append((i, j, *along))
             s_y, s_x = (np.diff(r.indptr).reshape(n, -1) > 0 for r, n in zip(along, (n_y, n_x)))
             inside |= s_y[:, None, :, None] & s_x[None, :, None, :]
-        self.indptr = _read_only(np.append(0, np.cumsum(inside.sum(axis=(2, 3)))).astype(np.int32))
-        self.nnz = int(self.indptr[-1])
+        indptr = np.append(0, np.cumsum(inside.sum(axis=(2, 3)))).astype(np.int32)
         (a_y, e_y), (a_x, e_x) = (
             np.indices(s, np.int32, sparse=True) for s in ((n_y, w_y), (n_x, w_x))
         )
         columns = (a_y - p_y + e_y)[:, None, :, None] * n_x + (a_x - p_x + e_x)[None, :, None, :]
-        self.indices = _read_only(columns[inside])
-        self._velocity = velocity
         # positions in the x-major band of `reduce`, (a_x, e_x, a_y, e_y)
         y_part, x_part = (a_y * w_y + e_y)[:, None, :, None], (a_x * w_x + e_x)[None, :, None, :]
-        self._gather = _read_only((x_part * (n_y * w_y) + y_part)[inside])
-
-    def gather(self, flat: np.ndarray) -> np.ndarray:
-        """A's data array from a flat psi band: its entries in CSR order."""
-        return _gather(flat, self._gather, np.empty(self.nnz))
+        super().__init__(indptr, columns[inside], (x_part * (n_y * w_y) + y_part)[inside])
+        self._velocity = velocity
 
     def reduce(self, flat: np.ndarray) -> np.ndarray:
         """The data array of C^T J C, J in a `JacobianPattern` band buffer.
@@ -526,10 +526,6 @@ class StreamfunctionPattern:
                 band += part
             del part
         return self.gather(band.ravel())
-
-    def csr(self, data: np.ndarray) -> sp.csr_matrix:
-        """The matrix with the given data array on this pattern's shared indices."""
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
 streamfunction_pattern = per_pair(StreamfunctionPattern)
@@ -700,7 +696,7 @@ def assemble_viscous_nitsche(
     """
     pattern = jacobian_pattern(pair)
     flat = pattern.buffer() if out is None else out
-    flat[pattern._gather] += params.nu * assemble_strain(pair).data
+    np.add.at(flat, pattern._gather, params.nu * assemble_strain(pair).data)
     if nitsche:
         pattern.add_kron(flat, _nitsche_terms(pair, params))
     return None if out is not None else pattern.csr(pattern.gather(flat))
@@ -741,7 +737,7 @@ def nitsche_load(pair: DivConformingPair, params: StabParams, u_d) -> np.ndarray
 
 def assemble_divergence(pair: DivConformingPair) -> sp.csr_matrix:
     """B with (B u)_q = (div u_h, psi_q): M_p D, as div u_h = D u lies in Q exactly."""
-    m_p = sp.kron(mass_matrix_1d(pair.q.kv_y), mass_matrix_1d(pair.q.kv_x))
+    m_p = sp.kron(sp.csr_matrix(pair.q.kv_y.mass), sp.csr_matrix(pair.q.kv_x.mass))
     return (m_p @ pair.divergence).tocsr()
 
 
@@ -839,40 +835,47 @@ def assemble_convection(
 
     Returns (N1, N2) on the pair's `jacobian_pattern`, with N1 u acting as
     C(w; u, .) and N2 u as C(u; w, .); the Newton Jacobian of the convective
-    residual N1(w) w is N1 + N2 and the residual itself is N1 @ w. Every
-    term is `_sum_factorized` from the 1-D element rows and w on the grid of
-    convection points into one band buffer. N2's block (j, i) is -(w_j d_i
-    phi_a, phi_b), so its diagonal block j is the i = j term of N1's block
-    j, -(w . grad phi_a) phi_b: the buffer gives N2, then, with its
-    off-diagonal blocks zeroed and the other terms added, N1.
-
-    Given out, a `JacobianPattern.buffer`, N1 + N2 is added into it and
-    nothing is gathered or returned: N2's four blocks with the diagonal ones
-    doubled (by doubled weights, which doubles them exactly), then N1's
-    other terms.
+    residual N1(w) w is N1 + N2 and the residual itself is N1 @ w. Both come
+    from one adder, `_add_convection`, run once for N1 and once for N2, each
+    into a band buffer of its own that is then gathered. Given out, a
+    `JacobianPattern.buffer`, the adder runs once for N1 + N2 into it and
+    nothing is gathered or returned.
     """
     w_u = w_state.u if isinstance(w_state, StateVector) else w_state
+    if out is not None:
+        _add_convection(pair, w_u, out, n1=True, n2=True)
+        return None
+    pattern = jacobian_pattern(pair)
+    flat_n1, flat_n2 = pattern.buffer(), pattern.buffer()
+    _add_convection(pair, w_u, flat_n1, n1=True, n2=False)
+    _add_convection(pair, w_u, flat_n2, n1=False, n2=True)
+    return pattern.csr(pattern.gather(flat_n1)), pattern.csr(pattern.gather(flat_n2))
+
+
+def _add_convection(
+    pair: DivConformingPair, w_u: np.ndarray, flat: np.ndarray, n1: bool, n2: bool
+) -> None:
+    """Add N1 (if n1) and N2 (if n2) at w_u into the band buffer flat.
+
+    Every term is `_sum_factorized` from the 1-D element rows and w on the
+    grid of convection points. N2's block (j, i) is -(w_j d_i phi_a, phi_b),
+    so its diagonal block j is the i = j term of N1's block j, -(w . grad
+    phi_a) phi_b: block (j, i) is added with weight 1 for N2 and 1 more on
+    the diagonal blocks for N1 (a weight of 2 doubles the terms exactly),
+    then N1's other term of each diagonal block."""
     tab = _convection_tables(pair)
     pattern = jacobian_pattern(pair)
     w = _convection_values(pair, w_u)
-    flat = pattern.buffer() if out is None else out
     blocks = pattern.blocks(flat)
-    if out is not None:
-        for j in (0, 1):
-            for i in (0, 1):
-                w_n2 = 2.0 * w[j] if i == j else w[j]
-                _sum_factorized(tab, w_n2, j, i, i, pattern.bands[j][i], blocks[j][i])
-        for j in (0, 1):
-            _sum_factorized(tab, w[1 - j], j, j, 1 - j, pattern.bands[j][j], blocks[j][j])
-        return None
     for j in (0, 1):
         for i in (0, 1):
-            _sum_factorized(tab, w[j], j, i, i, pattern.bands[j][i], blocks[j][i])
-    n2 = pattern.gather(flat)
-    for j in (0, 1):
-        blocks[j][1 - j][...] = 0.0
-        _sum_factorized(tab, w[1 - j], j, j, 1 - j, pattern.bands[j][j], blocks[j][j])
-    return pattern.csr(pattern.gather(flat)), pattern.csr(n2)
+            weight = int(n2) + int(n1 and i == j)
+            if weight:
+                w_ji = w[j] if weight == 1 else weight * w[j]
+                _sum_factorized(tab, w_ji, j, i, i, pattern.bands[j][i], blocks[j][i])
+    if n1:
+        for j in (0, 1):
+            _sum_factorized(tab, w[1 - j], j, j, 1 - j, pattern.bands[j][j], blocks[j][j])
 
 
 def convection_residual(pair: DivConformingPair, u: np.ndarray) -> np.ndarray:

@@ -47,7 +47,6 @@ __all__ = [
     "ElementTables",
     "element_basis_1d",
     "quad_points_1d",
-    "mass_matrix_1d",
     "per_pair",
 ]
 
@@ -279,12 +278,6 @@ def quad_points_1d(kv: KnotVector, npts: int) -> tuple[np.ndarray, np.ndarray]:
     pts = (a + h * rule.points[None, :]).ravel()
     wts = (h * rule.weights[None, :]).ravel()
     return pts, wts
-
-
-def mass_matrix_1d(kv: KnotVector) -> sp.csr_matrix:
-    """Univariate mass matrix, integrated exactly: the knot vector's memoized
-    dense `mass`, stored sparse."""
-    return sp.csr_matrix(kv.mass)
 
 
 def divergence_coefficients(pair: DivConformingPair, u: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from divspline.space import (
     TensorSpace,
     build_pair,
     element_basis_1d,
-    mass_matrix_1d,
     per_pair,
     quad_points_1d,
 )
@@ -675,7 +674,7 @@ def component_l2_projection(space: TensorSpace, f, npts: int) -> np.ndarray:
     cx = collocation_matrix(space.kv_x, px)[0]
     cy = collocation_matrix(space.kv_y, py)[0]
     rhs = cy.T @ (wy[:, None] * f(px[None, :], py[:, None]) * wx[None, :]) @ cx
-    m2d = sp.kron(mass_matrix_1d(space.kv_y), mass_matrix_1d(space.kv_x)).tocsc()
+    m2d = sp.kron(sp.csr_matrix(space.kv_y.mass), sp.csr_matrix(space.kv_x.mass)).tocsc()
     return sp.linalg.spsolve(m2d, rhs.ravel())
 
 
