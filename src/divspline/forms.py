@@ -48,10 +48,11 @@ the streamfunction (`StreamfunctionPattern`, whose pattern is crossed from
 the 1-D reductions along y and x), reduced from one band buffer that holds
 the whole J: K (`assemble_viscous_nitsche`), M (`add_velocity_mass`), N1 +
 N2 (`assemble_convection`) and J (`assemble_skeleton`), each added into it
-by out; N1 and N2 have one adder (`_add_convection`). Both patterns are
-one CSR pattern on a band buffer (`_BandCSR`), and every CSR on a pattern
-shares its read-only indices; the memoized data arrays of K's strain part
-and of M are read-only too.
+by out; N1 and N2 have one adder (`_add_convection`). The buffer is only
+ever reduced to A, never multiplied. Both patterns are one CSR pattern on a
+band buffer (`_BandCSR`), and every CSR on a pattern shares its read-only
+indices; the memoized data arrays of K's strain part and of M are read-only
+too.
 
 Residuals need no matrices, and the per-state kernels work on dense 1-D
 factors of the tensor-product spaces instead of element tables:
@@ -60,12 +61,14 @@ velocity component at the convection points (`element_tables`), and
 `skeleton_residual` gives J(u) u from the one-sided value rows, jump rows
 and tangential collocation on the interior knot lines (`FacetTables`); each
 writes its components' slices of the output, with no gather and no scatter.
-The solver's line search and the energy diagnostics use only these; the
-operators are assembled only for a Newton step's linearization. The
-iterate-dependent values a residual and a Jacobian share (eta on the facet
-lines, w on the grid of convection points) are kept per pair for the last
-state they were computed at, so the Jacobian at a state whose residual was
-just evaluated recomputes neither.
+Given a direction v they give the Jacobian product (Knoll & Keyes, JCP 193
+(2004)): (N1(u) + N2(u)) v and J(u) v, eta frozen at u. The solver's line
+search and pressure recovery and the energy diagnostics use only these;
+the operators are assembled only for a Newton step's linearization.
+The iterate-dependent values a residual and a Jacobian share (eta on the
+facet lines, w on the grid of convection points) are kept per pair for the
+last state they were computed at, so the Jacobian and its products at a
+state whose residual was just evaluated recompute neither.
 """
 from __future__ import annotations
 
@@ -75,7 +78,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .bspline import _dense_rows, collocation_matrix, gram_matrix
 from .space import (
@@ -281,7 +283,6 @@ class JacobianPattern(_BandCSR):
         if any(kv.n_basis != kv.n_elements + kv.degree for kv in knot_vectors):
             raise ValueError("JacobianPattern requires interior knot multiplicity 1")
         kvs = [(s.kv_y, s.kv_x) for s in spaces]  # buffer order: y, then x
-        self._grids = [(s.n_y, s.n_x) for s in spaces]
         self.bands = [
             [
                 tuple(
@@ -374,31 +375,6 @@ class JacobianPattern(_BandCSR):
         flat = self.buffer()
         self.add_kron(flat, terms)
         return self.gather(flat)
-
-    def product(self, flat: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """J v for the operator J held in the band buffer flat.
-
-        Row (r_y, r_x) of block (i, j) meets the (W_y, W_x) window of
-        component j's coefficient grid at (r_y - P_y, r_x - P_x), so each
-        block is one contraction with the sliding windows of the zero-padded
-        grid; the entries outside the space are zero in the buffer.
-        """
-        blocks = self.blocks(flat)
-        out = np.zeros(self.shape[0])
-        (r_0y, r_0x), _ = self._grids
-        starts = (0, r_0y * r_0x)
-        for i in (0, 1):
-            r_y, r_x = self._grids[i]
-            out_i = out[starts[i] : starts[i] + r_y * r_x].reshape(r_y, r_x)
-            for j in (0, 1):
-                (p_y, w_y), (p_x, w_x) = self.bands[i][j]
-                n_y, n_x = self._grids[j]
-                grid = v[starts[j] : starts[j] + n_y * n_x].reshape(n_y, n_x)
-                padded = np.zeros((max(r_y + w_y - 1, p_y + n_y), max(r_x + w_x - 1, p_x + n_x)))
-                padded[p_y : p_y + n_y, p_x : p_x + n_x] = grid
-                windows = sliding_window_view(padded, (w_y, w_x))[:r_y, :r_x]
-                out_i += np.einsum("ydxe,yxde->yx", blocks[i][j], windows)
-        return out
 
 
 jacobian_pattern = per_pair(JacobianPattern)
@@ -878,28 +854,41 @@ def _add_convection(
             _sum_factorized(tab, w[1 - j], j, j, 1 - j, pattern.bands[j][j], blocks[j][j])
 
 
-def convection_residual(pair: DivConformingPair, u: np.ndarray) -> np.ndarray:
-    """Convective residual N1(u) u, i.e. C(u; u, phi_a) for every test function.
+def convection_residual(
+    pair: DivConformingPair, u: np.ndarray, v: np.ndarray | None = None
+) -> np.ndarray:
+    """Convective residual N1(u) u, i.e. C(u; u, phi_a) for every test
+    function; given a direction v, its derivative (N1(u) + N2(u)) v at u.
 
     Computed without N1, on the tensor grid of convection points: with U_c
     the values of component c there and W = -(w_y (x) w_x), test component
     j takes
 
-        r_j = C_y,j^T (W U_j U_0) C'_x,j + C'_y,j^T (W U_j U_1) C_x,j,
+        r_j = C_y,j^T (W F_j0) C'_x,j + C'_y,j^T (W F_j1) C_x,j,
 
     with (C, C') the collocation of `element_tables`, written into its slice
-    of the output.
+    of the output. The residual has F_jk = U_j U_k, the derivative F_jk =
+    U_j V_k + V_j U_k (V_c the values of v, evaluated outside the memo, so
+    that it keeps u): 2 U_0 V_0, 2 U_1 V_1 and a shared cross term.
     """
     tab = _convection_tables(pair)
     uq = _convection_values(pair, u)
     neg_weights = -np.outer(tab.weights_1d[1], tab.weights_1d[0])
+    if v is not None:
+        vq = _convection_point_values(pair, v)
+        cross = neg_weights * (uq[0] * vq[1] + vq[0] * uq[1])
     out = np.empty(pair.n_u)
     for j in (0, 1):
         (c_x, dc_x), (c_y, dc_y) = tab.colloc[j]
-        wu = neg_weights * uq[j]
+        if v is None:
+            wu = neg_weights * uq[j]
+            flux = [wu * uq[0], wu * uq[1]]
+        else:
+            flux = [cross, cross]
+            flux[j] = (2.0 * neg_weights) * (uq[j] * vq[j])
         r_j = pair.component_coeffs(out, j)  # a view of the output
-        np.matmul(c_y.T @ (wu * uq[0]), dc_x, out=r_j)
-        r_j += dc_y.T @ (wu * uq[1]) @ c_x
+        np.matmul(c_y.T @ flux[0], dc_x, out=r_j)
+        r_j += dc_y.T @ flux[1] @ c_x
     return out
 
 
@@ -984,14 +973,16 @@ def assemble_skeleton(
 
 
 def skeleton_residual(
-    pair: DivConformingPair, u: np.ndarray, params: StabParams
+    pair: DivConformingPair, u: np.ndarray, params: StabParams, v: np.ndarray | None = None
 ) -> np.ndarray:
-    """Skeleton penalty residual J(u) u, so that u @ J(u) u = J(u; u, u).
+    """Skeleton penalty residual J(u) u, so that u @ J(u) u = J(u; u, u);
+    given a direction v, J(u) v, eta frozen at u as in the linearization.
 
     Computed without J, on the facet lines (`FacetTables`): on the facets
     normal to axis the tangential component c = 1 - axis, with G its
-    coefficient grid indexed (tangential, normal), has the jumps
-    S = T_c G L_c^T at the quadrature points of every line, and
+    coefficient grid (of u, or of v when given) indexed (tangential,
+    normal), has the jumps S = T_c G L_c^T at the quadrature points of every
+    line, and
 
         r_c = T_c^T (w eta S) L_c,
 
@@ -1003,11 +994,10 @@ def skeleton_residual(
         return np.zeros(pair.n_u)
     out = np.empty(pair.n_u)  # each component is the tangential one of one orientation
     for facets, eta in zip(facet_tables(pair).interior, facet_eta_values(pair, u, params)):
-        a = facets.axis
-        c = 1 - a
+        a, c = facets.axis, 1 - facets.axis
         tang, jump = facets.tang[c], facets.line_jump
-        u_jump = tang @ _tangential_first(pair.component_coeffs(u, c), a) @ jump.T
-        weighted = (facets.line_weights[:, None] * eta) * u_jump
+        grid = _tangential_first(pair.component_coeffs(u if v is None else v, c), a)
+        weighted = (facets.line_weights[:, None] * eta) * (tang @ grid @ jump.T)
         np.matmul(
             tang.T @ weighted, jump, out=_tangential_first(pair.component_coeffs(out, c), a)
         )

@@ -16,16 +16,15 @@ divergence-conforming B-splines). C's component blocks are Kronecker
 products of 1-D factors, so a band buffer on the pair's
 `forms.jacobian_pattern` is reduced to A's data by 1-D sparse products
 (row-wise formation after Calabro, Sangalli & Tani, CMAME 316 (2017)).
-Each linearization fills one such buffer with the whole J: nu times K's
-band buffer, which the spatial operator fills once by
-`forms.assemble_viscous_nitsche` and holds, then c_mass M, N1 + N2 and J_h
-added into it, and A is its one reduction. No velocity Jacobian
-is gathered: J du in the pressure recovery, the one product with J that
-Newton needs, is read from the same buffer. Residuals are formed
-without matrices (forms.convection_residual and forms.skeleton_residual): the
-initial residual, every line-search trial and TimeStepper.initialize
-evaluate only the residual, and Newton builds one linearization per step,
-at the current iterate, only once it has decided to take another step. The
+Each linearization overwrites the spatial operator's one scratch buffer
+with the whole J: nu times K's band buffer, then c_mass M, N1 + N2 and J_h
+added into it, and A is its one reduction. No velocity Jacobian is
+gathered or multiplied. Residuals are formed without matrices
+(forms.convection_residual and forms.skeleton_residual), and so is J du,
+the pressure recovery's one product with J, from K and the same two
+kernels given the direction du (jacobian_product). Newton builds one
+linearization per step, at the current iterate, only once it has decided
+to take another step. The
 square matrix A has no pressure block, no mean-constraint border and no
 normal-DOF elimination; the pressure gradient drops out since B C = 0.
 Strong normal-trace Dirichlet conditions (u . n = 0 on the box boundary)
@@ -71,29 +70,23 @@ steps, so its LU is lagged (Knoll & Keyes, JCP 193 (2004), on lagged
 preconditioners). Each spatial operator holds the last streamfunction LU; a
 TimeStepper shares it across all its steps and each newton_steady call has
 its own (on solve_steady's ladder the next step's predictor uses it last).
-A Newton correction first runs at most _KRYLOV_LIMIT iterations of
-GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986); one restart
-cycle, _gmres) on A dpsi = -C^T r, with the held LU applied on the
-right. Right preconditioning minimizes the true residual, so the GMRES
-estimate is the quantity checked: once it is at most _KRYLOV_RTOL times
-the right-hand side's norm, the iterate is kept if it is finite, its
-explicit residual meets the same bound and its correction by the held LU
-(an estimate of its error) is at most _KRYLOV_RTOL of it. If no iterate of
-the cycle is kept (and at the first iteration, when no LU is held yet) the
-current matrix is factorized, the new LU replaces the held one and the
-system is solved directly. The corrections therefore match direct solves to that tolerance,
-and the Newton stopping test, line search and pressure recovery are those
-of an LU per iteration.
+A Newton correction first runs one cycle of at most _KRYLOV_LIMIT GMRES
+iterations (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986); _gmres)
+on A dpsi = -C^T r, right-preconditioned by the held LU, and keeps an
+iterate only if its residual and its estimated error are within
+_KRYLOV_RTOL; otherwise (and when no LU is held yet) the current matrix is
+factorized and its LU replaces the held one. The corrections therefore
+match direct solves to that tolerance.
 
 The steady problem is solved by damped Newton with optional
 predictor-corrector Reynolds continuation (Allgower & Georg, Introduction to
-Numerical Continuation Methods, SIAM (2003)). K and the Nitsche load are
-linear in nu and the body force does not depend on it, so the spatial
-operator assembles them once at nu = 1 and every ladder step scales the same
-arrays by its own nu. The same arrays give dr/dnu = K_unit u - g_unit (g_unit
-the Nitsche load at nu = 1; the penalty's nu-dependence through min(Re_h, 1)
-is left out), and each ladder step after the first starts from the Euler
-tangent predictor
+Numerical Continuation Methods, SIAM (2003)). K, the Nitsche load and the
+load of FlowProblem.f_nu are linear in nu and f does not depend on it, so
+the spatial operator assembles them once at nu = 1 and every ladder step
+scales the same arrays by its own nu. The same arrays give dr/dnu = K_unit
+u - g_unit (g_unit the nu-linear load at nu = 1; the penalty's
+nu-dependence through min(Re_h, 1) is left out), and each ladder step
+after the first starts from the Euler tangent predictor
 
     u + (nu_next - nu) C dpsi,   C^T J C dpsi = -C^T dr/dnu,
 
@@ -241,10 +234,11 @@ class TimeConfig:
 class FlowProblem:
     """One flow configuration: spaces, parameters, data, and active terms.
 
-    f and u_d are callables mapping coordinate arrays (x, y) to component
-    pairs; u_d supplies the tangential Dirichlet data imposed weakly when
-    nitsche is set. nitsche=False leaves the tangential traction free
-    (free-slip walls with the normal trace fixed strongly).
+    f, f_nu and u_d are callables mapping coordinate arrays (x, y) to
+    component pairs: the body force is f + nu f_nu, and u_d supplies the
+    tangential Dirichlet data imposed weakly when nitsche is set.
+    nitsche=False leaves the tangential traction free (free-slip walls with
+    the normal trace fixed strongly).
     """
 
     pair: DivConformingPair
@@ -253,6 +247,7 @@ class FlowProblem:
     u_d: Callable | None = None
     nitsche: bool = True
     convection: bool = True
+    f_nu: Callable | None = None
 
 
 class LadderStep(NamedTuple):
@@ -521,26 +516,19 @@ def _streamfunction_mass(pair: DivConformingPair) -> _KroneckerSum:
     return _KroneckerSum(k_y, k_x, m_y, m_x)
 
 
-class _Linearization(NamedTuple):
-    """A Newton linearization: matrix is A = C^T J C on the pair's
-    `streamfunction_pattern`, and product(v) gives J v for a velocity v."""
-
-    matrix: sp.csr_matrix
-    product: Callable[[np.ndarray], np.ndarray]
-
-
 class _SpatialOperator:
-    """Steady residual and frozen-eta linearization over all velocity DOFs.
+    """Steady residual, frozen-eta linearization and J v over all velocity DOFs.
 
-    residual(u) assembles no matrix. K and the Nitsche load are linear in
-    nu, and the body force does not depend on it, so they are assembled once
-    at nu = 1 (k_unit, dirichlet, body) and scaled by params.nu; at_nu gives
-    the operator at another viscosity on the same arrays. k_band is K_unit
-    in a band buffer of the pair's `jacobian_pattern`, filled by one
-    `assemble_viscous_nitsche` into it and read-only; every linearization
-    starts from it. k_unit, for the residuals, is its gather with the zeros
-    removed. lagged holds the last streamfunction LU of the Newton solves
-    on this operator (and on stage operators built from it).
+    residual(u) and jacobian_product(u, v) assemble no matrix. K and the
+    loads of the Nitsche data and of f_nu are linear in nu, and f does not
+    depend on it, so they are assembled once at nu = 1 (k_unit, nu_load,
+    body) and scaled by params.nu; at_nu gives the operator at another
+    viscosity on the same arrays. k_band is K_unit in a read-only band
+    buffer of the pair's `jacobian_pattern`; k_unit is its gather without
+    zeros. scratch, the band buffer each linearization overwrites, is shared
+    with the operators at_nu and the stage operators built from this one.
+    lagged holds the last streamfunction LU of the Newton solves on this
+    operator (and on stage operators built from it).
     """
 
     def __init__(self, problem: FlowProblem):
@@ -555,15 +543,16 @@ class _SpatialOperator:
         # indices of its own, so that its zeros can be removed
         self.k_unit = pattern.csr(pattern.gather(self.k_band)).copy()
         self.k_unit.eliminate_zeros()
+        self.scratch = pattern.buffer()
         self.body = assemble_load(pair, unit, f=problem.f, nitsche=False)
-        self.dirichlet = assemble_load(
-            pair, unit, u_d=problem.u_d, nitsche=problem.nitsche
+        self.nu_load = assemble_load(
+            pair, unit, f=problem.f_nu, u_d=problem.u_d, nitsche=problem.nitsche
         )
         self._set_params(problem.params)
 
     def _set_params(self, params: StabParams):
         self.params = params
-        self.load = self.body + params.nu * self.dirichlet
+        self.load = self.body + params.nu * self.nu_load
         self.lagged = _LaggedLU()
 
     def at_nu(self, nu: float) -> "_SpatialOperator":
@@ -581,16 +570,14 @@ class _SpatialOperator:
             r += skeleton_residual(self.pair, u, self.params)
         return r
 
-    def linearize(self, u: np.ndarray, mass: float = 0.0, scale: float = 1.0) -> _Linearization:
-        """A = scale C^T (nu K + mass M + N1 + N2 + J) C at u, frozen eta,
-        and J v for the same scaled J.
+    def linearize(self, u: np.ndarray, mass: float = 0.0, scale: float = 1.0) -> sp.csr_matrix:
+        """A = scale C^T (nu K + mass M + N1 + N2 + J) C at u, frozen eta.
 
-        One band buffer starts as nu k_band and takes mass M
+        scratch is overwritten with nu k_band and takes mass M
         (`add_velocity_mass`), N2 with its diagonal blocks doubled and N1's
         other terms (`assemble_convection`), then J (`assemble_skeleton`);
-        A is reduced from it (`StreamfunctionPattern.reduce`), and the
-        product reads it (`JacobianPattern.product`)."""
-        flat = self.params.nu * self.k_band
+        A is reduced from it (`StreamfunctionPattern.reduce`)."""
+        flat = np.multiply(self.k_band, self.params.nu, out=self.scratch)
         if mass:
             add_velocity_mass(self.pair, mass, out=flat)
         if self.convection:
@@ -599,23 +586,29 @@ class _SpatialOperator:
             assemble_skeleton(self.pair, u, self.params, out=flat)
         data = self.psi.reduce(flat)
         data *= scale
-        pattern = jacobian_pattern(self.pair)
-        return _Linearization(self.psi.csr(data), lambda v: scale * pattern.product(flat, v))
+        return self.psi.csr(data)
+
+    def jacobian_product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """J v, J = nu K + N1 + N2 + J_h at u, eta frozen, from the residual kernels."""
+        jv = self.params.nu * (self.k_unit @ v)
+        if self.convection:
+            jv += convection_residual(self.pair, u, v)
+        if self.params.gamma > 0.0:
+            jv += skeleton_residual(self.pair, u, self.params, v)
+        return jv
 
     def nu_derivative(self, u: np.ndarray) -> np.ndarray:
-        """d residual / d nu at u from the terms linear in nu: K_unit u - dirichlet.
-
-        The penalty's nu-dependence through min(Re_h, 1) is left out.
-        """
-        return self.k_unit @ u - self.dirichlet
+        """d residual / d nu at u from the terms linear in nu, K_unit u -
+        nu_load; the penalty's nu-dependence through min(Re_h, 1) is left out."""
+        return self.k_unit @ u - self.nu_load
 
 
 class _StageOperator:
-    """Generalized-alpha stage residual and linearization as functions of u_{n+1}.
+    """Generalized-alpha stage residual, linearization and J v as functions of u_{n+1}.
 
-    mass is the velocity mass matrix, for the residual; the linearization
-    is the spatial operator's at the alpha_f state, with the mass term in
-    its buffer.
+    mass is the velocity mass matrix, for the residual and J v; the
+    linearization is the spatial operator's at the alpha_f state, with the
+    mass term in its buffer.
     """
 
     def __init__(self, spatial, mass, u_n, udot_n, cfg: TimeConfig):
@@ -635,13 +628,18 @@ class _StageOperator:
         r_sp = self.spatial.residual(self._alpha_f_state(u_new))
         return self.c_mass * (self.mass @ u_new) + self.hist + r_sp
 
-    def linearize(self, u_new: np.ndarray) -> _Linearization:
-        """A = C^T J C and J v for the stage Jacobian J = c_mass M + alpha_f
-        J_sp at the alpha_f state: alpha_f times the spatial linearization
-        with c_mass / alpha_f M in its buffer."""
+    def linearize(self, u_new: np.ndarray) -> sp.csr_matrix:
+        """A = C^T J C for the stage Jacobian J = c_mass M + alpha_f J_sp at
+        the alpha_f state: alpha_f times the spatial linearization with
+        c_mass / alpha_f M in its buffer."""
         return self.spatial.linearize(
             self._alpha_f_state(u_new), self.c_mass / self.alpha_f, self.alpha_f
         )
+
+    def jacobian_product(self, u_new: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """J v for the same stage Jacobian."""
+        jv = self.spatial.jacobian_product(self._alpha_f_state(u_new), v)
+        return self.alpha_f * jv + self.c_mass * (self.mass @ v)
 
 
 def _newton(
@@ -671,10 +669,8 @@ def _newton(
             )
         if it == config.max_iter:
             break
-        linearization = op.linearize(u)
-        du = curl @ lagged.solve(linearization.matrix, -(curl_t @ r_u))
-        dp = ps.pressure(r_u + linearization.product(du)) - p
-        del linearization
+        du = curl @ lagged.solve(op.linearize(u), -(curl_t @ r_u))
+        dp = ps.pressure(r_u + op.jacobian_product(u, du)) - p
         s = 1.0
         while True:
             u_t = u + s * du

@@ -144,17 +144,20 @@ def test_reynolds_robustness_past_re_1000(reynolds_tables, k_prime):
     assert max(row.div_max for row in rows) < 1e-10
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the default ladder steps from Re 1e4 straight to 4e4, and Newton converges "
-    "there to a state far from the manufactured solution (L2 1.65e-2 to 1.85e-2)",
-)
 @pytest.mark.parametrize("k_prime", [1, 2, 3])
 def test_reynolds_robustness_at_re_4e4(reynolds_tables, k_prime):
-    (row,) = run_reynolds_robustness(k_prime, n=16, re_list=(4e4,))
-    l2 = [r.l2 for r in reynolds_tables[k_prime]] + [row.l2]
+    # every ladder step solves the manufactured problem at its own Re (the
+    # forcing's -nu lap u part follows nu), so the default ladder reaches Re
+    # 4e4 and, at k' = 1 and 2, 1e5 on the manufactured branch: L2 within 2x
+    # of criterion 3's errors (measured 1.11x and 1.36x at k' = 1, 1.07x and
+    # 1.25x at k' = 2). k' = 3 at 1e5 is not asserted: its L2 of 1.58e-7
+    # passes only because Newton's absolute stopping test accepts a state
+    # near Re 1e4's; converged to 1e-14 it is 7.62e-7, 4.8x its Re 1e3 error
+    re_list = (4e4, 1e5) if k_prime < 3 else (4e4,)
+    rows = run_reynolds_robustness(k_prime, n=16, re_list=re_list)
+    l2 = [r.l2 for r in reynolds_tables[k_prime] + rows]
     assert max(l2) / min(l2) <= 2.0
+    assert max(row.div_max for row in rows) < 1e-10
 
 
 # ----------------------------------------------------------------- criterion 4

@@ -421,6 +421,57 @@ def test_residual_kernels_match_assembled_matrices(pair, seed, nu):
     assert abs(energy - u @ (j @ u)) <= 1e-13 * (np.abs(u) @ (abs(j) @ np.abs(u)))
     galerkin = StabParams(nu, 0.0, params.c_nit, params.alpha_prime)
     assert not skeleton_residual(pair, u, galerkin).any()
+    # given a direction v, the same kernels apply the Jacobian at u: the
+    # state-derivative (N1 + N2) v of N1(u) u, and J(u) v, eta frozen at u
+    v = np.random.default_rng(seed + 1).standard_normal(pair.n_u)
+    n1, n2 = assemble_convection(pair, u)
+    for kernel, mat in (
+        (convection_residual(pair, u, v), n1 + n2),
+        (skeleton_residual(pair, u, params, v), j),
+    ):
+        scale = (abs(mat) @ np.abs(v)).max(initial=0.0)
+        assert np.abs(kernel - mat @ v).max() <= 1e-13 * scale
+
+
+@settings(max_examples=20, deadline=None)
+@given(pair=random_pairs(), seed=st.integers(0, 2**16))
+def test_parallel_flow_has_no_cross_wind_penalty(pair, seed):
+    # u = (U(y), 0): vx's coefficients constant along x give a field of y
+    # alone (the x basis sums to 1), so u . n = 0 on the facets normal to y
+    # and eta vanishes there exactly. The penalty then acts on no
+    # x-component, for any direction v, and J(u) u = 0
+    rng = np.random.default_rng(seed)
+    u = np.zeros(pair.n_u)
+    grid = pair.component_coeffs(u, 0)
+    grid[...] = rng.standard_normal((grid.shape[0], 1))
+    params = StabParams.create(pair.k_prime, nu=1e-3)
+    _, eta_normal_to_y = facet_eta_values(pair, u, params)
+    assert not eta_normal_to_y.any()
+    v = rng.standard_normal(pair.n_u)
+    assert not pair.component_coeffs(skeleton_residual(pair, u, params, v), 0).any()
+    assert not skeleton_residual(pair, u, params).any()
+
+
+@settings(max_examples=20, deadline=None)
+@given(pair=random_pairs(), seed=st.integers(0, 2**16))
+def test_eta_follows_the_facet_reynolds_number(pair, seed):
+    # eta = gamma min(Re_h, 1) h^(2 alpha' + 2) |u . n| with Re_h = |u| h /
+    # nu: where diffusion dominates (Re_h < 1 at every facet point) doubling
+    # nu halves eta, and where convection dominates (Re_h >= 1 everywhere)
+    # eta does not depend on nu. Coefficients in [1/2, 1] keep both
+    # components there (the bases sum to 1), so 1/2 <= |u| <= sqrt(2), and
+    # Re_h = 2 |u| at nu = h / 2 reaches down to 1
+    u = np.random.default_rng(seed).uniform(0.5, 1.0, pair.n_u)
+    h = pair.mesh.h
+
+    def eta_at(nu):
+        return facet_eta_values(pair, u, StabParams.create(pair.k_prime, nu=nu))
+
+    for eta, eta_doubled in zip(eta_at(4.0 * h), eta_at(8.0 * h)):
+        scale = np.abs(eta).max(initial=0.0)
+        assert np.abs(eta_doubled - 0.5 * eta).max(initial=0.0) <= 1e-15 * scale
+    for eta, eta_doubled in zip(eta_at(0.25 * h), eta_at(0.5 * h)):
+        assert np.array_equal(eta_doubled, eta)
 
 
 def test_per_state_values_are_recomputed_for_a_new_state_or_params(pair44):
@@ -1014,7 +1065,7 @@ def test_pattern_matrices_share_read_only_indices(pair33k2):
                 assemble_skeleton(pair, u, params),
             ),
         ),
-        (forms.streamfunction_pattern(pair), (op.linearize(u).matrix,)),
+        (forms.streamfunction_pattern(pair), (op.linearize(u),)),
     ):
         for mat in matrices:
             for got, shared in ((mat.indices, pattern.indices), (mat.indptr, pattern.indptr)):

@@ -188,7 +188,10 @@ class _NeverDecreasingOperator:
 
     def linearize(self, u):
         curl = self.pair.curl
-        return solver._Linearization((curl.T @ curl).tocsr(), lambda v: v)
+        return (curl.T @ curl).tocsr()
+
+    def jacobian_product(self, u, v):
+        return v
 
 
 def test_newton_counts_line_search_stalls(pair8):
@@ -249,11 +252,11 @@ def _same_pattern(a, b):
 )
 def test_fused_jacobian_matches_dense_sum(pair, seed, nitsche, convection, skeleton, rho_inf):
     # one band buffer holds the whole J and is reduced to the streamfunction:
-    # A matches curl_t @ (J @ curl) and the product J v matches J @ v for the
-    # J summed from the public assemble_* matrices, for the spatial and the
-    # stage operator (c_mass / alpha_f M in the buffer, alpha_f = 1 at
-    # rho_inf = 0 and 1/2 at rho_inf = 1); residual assembles no matrix, the
-    # reference sums dense arrays
+    # A matches curl_t @ (J @ curl), and jacobian_product, from K's CSR and
+    # the residual kernels, matches J @ v, for the J summed from the public
+    # assemble_* matrices, for the spatial and the stage operator (c_mass /
+    # alpha_f M in the buffer, alpha_f = 1 at rho_inf = 0 and 1/2 at rho_inf
+    # = 1); residual assembles no matrix, the reference sums dense arrays
     params = StabParams.create(pair.k_prime, nu=0.05, gamma=None if skeleton else 0.0)
     f = lambda x, y: (np.sin(x + y), x * y)
     u_d = lambda x, y: (np.cos(x) * y, x - y)
@@ -272,15 +275,16 @@ def test_fused_jacobian_matches_dense_sum(pair, seed, nitsche, convection, skele
             jac = jac + assemble_skeleton(pair, w, params)
         return jac
 
-    def assert_matches(linearization, jac):
-        a, expect = linearization.matrix, curl_t @ (jac @ curl)
+    def assert_matches(operator, state, jac):
+        a, expect = operator.linearize(state), curl_t @ (jac @ curl)
         assert _same_pattern(a, psi) and a.nnz == psi.nnz
         assert abs(a - expect).max() <= 1e-13 * abs(expect).max()
         jv = jac @ v
-        assert np.abs(linearization.product(v) - jv).max() <= 1e-13 * np.abs(jv).max()
+        got = operator.jacobian_product(state, v)
+        assert np.abs(got - jv).max() <= 1e-13 * np.abs(jv).max()
 
     jac = jacobian(u)
-    assert_matches(op.linearize(u), jac)
+    assert_matches(op, u, jac)
     if not skeleton:
         assert assemble_skeleton(pair, u, params).nnz == 0
     k = assemble_viscous_nitsche(pair, params, nitsche=nitsche).toarray()
@@ -297,7 +301,7 @@ def test_fused_jacobian_matches_dense_sum(pair, seed, nitsche, convection, skele
     u_n, udot_n, u_new = (rng.standard_normal(pair.n_u) for _ in range(3))
     stage = _StageOperator(op, mass, u_n, udot_n, cfg)
     u_af = u_n + cfg.alpha_f * (u_new - u_n)
-    assert_matches(stage.linearize(u_new), stage.c_mass * mass + cfg.alpha_f * jacobian(u_af))
+    assert_matches(stage, u_new, stage.c_mass * mass + cfg.alpha_f * jacobian(u_af))
     r_st, r_sp = stage.residual(u_new), op.residual(u_af)
     expect = stage.c_mass * (mass @ u_new) + stage.hist + r_sp
     assert np.abs(r_st - expect).max() <= 1e-13 * np.abs(expect).max()
@@ -383,6 +387,33 @@ def test_one_reduction_per_linearization(monkeypatch):
     assert len(calls) == 2
 
 
+def test_linearizations_in_a_row_match_fresh_operators():
+    # every linearization overwrites the operator's one scratch band buffer,
+    # which at_nu copies and stage operators share: each A of a run of
+    # linearizations at different states and viscosities equals the A of a
+    # fresh operator, bit for bit
+    pair = unit_square_pair(4, 2)
+    problem = _cavity_problem(pair, 1000.0)
+    op = _SpatialOperator(problem)
+    cfg = TimeConfig(dt=1e-2, t_end=1e-2)
+    rng = np.random.default_rng(5)
+    u_1, u_2, u_n, udot_n = (rng.standard_normal(pair.n_u) for _ in range(4))
+
+    def stage(spatial):
+        return _StageOperator(spatial, assemble_velocity_mass(pair), u_n, udot_n, cfg)
+
+    runs = [
+        (op, lambda: _SpatialOperator(problem), u_1),
+        (op, lambda: _SpatialOperator(problem), u_2),
+        (op.at_nu(1e-2), lambda: _SpatialOperator(problem).at_nu(1e-2), u_1),
+        (stage(op), lambda: stage(_SpatialOperator(problem)), u_2),
+        (op, lambda: _SpatialOperator(problem), u_2),
+    ]
+    for operator, fresh, u in runs:
+        a, expect = operator.linearize(u), fresh().linearize(u)
+        assert np.array_equal(a.data, expect.data)
+
+
 @pytest.mark.parametrize(
     "make_pair,bound_mb",
     [(lambda: taylor_green_pair(24, 1), 1.2), (lambda: unit_square_pair(32, 3), 7.0)],
@@ -390,9 +421,9 @@ def test_one_reduction_per_linearization(monkeypatch):
 )
 def test_stage_linearization_transient(make_pair, bound_mb):
     # one band buffer for N1 + N2 + J, reduced block by block to the psi
-    # band: the whole linearization, its returned matrix and product
-    # included, peaks at a few velocity-pattern arrays (2.05 and 13.07 MB
-    # with the velocity Jacobian CSR and two sparse products)
+    # band: the whole linearization, its returned matrix included, peaks at
+    # a few velocity-pattern arrays (2.05 and 13.07 MB with the velocity
+    # Jacobian CSR and two sparse products)
     pair = make_pair()
     problem = FlowProblem(pair, StabParams.create(pair.k_prime, nu=1e-2), nitsche=False)
     stepper = TimeStepper(problem, TimeConfig(dt=1e-2, t_end=1e-2))
@@ -406,11 +437,11 @@ def test_stage_linearization_transient(make_pair, bound_mb):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        linearization = stage.linearize(u)
+        a = stage.linearize(u)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert linearization.matrix.nnz == forms.streamfunction_pattern(pair).nnz
+    assert a.nnz == forms.streamfunction_pattern(pair).nnz
     assert peak <= bound_mb * 2**20
 
 
@@ -484,21 +515,30 @@ def test_newton_step_kernels_neither_concatenate_nor_bincount(monkeypatch, k_pri
 
 @pytest.mark.parametrize("nu", [1.0, 1e-2, 1.0 / 7500.0])
 def test_nu_scaled_operator_matches_assembly(pair8, nu):
-    # K and the loads are assembled at nu = 1 and scaled; without convection
-    # and skeleton the linearization is C^T K C with the product K v, and
-    # the residual K u - load
+    # K and the loads are assembled at nu = 1 and scaled, the body force
+    # f + nu f_nu included; without convection and skeleton the
+    # linearization is C^T K C, jacobian_product gives K v, the residual is
+    # K u - load, and dr/dnu is K_unit u minus the nu-linear load
     f = lambda x, y: (np.sin(x + y), x * y)
+    f_nu = lambda x, y: (x * x, np.cos(y))
     params = StabParams.create(1, nu=0.05, gamma=0.0)
-    problem = FlowProblem(pair8, params, f=f, u_d=CavityCase.lid_velocity, convection=False)
+    lid = CavityCase.lid_velocity
+    problem = FlowProblem(pair8, params, f=f, u_d=lid, convection=False, f_nu=f_nu)
     op = _SpatialOperator(problem).at_nu(nu)
     u = np.random.default_rng(7).standard_normal(pair8.n_u)
     r, linearization = op.residual(u), op.linearize(u)
     k = assemble_viscous_nitsche(pair8, params.with_nu(nu))
-    load = assemble_load(pair8, params.with_nu(nu), f=f, u_d=CavityCase.lid_velocity)
+    force = lambda x, y: tuple(a + nu * b for a, b in zip(f(x, y), f_nu(x, y)))
+    load = assemble_load(pair8, params.with_nu(nu), f=force, u_d=lid)
+    k_unit = assemble_viscous_nitsche(pair8, params.with_nu(1.0))
+    d_nu = k_unit @ u - assemble_load(pair8, params.with_nu(1.0), f=f_nu, u_d=lid)
+    assert np.abs(op.nu_derivative(u) - d_nu).max() <= 1e-14 * np.abs(d_nu).max()
     a = (pair8.curl.T @ k @ pair8.curl).toarray()
-    assert np.abs(linearization.matrix.toarray() - a).max() <= 1e-14 * np.abs(a).max()
+    assert np.abs(linearization.toarray() - a).max() <= 1e-14 * np.abs(a).max()
     ku = k @ u
-    assert np.abs(linearization.product(u) - ku).max() <= 1e-14 * np.abs(ku).max()
+    v = np.random.default_rng(8).standard_normal(pair8.n_u)
+    kv = k @ v
+    assert np.abs(op.jacobian_product(u, v) - kv).max() <= 1e-14 * np.abs(kv).max()
     assert np.abs(op.load - load).max() <= 1e-14 * np.abs(load).max()
     scale = (abs(k) @ np.abs(u) + np.abs(load)).max()
     assert np.abs(r - (ku - load)).max() <= 1e-14 * scale
@@ -508,8 +548,8 @@ def test_nu_scaled_operator_matches_assembly(pair8, nu):
 
 
 def _streamfunction_system(op, u):
-    r, linearization = op.residual(u), op.linearize(u)
-    return linearization.matrix, -(op.pair.curl.T @ r)
+    r, a = op.residual(u), op.linearize(u)
+    return a, -(op.pair.curl.T @ r)
 
 
 def _refined_solve(a: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
@@ -693,15 +733,19 @@ def test_one_jacobian_per_newton_iteration(monkeypatch):
 
 
 def test_one_eta_and_convection_evaluation_per_jacobian_state(monkeypatch):
-    # the residual and the Jacobian at one iterate share eta and w at the
-    # convection points, so each is computed once per residual evaluation
+    # the residual, the Jacobian and the Jacobian product at one iterate
+    # share eta and u at the convection points, so each is computed once per
+    # residual evaluation; the product's direction v is evaluated at the
+    # convection points once per Newton iteration
     etas = _count_calls(monkeypatch, forms, "_facet_eta")
     conv_values = _count_calls(monkeypatch, forms, "_convection_point_values")
-    residuals = _count_calls(monkeypatch, solver, "skeleton_residual")
+    residuals = _count_calls(monkeypatch, _SpatialOperator, "residual")
+    products = _count_calls(monkeypatch, _SpatialOperator, "jacobian_product")
     jacobians = _count_calls(monkeypatch, solver, "assemble_skeleton")
     _vortex_steps([], n_steps=5)
-    assert len(jacobians) >= 5
-    assert len(etas) == len(conv_values) == len(residuals)
+    assert len(jacobians) >= 5 and len(products) == len(jacobians)
+    assert len(etas) == len(residuals)
+    assert len(conv_values) == len(residuals) + len(products)
 
 
 def test_newton_result_counts_factorizations_and_krylov_iterations(pair8):
