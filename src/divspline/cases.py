@@ -315,6 +315,17 @@ def _steady_manufactured(
     return solve_steady(problem, re=case.re if case.convection else None)
 
 
+def _manufactured_point(pair, case: ManufacturedCase, gamma, c_nit, label: str):
+    """(state, L2 error, H1 error, div max) of the manufactured solve at
+    case.re; a ConvergenceError is raised again with label in front."""
+    try:
+        state = _steady_manufactured(pair, case, gamma, c_nit).state
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{label}: {exc}") from exc
+    l2, h1 = error_norms(pair, state, case.velocity, case.velocity_gradient)
+    return state, l2, h1, max_divergence(pair, state.u)
+
+
 def run_convergence_study(
     k_prime: int,
     meshes=(4, 8, 16, 32),
@@ -330,11 +341,7 @@ def run_convergence_study(
     rows: list[ConvergenceRow] = []
     for n in meshes:
         pair = unit_square_pair(n, k_prime)
-        try:
-            result = _steady_manufactured(pair, case, gamma, c_nit)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"mesh {n}x{n}: {exc}") from exc
-        l2, h1 = error_norms(pair, result.state, case.velocity, case.velocity_gradient)
+        state, l2, h1, div_max = _manufactured_point(pair, case, gamma, c_nit, f"mesh {n}x{n}")
         if rows:
             refinement = math.log2(n / rows[-1].n)  # exactly 1 when n doubles
             l2_order = math.log2(rows[-1].l2 / l2) / refinement
@@ -349,8 +356,8 @@ def run_convergence_study(
                 l2_order=l2_order,
                 h1=h1,
                 h1_order=h1_order,
-                div_max=max_divergence(pair, result.state.u),
-                state=result.state,
+                div_max=div_max,
+                state=state,
             )
         )
     return rows
@@ -376,21 +383,10 @@ def run_reynolds_robustness(
     pair = unit_square_pair(n, k_prime)
     rows = []
     for re in re_list:
-        case = ManufacturedCase(re=re)
-        try:
-            result = _steady_manufactured(pair, case, gamma, c_nit)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"Re={re:g}: {exc}") from exc
-        l2, h1 = error_norms(pair, result.state, case.velocity, case.velocity_gradient)
-        rows.append(
-            RobustnessRow(
-                re=re,
-                l2=l2,
-                h1=h1,
-                div_max=max_divergence(pair, result.state.u),
-                state=result.state,
-            )
+        state, l2, h1, div_max = _manufactured_point(
+            pair, ManufacturedCase(re=re), gamma, c_nit, f"Re={re:g}"
         )
+        rows.append(RobustnessRow(re=re, l2=l2, h1=h1, div_max=div_max, state=state))
     return rows
 
 
@@ -507,10 +503,18 @@ def run_cavity(
 
 @dataclass
 class TaylorGreenResult:
+    """Vortex states and diagnostics, with the work of the time steps:
+    newton_iterations has one entry per step, and factorizations and
+    krylov_iterations count the run's streamfunction LUs and GMRES
+    iterations."""
+
     pair: DivConformingPair
     history: list[StateVector]
     records: list[DiagnosticsRecord]
     params: StabParams
+    newton_iterations: list[int]
+    factorizations: int
+    krylov_iterations: int
 
 
 def run_taylor_green_2d(
@@ -540,4 +544,13 @@ def run_taylor_green_2d(
     stepper = TimeStepper(problem, cfg)
     history = stepper.run(taylor_green_velocity)
     records = energy_and_dissipation(pair, history, params)
-    return TaylorGreenResult(pair=pair, history=history, records=records, params=params)
+    lagged = stepper.spatial.lagged
+    return TaylorGreenResult(
+        pair=pair,
+        history=history,
+        records=records,
+        params=params,
+        newton_iterations=stepper.newton_iterations,
+        factorizations=lagged.factorizations,
+        krylov_iterations=lagged.krylov_iterations,
+    )

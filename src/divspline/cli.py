@@ -502,6 +502,9 @@ def _run_cavity(config: CaseConfig, out_dir: Path) -> dict:
 
 
 def _run_taylor_green(config: CaseConfig, out_dir: Path) -> dict:
+    """Vortex outputs; newtonIterations has one entry per time step, and
+    factorizations / krylovIterations total the run's streamfunction LUs
+    and GMRES iterations."""
     result = run_taylor_green_2d(
         config.k_prime,
         n=config.mesh[0],
@@ -526,7 +529,11 @@ def _run_taylor_green(config: CaseConfig, out_dir: Path) -> dict:
         result.history[-1],
         "decaying vortex, final state",
     )
-    return {}
+    return {
+        "newtonIterations": result.newton_iterations,
+        "factorizations": result.factorizations,
+        "krylovIterations": result.krylov_iterations,
+    }
 
 
 _RUNNERS = {

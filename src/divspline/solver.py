@@ -9,7 +9,7 @@ correction solves
     C^T J C dpsi = -C^T r,   du = C dpsi,
 
 with J the momentum Jacobian and r the momentum residual over all velocity
-DOFs. J = K + N1 + N2 + J_h (plus c_mass M in a time step), and only
+DOFs. J = K + N1 + N2 + J_h (plus m M in a time step, below), and only
 A = C^T J C is formed, as a CSR on the pair's `forms.streamfunction_pattern`
 (Evans & Hughes, JCP 241 (2013), on the streamfunction view of
 divergence-conforming B-splines). C's component blocks are Kronecker
@@ -17,19 +17,18 @@ products of 1-D factors, so a band buffer on the pair's
 `forms.jacobian_pattern` is reduced to A's data by 1-D sparse products
 (row-wise formation after Calabro, Sangalli & Tani, CMAME 316 (2017)).
 Each linearization overwrites the spatial operator's one scratch buffer
-with the whole J: nu times K's band buffer, then c_mass M, N1 + N2 and J_h
+with the whole J: nu times K's band buffer, then m M, N1 + N2 and J_h
 added into it, and A is its one reduction. No velocity Jacobian is
 gathered or multiplied. Residuals are formed without matrices
 (forms.convection_residual and forms.skeleton_residual), and so is J du,
 the pressure recovery's one product with J, from K and the same two
 kernels given the direction du (jacobian_product). Newton builds one
-linearization per step, at the current iterate, only once it has decided
-to take another step. The
-square matrix A has no pressure block, no mean-constraint border and no
-normal-DOF elimination; the pressure gradient drops out since B C = 0.
-Strong normal-trace Dirichlet conditions (u . n = 0 on the box boundary)
-hold by construction; tangential conditions enter weakly through the
-operator.
+linearization per step, at the current iterate, only once it has decided to
+take another step. The square matrix A has no pressure block, no
+mean-constraint border and no normal-DOF elimination; the pressure gradient
+drops out since B C = 0. Strong normal-trace Dirichlet conditions (u . n =
+0 on the box boundary) hold by construction; tangential conditions enter
+weakly through the operator.
 
 The pressure is recovered on the pressure space. B = M_p D, with M_p the
 pressure mass matrix and D = pair.divergence the exact map from u to div u_h
@@ -103,10 +102,18 @@ first-order-system form, parameterized by the spectral radius rho_inf:
     alpha_m = (3 - rho_inf) / (2 (1 + rho_inf)),  alpha_f = 1 / (1 + rho_inf),
     gamma_t = 1/2 + alpha_m - alpha_f,
 
-with the stage residual evaluated at (t_{n+alpha_m}, t_{n+alpha_f}) and the
-reported pressure being the alpha_f-stage pressure. The skeleton penalty
-density eta is evaluated at the current iterate and frozen during each
-linearization; the jump arguments are linearized exactly.
+with the stage residual evaluated at (t_{n+alpha_m}, t_{n+alpha_f}) and
+the reported pressure being the alpha_f-stage pressure. Newton solves for
+the alpha_f state w = u_n + alpha_f (u_{n+1} - u_n) (Jansen, Whiting &
+Hulbert, CMAME 190 (2000)), whose stage residual is the spatial one plus a
+mass term and a constant,
+
+    r_sp(w) + m M w + s,  m = alpha_m / (gamma_t dt alpha_f),
+    s = M [(1 - alpha_m / gamma_t) udot_n - m u_n],
+
+with Jacobian m M + J_sp(w); then u_{n+1} = u_n + (w - u_n) / alpha_f. The
+skeleton penalty density eta is evaluated at the current iterate and frozen
+during each linearization; the jump arguments are linearized exactly.
 """
 from __future__ import annotations
 
@@ -517,8 +524,10 @@ def _streamfunction_mass(pair: DivConformingPair) -> _KroneckerSum:
 
 
 class _SpatialOperator:
-    """Steady residual, frozen-eta linearization and J v over all velocity DOFs.
+    """Residual weight M u + nu K u + N1(u) u + J_h(u) u - load, its
+    frozen-eta linearization and J v over all velocity DOFs.
 
+    weight is 0 but in the generalized-alpha stage operators of `stage`.
     residual(u) and jacobian_product(u, v) assemble no matrix. K and the
     loads of the Nitsche data and of f_nu are linear in nu, and f does not
     depend on it, so they are assembled once at nu = 1 (k_unit, nu_load,
@@ -526,14 +535,14 @@ class _SpatialOperator:
     viscosity on the same arrays. k_band is K_unit in a read-only band
     buffer of the pair's `jacobian_pattern`; k_unit is its gather without
     zeros. scratch, the band buffer each linearization overwrites, is shared
-    with the operators at_nu and the stage operators built from this one.
-    lagged holds the last streamfunction LU of the Newton solves on this
-    operator (and on stage operators built from it).
+    with the operators at_nu and stage build from this one. lagged holds
+    the last streamfunction LU of the Newton solves on this operator and on
+    its stages.
     """
 
     def __init__(self, problem: FlowProblem):
         pair, unit = problem.pair, problem.params.with_nu(1.0)
-        self.pair = pair
+        self.pair, self.weight = pair, 0.0
         self.convection = problem.convection
         self.psi = streamfunction_pattern(pair)
         pattern = jacobian_pattern(pair)
@@ -561,36 +570,46 @@ class _SpatialOperator:
         op._set_params(self.params.with_nu(nu))
         return op
 
+    def stage(self, weight: float, shift: np.ndarray) -> "_SpatialOperator":
+        """This operator with weight M u added and load - shift, sharing its
+        lagged LU: a generalized-alpha stage in the alpha_f state."""
+        op = copy.copy(self)
+        op.weight, op.load = weight, self.load - shift
+        op.mass = assemble_velocity_mass(self.pair)
+        return op
+
     def residual(self, u: np.ndarray) -> np.ndarray:
         """Momentum residual (without -B^T p) at u, assembling no matrix."""
         r = self.params.nu * (self.k_unit @ u) - self.load
+        if self.weight:
+            r += self.weight * (self.mass @ u)
         if self.convection:
             r += convection_residual(self.pair, u)
         if self.params.gamma > 0.0:
             r += skeleton_residual(self.pair, u, self.params)
         return r
 
-    def linearize(self, u: np.ndarray, mass: float = 0.0, scale: float = 1.0) -> sp.csr_matrix:
-        """A = scale C^T (nu K + mass M + N1 + N2 + J) C at u, frozen eta.
+    def linearize(self, u: np.ndarray) -> sp.csr_matrix:
+        """A = C^T (weight M + nu K + N1 + N2 + J) C at u, frozen eta.
 
-        scratch is overwritten with nu k_band and takes mass M
+        scratch is overwritten with nu k_band and takes weight M
         (`add_velocity_mass`), N2 with its diagonal blocks doubled and N1's
         other terms (`assemble_convection`), then J (`assemble_skeleton`);
         A is reduced from it (`StreamfunctionPattern.reduce`)."""
         flat = np.multiply(self.k_band, self.params.nu, out=self.scratch)
-        if mass:
-            add_velocity_mass(self.pair, mass, out=flat)
+        if self.weight:
+            add_velocity_mass(self.pair, self.weight, out=flat)
         if self.convection:
             assemble_convection(self.pair, u, out=flat)
         if self.params.gamma > 0.0:
             assemble_skeleton(self.pair, u, self.params, out=flat)
-        data = self.psi.reduce(flat)
-        data *= scale
-        return self.psi.csr(data)
+        return self.psi.csr(self.psi.reduce(flat))
 
     def jacobian_product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """J v, J = nu K + N1 + N2 + J_h at u, eta frozen, from the residual kernels."""
+        """J v for linearize's J at u, eta frozen, from the residual kernels."""
         jv = self.params.nu * (self.k_unit @ v)
+        if self.weight:
+            jv += self.weight * (self.mass @ v)
         if self.convection:
             jv += convection_residual(self.pair, u, v)
         if self.params.gamma > 0.0:
@@ -603,51 +622,9 @@ class _SpatialOperator:
         return self.k_unit @ u - self.nu_load
 
 
-class _StageOperator:
-    """Generalized-alpha stage residual, linearization and J v as functions of u_{n+1}.
-
-    mass is the velocity mass matrix, for the residual and J v; the
-    linearization is the spatial operator's at the alpha_f state, with the
-    mass term in its buffer.
-    """
-
-    def __init__(self, spatial, mass, u_n, udot_n, cfg: TimeConfig):
-        self.pair = spatial.pair
-        self.spatial = spatial
-        self.mass = mass
-        self.u_n = u_n
-        self.alpha_f = cfg.alpha_f
-        self.c_mass = cfg.alpha_m / (cfg.gamma_t * cfg.dt)  # the mass matrix's weight
-        # M udot_am = c_mass M u_new + M [ (1 - alpha_m/gamma_t) udot_n - c_mass u_n ]
-        self.hist = mass @ ((1.0 - cfg.alpha_m / cfg.gamma_t) * udot_n - self.c_mass * u_n)
-
-    def _alpha_f_state(self, u_new: np.ndarray) -> np.ndarray:
-        return self.u_n + self.alpha_f * (u_new - self.u_n)
-
-    def residual(self, u_new: np.ndarray) -> np.ndarray:
-        r_sp = self.spatial.residual(self._alpha_f_state(u_new))
-        return self.c_mass * (self.mass @ u_new) + self.hist + r_sp
-
-    def linearize(self, u_new: np.ndarray) -> sp.csr_matrix:
-        """A = C^T J C for the stage Jacobian J = c_mass M + alpha_f J_sp at
-        the alpha_f state: alpha_f times the spatial linearization with
-        c_mass / alpha_f M in its buffer."""
-        return self.spatial.linearize(
-            self._alpha_f_state(u_new), self.c_mass / self.alpha_f, self.alpha_f
-        )
-
-    def jacobian_product(self, u_new: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """J v for the same stage Jacobian."""
-        jv = self.spatial.jacobian_product(self._alpha_f_state(u_new), v)
-        return self.alpha_f * jv + self.c_mass * (self.mass @ v)
-
-
-def _newton(
-    op, u0, p0, config: NewtonConfig, context: str, lagged: _LaggedLU | None = None
-) -> NewtonResult:
-    """Damped Newton from (u0, p0), reusing the streamfunction LU lagged holds."""
-    if lagged is None:
-        lagged = _LaggedLU()
+def _newton(op, u0, p0, config: NewtonConfig, context: str) -> NewtonResult:
+    """Damped Newton from (u0, p0), reusing the streamfunction LU op.lagged holds."""
+    lagged = op.lagged
     factorizations0, krylov0 = lagged.factorizations, lagged.krylov_iterations
     curl, curl_t = op.pair.curl, op.pair.curl_transpose
     ps = _pressure_space(op.pair)
@@ -709,7 +686,7 @@ def newton_steady(
     op = _SpatialOperator(problem) if operator is None else operator
     state = initial.copy() if initial is not None else zero_state(problem.pair)
     state.u[problem.pair.normal_boundary_dofs.all] = 0.0
-    return _newton(op, state.u, state.p, config, context, lagged=op.lagged)
+    return _newton(op, state.u, state.p, config, context)
 
 
 def _tangent_predictor(op: _SpatialOperator, state: StateVector, nu: float) -> StateVector:
@@ -790,9 +767,9 @@ class TimeStepper:
     or an existing StateVector used as given. The consistent initial
     acceleration C a solves C^T M C a = -C^T r at t0, and the initial
     pressure is recovered from M udot + r. Each step runs the streamfunction
-    Newton on the stage residual, and every step reuses the spatial
-    operator's lagged LU. M is held as a matrix (mass), for products;
-    each stage linearization adds M's Kronecker terms into its band buffer.
+    Newton for the alpha_f state on the spatial operator's `stage`, which
+    shares its lagged LU with every step. newton_iterations has one entry
+    per step taken.
     """
 
     def __init__(self, problem: FlowProblem, cfg: TimeConfig):
@@ -802,6 +779,7 @@ class TimeStepper:
         self.mass = assemble_velocity_mass(problem.pair)
         self.state: StateVector | None = None
         self.udot: np.ndarray | None = None
+        self.newton_iterations: list[int] = []
 
     def initialize(self, u0, t0: float = 0.0) -> StateVector:
         pair = self.problem.pair
@@ -822,26 +800,23 @@ class TimeStepper:
     def step(self) -> StateVector:
         if self.state is None:
             raise RuntimeError("call initialize() before stepping")
-        cfg = self.cfg
+        cfg, u_n = self.cfg, self.state.u
         t_new = self.state.time + cfg.dt
-        op = _StageOperator(self.spatial, self.mass, self.state.u, self.udot, cfg)
-        # same-order predictor: udot is divergence-free with zero normal
-        # trace, so the start state satisfies the constraints exactly
-        u_start = self.state.u + cfg.dt * self.udot
+        weight = cfg.alpha_m / (cfg.gamma_t * cfg.dt * cfg.alpha_f)
+        shift = self.mass @ ((1.0 - cfg.alpha_m / cfg.gamma_t) * self.udot - weight * u_n)
+        # the alpha_f state of the same-order predictor u_n + dt udot: udot is
+        # divergence-free with zero normal trace, so it meets the constraints
+        w_start = u_n + cfg.alpha_f * cfg.dt * self.udot
         try:
             res = _newton(
-                op,
-                u_start,
-                self.state.p,
-                NewtonConfig(),
+                self.spatial.stage(weight, shift), w_start, self.state.p, NewtonConfig(),
                 context=f"time step to t={t_new:g}",
-                lagged=self.spatial.lagged,
             )
         except ConvergenceError as exc:
             raise ConvergenceError(f"{exc}; consider reducing dt") from exc
-        u_new = res.state.u
-        g = cfg.gamma_t
-        self.udot = (u_new - self.state.u) / (g * cfg.dt) + (1.0 - 1.0 / g) * self.udot
+        u_new = u_n + (res.state.u - u_n) / cfg.alpha_f
+        self.udot = (u_new - u_n) / (cfg.gamma_t * cfg.dt) + (1.0 - 1.0 / cfg.gamma_t) * self.udot
+        self.newton_iterations.append(res.iterations)
         self.state = StateVector(u=u_new, p=res.state.p, time=t_new)
         return self.state
 

@@ -342,6 +342,13 @@ def test_taylor_green_command_outputs(tmp_path):
     assert math.isnan(rows[0][2]) and math.isnan(rows[-1][2])
     ek = np.array([r[1] for r in rows])
     assert np.all(np.diff(ek) < 0)
+    # one Newton iteration count per step; the steps share one lagged LU, and
+    # each Newton iteration either factorizes or runs GMRES on the held LU
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    iterations = manifest["_newtonIterations"]
+    assert len(iterations) == 5 and min(iterations) >= 1
+    assert manifest["_factorizations"] == 1
+    assert manifest["_factorizations"] + manifest["_krylovIterations"] >= sum(iterations)
 
 
 def test_pressure_robustness_command_outputs(tmp_path):

@@ -32,7 +32,6 @@ from divspline.solver import (
     TimeStepper,
     _LaggedLU,
     _SpatialOperator,
-    _StageOperator,
     _factor,
     _gmres,
     _newton,
@@ -56,6 +55,14 @@ from util_fields import curl_state, quadrature_divergence, random_pairs
 @pytest.fixture(scope="module")
 def pair8():
     return unit_square_pair(8, 1)
+
+
+def _stage(spatial, cfg, u_n, udot_n):
+    """spatial's generalized-alpha stage operator for the step from (u_n,
+    udot_n), in the alpha_f state, with the weight and shift of TimeStepper.step."""
+    weight = cfg.alpha_m / (cfg.gamma_t * cfg.dt * cfg.alpha_f)
+    hist = (1.0 - cfg.alpha_m / cfg.gamma_t) * udot_n - weight * u_n
+    return spatial.stage(weight, assemble_velocity_mass(spatial.pair) @ hist)
 
 
 def manufactured_problem(pair, re, convection=True, delta=1.0):
@@ -182,6 +189,7 @@ class _NeverDecreasingOperator:
     def __init__(self, pair):
         self.pair = pair
         self.g = curl_state(pair, seed=3, zero_boundary_ring=True).u
+        self.lagged = _LaggedLU()
 
     def residual(self, u):
         return (1.0 + np.linalg.norm(u)) * self.g
@@ -254,9 +262,10 @@ def test_fused_jacobian_matches_dense_sum(pair, seed, nitsche, convection, skele
     # one band buffer holds the whole J and is reduced to the streamfunction:
     # A matches curl_t @ (J @ curl), and jacobian_product, from K's CSR and
     # the residual kernels, matches J @ v, for the J summed from the public
-    # assemble_* matrices, for the spatial and the stage operator (c_mass /
-    # alpha_f M in the buffer, alpha_f = 1 at rho_inf = 0 and 1/2 at rho_inf
-    # = 1); residual assembles no matrix, the reference sums dense arrays
+    # assemble_* matrices, for the spatial and the stage operator (m M in
+    # the buffer, m = alpha_m / (gamma_t dt alpha_f) with alpha_f = 1 at
+    # rho_inf = 0 and 1/2 at rho_inf = 1); residual assembles no matrix, the
+    # reference sums dense arrays
     params = StabParams.create(pair.k_prime, nu=0.05, gamma=None if skeleton else 0.0)
     f = lambda x, y: (np.sin(x + y), x * y)
     u_d = lambda x, y: (np.cos(x) * y, x - y)
@@ -294,17 +303,18 @@ def test_fused_jacobian_matches_dense_sum(pair, seed, nitsche, convection, skele
     r_scale = (np.abs(k) + np.abs(n1) + np.abs(jd)) @ np.abs(u) + np.abs(load)
     assert np.all(np.abs(op.residual(u) - ((k + n1 + jd) @ u - load)) <= 1e-13 * r_scale.max())
 
-    # the stage Jacobian is c_mass M + alpha_f J_sp at the alpha_f state
+    # the stage in the alpha_f state w: Jacobian m M + J_sp(w) and residual
+    # r_sp(w) + m M w + s, here at w = u
     cfg = TimeConfig(dt=0.1, t_end=1.0, rho_inf=rho_inf)
-    stepper = TimeStepper(problem, cfg)
-    mass = stepper.mass
-    u_n, udot_n, u_new = (rng.standard_normal(pair.n_u) for _ in range(3))
-    stage = _StageOperator(op, mass, u_n, udot_n, cfg)
-    u_af = u_n + cfg.alpha_f * (u_new - u_n)
-    assert_matches(stage, u_new, stage.c_mass * mass + cfg.alpha_f * jacobian(u_af))
-    r_st, r_sp = stage.residual(u_new), op.residual(u_af)
-    expect = stage.c_mass * (mass @ u_new) + stage.hist + r_sp
-    assert np.abs(r_st - expect).max() <= 1e-13 * np.abs(expect).max()
+    mass = assemble_velocity_mass(pair).toarray()
+    u_n, udot_n = rng.standard_normal(pair.n_u), rng.standard_normal(pair.n_u)
+    stage = _stage(op, cfg, u_n, udot_n)
+    assert stage.weight == cfg.alpha_m / (cfg.gamma_t * cfg.dt * cfg.alpha_f)
+    assert_matches(stage, u, stage.weight * sp.csr_matrix(mass) + jac)
+    s = mass @ ((1.0 - cfg.alpha_m / cfg.gamma_t) * udot_n - stage.weight * u_n)
+    expect = (k + n1 + jd + stage.weight * mass) @ u - load + s
+    r_scale = r_scale + stage.weight * (np.abs(mass) @ np.abs(u)) + np.abs(s)
+    assert np.all(np.abs(stage.residual(u) - expect) <= 1e-13 * r_scale.max())
 
 
 @pytest.mark.parametrize("n,nnz", [(16, 9_324), (24, 22_572)])
@@ -383,13 +393,13 @@ def test_one_reduction_per_linearization(monkeypatch):
     u, u_n, udot_n = (rng.standard_normal(pair.n_u) for _ in range(3))
     op.linearize(u)
     assert len(calls) == 1
-    _StageOperator(stepper.spatial, stepper.mass, u_n, udot_n, stepper.cfg).linearize(u)
+    _stage(stepper.spatial, stepper.cfg, u_n, udot_n).linearize(u)
     assert len(calls) == 2
 
 
 def test_linearizations_in_a_row_match_fresh_operators():
     # every linearization overwrites the operator's one scratch band buffer,
-    # which at_nu copies and stage operators share: each A of a run of
+    # which at_nu and stage copies share: each A of a run of
     # linearizations at different states and viscosities equals the A of a
     # fresh operator, bit for bit
     pair = unit_square_pair(4, 2)
@@ -400,7 +410,7 @@ def test_linearizations_in_a_row_match_fresh_operators():
     u_1, u_2, u_n, udot_n = (rng.standard_normal(pair.n_u) for _ in range(4))
 
     def stage(spatial):
-        return _StageOperator(spatial, assemble_velocity_mass(pair), u_n, udot_n, cfg)
+        return _stage(spatial, cfg, u_n, udot_n)
 
     runs = [
         (op, lambda: _SpatialOperator(problem), u_1),
@@ -429,7 +439,7 @@ def test_stage_linearization_transient(make_pair, bound_mb):
     stepper = TimeStepper(problem, TimeConfig(dt=1e-2, t_end=1e-2))
     rng = np.random.default_rng(3)
     u_n, udot_n, u_warm, u = (rng.standard_normal(pair.n_u) for _ in range(4))
-    stage = _StageOperator(stepper.spatial, stepper.mass, u_n, udot_n, stepper.cfg)
+    stage = _stage(stepper.spatial, stepper.cfg, u_n, udot_n)
     stage.residual(u_warm)
     stage.linearize(u_warm)  # tables and patterns
     stage.residual(u)  # eta and w at the points, as in a Newton iteration
@@ -576,11 +586,9 @@ def test_lagged_lu_correction_matches_direct_solve(pair, seed):
     params = StabParams.create(pair.k_prime, nu=0.05)
     f = lambda x, y: (np.sin(x + y), x * y)
     op = _SpatialOperator(FlowProblem(pair, params, f=f, nitsche=False))
-    mass = assemble_velocity_mass(pair)
     rng = np.random.default_rng(seed)
     u_n, udot_n, u_a, u_b = (rng.standard_normal(pair.n_u) for _ in range(4))
-    cfg = TimeConfig(dt=0.01, t_end=1.0)
-    stage = _StageOperator(op, mass, u_n, udot_n, cfg)
+    stage = _stage(op, TimeConfig(dt=0.01, t_end=1.0), u_n, udot_n)
     lagged = _LaggedLU()
     lagged.solve(*_streamfunction_system(stage, u_a))
     a, rhs = _streamfunction_system(stage, u_b)
@@ -884,6 +892,34 @@ def test_generalized_alpha_steady_fixed_point(pair8):
         st = stepper.step()
     assert np.linalg.norm(st.u - steady.state.u) < 1e-8 * scale
     assert st.time == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("rho_inf", [0.0, 0.5, 1.0])
+def test_step_solves_the_stage_equations_in_u_new(rho_inf):
+    # Newton solves for the alpha_f state; the step it returns solves the
+    # stage equations written in u_{n+1}, from assembled matrices:
+    # c M u_{n+1} + M [(1 - alpha_m/gamma_t) udot_n - c u_n] + r_sp(w) - B^T p
+    # on the free rows and B u_{n+1}, c = alpha_m / (gamma_t dt) and
+    # w = u_n + alpha_f (u_{n+1} - u_n)
+    pair = taylor_green_pair(8, 2)
+    params = StabParams.create(2, nu=1e-2)
+    cfg = TimeConfig(dt=2e-2, t_end=4e-2, rho_inf=rho_inf)
+    stepper = TimeStepper(FlowProblem(pair, params, nitsche=False), cfg)
+    stepper.initialize(taylor_green_velocity)
+    stepper.step()  # so that udot_n comes from a step's update
+    u_n, udot_n = stepper.state.u.copy(), stepper.udot.copy()
+    new = stepper.step()
+    w = u_n + cfg.alpha_f * (new.u - u_n)
+    k = assemble_viscous_nitsche(pair, params, nitsche=False)
+    r_sp = (k + assemble_convection(pair, w)[0] + assemble_skeleton(pair, w, params)) @ w
+    mass, b = assemble_velocity_mass(pair).toarray(), assemble_divergence(pair).toarray()
+    c = cfg.alpha_m / (cfg.gamma_t * cfg.dt)
+    hist = mass @ ((1.0 - cfg.alpha_m / cfg.gamma_t) * udot_n - c * u_n)
+    momentum = c * (mass @ new.u) + hist + r_sp - b.T @ new.p
+    free = np.setdiff1d(np.arange(pair.n_u), pair.normal_boundary_dofs.all)
+    residual = np.concatenate([momentum[free], b @ new.u])
+    assert np.linalg.norm(residual) <= NewtonConfig().abs_tol
+    assert len(stepper.newton_iterations) == 2 and min(stepper.newton_iterations) >= 1
 
 
 @settings(max_examples=30, deadline=None)
