@@ -293,6 +293,7 @@ class ConvergenceRow:
     h1_order: float
     div_max: float
     state: StateVector | None = None
+    pair: DivConformingPair | None = None
 
 
 def _steady_manufactured(
@@ -358,6 +359,7 @@ def run_convergence_study(
                 h1_order=h1_order,
                 div_max=div_max,
                 state=state,
+                pair=pair,
             )
         )
     return rows
@@ -370,6 +372,7 @@ class RobustnessRow:
     h1: float
     div_max: float
     state: StateVector | None = None
+    pair: DivConformingPair | None = None
 
 
 def run_reynolds_robustness(
@@ -386,7 +389,9 @@ def run_reynolds_robustness(
         state, l2, h1, div_max = _manufactured_point(
             pair, ManufacturedCase(re=re), gamma, c_nit, f"Re={re:g}"
         )
-        rows.append(RobustnessRow(re=re, l2=l2, h1=h1, div_max=div_max, state=state))
+        rows.append(
+            RobustnessRow(re=re, l2=l2, h1=h1, div_max=div_max, state=state, pair=pair)
+        )
     return rows
 
 
@@ -399,6 +404,7 @@ class PressureRobustnessResult:
     abs_diff_l2: float
     rel_coeff_change: float
     state_base: StateVector | None = None
+    pair: DivConformingPair | None = None
 
 
 def run_pressure_robustness(
@@ -431,6 +437,7 @@ def run_pressure_robustness(
         abs_diff_l2=abs(l2_p - l2_b),
         rel_coeff_change=du / np.linalg.norm(base.state.u),
         state_base=base.state,
+        pair=pair,
     )
 
 

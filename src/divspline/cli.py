@@ -31,51 +31,40 @@ from .cases import (
     run_reynolds_robustness,
     run_taylor_green_2d,
     streamfunction,
-    unit_square_pair,
 )
 from .forms import StabParams, convection_quad_points
 from .solver import TimeConfig
 from .space import DivConformingPair, StateVector, TensorSpace, divergence_coefficients
 
-COMMANDS = (
-    "convergence",
-    "robustness",
-    "pressure-robustness",
-    "cavity",
-    "taylor-green-2d",
+# One row per configuration key: (JSON key, CaseConfig field or None, flag,
+# argparse type, metavar, help).  The field name is also accepted as the
+# key's snake_case spelling.
+_KEYS = (
+    ("command", "command", "--command", None, None, "study to run"),
+    ("kPrime", "k_prime", "--kprime", int, "INT", "pressure degree k'"),
+    ("mesh", "mesh", "--mesh", None, "INT[,INT...]",
+     "elements per direction; a comma list sweeps meshes (convergence)"),
+    ("re", "re", "--re", None, "REAL[,REAL...]",
+     "Reynolds number; a comma list sweeps Re (robustness)"),
+    ("delta", None, "--delta", float, "REAL", "stabilization scale delta"),
+    ("gamma", "gamma", "--gamma", float, "REAL",
+     "stabilization constant gamma (overrides the delta-derived value)"),
+    ("cNit", "c_nit", "--cnit", float, "REAL", "Nitsche penalty constant"),
+    ("dt", "dt", "--dt", float, "REAL", "time-step size"),
+    ("tEnd", "t_end", "--tend", float, "REAL", "final time"),
+    ("rhoInf", "rho_inf", "--rho-inf", float, "REAL",
+     "generalized-alpha spectral radius at infinity"),
+    ("out", "out", "--out", None, "DIR", "output directory (DIVSPLINE_OUT overrides)"),
 )
 
-_COMMAND_DEFAULTS = {
-    "convergence": {"mesh": (4, 8, 16, 32), "re": (10.0,)},
-    "robustness": {"mesh": (16,), "re": (1.0, 10.0, 100.0, 1000.0)},
-    "pressure-robustness": {"mesh": (16,), "re": (10.0,)},
-    "cavity": {"mesh": (16,), "re": (7500.0,)},
-    "taylor-green-2d": {"mesh": (32,), "re": (100.0,)},
-}
-
-_KEY_ALIASES = {
-    "k_prime": "kPrime",
+# every accepted spelling of a key -> the key; the last four are older names
+_SPELLINGS = {
+    **{key: key for key, *_ in _KEYS},
+    **{field: key for key, field, *_ in _KEYS if field},
     "meshResolution": "mesh",
     "mesh_resolution": "mesh",
-    "c_nit": "cNit",
-    "t_end": "tEnd",
-    "rho_inf": "rhoInf",
     "outputDir": "out",
     "output_dir": "out",
-}
-
-_KNOWN_KEYS = {
-    "command",
-    "kPrime",
-    "mesh",
-    "re",
-    "delta",
-    "gamma",
-    "cNit",
-    "dt",
-    "tEnd",
-    "rhoInf",
-    "out",
 }
 
 
@@ -201,19 +190,19 @@ def parse_config(source=None, overrides=None) -> CaseConfig:
         for key, value in layer.items():
             if isinstance(key, str) and key.startswith("_"):
                 continue
-            key = _KEY_ALIASES.get(key, key)
-            if key not in _KNOWN_KEYS:
+            name = _SPELLINGS.get(key)
+            if name is None:
                 raise ConfigError(f"unknown configuration key '{key}'")
             if value is not None:
-                raw[key] = value
+                raw[name] = value
 
     if "gamma" in raw and "delta" in raw:
         raise ConfigError("keys 'gamma' and 'delta' are mutually exclusive")
     if "command" not in raw:
         raise ConfigError("missing required key 'command'")
     command = str(raw["command"])
-    if command not in COMMANDS:
-        names = ", ".join(COMMANDS)
+    if command not in _COMMANDS:
+        names = ", ".join(_COMMANDS)
         raise ConfigError(f"key 'command' must be one of {names}; got '{command}'")
 
     k_prime = _scalar(raw, "kPrime", _as_int, "integer") if "kPrime" in raw else 1
@@ -229,13 +218,11 @@ def parse_config(source=None, overrides=None) -> CaseConfig:
             f"the {MAX_GAUSS_POINTS} available"
         )
 
-    defaults = _COMMAND_DEFAULTS[command]
+    _, default_mesh, default_re = _COMMANDS[command]
     mesh = (
-        _number_list(raw, "mesh", _as_int, "integer")
-        if "mesh" in raw
-        else defaults["mesh"]
+        _number_list(raw, "mesh", _as_int, "integer") if "mesh" in raw else default_mesh
     )
-    re = _number_list(raw, "re", float, "number") if "re" in raw else defaults["re"]
+    re = _number_list(raw, "re", float, "number") if "re" in raw else default_re
     if any(n < 1 for n in mesh):
         raise ConfigError("key 'mesh' entries must be positive integers")
     if any(not r > 0 for r in re):
@@ -299,18 +286,8 @@ def parse_config(source=None, overrides=None) -> CaseConfig:
 
 def config_dict(config: CaseConfig) -> dict:
     """Canonical JSON mapping of a resolved configuration."""
-    return {
-        "command": config.command,
-        "kPrime": config.k_prime,
-        "mesh": list(config.mesh),
-        "re": list(config.re),
-        "gamma": config.gamma,
-        "cNit": config.c_nit,
-        "dt": config.dt,
-        "tEnd": config.t_end,
-        "rhoInf": config.rho_inf,
-        "out": config.out,
-    }
+    data = {key: getattr(config, field) for key, field, *_ in _KEYS if field}
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in data.items()}
 
 
 def write_manifest(path, config: CaseConfig, wall_time: float, extras=None) -> None:
@@ -413,9 +390,8 @@ def _run_convergence(config: CaseConfig, out_dir: Path) -> dict:
         [(r.h, r.l2, r.l2_order, r.h1, r.h1_order) for r in rows],
     )
     finest = rows[-1]
-    pair = unit_square_pair(finest.n, config.k_prime)
     write_vtk_fields(
-        out_dir / "fields.vtk", pair, finest.state, "steady flow, finest mesh"
+        out_dir / "fields.vtk", finest.pair, finest.state, "steady flow, finest mesh"
     )
     return {"divMax": [float(r.div_max) for r in rows]}
 
@@ -433,10 +409,9 @@ def _run_robustness(config: CaseConfig, out_dir: Path) -> dict:
         ("Re", "L2", "H1", "divMax"),
         [(r.re, r.l2, r.h1, r.div_max) for r in rows],
     )
-    pair = unit_square_pair(config.mesh[0], config.k_prime)
     largest = max(rows, key=lambda row: row.re)
     write_vtk_fields(
-        out_dir / "fields.vtk", pair, largest.state, "steady flow, largest Re"
+        out_dir / "fields.vtk", largest.pair, largest.state, "steady flow, largest Re"
     )
     return {}
 
@@ -454,9 +429,8 @@ def _run_pressure_robustness(config: CaseConfig, out_dir: Path) -> dict:
         ("L2_base", "L2_perturbed", "absDiff"),
         [(result.l2_base, result.l2_perturbed, result.abs_diff_l2)],
     )
-    pair = unit_square_pair(config.mesh[0], config.k_prime)
     write_vtk_fields(
-        out_dir / "fields.vtk", pair, result.state_base, "steady flow, base forcing"
+        out_dir / "fields.vtk", result.pair, result.state_base, "steady flow, base forcing"
     )
     return {
         "relCoeffChange": float(result.rel_coeff_change),
@@ -536,12 +510,13 @@ def _run_taylor_green(config: CaseConfig, out_dir: Path) -> dict:
     }
 
 
-_RUNNERS = {
-    "convergence": _run_convergence,
-    "robustness": _run_robustness,
-    "pressure-robustness": _run_pressure_robustness,
-    "cavity": _run_cavity,
-    "taylor-green-2d": _run_taylor_green,
+# command -> (runner, default mesh, default Re)
+_COMMANDS = {
+    "convergence": (_run_convergence, (4, 8, 16, 32), (10.0,)),
+    "robustness": (_run_robustness, (16,), (1.0, 10.0, 100.0, 1000.0)),
+    "pressure-robustness": (_run_pressure_robustness, (16,), (10.0,)),
+    "cavity": (_run_cavity, (16,), (7500.0,)),
+    "taylor-green-2d": (_run_taylor_green, (32,), (100.0,)),
 }
 
 
@@ -552,8 +527,9 @@ def run(config: CaseConfig) -> Path:
     """
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    runner, _, _ = _COMMANDS[config.command]
     start = time.perf_counter()
-    extras = _RUNNERS[config.command](config, out_dir)
+    extras = runner(config, out_dir)
     write_manifest(
         out_dir / "manifest.json", config, time.perf_counter() - start, extras
     )
@@ -570,60 +546,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--config", metavar="PATH", help="flat JSON config file")
-    parser.add_argument("--command", choices=COMMANDS, help="study to run")
-    parser.add_argument("--kprime", type=int, metavar="INT", help="pressure degree k'")
-    parser.add_argument(
-        "--mesh",
-        metavar="INT[,INT...]",
-        help="elements per direction; a comma list sweeps meshes (convergence)",
-    )
-    parser.add_argument(
-        "--re",
-        metavar="REAL[,REAL...]",
-        help="Reynolds number; a comma list sweeps Re (robustness)",
-    )
-    parser.add_argument(
-        "--delta", type=float, metavar="REAL", help="stabilization scale delta"
-    )
-    parser.add_argument(
-        "--gamma",
-        type=float,
-        metavar="REAL",
-        help="stabilization constant gamma (overrides the delta-derived value)",
-    )
-    parser.add_argument(
-        "--cnit", type=float, metavar="REAL", help="Nitsche penalty constant"
-    )
-    parser.add_argument("--dt", type=float, metavar="REAL", help="time-step size")
-    parser.add_argument("--tend", type=float, metavar="REAL", help="final time")
-    parser.add_argument(
-        "--rho-inf",
-        type=float,
-        metavar="REAL",
-        dest="rho_inf",
-        help="generalized-alpha spectral radius at infinity",
-    )
-    parser.add_argument(
-        "--out", metavar="DIR", help="output directory (DIVSPLINE_OUT overrides)"
-    )
+    for key, _, flag, kind, metavar, text in _KEYS:
+        choices = tuple(_COMMANDS) if key == "command" else None
+        parser.add_argument(flag, type=kind, choices=choices, metavar=metavar, help=text)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    overrides = {
-        "command": args.command,
-        "kPrime": args.kprime,
-        "mesh": args.mesh,
-        "re": args.re,
-        "delta": args.delta,
-        "gamma": args.gamma,
-        "cNit": args.cnit,
-        "dt": args.dt,
-        "tEnd": args.tend,
-        "rhoInf": args.rho_inf,
-        "out": args.out,
-    }
+    # argparse names a flag's value after the flag, '-' read as '_'
+    overrides = {key: getattr(args, flag[2:].replace("-", "_")) for key, _, flag, *_ in _KEYS}
     try:
         config = parse_config(args.config, overrides)
     except ConfigError as exc:

@@ -192,8 +192,16 @@ class NewtonConfig:
     continuation_re: tuple = (100.0, 400.0, 1000.0, 2500.0, 5000.0, 7500.0, 10000.0)
 
     def __post_init__(self):
-        if min(self.abs_tol, self.rel_tol) <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("abs_tol", "rel_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
+        if not all(math.isfinite(r) and r > 0 for r in self.continuation_re):
+            raise ValueError(
+                f"continuation_re entries must be finite and positive, got {self.continuation_re}"
+            )
 
 
 @dataclass(frozen=True)

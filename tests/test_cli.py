@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from divspline.cases import (
     unit_square_pair,
 )
 from divspline.cli import (
+    _KEYS,
+    _SPELLINGS,
     CaseConfig,
     ConfigError,
     _format_rows,
@@ -27,6 +30,7 @@ from divspline.cli import (
     write_manifest,
     write_vtk_fields,
 )
+from divspline.forms import StabParams
 from divspline.space import StateVector, divergence_coefficients
 from util_fields import curl_state
 
@@ -158,6 +162,66 @@ def test_aliases_and_comma_lists():
     assert config.c_nit == 12.0
 
 
+# The accepted spellings: the 11 keys, the 4 CaseConfig field names that
+# differ from their key, and 4 older names of mesh and out.
+SPELLINGS = {
+    "command", "kPrime", "mesh", "re", "delta", "gamma", "cNit", "dt", "tEnd",
+    "rhoInf", "out",
+    "k_prime", "c_nit", "t_end", "rho_inf",
+    "meshResolution", "mesh_resolution", "outputDir", "output_dir",
+}
+
+
+def test_accepted_spellings_are_pinned():
+    assert len(SPELLINGS) == 19
+    assert set(_SPELLINGS) == SPELLINGS
+    for spelling in SPELLINGS - {"command"}:
+        assert parse_config({"command": "robustness", spelling: None}).command == "robustness"
+
+
+# key -> (flag text, the CaseConfig value it gives); the robustness command
+# takes every value here, and delta shows in the gamma it derives
+KEY_SAMPLES = {
+    "command": ("cavity", "cavity"),
+    "kPrime": ("2", 2),
+    "mesh": ("8", (8,)),
+    "re": ("1,10", (1.0, 10.0)),
+    "delta": ("2", StabParams.create(1, nu=1.0, delta=2.0).gamma),
+    "gamma": ("0.5", 0.5),
+    "cNit": ("12", 12.0),
+    "dt": ("0.05", 0.05),
+    "tEnd": ("0.5", 0.5),
+    "rhoInf": ("0.25", 0.25),
+    "out": ("elsewhere", "elsewhere"),
+}
+
+
+@pytest.mark.parametrize("row", _KEYS, ids=[row[0] for row in _KEYS])
+def test_each_key_sets_its_field_and_round_trips(row, tmp_path, monkeypatch):
+    key, field, flag = row[:3]
+    text, expect = KEY_SAMPLES[key]
+    seen = []
+    monkeypatch.setattr("divspline.cli.run", lambda config: seen.append(config) or tmp_path)
+    assert main(["--command", "robustness", flag, text]) == 0
+    (config,) = seen
+    assert getattr(config, field or "gamma") == expect
+    # the manifest holds each field under its key; delta only through gamma
+    write_manifest(tmp_path / "manifest.json", config, 0.0)
+    data = json.loads((tmp_path / "manifest.json").read_text())
+    assert (key in data) == (field is not None)
+    assert parse_config(tmp_path / "manifest.json") == config
+    assert parse_config({"command": "robustness", key: text}) == config
+    if field is not None:
+        assert parse_config({"command": "robustness", field: text}) == config
+
+
+def test_readme_lists_every_key_and_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for key, field, flag, *_ in _KEYS:
+        assert f"`{key}`" in readme and f"`{flag}`" in readme
+        assert field is None or f"`{field}`" in readme
+
+
 def test_overrides_win_over_file(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"command": "convergence", "kPrime": 1, "dt": 0.5}))
@@ -193,6 +257,18 @@ def test_manifest_round_trips(tmp_path):
     data = json.loads(path.read_text())
     assert data["_version"].startswith("divspline ")
     assert parse_config(path) == config
+
+
+def test_rerun_from_manifest_is_byte_identical(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["--command", "taylor-green-2d", "--kprime", "1", "--mesh", "2",
+                 "--dt", "0.01", "--tend", "0.02", "--rho-inf", "0.25",
+                 "--out", str(first)]) == 0
+    assert main(["--config", str(first / "manifest.json"), "--out", str(second)]) == 0
+    for name in ("diagnostics.csv", "fields.vtk"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    data = json.loads((second / "manifest.json").read_text())
+    assert data["rhoInf"] == 0.25 and data["out"] == str(second)
 
 
 def _read_csv(path):

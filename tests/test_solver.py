@@ -850,9 +850,23 @@ def test_continuation_failure_names_re_step(pair8):
         solve_steady(problem, re=7500.0, config=config)
 
 
+# (field, value) pairs NewtonConfig rejects, naming the field
+MALFORMED_NEWTON_CONFIG = [
+    ("abs_tol", 0.0),
+    ("abs_tol", math.nan),
+    ("abs_tol", math.inf),
+    ("rel_tol", math.nan),
+    ("max_iter", -1),
+    ("continuation_re", (math.nan,)),
+    ("continuation_re", (-5.0,)),
+]
+
+
 def test_newton_config_validation():
-    with pytest.raises(ValueError):
-        NewtonConfig(abs_tol=0.0)
+    for field, value in MALFORMED_NEWTON_CONFIG:
+        with pytest.raises(ValueError, match=field):
+            NewtonConfig(**{field: value})
+    assert NewtonConfig(max_iter=0).max_iter == 0
     with pytest.raises(ValueError):
         TimeConfig(dt=-0.1, t_end=1.0)
     with pytest.raises(ValueError):
