@@ -24,6 +24,7 @@ __all__ = [
     "find_span",
     "basis_all_derivatives",
     "eval_nonzero_basis",
+    "element_basis_1d",
     "derivative_matrix",
     "collocation_matrix",
     "basis_integrals",
@@ -268,6 +269,24 @@ def eval_nonzero_basis(kv: KnotVector, x, max_deriv: int = 0, span=None) -> Basi
     return BasisEval(span=span, degree=kv.degree, values=ders)
 
 
+def element_basis_1d(
+    kv: KnotVector, ref_points, max_deriv: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero basis functions of kv and their derivatives on every element.
+
+    Reference point t in [0, 1] of element e maps to x = a_e + h_e t and is
+    evaluated with that element's polynomial pieces, so t = 0 and t = 1 give
+    the one-sided limits at the element's ends. Returns (values, first):
+    values[e, q, d, j] is the d-th derivative of basis function first[e] + j
+    at point q of element e.
+    """
+    uk = kv.unique_knots
+    x = uk[:-1, None] + np.diff(uk)[:, None] * np.asarray(ref_points)[None, :]
+    spans = kv.element_spans
+    values = eval_nonzero_basis(kv, x, max_deriv, span=spans[:, None]).values
+    return values, spans - kv.degree
+
+
 def open_knots(
     degree: int, breakpoints: np.ndarray, interior_multiplicity: int = 1
 ) -> KnotVector:
@@ -339,23 +358,18 @@ def gram_matrix(kv_a: KnotVector, kv_b: KnotVector, da: int = 0, db: int = 0) ->
     and N_j of kv_b, two knot vectors on the same breakpoints.
 
     max(degree) + 1 Gauss points per element (`gauss_rule`) integrate every
-    such product exactly, and the element blocks are added into place with
-    one np.add.at.
+    such product exactly; the basis is tabulated there by `element_basis_1d`,
+    and the element blocks are added into place with one np.add.at.
     """
     uk = kv_a.unique_knots
     if not np.array_equal(uk, kv_b.unique_knots):
         raise ValueError("the knot vectors must have the same breakpoints")
     rule = gauss_rule(max(kv_a.degree, kv_b.degree) + 1)
-    h = np.diff(uk)[:, None]
-    x = uk[:-1, None] + h * rule.points
-
-    def table(kv: KnotVector, d: int):  # (element, point, function) values and indices
-        spans = kv.element_spans
-        values = basis_all_derivatives(kv.knots, kv.degree, x, spans[:, None], d)[..., d, :]
-        return values, (spans - kv.degree)[:, None] + np.arange(kv.degree + 1)
-
-    (va, ia), (vb, ib) = table(kv_a, da), table(kv_b, db)
-    local = np.matmul((va * (h * rule.weights)[..., None]).transpose(0, 2, 1), vb)
+    va, fa = element_basis_1d(kv_a, rule.points, da)
+    vb, fb = element_basis_1d(kv_b, rule.points, db)
+    weights = (np.diff(uk)[:, None] * rule.weights)[..., None]
+    local = np.matmul((va[..., da, :] * weights).transpose(0, 2, 1), vb[..., db, :])
+    ia, ib = fa[:, None] + np.arange(kv_a.degree + 1), fb[:, None] + np.arange(kv_b.degree + 1)
     gram = np.zeros((kv_a.n_basis, kv_b.n_basis))
     np.add.at(gram, (ia[:, :, None], ib[:, None, :]), local)
     return gram

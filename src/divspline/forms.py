@@ -41,18 +41,19 @@ block; Vy block]; the solver imposes the strong normal trace.
 Every velocity operator is summed in a band buffer, one flat array in the
 band storage of the pair's one sparsity pattern, a `JacobianPattern`, by
 slices and outer products (a Kronecker term as the outer product of its
-factors' 1-D band storages, `JacobianPattern.add_kron`), and a gather makes
-the buffer a data array on the pattern. Only this module knows the
+factors' 1-D band storages, `JacobianPattern.add_kron`), and a gather
+makes the buffer a data array on the pattern. Only this module knows the
 Kronecker terms of K and M. The solver's Newton matrix is A = C^T J C on
-the streamfunction (`StreamfunctionPattern`, whose pattern is crossed from
-the 1-D reductions along y and x), reduced from one band buffer that holds
-the whole J: K (`assemble_viscous_nitsche`), M (`add_velocity_mass`), N1 +
-N2 (`assemble_convection`) and J (`assemble_skeleton`), each added into it
-by out; N1 and N2 have one adder (`_add_convection`). The buffer is only
-ever reduced to A, never multiplied. Both patterns are one CSR pattern on a
-band buffer (`_BandCSR`), and every CSR on a pattern shares its read-only
-indices; the memoized data arrays of K's strain part and of M are read-only
-too.
+the streamfunction (`StreamfunctionPattern`: the widened `_band` of psi's
+knot vectors, W' = 2k' + 5, and 1-D reductions along y and x, each a
+composition of band maps and a Kronecker product), reduced from one band
+buffer that holds the whole J: K (`assemble_viscous_nitsche`), M
+(`add_velocity_mass`), N1 + N2 (`assemble_convection`) and J
+(`assemble_skeleton`), each added into it by out; N1 and N2 have one adder
+(`_add_convection`). The buffer is only ever reduced to A, never
+multiplied. Both patterns are one CSR pattern on a band buffer
+(`_BandCSR`), and every CSR on a pattern shares its read-only indices; the
+memoized data arrays of K's strain part and of M are read-only too.
 
 Residuals need no matrices, and the per-state kernels work on dense 1-D
 factors of the tensor-product spaces instead of element tables:
@@ -79,12 +80,11 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
-from .bspline import _dense_rows, collocation_matrix, gram_matrix
+from .bspline import _dense_rows, collocation_matrix, element_basis_1d, gram_matrix
 from .space import (
     DivConformingPair,
     StateVector,
     curl_factors,
-    element_basis_1d,
     element_tables,
     per_pair,
 )
@@ -380,49 +380,31 @@ class JacobianPattern(_BandCSR):
 jacobian_pattern = per_pair(JacobianPattern)
 
 
-def _shifts(factor: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """(s, diagonal) for each s with factor[a + s, a] nonzero for some a:
-    diagonal[a] = factor[a + s, a], zero past the factor's last row."""
-    n_rows, n = factor.shape
-    out = []
-    for s in range(n_rows - n + 1):
-        diagonal = np.zeros(n)
-        m = min(n, n_rows - s)
-        diagonal[:m] = factor[np.arange(m) + s, np.arange(m)]
-        if diagonal.any():
-            out.append((s, diagonal))
-    return out
+def _band_map(shape: tuple[int, int], p: int, w: int) -> sp.csr_matrix:
+    """The 0/1 matrix taking a dense matrix of this shape, flattened
+    row-major, to its band storage in the band (p, w) (`_banded`), flattened:
+    row r w + d picks the entry [r, r - p + d], and is empty where that
+    column is outside the matrix."""
+    n, m = shape
+    source = _banded(np.arange(1.0, n * m + 1.0).reshape(n, m), p, w).ravel().astype(np.intp)
+    kept = source > 0  # source holds 1 + the dense position, 0 outside the matrix
+    indptr = np.append(0, np.cumsum(kept))
+    return sp.csr_matrix((np.ones(indptr[-1]), source[kept] - 1, indptr), shape=(n * w, n * m))
 
 
-def _reduction_matrix(band, psi_band, y_i: np.ndarray, y_j: np.ndarray) -> sp.csr_matrix:
-    """The matrix taking the flat band storage (R W) of a 1-D operator B in
-    band = (P, W) to that of Y_i^T B Y_j, (N' W') in psi_band = (P', W'):
-
-        (Y_i^T B Y_j)[a, e] = sum_(s, t) w_st[a, e] B[a + s, e + P - P' + t - s],
-
-    w_st[a, e] = Y_i[a + s, a] Y_j[b + t, b], b = a - P' + e, for the at
-    most two shifts s of Y_i's columns and two t of Y_j's (`_shifts`); zero
-    weights, where b or the source entry is outside its range, are left out;
-    so row a W' + e stores an entry exactly where |Y_i|^T |B| |Y_j| is
-    nonzero for B full in its band (a kept source column, b + t, is in range)."""
-    (p, w), (p_psi, w_psi) = band, psi_band
-    n_rows, n = y_i.shape
-    a, e = np.arange(n)[:, None], np.arange(w_psi)
-    b = a - p_psi + e
-    rows, cols, values = [], [], []
-    for s, diagonal_i in _shifts(y_i):
-        for t, diagonal_j in _shifts(y_j):
-            d = e + p - p_psi + t - s
-            weight = diagonal_i[:, None] * np.where((b >= 0) & (b < n), diagonal_j[b % n], 0.0)
-            weight[:, (d < 0) | (d >= w)] = 0.0
-            a_nz, e_nz = np.nonzero(weight)
-            rows.append(a_nz * w_psi + e_nz)
-            cols.append((a_nz + s) * w + d[e_nz])
-            values.append(weight[a_nz, e_nz])
-    return sp.csr_matrix(
-        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n * w_psi, n_rows * w),
-    )
+def _reduction_matrix(band, psi_band, y_i_t, y_j_t) -> sp.csr_matrix:
+    """The matrix taking the flat band storage of a 1-D operator B in band
+    = (P, W) to that of Y_i^T B Y_j in psi_band = (P', W'), given Y_i^T and
+    Y_j^T: the transposed `_band_map` back to the dense B, kron(Y_i^T,
+    Y_j^T) on B flattened row-major, and the `_band_map` into psi band
+    storage. Each entry is one nonzero product Y_i[r, a] Y_j[c, b], so a row
+    stores an entry exactly where |Y_i|^T |B| |Y_j| is nonzero for B full in
+    its band; the columns of each row are sorted."""
+    (n, r_i), r_j = y_i_t.shape, y_j_t.shape[1]
+    product = sp.kron(y_i_t, y_j_t, format="csr")
+    reduction = _band_map((n, n), *psi_band) @ product @ _band_map((r_i, r_j), *band).T
+    reduction.sort_indices()
+    return reduction
 
 
 class StreamfunctionPattern(_BandCSR):
@@ -433,15 +415,17 @@ class StreamfunctionPattern(_BandCSR):
     (i, j) of A is the 1-D reduction of block (i, j) of J along y, by Y_i and
     Y_j, and then along x, by X_i and X_j. Along one axis, with the block's
     velocity band (P, W) and the psi band (P', W'), the reduction of the
-    band storage is a fixed sparse matrix with at most four entries a row
-    (`_reduction_matrix`: column a of each factor holds its nonzeros at rows
-    a and a + 1). So a block, stored (R_y W_y, R_x W_x), is reduced by one
-    sparse product along y, a transpose, and one sparse product along x,
-    giving its part of the psi band in x-major storage (N_x', W_x', N_y',
-    W_y'): entry (a_x, e_x, a_y, e_y) couples row (a_y, a_x) with column
-    (a_y - P_y' + e_y, a_x - P_x' + e_x). The psi bands, bands = ((P_y',
-    W_y'), (P_x', W_x')), are the unions of the blocks' reduced bands: W' =
-    7, 9, 11 at k' = 1, 2, 3.
+    band storage is a fixed sparse matrix (`_reduction_matrix`). So a block,
+    stored (R_y W_y, R_x W_x), is reduced by one sparse product along y, a
+    transpose, and one sparse product along x, giving its part of the psi
+    band in x-major storage (N_x', W_x', N_y', W_y'): entry (a_x, e_x, a_y,
+    e_y) couples row (a_y, a_x) with column (a_y - P_y' + e_y, a_x - P_x' +
+    e_x).
+
+    Two psi functions couple where their supports share an element or an
+    interior facet, so the psi bands, bands = ((P_y', W_y'), (P_x', W_x')),
+    are the widened `_band` of psi's degree-(k' + 1) knot vectors, those of
+    vy along y and of vx along x: W' = 2k' + 5, and 2k' + 3 on one element.
 
     `indptr` and `indices` are those of the structural product |C|^T |J|
     |C|, J full on the velocity pattern: the union over the blocks of the
@@ -452,24 +436,19 @@ class StreamfunctionPattern(_BandCSR):
         velocity = jacobian_pattern(pair)
         factors = curl_factors(pair)
         n_y, n_x = factors[0][0].shape[1], factors[0][1].shape[1]
-        blocks = [(i, j) for i in (0, 1) for j in (0, 1)]
-        self.bands = []
-        for axis in (0, 1):
-            low = high = 0
-            for i, j in blocks:
-                p, w = velocity.bands[i][j][axis]
-                for s, _ in _shifts(factors[i][axis]):
-                    for t, _ in _shifts(factors[j][axis]):
-                        low, high = max(low, p + t - s), max(high, w - 1 - p + s - t)
-            self.bands.append((low, low + high + 1))
+        self.bands = [
+            _band(kv.n_elements, kv.degree, kv.degree, widen=True)
+            for kv in (pair.vy.kv_y, pair.vx.kv_x)
+        ]
         (p_y, w_y), (p_x, w_x) = self.bands
         # inside[a_y, a_x, e_y, e_x]: whether the structural product holds the
         # psi band entry, in CSR order (rows, then columns ascending)
         inside = np.zeros((n_y, n_x, w_y, w_x), dtype=bool)
+        transposed = [[sp.csr_matrix(f.T) for f in axes] for axes in factors]  # Y_c^T, X_c^T
         self._reductions = []
-        for i, j in blocks:
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
             along = [
-                _reduction_matrix(band, psi_band, factors[i][axis], factors[j][axis])
+                _reduction_matrix(band, psi_band, transposed[i][axis], transposed[j][axis])
                 for axis, (band, psi_band) in enumerate(zip(velocity.bands[i][j], self.bands))
             ]
             self._reductions.append((i, j, *along))

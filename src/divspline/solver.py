@@ -729,15 +729,17 @@ def solve_steady(
 ) -> NewtonResult:
     """Steady solve with predictor-corrector Reynolds continuation.
 
-    re is the Reynolds number matching problem.params.nu; the ladder steps
-    of config.continuation_re below re are solved first. Each step after the
-    first starts from the tangent predictor of the previous solution, and
-    each step below re stops at sqrt(rel_tol) of its initial residual (or
-    abs_tol); the step at re meets the full tolerances. re=None solves the
-    problem directly. The result is the last step's, with one LadderStep
-    per step in its ladder.
+    re is the Reynolds number of problem.params.nu, re nu = 1 (to 1e-12,
+    else ValueError); the ladder steps of config.continuation_re below re
+    are solved first. Each step after the first starts from the tangent
+    predictor of the previous solution, and each step below re stops at
+    sqrt(rel_tol) of its initial residual (or abs_tol); the step at re meets
+    the full tolerances. re=None solves the problem directly. The result is
+    the last step's, with one LadderStep per step in its ladder.
     """
     config = config or NewtonConfig()
+    if re is not None and not abs(re * problem.params.nu - 1.0) <= 1e-12:
+        raise ValueError(f"re={re:g} does not match the problem's nu={problem.params.nu:g}")
     # per-pair set-up (the pressure modes), shared by every ladder step,
     # before the first Newton iteration
     _pressure_space(problem.pair)

@@ -27,6 +27,7 @@ from .bspline import (
     _dense_rows,
     basis_integrals,
     derivative_matrix,
+    element_basis_1d,
     eval_nonzero_basis,
     gauss_rule,
     open_knots,
@@ -45,7 +46,6 @@ __all__ = [
     "curl_factors",
     "divergence_coefficients",
     "ElementTables",
-    "element_basis_1d",
     "quad_points_1d",
     "per_pair",
 ]
@@ -290,24 +290,6 @@ def pressure_mean_vector(pair: DivConformingPair) -> np.ndarray:
     ix = basis_integrals(pair.q.kv_x)
     iy = basis_integrals(pair.q.kv_y)
     return np.kron(iy, ix)
-
-
-def element_basis_1d(
-    kv: KnotVector, ref_points, max_deriv: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero basis functions of kv and their derivatives on every element.
-
-    Reference point t in [0, 1] of element e maps to x = a_e + h_e t and is
-    evaluated with that element's polynomial pieces, so t = 0 and t = 1 give
-    the one-sided limits at the element's ends. Returns (values, first):
-    values[e, q, d, j] is the d-th derivative of basis function first[e] + j
-    at point q of element e.
-    """
-    uk = kv.unique_knots
-    x = uk[:-1, None] + np.diff(uk)[:, None] * np.asarray(ref_points)[None, :]
-    spans = kv.element_spans
-    values = eval_nonzero_basis(kv, x, max_deriv, span=spans[:, None]).values
-    return values, spans - kv.degree
 
 
 class ElementTables:

@@ -701,6 +701,10 @@ def test_pattern_matches_sorted_block_keys(k_prime, nx, ny):
 @settings(max_examples=40, deadline=None)
 @given(pair=random_pairs())
 @example(pair=make_pair(8, 3))
+@example(pair=make_pair(5, 4))
+@example(  # graded in x, one element in y: W' = 15 along x and 13 along y
+    pair=build_pair(build_mesh(open_knots(1, [0.0, 0.1, 0.5, 1.0]), open_knots(1, [0.0, 1.0])), 5)
+)
 def test_streamfunction_pattern_matches_structural_product(pair):
     # the pattern crossed from 1-D structures is the sparse triple product
     # |C|^T |J| |C|, entry for entry, and every entry lies in the psi bands

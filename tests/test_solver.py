@@ -331,7 +331,7 @@ def test_streamfunction_pattern_is_the_structural_product(n, nnz):
     expect = pair.curl_transpose @ (jac @ pair.curl)
     assert expect.nnz == nnz
     assert _same_pattern(expect.sorted_indices(), psi)
-    for k_prime, width in ((2, 9), (3, 11)):
+    for k_prime, width in ((2, 9), (3, 11), (4, 13), (5, 15)):
         assert forms.streamfunction_pattern(unit_square_pair(4, k_prime)).bands == [(width // 2, width)] * 2
 
 
@@ -848,6 +848,14 @@ def test_continuation_failure_names_re_step(pair8):
     config = NewtonConfig(max_iter=1)
     with pytest.raises(ConvergenceError, match="Re=100"):
         solve_steady(problem, re=7500.0, config=config)
+
+
+def test_solve_steady_rejects_re_that_does_not_match_nu(pair8):
+    # every ladder step runs at nu re / re_step, so an re other than 1 / nu
+    # would solve other Reynolds numbers than the ladder records
+    problem = _cavity_problem(pair8, 7500.0)
+    with pytest.raises(ValueError, match=r"re=1000 .* nu=0\.000133333"):
+        solve_steady(problem, re=1000.0)
 
 
 # (field, value) pairs NewtonConfig rejects, naming the field

@@ -9,7 +9,13 @@ import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from divspline import forms
-from divspline.bspline import KnotVector, collocation_matrix, eval_nonzero_basis, open_knots
+from divspline.bspline import (
+    KnotVector,
+    collocation_matrix,
+    element_basis_1d,
+    eval_nonzero_basis,
+    open_knots,
+)
 from divspline.cases import error_quad_points
 from divspline.mesh import build_mesh, gauss_rule
 from divspline.space import (
@@ -17,7 +23,6 @@ from divspline.space import (
     StateVector,
     TensorSpace,
     build_pair,
-    element_basis_1d,
     per_pair,
     quad_points_1d,
 )
